@@ -40,6 +40,15 @@ pub fn tree_build_count() -> u64 {
 /// slots). The result has exactly `k + 1` coefficients.
 pub fn poly_mul<S: CountSemiring>(a: &[S], b: &[S], k: usize) -> Vec<S> {
     let mut out = vec![S::zero(); k + 1];
+    poly_mul_into(a, b, k, &mut out);
+    out
+}
+
+/// [`poly_mul`] writing into `out` (exactly `k + 1` coefficients, which are
+/// overwritten). Zero coefficients are skipped, so a product coefficient
+/// every term of which has a zero factor stays exactly `S::zero()`.
+fn poly_mul_into<S: CountSemiring>(a: &[S], b: &[S], k: usize, out: &mut [S]) {
+    out.fill(S::zero());
     for (i, ai) in a.iter().enumerate().take(k + 1) {
         if ai.is_zero() {
             continue;
@@ -52,7 +61,6 @@ pub fn poly_mul<S: CountSemiring>(a: &[S], b: &[S], k: usize) -> Vec<S> {
             out[i + j].add_assign(&prod);
         }
     }
-    out
 }
 
 /// The multiplicative-identity polynomial (`1 + 0·z + …`).
@@ -119,10 +127,26 @@ impl<S: CountSemiring> TallyTree<S> {
     /// # Panics
     /// Panics if `leaf >= n_leaves`.
     pub fn set_leaf(&mut self, leaf: usize, out: S, in_: S) {
+        self.load_leaf(leaf, out, in_);
+        // refresh ancestors bottom-up
+        let mut node = (self.cap + leaf) / 2;
+        while node >= 1 {
+            self.refresh(node);
+            node /= 2;
+        }
+    }
+
+    /// Set leaf `leaf`'s polynomial to `out + in·z` **without** refreshing
+    /// its ancestors: the bulk-initialization half of [`TallyTree::set_leaf`].
+    /// Load any number of leaves, then call [`TallyTree::rebuild`] once
+    /// before reading the tree.
+    ///
+    /// # Panics
+    /// Panics if `leaf >= n_leaves`.
+    pub fn load_leaf(&mut self, leaf: usize, out: S, in_: S) {
         assert!(leaf < self.n_leaves, "leaf index out of range");
         let stride = self.k + 1;
-        let v = self.cap + leaf;
-        let base = v * stride;
+        let base = (self.cap + leaf) * stride;
         self.nodes[base] = out;
         if self.k >= 1 {
             self.nodes[base + 1] = in_;
@@ -130,14 +154,37 @@ impl<S: CountSemiring> TallyTree<S> {
                 self.nodes[base + c] = S::zero();
             }
         }
-        // refresh ancestors bottom-up
-        let mut node = v / 2;
-        while node >= 1 {
-            let prod = poly_mul(self.poly(2 * node), self.poly(2 * node + 1), self.k);
-            let base = node * stride;
-            self.nodes[base..base + stride].clone_from_slice(&prod);
-            node /= 2;
+    }
+
+    /// Recompute every internal node above a real leaf from its children,
+    /// bottom-up, in `O(N·K²)`. After [`TallyTree::load_leaf`] calls this
+    /// leaves the node array exactly as the same leaves written through
+    /// [`TallyTree::set_leaf`] would: every such node is the same product of
+    /// its final children, and nodes above only padding stay the identity.
+    pub fn rebuild(&mut self) {
+        let (mut first, mut live) = (self.cap, self.n_leaves);
+        while first > 1 {
+            first /= 2;
+            live = live.div_ceil(2);
+            for node in first..first + live {
+                self.refresh(node);
+            }
         }
+    }
+
+    /// Overwrite internal node `node` with the truncated product of its two
+    /// children, in place.
+    fn refresh(&mut self, node: usize) {
+        let stride = self.k + 1;
+        // children live at 2·node and 2·node + 1, strictly after the parent
+        let (head, children) = self.nodes.split_at_mut(2 * node * stride);
+        let (left, right) = children[..2 * stride].split_at(stride);
+        poly_mul_into(
+            left,
+            right,
+            self.k,
+            &mut head[node * stride..(node + 1) * stride],
+        );
     }
 
     /// The product polynomial over **all** leaves: coefficient `c` is the
@@ -367,6 +414,38 @@ mod tests {
             factors[leaf] = f;
             tree.set_leaf(leaf, f.0, f.1);
             assert_eq!(tree.root(), &direct_product(&factors, k)[..]);
+        }
+    }
+
+    #[test]
+    fn bulk_load_and_rebuild_equals_incremental_set_leaf() {
+        // every leaf count up to two full levels past a power of two, so
+        // padded subtrees of every shape occur
+        for n in 0..=9usize {
+            for k in 0..=4 {
+                let leaf = |i: usize| (i as f64 * 0.37 % 1.0, 1.0 / (i as f64 + 3.0));
+                let mut incremental = TallyTree::<f64>::new(n, k);
+                let mut bulk = TallyTree::<f64>::new(n, k);
+                for i in 0..n {
+                    let (o, v) = leaf(i);
+                    incremental.set_leaf(i, o, v);
+                    bulk.load_leaf(i, o, v);
+                }
+                bulk.rebuild();
+                let bits =
+                    |t: &TallyTree<f64>| t.nodes.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&bulk), bits(&incremental), "n={n} k={k}");
+
+                let mut incremental = TallyTree::<u128>::new(n, k);
+                let mut bulk = TallyTree::<u128>::new(n, k);
+                for i in 0..n {
+                    let (o, v) = (i as u128 % 3, i as u128 + 1);
+                    incremental.set_leaf(i, o, v);
+                    bulk.load_leaf(i, o, v);
+                }
+                bulk.rebuild();
+                assert_eq!(bulk.nodes, incremental.nodes, "n={n} k={k}");
+            }
         }
     }
 

@@ -4,8 +4,32 @@
 //! maintained incrementally in per-label [`TallyTree`]s: a scan step updates
 //! exactly one similarity-tally entry (Equation 1), hence exactly one tree
 //! leaf, so each boundary candidate costs `O(K² log N)` instead of `O(N·K)`.
-//! Overall: `O(NM·(log NM + K² log N))` — the headline complexity of
+//!
+//! ## The provably-zero prefix
+//!
+//! The scan walks candidates in ascending similarity. At the boundary
+//! position `p`, any *other* set whose allowed candidates all sit above `p`
+//! has out-mass exactly zero, so its slot polynomial `0 + in·z` has no
+//! constant term. If `K` or more such sets exist, every tally would put at
+//! least `K + 1` sets in the top-K, and every support is exactly zero — in
+//! every semiring, since the polynomial products and the accumulators skip
+//! zero factors instead of multiplying through them. With `f_i` the rank of
+//! set `i`'s lowest allowed candidate under the pins and `τ` the K-th
+//! largest `f_i`, every boundary below `τ` therefore contributes nothing.
+//!
+//! The scan thus walks `order[..τ]` advancing only the masses, loads every
+//! tree leaf at that point and builds each tree bottom-up once
+//! ([`TallyTree::load_leaf`] + [`TallyTree::rebuild`]), then runs the
+//! per-event loop over `order[τ..]`. Every tree node is a pure function of
+//! the current leaves, and the skipped supports are exact zeros the
+//! accumulators never add, so the counts are bit-identical to the full walk.
+//! Overall: `O(NM·log NM + N·K² + T·(K² log N + |Γ|·|Y|))`, where `T` is the
+//! number of allowed candidates at or above `τ` — against the full walk's
+//! `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline complexity of
 //! Figure 4's third row.
+//!
+//! Each scan adds its event counts to the `core.ss.events_scanned` and
+//! `core.ss.events_skipped` registry counters.
 //!
 //! The scan is generic over the [`MassModel`], which is how the probabilistic
 //! extension ([`crate::prior`]) reuses it with non-uniform candidate priors.
@@ -72,6 +96,21 @@ pub fn q2_sortscan_multiclass_with_index<S: CountSemiring>(
     scan_tree(ds, cfg, idx, pins, mass, true)
 }
 
+/// Length of the scan-order prefix at whose boundaries every support is
+/// exactly zero: `τ`, the K-th largest rank of a set's lowest allowed
+/// candidate (see the module docs). `O(N·M)`.
+fn zero_prefix_len(ds: &IncompleteDataset, idx: &SimilarityIndex, pins: &Pins, k: usize) -> usize {
+    // k = k_eff(n) ≤ n, so `n - k` indexes `first` whenever k ≥ 1
+    let n = ds.len();
+    if k == 0 {
+        return 0;
+    }
+    let mut first: Vec<u32> = (0..n)
+        .map(|i| idx.rank(i, idx.least_similar(i, pins)))
+        .collect();
+    *first.select_nth_unstable(n - k).1 as usize
+}
+
 /// The shared tree-based scan over a mass model.
 pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     ds: &IncompleteDataset,
@@ -85,8 +124,95 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     let n = ds.len();
     let n_labels = ds.n_labels();
     let k = cfg.k_eff(n);
+    let (prefix, suffix) = idx.order().split_at(zero_prefix_len(ds, idx, pins, k));
+
+    // below τ only the masses move
+    let mut skipped = 0u64;
+    for &(iu, ju) in prefix {
+        let (i, j) = (iu as usize, ju as usize);
+        if pins.allows(i, j) {
+            mass.advance(i, j);
+            skipped += 1;
+        }
+    }
 
     // map each candidate set to a leaf of its label's tree
+    let mut leaf_pos = vec![0usize; n];
+    let mut label_counts = vec![0usize; n_labels];
+    for (i, pos) in leaf_pos.iter_mut().enumerate() {
+        let l = ds.label(i);
+        *pos = label_counts[l];
+        label_counts[l] += 1;
+    }
+    // build the trees once, at τ
+    let mut trees: Vec<TallyTree<S>> = label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
+    for i in 0..n {
+        trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+    }
+    trees.iter_mut().for_each(TallyTree::rebuild);
+
+    let comps = if use_mc {
+        Vec::new()
+    } else {
+        compositions(n_labels, k)
+    };
+    let mut counts = vec![S::zero(); n_labels];
+
+    let mut scanned = 0u64;
+    for &(iu, ju) in suffix {
+        let (i, j) = (iu as usize, ju as usize);
+        if !pins.allows(i, j) {
+            continue;
+        }
+        scanned += 1;
+        mass.advance(i, j);
+        let yi = ds.label(i);
+        // one leaf changed -> O(K² log N) tree refresh
+        trees[yi].set_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+        // slot polynomial of yi's sets with the boundary set excluded
+        let ex = trees[yi].excluding(leaf_pos[i]);
+        let boundary = mass.boundary(i, j);
+
+        let poly_refs: Vec<&[S]> = (0..n_labels)
+            .map(|l| {
+                if l == yi {
+                    ex.as_slice()
+                } else {
+                    trees[l].root()
+                }
+            })
+            .collect();
+        if use_mc {
+            accumulate_supports_mc(k, yi, &boundary, &poly_refs, &mut counts);
+        } else {
+            accumulate_supports(&comps, yi, &boundary, &poly_refs, &mut counts);
+        }
+    }
+    cp_obs::counter!("core.ss.events_scanned").add(scanned);
+    cp_obs::counter!("core.ss.events_skipped").add(skipped);
+
+    Q2Result {
+        counts,
+        total: mass.total(),
+    }
+}
+
+/// The full walk the zero-prefix scan replaces: trees built at `α = 0` and
+/// refreshed at every allowed candidate. Kept as the bit-identity oracle.
+#[cfg(test)]
+fn scan_tree_full_walk<S: CountSemiring, M: MassModel<S>>(
+    ds: &IncompleteDataset,
+    cfg: &CpConfig,
+    idx: &SimilarityIndex,
+    pins: &Pins,
+    mut mass: M,
+    use_mc: bool,
+) -> Q2Result<S> {
+    pins.validate(ds);
+    let n = ds.len();
+    let n_labels = ds.n_labels();
+    let k = cfg.k_eff(n);
+
     let mut leaf_pos = vec![0usize; n];
     let mut label_counts = vec![0usize; n_labels];
     for (i, pos) in leaf_pos.iter_mut().enumerate() {
@@ -115,9 +241,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
         }
         mass.advance(i, j);
         let yi = ds.label(i);
-        // one leaf changed -> O(K² log N) tree refresh
         trees[yi].set_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
-        // slot polynomial of yi's sets with the boundary set excluded
         let ex = trees[yi].excluding(leaf_pos[i]);
         let boundary = mass.boundary(i, j);
 
@@ -147,6 +271,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
 mod tests {
     use super::*;
     use crate::dataset::IncompleteExample;
+    use crate::mass::WeightedMass;
     use crate::ss::q2_sortscan_with_index;
     use cp_numeric::{BigUint, Possibility, ScaledF64};
     use proptest::prelude::*;
@@ -173,8 +298,94 @@ mod tests {
         })
     }
 
+    /// A bit-identity case: a dataset on a small 1-d grid (exact similarity
+    /// ties are common, `grid = 1` makes them dominant), a test point, K in
+    /// 1..=5 (often ≥ N), random pins and normalized per-candidate priors.
+    type ScanCase = (IncompleteDataset, Vec<f64>, usize, Pins, Vec<Vec<f64>>);
+
+    fn arb_scan_case() -> impl Strategy<Value = ScanCase> {
+        (2usize..=4, 1usize..=8, 1usize..=5, 1i32..=6).prop_flat_map(|(n_labels, n, k, grid)| {
+            // (candidate grid points, label, pin choice, prior weights)
+            let example = (
+                proptest::collection::vec(-grid..=grid, 1..=4),
+                0..n_labels,
+                0usize..8,
+                proptest::collection::vec(1u32..=9, 4..=4),
+            );
+            (
+                proptest::collection::vec(example, n..=n),
+                -grid..=grid,
+                Just(n_labels),
+                Just(k),
+            )
+                .prop_map(move |(rows, t, n_labels, k)| {
+                    let mut examples = Vec::new();
+                    let mut pins = Vec::new();
+                    let mut weights = Vec::new();
+                    for (i, (points, label, pin, w)) in rows.into_iter().enumerate() {
+                        let m = points.len();
+                        // pin roughly a third of the sets to a random candidate
+                        if pin < 3 && pin < m {
+                            pins.push((i, pin));
+                        }
+                        let w = &w[..m];
+                        let sum: u32 = w.iter().sum();
+                        weights.push(w.iter().map(|&x| x as f64 / sum as f64).collect());
+                        let candidates = points.into_iter().map(|g| vec![g as f64]).collect();
+                        examples.push(IncompleteExample::incomplete(candidates, label));
+                    }
+                    let ds = IncompleteDataset::new(examples, n_labels).unwrap();
+                    let pins = Pins::from_pairs(ds.len(), &pins);
+                    (ds, vec![t as f64], k, pins, weights)
+                })
+        })
+    }
+
+    /// Both scans under a uniform mass in semiring `S`, through both
+    /// accumulators.
+    fn both_scans<S: CountSemiring>(
+        ds: &IncompleteDataset,
+        cfg: &CpConfig,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        use_mc: bool,
+    ) -> (Q2Result<S>, Q2Result<S>) {
+        let mass = UniformMass::new(ds, pins);
+        (
+            scan_tree(ds, cfg, idx, pins, mass.clone(), use_mc),
+            scan_tree_full_walk(ds, cfg, idx, pins, mass, use_mc),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn zero_prefix_scan_is_bit_identical_to_the_full_walk(
+            (ds, t, k, pins, weights) in arb_scan_case()
+        ) {
+            let cfg = CpConfig::new(k);
+            let idx = SimilarityIndex::build(&ds, cfg.kernel, &t);
+            for use_mc in [false, true] {
+                let (fast, full) = both_scans::<u128>(&ds, &cfg, &idx, &pins, use_mc);
+                prop_assert_eq!(&fast.counts, &full.counts);
+                prop_assert_eq!(fast.total, full.total);
+                let (fast, full) = both_scans::<BigUint>(&ds, &cfg, &idx, &pins, use_mc);
+                prop_assert_eq!(&fast.counts, &full.counts);
+                let (fast, full) = both_scans::<Possibility>(&ds, &cfg, &idx, &pins, use_mc);
+                prop_assert_eq!(&fast.counts, &full.counts);
+                let (fast, full) = both_scans::<ScaledF64>(&ds, &cfg, &idx, &pins, use_mc);
+                prop_assert!(fast.counts == full.counts);
+                let bits = |r: &Q2Result<f64>| r.counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                let (fast, full) = both_scans::<f64>(&ds, &cfg, &idx, &pins, use_mc);
+                prop_assert_eq!(bits(&fast), bits(&full));
+                // non-uniform priors: the mass model behind `q2_weighted`
+                let mass = WeightedMass::new(&ds, &pins, weights.clone());
+                let fast = scan_tree(&ds, &cfg, &idx, &pins, mass.clone(), use_mc);
+                let full = scan_tree_full_walk(&ds, &cfg, &idx, &pins, mass, use_mc);
+                prop_assert_eq!(bits(&fast), bits(&full));
+            }
+        }
+
         #[test]
         fn tree_matches_naive_ss_exact((ds, t, k) in arb_instance()) {
             let cfg = CpConfig::new(k);

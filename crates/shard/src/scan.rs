@@ -83,8 +83,9 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         let mut trees: Vec<TallyTree<S>> =
             label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
         for i in 0..n {
-            trees[ds.label(i)].set_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+            trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
         }
+        trees.iter_mut().for_each(TallyTree::rebuild);
         let mut scan = ShardScan {
             shard,
             idx,
