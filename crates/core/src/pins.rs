@@ -88,6 +88,15 @@ impl Pins {
         }
     }
 
+    /// The number of possible worlds under this mask, `∏ eff_size`, or
+    /// `None` once it reaches `2^128`: past that point `u128` counts
+    /// overflow, and exact counting needs `BigUint` (or `f64` probabilities).
+    pub fn world_count_u128(&self, ds: &IncompleteDataset) -> Option<u128> {
+        (0..ds.len()).try_fold(1u128, |acc, i| {
+            acc.checked_mul(self.eff_size(ds, i) as u128)
+        })
+    }
+
     /// Number of examples covered by the mask.
     pub fn len(&self) -> usize {
         self.pinned.len()
@@ -200,6 +209,24 @@ mod tests {
         let ds = ds();
         let p = Pins::single(ds.len(), 0, 9);
         p.validate(&ds);
+    }
+
+    #[test]
+    fn world_count_u128_stops_at_two_to_the_128() {
+        // 64 sets of 4 candidates: 4^64 = 2^128 worlds, one too many
+        let wide = |n: usize| {
+            let ex = IncompleteExample::incomplete((0..4).map(|c| vec![c as f64]).collect(), 0);
+            IncompleteDataset::new(vec![ex; n], 2).unwrap()
+        };
+        let ds = wide(64);
+        assert_eq!(Pins::none(ds.len()).world_count_u128(&ds), None);
+        // pinning one set leaves 4^63 = 2^126
+        assert_eq!(
+            Pins::single(ds.len(), 0, 3).world_count_u128(&ds),
+            Some(1 << 126)
+        );
+        let ds = wide(63);
+        assert_eq!(Pins::none(ds.len()).world_count_u128(&ds), Some(1 << 126));
     }
 
     #[test]

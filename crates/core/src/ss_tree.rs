@@ -28,8 +28,11 @@
 //! `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline complexity of
 //! Figure 4's third row.
 //!
-//! Each scan adds its event counts to the `core.ss.events_scanned` and
-//! `core.ss.events_skipped` registry counters.
+//! The opening — masses over `order[..τ]`, trees built at `τ` — is
+//! [`TreeScan::open`], shared with the sharded engine's per-shard scans,
+//! which open at their shard-local `τ_s` under the global `K`. Each scan,
+//! in-process or per shard, adds its event counts to the
+//! `core.ss.events_scanned` and `core.ss.events_skipped` registry counters.
 //!
 //! The scan is generic over the [`MassModel`], which is how the probabilistic
 //! extension ([`crate::prior`]) reuses it with non-uniform candidate priors.
@@ -98,11 +101,11 @@ pub fn q2_sortscan_multiclass_with_index<S: CountSemiring>(
 
 /// Length of the scan-order prefix at whose boundaries every support is
 /// exactly zero: `τ`, the K-th largest rank of a set's lowest allowed
-/// candidate (see the module docs). `O(N·M)`.
+/// candidate (see the module docs); `0` when fewer than `k` sets exist.
+/// `O(N·M)`.
 fn zero_prefix_len(ds: &IncompleteDataset, idx: &SimilarityIndex, pins: &Pins, k: usize) -> usize {
-    // k = k_eff(n) ≤ n, so `n - k` indexes `first` whenever k ≥ 1
     let n = ds.len();
-    if k == 0 {
+    if k == 0 || k > n {
         return 0;
     }
     let mut first: Vec<u32> = (0..n)
@@ -111,45 +114,105 @@ fn zero_prefix_len(ds: &IncompleteDataset, idx: &SimilarityIndex, pins: &Pins, k
     *first.select_nth_unstable(n - k).1 as usize
 }
 
+/// A tree scan opened where a support can first be non-zero: the masses
+/// advanced over the provably-zero prefix `order[..τ]`, one tally tree per
+/// label built once there, and the position the per-event loop starts at.
+///
+/// The opener shared by [`q2_sortscan_tree`] and the sharded engine's
+/// per-shard scans (`cp-shard`'s `ShardScan`). A shard opens over its own
+/// sets with the **global** `k`: below the shard-local `τ_s` at least `k`
+/// of the shard's sets have zero out-mass, so every merged support is an
+/// exact zero whether the shard presents its true factors there or its
+/// factors at `τ_s`.
+#[derive(Clone, Debug)]
+pub struct TreeScan<S, M> {
+    /// The mass model, advanced over every allowed candidate below `start`.
+    pub mass: M,
+    /// One tally tree per label, loaded from `mass` at `start`.
+    pub trees: Vec<TallyTree<S>>,
+    /// Each candidate set's leaf in its label's tree.
+    pub leaf_pos: Vec<usize>,
+    /// `τ`: the position in `idx.order()` of the first event that can count.
+    pub start: usize,
+}
+
+impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
+    /// Open a scan over `ds` at `τ` for slot budget `k` (which may exceed
+    /// `ds.len()`: nothing is then skipped). Adds the allowed candidates
+    /// walked mass-only to `core.ss.events_skipped`.
+    ///
+    /// # Panics
+    /// Panics if the pin mask does not validate against `ds`.
+    pub fn open(
+        ds: &IncompleteDataset,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        mut mass: M,
+    ) -> Self {
+        pins.validate(ds);
+        let n = ds.len();
+        let start = zero_prefix_len(ds, idx, pins, k);
+
+        // below τ only the masses move
+        let mut skipped = 0u64;
+        for &(iu, ju) in &idx.order()[..start] {
+            let (i, j) = (iu as usize, ju as usize);
+            if pins.allows(i, j) {
+                mass.advance(i, j);
+                skipped += 1;
+            }
+        }
+        cp_obs::counter!("core.ss.events_skipped").add(skipped);
+
+        // map each candidate set to a leaf of its label's tree
+        let mut leaf_pos = vec![0usize; n];
+        let mut label_counts = vec![0usize; ds.n_labels()];
+        for (i, pos) in leaf_pos.iter_mut().enumerate() {
+            let l = ds.label(i);
+            *pos = label_counts[l];
+            label_counts[l] += 1;
+        }
+        // build the trees once, at τ
+        let mut trees: Vec<TallyTree<S>> =
+            label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
+        for i in 0..n {
+            trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+        }
+        trees.iter_mut().for_each(TallyTree::rebuild);
+
+        TreeScan {
+            mass,
+            trees,
+            leaf_pos,
+            start,
+        }
+    }
+}
+
+/// Add one scan's event count to `core.ss.events_scanned` — the events run
+/// through the tally trees after [`TreeScan::open`]. Called once per scan.
+pub fn note_events_scanned(n: u64) {
+    cp_obs::counter!("core.ss.events_scanned").add(n);
+}
+
 /// The shared tree-based scan over a mass model.
 pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     ds: &IncompleteDataset,
     cfg: &CpConfig,
     idx: &SimilarityIndex,
     pins: &Pins,
-    mut mass: M,
+    mass: M,
     use_mc: bool,
 ) -> Q2Result<S> {
-    pins.validate(ds);
-    let n = ds.len();
     let n_labels = ds.n_labels();
-    let k = cfg.k_eff(n);
-    let (prefix, suffix) = idx.order().split_at(zero_prefix_len(ds, idx, pins, k));
-
-    // below τ only the masses move
-    let mut skipped = 0u64;
-    for &(iu, ju) in prefix {
-        let (i, j) = (iu as usize, ju as usize);
-        if pins.allows(i, j) {
-            mass.advance(i, j);
-            skipped += 1;
-        }
-    }
-
-    // map each candidate set to a leaf of its label's tree
-    let mut leaf_pos = vec![0usize; n];
-    let mut label_counts = vec![0usize; n_labels];
-    for (i, pos) in leaf_pos.iter_mut().enumerate() {
-        let l = ds.label(i);
-        *pos = label_counts[l];
-        label_counts[l] += 1;
-    }
-    // build the trees once, at τ
-    let mut trees: Vec<TallyTree<S>> = label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
-    for i in 0..n {
-        trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
-    }
-    trees.iter_mut().for_each(TallyTree::rebuild);
+    let k = cfg.k_eff(ds.len());
+    let TreeScan {
+        mut mass,
+        mut trees,
+        leaf_pos,
+        start,
+    } = TreeScan::open(ds, idx, pins, k, mass);
 
     let comps = if use_mc {
         Vec::new()
@@ -159,7 +222,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     let mut counts = vec![S::zero(); n_labels];
 
     let mut scanned = 0u64;
-    for &(iu, ju) in suffix {
+    for &(iu, ju) in &idx.order()[start..] {
         let (i, j) = (iu as usize, ju as usize);
         if !pins.allows(i, j) {
             continue;
@@ -188,8 +251,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
             accumulate_supports(&comps, yi, &boundary, &poly_refs, &mut counts);
         }
     }
-    cp_obs::counter!("core.ss.events_scanned").add(scanned);
-    cp_obs::counter!("core.ss.events_skipped").add(skipped);
+    note_events_scanned(scanned);
 
     Q2Result {
         counts,

@@ -40,6 +40,7 @@ use crate::proto::{
     decode_response, encode_request, OpenShard, Request, Response, SessionId, ShardStatus,
 };
 use crate::retry::{Admission, CircuitBreaker, RetryPolicy};
+use crate::server::U128_OVERFLOW;
 use crate::spill::{certain_label_over_runs, spill_stream, LazyRunCursor, SpillSource};
 use cp_clean::metrics::CleaningRun;
 use cp_clean::{
@@ -1428,7 +1429,12 @@ impl RpcCoordinator {
     /// any wire semiring and with the same algorithm-selector fallbacks as
     /// the in-process engine — the handle the every-semiring equivalence
     /// tests drive.
+    ///
+    /// A `u128` query over `2^128` or more possible worlds is refused with
+    /// [`RpcError::Protocol`] before any scan is sent: the counts would
+    /// overflow.
     pub fn q2_at<S: WireSemiring>(&self, v: usize, algo: Q2Algorithm) -> RpcResult<Q2Result<S>> {
+        self.check_counts_fit::<S>(self.state().pins())?;
         let streams = self.fetch_streams::<S>(v)?;
         Ok(q2_from_streams_with_algorithm(&streams, algo))
     }
@@ -1442,6 +1448,7 @@ impl RpcCoordinator {
         global_pins: &Pins,
         algo: Q2Algorithm,
     ) -> RpcResult<Q2Result<S>> {
+        self.check_counts_fit::<S>(global_pins)?;
         let streams: Vec<ShardStream<S>> = self
             .shards
             .iter()
@@ -1453,6 +1460,18 @@ impl RpcCoordinator {
             })
             .collect::<RpcResult<_>>()?;
         Ok(q2_from_streams_with_algorithm(&streams, algo))
+    }
+
+    /// Refuse `u128` counting when the global world count under `pins`
+    /// reaches `2^128`: the merged counts would overflow. Each server makes
+    /// the same check over its own shard.
+    fn check_counts_fit<S: WireSemiring>(&self, pins: &Pins) -> RpcResult<()> {
+        if S::TAG == <u128 as WireSemiring>::TAG
+            && pins.world_count_u128(&self.problem.dataset).is_none()
+        {
+            return Err(RpcError::Protocol(U128_OVERFLOW.into()));
+        }
+        Ok(())
     }
 
     /// Re-evaluate the not-yet-certain validation points (certainty is

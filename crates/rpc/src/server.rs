@@ -55,6 +55,7 @@ use cp_shard::ShardStream;
 use cp_store::WalWriter;
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -722,6 +723,11 @@ impl ShardServer {
             .unwrap_or_else(|| state.session.state().pins());
         let idx = &state.session.cache()[val];
         let shard = &sess.shared.shard;
+        if semiring == <u128 as WireSemiring>::TAG
+            && pins.world_count_u128(shard.dataset()).is_none()
+        {
+            return Response::Error(U128_OVERFLOW.into());
+        }
         let k = k as usize;
         let bytes = match semiring {
             <u128 as WireSemiring>::TAG => {
@@ -850,6 +856,25 @@ impl ShardServer {
     }
 }
 
+/// The refusal of a `u128` scan whose world count reaches `2^128`.
+pub(crate) const U128_OVERFLOW: &str = "u128 counts overflow: the scan covers 2^128 or more \
+     possible worlds; scan in f64, or count exactly with BigUint in process";
+
+/// [`ShardServer::handle`] behind `catch_unwind`: a handler panic answers
+/// [`Response::Error`] instead of silently stalling the connection.
+fn handle_caught(server: &ShardServer, req: Request) -> Response {
+    std::panic::catch_unwind(AssertUnwindSafe(|| server.handle(req))).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        cp_obs::counter!("rpc.server.handler_panics").inc();
+        cp_obs::obs_error!("rpc.server", "request handler panicked: {msg}");
+        Response::Error(format!("request handler panicked: {msg}"))
+    })
+}
+
 /// Serve one established connection serially (no request queue) until the
 /// peer shuts down or disconnects. Returns `true` if the peer sent
 /// [`Request::Shutdown`], `false` on orderly EOF. Every response frame
@@ -868,7 +893,7 @@ pub fn serve_connection(server: &ShardServer, stream: &mut TcpStream) -> RpcResu
             Ok(req) => match shed_expired(req, 0) {
                 Ok(req) => {
                     let shutdown = matches!(req, Request::Shutdown);
-                    (server.handle(req), shutdown)
+                    (handle_caught(server, req), shutdown)
                 }
                 Err(resp) => (resp, false),
             },
@@ -965,7 +990,7 @@ fn serve_queued_connection(
                 match shed_expired(req, waited_us) {
                     Ok(req) => {
                         let shutdown = matches!(req, Request::Shutdown);
-                        (server.handle(req), shutdown)
+                        (handle_caught(server, req), shutdown)
                     }
                     Err(resp) => (resp, false),
                 }

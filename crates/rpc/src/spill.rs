@@ -8,7 +8,10 @@
 //! serialization format. The footer's opening bytes are the same codec over
 //! a zero-event copy of the stream (initial factors + total mass), which is
 //! what lets a reader answer "what does this shard contribute before its
-//! first boundary?" without touching the block.
+//! first boundary?" without touching the block. Streams start at their
+//! shard's zero-prefix bound `τ_s` (see `cp_shard::ShardStream`), so the
+//! opening factors are the shard's state at `τ_s`: a set whose candidates
+//! all sit below `τ_s` enters them with out-mass only.
 //!
 //! ## Lazy cursors and filter skips
 //!
@@ -214,6 +217,12 @@ impl<S: WireSemiring> FactorSource<S> for SpillSource<'_, S> {
 /// (events replace exactly their own label's polynomial, so no event can
 /// introduce what the bloom filter excludes). Footer + opening only — no
 /// block I/O.
+///
+/// The opening factors are the shard's state at its zero-prefix bound
+/// `τ_s`, so a label whose sets on this shard all sit below `τ_s` reads as
+/// absent here. That is sound: at least K of the shard's sets have every
+/// candidate at or above `τ_s`, so they outrank each of that label's
+/// candidates in every world and the label never reaches the top K.
 fn label_provably_absent(run: &Run, opening: &ShardFactors<Possibility>, label: usize) -> bool {
     !run.meta().might_contain_label(label) && opening.poly(label).iter().skip(1).all(|p| !p.0)
 }
@@ -273,4 +282,63 @@ pub fn certain_label_over_runs(
     let label = certain_label_from_sources(&mut sources, n_labels, k);
     count_skipped(&|i| sources[i].block_decoded());
     Ok(label)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins};
+    use cp_shard::{build_shard_indexes, capture_streams, certain_label_from_streams, local_pins};
+
+    /// Every label-1 set of shard 0 sits below that shard's `τ_s`, and
+    /// shard 1 holds no label-1 set: label 1 is then absent from both runs'
+    /// opening tails and bloom filters, and the footer pre-check answers.
+    #[test]
+    fn footer_precheck_answers_when_a_label_sits_below_tau_s() {
+        // test point 0; shard 0 (rows 0..3) walks farthest-first:
+        //   rank 0: (0,0) at -10   rank 2: (1,1) at 2   rank 4: (2,0) at 0.5
+        //   rank 1: (0,1) at -9    rank 3: (1,0) at 1
+        // f = [0, 2, 4], so K = 2 gives τ_0 = 2: row 0 (label 1) lies wholly
+        // in the skipped prefix, and rows 1 and 2 (label 0) always outrank it
+        let ds = IncompleteDataset::new(
+            vec![
+                IncompleteExample::incomplete(vec![vec![-10.0], vec![-9.0]], 1),
+                IncompleteExample::incomplete(vec![vec![1.0], vec![2.0]], 0),
+                IncompleteExample::complete(vec![0.5], 0),
+                IncompleteExample::incomplete(vec![vec![3.0], vec![-4.0]], 0),
+                IncompleteExample::complete(vec![-0.2], 0),
+                IncompleteExample::complete(vec![5.0], 0),
+            ],
+            2,
+        )
+        .unwrap();
+        let t = [0.0];
+        let cfg = CpConfig::new(2);
+        let shards = ds.partition(2);
+        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
+        let pins = local_pins(&shards, &Pins::none(ds.len()));
+        let streams: Vec<ShardStream<Possibility>> =
+            capture_streams(&shards, &indexes, &pins, &cfg);
+        // shard 0's stream starts at τ_0: row 0's two candidates are gone
+        assert_eq!(streams[0].events.len(), 3);
+
+        let dir = std::env::temp_dir().join(format!("cp-rpc-spill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let runs: Vec<Run> = streams
+            .iter()
+            .enumerate()
+            .map(|(s, st)| spill_stream(&dir.join(format!("s{s}.run")), st).unwrap())
+            .collect();
+        for run in &runs {
+            let opening = LazyRunCursor::<Possibility>::new(run).unwrap().opening;
+            assert!(label_provably_absent(run, &opening, 1));
+            assert!(!label_provably_absent(run, &opening, 0));
+        }
+        let k = cfg.k_eff(ds.len());
+        let over_runs = certain_label_over_runs(&runs, 2, k).unwrap();
+        assert_eq!(over_runs, Some(0));
+        assert_eq!(over_runs, certain_label_from_streams(&streams));
+        assert_eq!(over_runs, cp_core::certain_label(&ds, &cfg, &t));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

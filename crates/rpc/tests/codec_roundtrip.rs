@@ -3,12 +3,19 @@
 //! * `decode(encode(x)) == x` for [`ShardFactors`] in every wire semiring
 //!   (binary and multiclass label spaces), [`Pins`], CP status vectors, and
 //!   whole batched [`ShardStream`]s;
+//! * shard streams captured from real scans (each starting at its shard's
+//!   zero-prefix bound) merge, after the codec round trip, to the full-walk
+//!   counts;
 //! * every decoder survives arbitrary garbage bytes and every strict prefix
 //!   of a valid encoding with a typed [`RpcError`] — no panics, no
 //!   unbounded allocations.
 
 use cp_core::mm_summary::cmp_entries;
-use cp_core::{ExtremeEntry, ExtremeSummary, Pins, ShardFactors};
+use cp_core::ss::q2_sortscan_with_index;
+use cp_core::{
+    certain_label_with_index, CpConfig, DatasetShard, ExtremeEntry, ExtremeSummary,
+    IncompleteDataset, IncompleteExample, Pins, Q2Result, ShardFactors, SimilarityIndex,
+};
 use cp_knn::Kernel;
 use cp_numeric::Possibility;
 use cp_rpc::codec::{
@@ -19,7 +26,11 @@ use cp_rpc::codec::{
 use cp_rpc::proto::{decode_request, decode_response, encode_request, OpenShard, Request};
 use cp_rpc::wire::Reader;
 use cp_rpc::RpcError;
-use cp_shard::{BoundaryEvent, ShardStream, ShardStreamEvent};
+use cp_rpc::WireSemiring;
+use cp_shard::{
+    build_shard_indexes, capture_streams, certain_label_from_streams, local_pins, q2_from_streams,
+    q2_sharded_with_indexes, BoundaryEvent, ShardStream, ShardStreamEvent,
+};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -325,5 +336,93 @@ fn truncated_frames_error_at_every_cut() {
             matches!(read_frame(&mut r), Err(RpcError::Truncated { .. })),
             "cut at {cut} must be a truncation error"
         );
+    }
+}
+
+/// A captured-stream case: a dataset on a small 1-d grid (exact similarity
+/// ties are common, `grid = 1` makes them dominant), a test point, K in
+/// 1..=5 (often above a shard's row count), random pins, and a shard count
+/// from {1, 2, 3, 7}.
+fn arb_captured_case() -> impl Strategy<Value = (IncompleteDataset, Vec<f64>, usize, Pins, usize)> {
+    (2usize..=4, 1usize..=14, 1usize..=5, 1i32..=6, 0usize..4).prop_flat_map(
+        |(n_labels, n, k, grid, shards)| {
+            // (candidate grid points, label, pin choice)
+            let example = (
+                proptest::collection::vec(-grid..=grid, 1..=4),
+                0..n_labels,
+                0usize..8,
+            );
+            (
+                proptest::collection::vec(example, n..=n),
+                -grid..=grid,
+                Just((n_labels, k, [1, 2, 3, 7][shards])),
+            )
+                .prop_map(|(rows, t, (n_labels, k, n_shards))| {
+                    let mut examples = Vec::new();
+                    let mut pins = Vec::new();
+                    for (i, (points, label, pin)) in rows.into_iter().enumerate() {
+                        if pin < 3 && pin < points.len() {
+                            pins.push((i, pin));
+                        }
+                        let candidates = points.into_iter().map(|g| vec![g as f64]).collect();
+                        examples.push(IncompleteExample::incomplete(candidates, label));
+                    }
+                    let ds = IncompleteDataset::new(examples, n_labels).unwrap();
+                    let pins = Pins::from_pairs(ds.len(), &pins);
+                    (ds, vec![t as f64], k, pins, n_shards)
+                })
+        },
+    )
+}
+
+/// Capture every shard's stream (opened at its zero-prefix bound), push it
+/// through the wire codec, and decode it back.
+fn wire_streams<S: WireSemiring>(
+    shards: &[DatasetShard],
+    indexes: &[SimilarityIndex],
+    pins: &[Pins],
+    cfg: &CpConfig,
+) -> Vec<ShardStream<S>> {
+    capture_streams::<S, _, _>(shards, indexes, pins, cfg)
+        .iter()
+        .map(|st| decode_stream::<S>(&encode_stream(st)).unwrap())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Streams that start at each shard's `τ_s`, captured → encoded →
+    /// decoded → merged, equal the plain SortScan (which walks every
+    /// candidate) exactly, and the live merged scan bit for bit in `f64`.
+    /// `cp-shard`'s proptests hold the same streams to its full-walk
+    /// `ShardScan` in every semiring.
+    #[test]
+    fn decoded_tau_s_streams_merge_to_the_full_walk(
+        (ds, t, k, pins, n_shards) in arb_captured_case()
+    ) {
+        let cfg = CpConfig::new(k);
+        let idx = SimilarityIndex::build(&ds, cfg.kernel, &t);
+        let shards = ds.partition(n_shards);
+        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
+        let local = local_pins(&shards, &pins);
+
+        let exact = q2_from_streams::<u128, _>(&wire_streams(&shards, &indexes, &local, &cfg));
+        let walk = q2_sortscan_with_index::<u128>(&ds, &cfg, &idx, &pins);
+        prop_assert_eq!(&exact.counts, &walk.counts);
+        prop_assert_eq!(exact.total, walk.total);
+
+        let poss = wire_streams::<Possibility>(&shards, &indexes, &local, &cfg);
+        let walk = q2_sortscan_with_index::<Possibility>(&ds, &cfg, &idx, &pins);
+        prop_assert_eq!(&q2_from_streams::<Possibility, _>(&poss).counts, &walk.counts);
+        prop_assert_eq!(
+            certain_label_from_streams(&poss),
+            certain_label_with_index(&ds, &cfg, &idx, &pins)
+        );
+
+        let bits = |r: Q2Result<f64>| r.counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let wire = q2_from_streams::<f64, _>(&wire_streams(&shards, &indexes, &local, &cfg));
+        let live = q2_sharded_with_indexes::<f64, _, _>(&shards, &indexes, &local, &cfg);
+        prop_assert_eq!(bits(wire), bits(live));
     }
 }

@@ -23,12 +23,28 @@
 //! any partition of its candidate sets, the merged counts are *exactly* the
 //! single-process counts — in every semiring (the property tests pin this
 //! down in `u128`, where equality is bit-for-bit).
+//!
+//! ## Each shard starts at its own zero-prefix bound
+//!
+//! A shard opens its scan at `τ_s`, the K-th largest rank of a set's lowest
+//! allowed candidate over the shard's **own** sets under the **global** K
+//! (`cp_core::ss_tree::TreeScan::open`, the in-process scan's opener; `0`
+//! when the shard holds fewer than K sets). No coordinator round trip is
+//! needed: at any merged boundary keyed before shard `s`'s `τ_s`, at least
+//! K of shard `s`'s sets have zero out-mass, so the merged support is an
+//! exact zero — with the shard's true factors there and with its factors at
+//! `τ_s` alike, since the same K sets are still unseen at `τ_s`. From
+//! `τ_s` on the shard's factors are exact. So a shard advances its masses
+//! over `order[..τ_s]`, builds its trees there once, and presents only the
+//! events at or after `τ_s`; its opening factors are its state at `τ_s`.
+//! The merged counts stay bit-identical to a walk from the first candidate
+//! in every semiring (the full-walk proptests below pin this down).
 
 use cp_core::mass::{merge_totals, MassModel, UniformMass};
 use cp_core::poly::TallyTree;
 use cp_core::queries::Q2Algorithm;
 use cp_core::ss_mc::accumulate_supports_mc;
-use cp_core::ss_tree::use_multiclass_accumulator;
+use cp_core::ss_tree::{note_events_scanned, use_multiclass_accumulator, TreeScan};
 use cp_core::tally::{accumulate_supports, compositions};
 use cp_core::{
     CpConfig, DatasetShard, ExtremeSummary, Pins, Q2Result, ShardFactors, SimilarityIndex,
@@ -40,7 +56,11 @@ use std::cmp::Ordering;
 
 /// One shard's scan state for one test point: local similarity order, local
 /// mass tallies, per-label tally trees over the shard's candidate sets.
-#[derive(Clone, Debug)]
+///
+/// Dropping a scan adds the events it processed to
+/// `core.ss.events_scanned` (opening adds its zero prefix to
+/// `core.ss.events_skipped`), once per scan.
+#[derive(Debug)]
 pub struct ShardScan<'a, S> {
     shard: &'a DatasetShard,
     idx: &'a SimilarityIndex,
@@ -49,10 +69,16 @@ pub struct ShardScan<'a, S> {
     trees: Vec<TallyTree<S>>,
     leaf_pos: Vec<usize>,
     cursor: usize,
+    scanned: u64,
 }
 
 impl<'a, S: CountSemiring> ShardScan<'a, S> {
-    /// Open a scan at the position before the first boundary candidate.
+    /// Open a scan at the shard-local zero-prefix bound `τ_s`: masses
+    /// advanced over `order[..τ_s]`, trees built there, and the cursor on
+    /// the first allowed candidate at or after `τ_s` (see
+    /// [`TreeScan::open`]). Below `τ_s` every merged support is an exact
+    /// zero, so the merged counts equal those of a walk from the first
+    /// candidate, bit for bit.
     ///
     /// `idx` must be the similarity index of the *shard's* dataset for the
     /// test point, and `pins` the shard-local restriction of the global pin
@@ -68,13 +94,26 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         k: usize,
     ) -> Self {
         let ds = shard.dataset();
+        // the mass model indexes the mask by set before `open` validates it
+        assert_eq!(pins.len(), ds.len(), "pin mask length mismatch");
+        let opened = TreeScan::open(ds, idx, pins, k, UniformMass::new(ds, pins));
+        Self::at(shard, idx, pins, opened)
+    }
+
+    /// The walk the `τ_s` opening replaces: trees at `α = 0`, cursor on the
+    /// first candidate — the bit-identity oracle of [`ShardScan::new`].
+    #[cfg(test)]
+    pub(crate) fn full_walk(
+        shard: &'a DatasetShard,
+        idx: &'a SimilarityIndex,
+        pins: &'a Pins,
+        k: usize,
+    ) -> Self {
+        let ds = shard.dataset();
         pins.validate(ds);
-        let n = ds.len();
-        let n_labels = ds.n_labels();
         let mass = UniformMass::new(ds, pins);
-        // map each local candidate set to a leaf of its label's tree
-        let mut leaf_pos = vec![0usize; n];
-        let mut label_counts = vec![0usize; n_labels];
+        let mut leaf_pos = vec![0usize; ds.len()];
+        let mut label_counts = vec![0usize; ds.n_labels()];
         for (i, pos) in leaf_pos.iter_mut().enumerate() {
             let l = ds.label(i);
             *pos = label_counts[l];
@@ -82,10 +121,30 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         }
         let mut trees: Vec<TallyTree<S>> =
             label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
-        for i in 0..n {
-            trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+        for (i, &pos) in leaf_pos.iter().enumerate() {
+            trees[ds.label(i)].set_leaf(pos, mass.seen(i), mass.unseen(i));
         }
-        trees.iter_mut().for_each(TallyTree::rebuild);
+        let opened = TreeScan {
+            mass,
+            trees,
+            leaf_pos,
+            start: 0,
+        };
+        Self::at(shard, idx, pins, opened)
+    }
+
+    fn at(
+        shard: &'a DatasetShard,
+        idx: &'a SimilarityIndex,
+        pins: &'a Pins,
+        opened: TreeScan<S, UniformMass>,
+    ) -> Self {
+        let TreeScan {
+            mass,
+            trees,
+            leaf_pos,
+            start,
+        } = opened;
         let mut scan = ShardScan {
             shard,
             idx,
@@ -93,7 +152,8 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
             mass,
             trees,
             leaf_pos,
-            cursor: 0,
+            cursor: start,
+            scanned: 0,
         };
         scan.skip_disallowed();
         scan
@@ -133,6 +193,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         let label = self.shard.dataset().label(i);
         self.trees[label].set_leaf(self.leaf_pos[i], self.mass.seen(i), self.mass.unseen(i));
         self.cursor += 1;
+        self.scanned += 1;
         self.skip_disallowed();
         (i, j)
     }
@@ -172,6 +233,12 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     /// This shard's total world mass (`∏ M_i` over its own sets).
     pub fn total(&self) -> S {
         self.mass.total()
+    }
+}
+
+impl<S> Drop for ShardScan<'_, S> {
+    fn drop(&mut self) {
+        note_events_scanned(self.scanned);
     }
 }
 
@@ -216,7 +283,8 @@ pub trait FactorSource<S: CountSemiring> {
     /// Panics if the source is exhausted.
     fn next_event(&mut self) -> BoundaryEvent<S>;
 
-    /// The shard's per-label factors before any event was consumed.
+    /// The shard's per-label factors before its first event — its state at
+    /// its zero-prefix bound `τ_s`.
     fn opening_factors(&self) -> ShardFactors<S>;
 
     /// The shard's total world mass.
@@ -273,9 +341,15 @@ pub struct ShardStreamEvent<S> {
 /// which implement [`FactorSource`] over the recorded events. A stream can
 /// be replayed any number of times (the coordinator reuses every non-owner
 /// shard's stream across all of a selection step's candidate pins).
+///
+/// The events start at the shard's zero-prefix bound `τ_s` (see the module
+/// docs), so `initial` is the shard's state at `τ_s`, not at the first
+/// candidate: sets whose candidates all sit below `τ_s` enter it with
+/// out-mass only.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardStream<S> {
-    /// Per-label factors before the first event.
+    /// Per-label factors before the first recorded event: the shard's state
+    /// at its zero-prefix bound `τ_s`.
     pub initial: ShardFactors<S>,
     /// The shard's total world mass.
     pub total: S,
@@ -286,11 +360,17 @@ pub struct ShardStream<S> {
 impl<S: CountSemiring> ShardStream<S> {
     /// Drain a fresh [`ShardScan`] into its batched stream (the shard-server
     /// side of a scan request). Arguments are exactly [`ShardScan::new`]'s.
+    /// The recorded events are those at or after the shard's zero-prefix
+    /// bound `τ_s`; every earlier event would contribute an exact zero.
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against the shard dataset.
     pub fn capture(shard: &DatasetShard, idx: &SimilarityIndex, pins: &Pins, k: usize) -> Self {
-        let mut scan: ShardScan<'_, S> = ShardScan::new(shard, idx, pins, k);
+        Self::drain(ShardScan::new(shard, idx, pins, k))
+    }
+
+    /// Record an opened scan's factors and every remaining event.
+    fn drain(mut scan: ShardScan<'_, S>) -> Self {
         let initial = scan.factors();
         let total = scan.total();
         let mut events = Vec::new();
@@ -805,6 +885,8 @@ mod tests {
     use super::*;
     use cp_core::queries::q2_with_algorithm;
     use cp_core::{IncompleteDataset, IncompleteExample};
+    use cp_numeric::BigUint;
+    use proptest::prelude::*;
 
     fn figure6() -> (IncompleteDataset, Vec<f64>) {
         let ds = IncompleteDataset::new(
@@ -1011,5 +1093,166 @@ mod tests {
         let shards = ds.partition(2);
         let reversed: Vec<DatasetShard> = shards.into_iter().rev().collect();
         q2_sharded::<u128>(&reversed, &cfg, &t, &Pins::none(ds.len()));
+    }
+
+    /// A `τ_s` bit-identity case: a dataset on a small 1-d grid (exact
+    /// similarity ties are common, `grid = 1` makes them dominant), a test
+    /// point, K in 1..=5 (often above a shard's row count), random pins,
+    /// and a shard count from {1, 2, 3, 7}.
+    type ShardCase = (IncompleteDataset, Vec<f64>, usize, Pins, usize);
+
+    fn arb_shard_case() -> impl Strategy<Value = ShardCase> {
+        (2usize..=4, 1usize..=14, 1usize..=5, 1i32..=6, 0usize..4).prop_flat_map(
+            |(n_labels, n, k, grid, shards)| {
+                // (candidate grid points, label, pin choice)
+                let example = (
+                    proptest::collection::vec(-grid..=grid, 1..=4),
+                    0..n_labels,
+                    0usize..8,
+                );
+                (
+                    proptest::collection::vec(example, n..=n),
+                    -grid..=grid,
+                    Just((n_labels, k, [1, 2, 3, 7][shards])),
+                )
+                    .prop_map(|(rows, t, (n_labels, k, n_shards))| {
+                        let mut examples = Vec::new();
+                        let mut pins = Vec::new();
+                        for (i, (points, label, pin)) in rows.into_iter().enumerate() {
+                            // pin roughly a third of the sets to a random candidate
+                            if pin < 3 && pin < points.len() {
+                                pins.push((i, pin));
+                            }
+                            let candidates = points.into_iter().map(|g| vec![g as f64]).collect();
+                            examples.push(IncompleteExample::incomplete(candidates, label));
+                        }
+                        let ds = IncompleteDataset::new(examples, n_labels).unwrap();
+                        let pins = Pins::from_pairs(ds.len(), &pins);
+                        (ds, vec![t as f64], k, pins, n_shards)
+                    })
+            },
+        )
+    }
+
+    /// One case's shards, per-shard indexes and local pins, plus the
+    /// global K.
+    struct Sharded {
+        shards: Vec<DatasetShard>,
+        indexes: Vec<SimilarityIndex>,
+        pins: Vec<Pins>,
+        k: usize,
+        n_labels: usize,
+    }
+
+    impl Sharded {
+        fn new(ds: &IncompleteDataset, t: &[f64], k: usize, pins: &Pins, n_shards: usize) -> Self {
+            let cfg = CpConfig::new(k);
+            let shards = ds.partition(n_shards);
+            Sharded {
+                indexes: build_shard_indexes(&shards, cfg.kernel, t),
+                pins: local_pins(&shards, pins),
+                shards,
+                k: cfg.k_eff(ds.len()),
+                n_labels: ds.n_labels(),
+            }
+        }
+
+        /// Every shard's scan, opened at `τ_s` or (`full`) at the first
+        /// candidate.
+        fn scans<S: CountSemiring>(&self, full: bool) -> Vec<ShardScan<'_, S>> {
+            (0..self.shards.len())
+                .map(|s| {
+                    let (sh, idx, p) = (&self.shards[s], &self.indexes[s], &self.pins[s]);
+                    if full {
+                        ShardScan::full_walk(sh, idx, p, self.k)
+                    } else {
+                        ShardScan::new(sh, idx, p, self.k)
+                    }
+                })
+                .collect()
+        }
+
+        /// The live merged scan.
+        fn live<S: CountSemiring>(&self, full: bool, use_mc: bool) -> Q2Result<S> {
+            let mut scans = self.scans::<S>(full);
+            merged_scan_sources(&mut scans, self.n_labels, self.k, Some(use_mc), |_| false)
+        }
+
+        /// Every shard's captured stream.
+        fn streams<S: CountSemiring>(&self, full: bool) -> Vec<ShardStream<S>> {
+            self.scans::<S>(full)
+                .into_iter()
+                .map(ShardStream::drain)
+                .collect()
+        }
+
+        /// Capture, then merge the streams.
+        fn replayed<S: CountSemiring>(&self, full: bool, use_mc: bool) -> Q2Result<S> {
+            merged_streams_until(&self.streams::<S>(full), Some(use_mc), |_| false)
+        }
+    }
+
+    fn bits(r: &Q2Result<f64>) -> Vec<u64> {
+        r.counts.iter().map(|c| c.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn tau_s_opening_is_bit_identical_to_the_full_walk(
+            (ds, t, k, pins, n_shards) in arb_shard_case()
+        ) {
+            let sh = Sharded::new(&ds, &t, k, &pins, n_shards);
+            for use_mc in [false, true] {
+                for run in [Sharded::live::<u128>, Sharded::replayed::<u128>] {
+                    let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                    prop_assert_eq!(&fast.counts, &full.counts);
+                    prop_assert_eq!(fast.total, full.total);
+                }
+                for run in [Sharded::live::<BigUint>, Sharded::replayed::<BigUint>] {
+                    prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
+                }
+                for run in [Sharded::live::<Possibility>, Sharded::replayed::<Possibility>] {
+                    prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
+                }
+                for run in [Sharded::live::<f64>, Sharded::replayed::<f64>] {
+                    prop_assert_eq!(bits(&run(&sh, false, use_mc)), bits(&run(&sh, true, use_mc)));
+                }
+            }
+            // the merged scans agree with the single-process scan too
+            let single = cp_core::ss_tree::q2_sortscan_tree_with_index::<u128>(
+                &ds,
+                &CpConfig::new(k),
+                &SimilarityIndex::build(&ds, Kernel::default(), &t),
+                &pins,
+            );
+            prop_assert_eq!(&sh.replayed::<u128>(false, use_multiclass_accumulator(sh.n_labels, sh.k)).counts, &single.counts);
+            // the early-exit certain-label scan, live and replayed
+            let certain = |mut scans: Vec<ShardScan<'_, Possibility>>| {
+                certain_label_from_sources(&mut scans, sh.n_labels, sh.k)
+            };
+            let oracle = certain(sh.scans(true));
+            prop_assert_eq!(certain(sh.scans(false)), oracle);
+            prop_assert_eq!(certain_label_from_streams(&sh.streams(false)), oracle);
+        }
+
+        #[test]
+        fn tau_s_stream_is_the_full_walk_stream_from_tau_s(
+            (ds, t, k, pins, n_shards) in arb_shard_case()
+        ) {
+            let sh = Sharded::new(&ds, &t, k, &pins, n_shards);
+            for (fast, full) in sh.streams::<u128>(false).into_iter().zip(sh.streams::<u128>(true)) {
+                // the trimmed stream is a suffix of the full walk's events ...
+                let cut = full.events.len() - fast.events.len();
+                prop_assert_eq!(&fast.events[..], &full.events[cut..]);
+                prop_assert_eq!(fast.total, full.total);
+                // ... and its opening factors are the full walk's state there
+                let mut state = full.initial.clone();
+                for e in &full.events[..cut] {
+                    state.set_poly(e.event.label, e.event.updated_poly.clone());
+                }
+                prop_assert_eq!(&fast.initial, &state);
+            }
+        }
     }
 }

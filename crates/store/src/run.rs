@@ -22,7 +22,10 @@
 //! so a scan can consult [`RunMeta`]'s key range and bloom filter (and the
 //! stream's *opening* factors, stored verbatim in the footer) and skip the
 //! block entirely when the run provably cannot change the answer; the
-//! `store.runs.skipped_by_filter` counter tracks those wins.
+//! `store.runs.skipped_by_filter` counter tracks those wins. A stream's
+//! events start at its shard's zero-prefix bound `τ_s`, so the opening
+//! factors are the shard's state at `τ_s`, and the key range and bloom
+//! filter cover only the events from `τ_s` on.
 //! [`Run::read_block`] pays the block I/O and CRC check only when the
 //! events are actually needed.
 //!
@@ -306,7 +309,8 @@ impl Run {
     }
 
     /// The encoded opening factors + total stored in the footer (opaque to
-    /// this crate; the RPC codec decodes them).
+    /// this crate; the RPC codec decodes them) — the shard's state at its
+    /// zero-prefix bound `τ_s`, before the block's first event.
     pub fn opening(&self) -> &[u8] {
         &self.opening
     }
