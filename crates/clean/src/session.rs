@@ -10,10 +10,10 @@
 //! * **Index caching.** Pinning never changes candidate similarities — a
 //!   [`cp_core::Pins`] mask only selects which candidates participate — so a
 //!   validation point's similarity index is invariant across the whole run.
-//!   The session builds a [`ValIndexCache`] once (`O(|val| · NM log NM)`)
-//!   and every subsequent selection step and status update reuses it,
-//!   reducing the per-iteration cost from `O(|val| · NM log NM)` sorting
-//!   plus scanning to scanning alone.
+//!   The session builds a [`ValIndexCache`] once (`O(|val| · NM)`) and
+//!   every subsequent selection step and status update reuses it, reducing
+//!   the per-iteration cost from index builds plus scanning to scanning
+//!   alone.
 //! * **Incremental CP status.** CP certainty is monotone under cleaning:
 //!   pinning a row shrinks the world set, and if every world predicted the
 //!   same label before, every remaining world still does. The session
@@ -119,7 +119,7 @@ impl CleaningSession {
     /// [`CleaningSession::from_arc_deferred`] over a **pre-built** index
     /// cache instead of building one: the session shares the cache's
     /// `Arc`-held similarity indexes rather than paying the
-    /// `O(|val| · NM log NM)` build again. This is the multi-tenant seam —
+    /// `O(|val| · NM)` build again. This is the multi-tenant seam —
     /// a shard server opening many sessions over one shard builds the
     /// indexes once and hands every session the same cache.
     ///

@@ -10,49 +10,46 @@ use crate::config::CpConfig;
 use crate::dataset::IncompleteDataset;
 use crate::pins::Pins;
 use crate::result::Q2Result;
-use crate::similarity::SimilarityIndex;
+use crate::similarity::{largest_keys, CandKey, SimilarityIndex};
 use cp_knn::vote::majority_label;
 use cp_knn::Label;
 use cp_numeric::CountSemiring;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Maximum number of worlds brute force will enumerate before panicking.
 pub const BRUTE_FORCE_WORLD_LIMIT: f64 = 5e6;
 
 /// Predict the label of the world selected by `choice`, using the shared
-/// rank-based total order (so brute force and SortScan agree bit-for-bit).
+/// scan-order key (so brute force and SortScan agree bit-for-bit).
 pub fn predict_world(
     ds: &IncompleteDataset,
     idx: &SimilarityIndex,
     cfg: &CpConfig,
     choice: &[usize],
 ) -> Label {
-    predict_world_with_ranks(ds, idx, cfg, choice, &mut Vec::new())
+    predict_world_with_keys(ds, idx, cfg, choice, &mut BinaryHeap::new())
 }
 
-/// [`predict_world`] writing the per-set rank values into a caller-owned
-/// scratch buffer — the allocation-free shape MM's status sweeps drive
-/// (one buffer reused across every extreme-world check of a run).
-pub fn predict_world_with_ranks(
+/// [`predict_world`] keeping the world's top-K keys in a caller-owned
+/// scratch heap — the allocation-free shape MM's status sweeps drive (one
+/// heap reused across every extreme-world check of a run).
+pub fn predict_world_with_keys(
     ds: &IncompleteDataset,
     idx: &SimilarityIndex,
     cfg: &CpConfig,
     choice: &[usize],
-    ranks: &mut Vec<f64>,
+    top: &mut BinaryHeap<Reverse<CandKey>>,
 ) -> Label {
     debug_assert_eq!(choice.len(), ds.len());
-    let k_eff = cfg.k_eff(ds.len());
-    // rank of each example's chosen candidate; larger rank = more similar.
-    // u32 -> f64 is exact, and ranks are distinct, so the heap-based top-K
-    // (O(N log K), the paper's cost model for MM) needs no tie-breaking.
-    ranks.clear();
-    ranks.extend(
-        choice
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| idx.rank(i, j) as f64),
-    );
-    let top = cp_knn::top_k_indices(ranks, k_eff);
-    majority_label(top.into_iter().map(|i| ds.label(i)), ds.n_labels())
+    // keys are distinct, so the top-K needs no tie-breaking; `O(N log K)`,
+    // the paper's cost model for MM's `argmax_k` step
+    let keys = choice.iter().enumerate().map(|(i, &j)| idx.key(i, j));
+    largest_keys(keys, cfg.k_eff(ds.len()), top);
+    majority_label(
+        top.iter().map(|Reverse(key)| ds.label(key.set())),
+        ds.n_labels(),
+    )
 }
 
 fn world_weight<S: CountSemiring>(ds: &IncompleteDataset, pins: &Pins) -> S {

@@ -5,9 +5,8 @@
 //! similarity structure of a fixed query point is invariant across an entire
 //! cleaning run. [`ValIndexCache`] exploits that: it builds every query
 //! point's [`SimilarityIndex`] exactly once (in parallel) and hands out
-//! `Arc`-shared references, turning the seed's
-//! `O(iterations × |val| × NM log NM)` repeated sort cost into a one-time
-//! `O(|val| × NM log NM)` build.
+//! `Arc`-shared references, turning a repeated per-iteration index cost
+//! into a one-time `O(|val| × NM)` build.
 //!
 //! The `*_with_cache` entry points mirror the [`crate::batch`] API but
 //! evaluate against the cached indexes; `cp_clean`'s `CleaningSession` owns
@@ -38,8 +37,8 @@ pub struct ValIndexCache {
 }
 
 impl ValIndexCache {
-    /// Build the index of every point (one parallel pass; `O(NM log NM)`
-    /// each — the only time this cost is paid for these points).
+    /// Build the index of every point (one parallel pass; `O(NM)` each —
+    /// the only time this cost is paid for these points).
     pub fn build(ds: &IncompleteDataset, kernel: Kernel, points: &[Vec<f64>]) -> Self {
         let indexes: Vec<Arc<SimilarityIndex>> = points
             .par_iter()

@@ -17,9 +17,10 @@
 //!
 //! | algorithm | paper | complexity | module |
 //! |-----------|-------|------------|--------|
+//! | similarity index (per test point) | §3.1.2 | `O(NM + N·M log M)`, no global sort | [`similarity`] |
 //! | SS, K=1 fast path | §3.1.2 | `O(NM log NM)` | [`ss_k1`] |
 //! | SS general (naive DP) | §3.1.3 Alg. 1 | `O(NM·NK)` | [`ss`] |
-//! | SS-DC (divide & conquer) | App. A.2 | `O(NM(log NM + K² log N))` | [`ss_tree`] |
+//! | SS-DC (divide & conquer) | App. A.2 | paper `O(NM(log NM + K² log N))`; here `O(NM + T log T + (L + T)·K² log N)` per scan, `T` events past `τ` | [`ss_tree`] |
 //! | SS-DC-MC (many classes) | App. A.3 | `+ O(NM·\|Y\|²K³)` | [`ss_mc`] |
 //! | MM (MinMax), Q1 binary | §3.2 / App. B | `O(NM + N log K)` | [`mm`] |
 //! | brute force (reference) | §2.1 | `O(M^N)` | [`bruteforce`] |
@@ -92,7 +93,7 @@ pub use queries::{
     q2_with_algorithm, Q2Algorithm,
 };
 pub use result::Q2Result;
-pub use similarity::SimilarityIndex;
+pub use similarity::{CandKey, SimilarityIndex};
 
 /// A class label (re-exported from `cp-knn`).
 pub use cp_knn::Label;

@@ -16,26 +16,28 @@
 //! [`extreme_world_predicts`] remain available for any `|Y|` because
 //! `E_l` predicts `l` ⟹ ∃ world predicting `l` holds unconditionally.
 
-use crate::bruteforce::{predict_world, predict_world_with_ranks};
+use crate::bruteforce::{predict_world, predict_world_with_keys};
 use crate::config::CpConfig;
 use crate::dataset::IncompleteDataset;
 use crate::pins::Pins;
-use crate::similarity::SimilarityIndex;
+use crate::similarity::{CandKey, SimilarityIndex};
 use cp_knn::Label;
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reusable MM work buffers: the extreme world's candidate-choice vector
-/// and the per-set rank values its prediction is voted from.
+/// and the top-K keys its prediction is voted from.
 ///
 /// A status sweep calls [`certain_label_minmax`] once per not-yet-certain
 /// validation point per cleaning step; without scratch reuse every call
-/// pays two `O(N)` choice-vector allocations plus two rank buffers. One
+/// pays two `O(N)` choice-vector allocations plus two key buffers. One
 /// `MmScratch` (the default entry points keep a thread-local one) makes
 /// the whole sweep allocation-free on this path.
 #[derive(Debug, Default)]
 pub struct MmScratch {
     choice: Vec<usize>,
-    ranks: Vec<f64>,
+    top: BinaryHeap<Reverse<CandKey>>,
 }
 
 impl MmScratch {
@@ -105,9 +107,9 @@ pub fn extreme_world_predicts_with_scratch(
     l: Label,
     scratch: &mut MmScratch,
 ) -> bool {
-    let MmScratch { choice, ranks } = scratch;
+    let MmScratch { choice, top } = scratch;
     extreme_world_into(ds, idx, pins, l, choice);
-    predict_world_with_ranks(ds, idx, cfg, choice, ranks) == l
+    predict_world_with_keys(ds, idx, cfg, choice, top) == l
 }
 
 /// Q1 via MM: is `y` predicted in **every** possible world?

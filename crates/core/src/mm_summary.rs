@@ -54,7 +54,7 @@ pub struct ExtremeEntry {
 
 /// The global strict total order on entries: `Greater` = more similar,
 /// with the exact `(similarity, row, candidate)` tie-breaking every scan
-/// and the brute-force rank order use.
+/// and the brute-force key order use.
 pub fn cmp_entries(a: &ExtremeEntry, b: &ExtremeEntry) -> Ordering {
     match a.sim.total_cmp(&b.sim) {
         Ordering::Equal => (a.row, a.cand).cmp(&(b.row, b.cand)),
@@ -121,7 +121,7 @@ impl ExtremeSummary {
                             idx.least_similar(i, pins)
                         };
                         ExtremeEntry {
-                            sim: idx.sim_at(idx.rank(i, j) as usize),
+                            sim: idx.sim(i, j),
                             row: shard.global_row(i),
                             cand: j as u32,
                             label: ds.label(i),

@@ -81,8 +81,17 @@ pub struct TallyTree<S> {
     cap: usize,
     /// Flattened node polynomials; node `v` occupies
     /// `nodes[v*(k+1) .. (v+1)*(k+1)]`. Nodes are 1-indexed (root = 1),
-    /// leaves at `cap + leaf`.
+    /// leaves at `cap + leaf`. Meaningful only where `identity[v]` is false.
     nodes: Vec<S>,
+    /// `identity[v]`: node `v` is the identity polynomial `one`, which its
+    /// slot in `nodes` does not hold — so a fresh tree allocates no
+    /// semiring values, and untouched subtrees cost nothing.
+    identity: Vec<bool>,
+    /// The identity polynomial `1 + 0·z + …`.
+    one: Vec<S>,
+    /// Leaves written by [`TallyTree::load_leaf`] whose ancestors the next
+    /// [`TallyTree::rebuild`] refreshes.
+    loaded: Vec<usize>,
 }
 
 impl<S: CountSemiring> TallyTree<S> {
@@ -91,17 +100,15 @@ impl<S: CountSemiring> TallyTree<S> {
         cp_obs::counter!("core.poly.tree_builds").inc();
         let _span = cp_obs::span!("core.poly.tree_build_us");
         let cap = n_leaves.max(1).next_power_of_two();
-        let stride = k + 1;
-        let mut nodes = vec![S::zero(); 2 * cap * stride];
-        // every node starts as the identity polynomial
-        for v in 1..2 * cap {
-            nodes[v * stride] = S::one();
-        }
         TallyTree {
             k,
             n_leaves,
             cap,
-            nodes,
+            nodes: vec![S::zero(); 2 * cap * (k + 1)],
+            // every node starts as the identity polynomial
+            identity: vec![true; 2 * cap],
+            one: poly_one(k),
+            loaded: Vec::new(),
         }
     }
 
@@ -117,6 +124,9 @@ impl<S: CountSemiring> TallyTree<S> {
 
     #[inline]
     fn poly(&self, v: usize) -> &[S] {
+        if self.identity[v] {
+            return &self.one;
+        }
         let stride = self.k + 1;
         &self.nodes[v * stride..(v + 1) * stride]
     }
@@ -127,7 +137,7 @@ impl<S: CountSemiring> TallyTree<S> {
     /// # Panics
     /// Panics if `leaf >= n_leaves`.
     pub fn set_leaf(&mut self, leaf: usize, out: S, in_: S) {
-        self.load_leaf(leaf, out, in_);
+        self.write_leaf(leaf, out, in_);
         // refresh ancestors bottom-up
         let mut node = (self.cap + leaf) / 2;
         while node >= 1 {
@@ -139,14 +149,21 @@ impl<S: CountSemiring> TallyTree<S> {
     /// Set leaf `leaf`'s polynomial to `out + in·z` **without** refreshing
     /// its ancestors: the bulk-initialization half of [`TallyTree::set_leaf`].
     /// Load any number of leaves, then call [`TallyTree::rebuild`] once
-    /// before reading the tree.
+    /// before reading the tree. A leaf left at the identity (`1 + 0·z`) need
+    /// not be loaded at all.
     ///
     /// # Panics
     /// Panics if `leaf >= n_leaves`.
     pub fn load_leaf(&mut self, leaf: usize, out: S, in_: S) {
+        self.write_leaf(leaf, out, in_);
+        self.loaded.push(leaf);
+    }
+
+    fn write_leaf(&mut self, leaf: usize, out: S, in_: S) {
         assert!(leaf < self.n_leaves, "leaf index out of range");
         let stride = self.k + 1;
         let base = (self.cap + leaf) * stride;
+        self.identity[self.cap + leaf] = false;
         self.nodes[base] = out;
         if self.k >= 1 {
             self.nodes[base + 1] = in_;
@@ -156,35 +173,68 @@ impl<S: CountSemiring> TallyTree<S> {
         }
     }
 
-    /// Recompute every internal node above a real leaf from its children,
-    /// bottom-up, in `O(N·K²)`. After [`TallyTree::load_leaf`] calls this
-    /// leaves the node array exactly as the same leaves written through
-    /// [`TallyTree::set_leaf`] would: every such node is the same product of
-    /// its final children, and nodes above only padding stay the identity.
+    /// Recompute, bottom-up, every ancestor of the leaves loaded since the
+    /// last rebuild, in `O(L·K² log N)` for `L` loaded leaves. After
+    /// [`TallyTree::load_leaf`] calls this leaves the node array exactly as
+    /// the same leaves written through [`TallyTree::set_leaf`] would: every
+    /// refreshed node is the same product of its final children. On a fresh
+    /// tree every other node stays the identity, which is also what its
+    /// refresh would compute (identity × identity = identity in every
+    /// semiring), so leaves left at the identity need not be loaded.
     pub fn rebuild(&mut self) {
-        let (mut first, mut live) = (self.cap, self.n_leaves);
-        while first > 1 {
-            first /= 2;
-            live = live.div_ceil(2);
-            for node in first..first + live {
+        let mut level = std::mem::take(&mut self.loaded);
+        level.iter_mut().for_each(|leaf| *leaf += self.cap);
+        level.sort_unstable();
+        level.dedup();
+        while level.first().is_some_and(|&v| v > 1) {
+            // the distinct parents of this level, still ascending
+            let mut parents = 0;
+            for r in 0..level.len() {
+                let p = level[r] / 2;
+                if parents == 0 || level[parents - 1] != p {
+                    level[parents] = p;
+                    parents += 1;
+                }
+            }
+            level.truncate(parents);
+            for &node in &level {
                 self.refresh(node);
             }
         }
+        level.clear();
+        self.loaded = level;
     }
 
     /// Overwrite internal node `node` with the truncated product of its two
-    /// children, in place.
+    /// children, in place. The product of two identities is the identity
+    /// in every semiring, so such a node is marked rather than multiplied.
     fn refresh(&mut self, node: usize) {
+        let (l, r) = (2 * node, 2 * node + 1);
+        if self.identity[l] && self.identity[r] {
+            self.identity[node] = true;
+            return;
+        }
+        self.identity[node] = false;
         let stride = self.k + 1;
         // children live at 2·node and 2·node + 1, strictly after the parent
-        let (head, children) = self.nodes.split_at_mut(2 * node * stride);
+        let (head, children) = self.nodes.split_at_mut(l * stride);
         let (left, right) = children[..2 * stride].split_at(stride);
+        let one = self.one.as_slice();
         poly_mul_into(
-            left,
-            right,
+            if self.identity[l] { one } else { left },
+            if self.identity[r] { one } else { right },
             self.k,
             &mut head[node * stride..(node + 1) * stride],
         );
+    }
+
+    /// Every node's polynomial, root first — the whole tree as a reader
+    /// sees it.
+    #[cfg(test)]
+    fn node_polys(&self) -> Vec<S> {
+        (1..2 * self.cap)
+            .flat_map(|v| self.poly(v).to_vec())
+            .collect()
     }
 
     /// The product polynomial over **all** leaves: coefficient `c` is the
@@ -336,6 +386,8 @@ impl<S: CountSemiring> ShardFactors<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_numeric::{BigUint, ScaledF64};
+    use proptest::prelude::*;
 
     fn u(v: u64) -> u128 {
         v as u128
@@ -432,8 +484,12 @@ mod tests {
                     bulk.load_leaf(i, o, v);
                 }
                 bulk.rebuild();
-                let bits =
-                    |t: &TallyTree<f64>| t.nodes.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let bits = |t: &TallyTree<f64>| {
+                    t.node_polys()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(bits(&bulk), bits(&incremental), "n={n} k={k}");
 
                 let mut incremental = TallyTree::<u128>::new(n, k);
@@ -444,8 +500,59 @@ mod tests {
                     bulk.load_leaf(i, o, v);
                 }
                 bulk.rebuild();
-                assert_eq!(bulk.nodes, incremental.nodes, "n={n} k={k}");
+                assert_eq!(bulk.node_polys(), incremental.node_polys(), "n={n} k={k}");
             }
+        }
+    }
+
+    /// One tree loaded with every leaf, one with only the non-identity
+    /// leaves (`None` is the identity `1 + 0·z`), both rebuilt: their node
+    /// polynomials, root first.
+    fn full_and_sparse<S: CountSemiring>(leaves: &[Option<(S, S)>], k: usize) -> [Vec<S>; 2] {
+        let n = leaves.len();
+        let (mut full, mut sparse) = (TallyTree::new(n, k), TallyTree::new(n, k));
+        for (i, leaf) in leaves.iter().enumerate() {
+            let (out, in_) = leaf.clone().unwrap_or((S::one(), S::zero()));
+            full.load_leaf(i, out.clone(), in_.clone());
+            if leaf.is_some() {
+                sparse.load_leaf(i, out, in_);
+            }
+        }
+        full.rebuild();
+        sparse.rebuild();
+        [full.node_polys(), sparse.node_polys()]
+    }
+
+    proptest! {
+        #[test]
+        fn sparse_rebuild_equals_full_rebuild_node_for_node(
+            drawn in proptest::collection::vec((0u8..6, 0u8..4), 0..=40),
+            k in 0usize..=4,
+        ) {
+            // out-masses 4 and 5 stand for the identity: about a third of
+            // the leaves are left unloaded
+            let leaves: Vec<Option<(u8, u8)>> =
+                drawn.into_iter().map(|(o, i)| (o < 4).then_some((o, i))).collect();
+            let as_f64 = |x: u8| x as f64 / 3.0;
+            let f64_leaves: Vec<_> =
+                leaves.iter().map(|l| l.map(|(o, i)| (as_f64(o), as_f64(i)))).collect();
+            let [full, sparse] = full_and_sparse(&f64_leaves, k);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&full), bits(&sparse));
+
+            let scaled: Vec<_> = f64_leaves
+                .iter()
+                .map(|l| l.map(|(o, i)| (ScaledF64::from_f64(o), ScaledF64::from_f64(i))))
+                .collect();
+            let [full, sparse] = full_and_sparse(&scaled, k);
+            prop_assert!(full == sparse);
+
+            let big: Vec<_> = leaves
+                .iter()
+                .map(|l| l.map(|(o, i)| (BigUint::from_u64(o as u64), BigUint::from_u64(i as u64))))
+                .collect();
+            let [full, sparse] = full_and_sparse(&big, k);
+            prop_assert_eq!(full, sparse);
         }
     }
 

@@ -1,11 +1,18 @@
 //! The public CP query API: Q1 (checking) and Q2 (counting) with automatic
 //! algorithm selection.
 //!
-//! | query | default algorithm | why |
-//! |-------|-------------------|-----|
-//! | Q2    | SS-DC tree (K=1 fast path when applicable) | best known complexity |
-//! | Q1, `\|Y\| = 2` | MM | `O(NM)` beats every counting approach |
-//! | Q1, `\|Y\| > 2` | SS-DC with the [`Possibility`] semiring | exact, no underflow |
+//! | query | default algorithm | cost per query over a prebuilt index | why |
+//! |-------|-------------------|-----|-----|
+//! | Q2    | SS-DC tree | `O(NM + T log T + (L + T)·K² log N)` | best known complexity |
+//! | Q2 probabilities, K = 1 | SS K=1 fast path | `O(NM)`, plus one lazy `O(NM log NM)` sort per index | no tally trees at all |
+//! | Q1, `\|Y\| = 2` | MM | `O(\|Y\|·N log K)` | beats every counting approach |
+//! | Q1, `\|Y\| > 2` | SS-DC with the [`Possibility`] semiring | as Q2 | exact, no underflow |
+//!
+//! Every index costs `O(NM + N·M log M)` to build ([`SimilarityIndex::build`],
+//! no global sort); `T` is the number of events past the scan's zero-prefix
+//! bound and `L` the number of tally leaves that differ from the identity
+//! (see [`crate::ss_tree`]). Algorithm 1 and brute force, reachable
+//! through [`q2_with_algorithm`], walk every candidate or world.
 //!
 //! Every entry point has a `*_with_index` twin that reuses a prebuilt
 //! [`SimilarityIndex`] and accepts a [`Pins`] mask — the shape CPClean's

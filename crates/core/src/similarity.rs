@@ -1,18 +1,33 @@
-//! Similarity index: the sorted similarity structure every SortScan variant
-//! and the MM algorithm consume.
+//! Similarity index: the candidate order every SortScan variant and the MM
+//! algorithm consume.
 //!
-//! For a test point `t`, the index holds every candidate `(i, j)` of the
-//! incomplete dataset sorted *ascending* by `(similarity, set, candidate)` —
-//! the paper's "sort all x_{i,j} pairs by their similarity to t" (§3.1.2)
-//! with its no-ties assumption made concrete as a strict total order. Each
-//! candidate's position in this order is its **rank**; all possible-world
-//! reasoning (including brute force) compares ranks, never raw floats, so
-//! every algorithm in the workspace agrees on neighbor ordering bit-for-bit.
+//! For a test point `t`, every candidate `(i, j)` of the incomplete dataset
+//! has a **key** `(similarity, set, candidate)`, similarities compared by
+//! [`f64::total_cmp`] — the paper's "sort all x_{i,j} pairs by their
+//! similarity to t" (§3.1.2) with its no-ties assumption made concrete as a
+//! strict total order. All possible-world reasoning (including brute force)
+//! compares keys, never raw floats, so every algorithm in the workspace
+//! agrees on neighbor ordering bit-for-bit.
+//!
+//! [`SimilarityIndex::build`] costs `O(NM + N·M log M)`: it computes the `NM`
+//! similarities into one flat per-set array and orders each set's few
+//! candidates by key, with no global sort. That is all MM needs (a set's
+//! least and most similar candidates are the two ends of its order) and all
+//! the tree scans need: their opener ([`crate::ss_tree::TreeScan::open`])
+//! sorts only the candidates at or above its zero-prefix bound. The full
+//! ascending order — [`SimilarityIndex::order`], [`SimilarityIndex::rank`],
+//! [`SimilarityIndex::sim_at`], an `O(NM log NM)` sort — is built lazily,
+//! once per index, on first use, for the algorithms that walk every
+//! candidate (Algorithm 1 and the K=1 fast path). The
+//! `core.similarity.full_sorts` counter and `core.similarity.full_sort_us`
+//! span record those sorts apart from `core.similarity.build_us`.
 
 use crate::dataset::IncompleteDataset;
 use crate::pins::Pins;
 use cp_knn::Kernel;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Process-wide number of [`SimilarityIndex::build`] calls so far.
 ///
@@ -27,21 +42,113 @@ pub fn build_count() -> u64 {
     cp_obs::counter!("core.similarity.index_builds").get()
 }
 
-/// Sorted similarity structure for one test point.
+/// Process-wide number of lazy full-order sorts so far (at most one per
+/// index: the first [`SimilarityIndex::order`], [`SimilarityIndex::rank`] or
+/// [`SimilarityIndex::sim_at`] call). Backed by the
+/// `core.similarity.full_sorts` counter; reads 0 when metrics are compiled
+/// out.
+pub fn full_sort_count() -> u64 {
+    cp_obs::counter!("core.similarity.full_sorts").get()
+}
+
+/// A candidate's position in the scan order: `(similarity, set, candidate)`
+/// packed into one integer whose unsigned order is exactly
+/// `sim.total_cmp`, then `set`, then `candidate` — so `-0.0` sorts before
+/// `+0.0`, and exact similarity ties fall back to `(set, candidate)`
+/// ascending. The packing is a bijection: [`CandKey::sim`] returns the
+/// similarity bit for bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CandKey(u128);
+
+impl CandKey {
+    /// Below every key: a scan bounded by it skips nothing.
+    pub const MIN: CandKey = CandKey(0);
+
+    /// The key of candidate `cand` of set `set` at similarity `sim`.
+    #[inline]
+    pub fn new(sim: f64, set: u32, cand: u32) -> Self {
+        let bits = sim.to_bits();
+        // `total_cmp` as an unsigned order: negatives reversed below every
+        // non-negative value
+        let ord = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        CandKey((ord as u128) << 64 | (set as u128) << 32 | cand as u128)
+    }
+
+    /// The candidate's similarity.
+    #[inline]
+    pub fn sim(self) -> f64 {
+        let ord = (self.0 >> 64) as u64;
+        f64::from_bits(if ord >> 63 == 1 { ord ^ 1 << 63 } else { !ord })
+    }
+
+    /// The candidate's set.
+    #[inline]
+    pub fn set(self) -> usize {
+        (self.0 >> 32) as u32 as usize
+    }
+
+    /// The candidate's index within its set.
+    #[inline]
+    pub fn cand(self) -> usize {
+        self.0 as u32 as usize
+    }
+}
+
+/// The `k` largest of `keys`, kept in `top` (cleared first) as a min-heap,
+/// so that afterwards `top.peek()` is the `k`-th largest. Once `top` is
+/// full a key costs one comparison unless it displaces the least kept one:
+/// `O(N log k)` at worst. Selects the scan's zero-prefix bound and the
+/// extreme worlds' top-K.
+pub fn largest_keys(
+    keys: impl IntoIterator<Item = CandKey>,
+    k: usize,
+    top: &mut BinaryHeap<Reverse<CandKey>>,
+) {
+    top.clear();
+    for key in keys {
+        if top.len() < k {
+            top.push(Reverse(key));
+        } else if let Some(mut least) = top.peek_mut().filter(|least| key > least.0) {
+            *least = Reverse(key);
+        }
+    }
+}
+
+/// Per-set similarity structure for one test point, plus the lazily built
+/// full ascending order.
 #[derive(Clone, Debug)]
 pub struct SimilarityIndex {
-    /// `(set, candidate)` pairs in ascending similarity order.
+    /// Set `i`'s candidates occupy `offsets[i]..offsets[i + 1]` of `sims`
+    /// and `keys`.
+    offsets: Vec<u32>,
+    /// `sims[offsets[i] + j]` = similarity of candidate `(i, j)`.
+    sims: Vec<f64>,
+    /// Set `i`'s candidate keys in ascending order.
+    keys: Vec<CandKey>,
+    /// The full ascending order, sorted on first use.
+    full: OnceLock<FullOrder>,
+}
+
+/// The whole index in ascending key order.
+#[derive(Clone, Debug)]
+struct FullOrder {
+    /// `(set, candidate)` pairs in ascending key order.
     order: Vec<(u32, u32)>,
-    /// `rank[set][cand]` = position of that candidate in `order`.
-    rank: Vec<Vec<u32>>,
-    /// Similarity values aligned with `order`.
+    /// `rank[offsets[i] + j]` = position of `(i, j)` in `order`.
+    rank: Vec<u32>,
+    /// Similarities aligned with `order`.
     sims: Vec<f64>,
 }
 
 impl SimilarityIndex {
-    /// Compute all candidate similarities to `t` and sort.
+    /// Compute all candidate similarities to `t` and order each set's
+    /// candidates by key.
     ///
-    /// Cost: `O(NM log NM)` — the sorting term of every SS complexity bound.
+    /// Cost: `O(NM + N·M log M)` — no global sort (see the module docs).
     ///
     /// # Panics
     /// Panics if `t`'s dimension does not match the dataset.
@@ -50,82 +157,111 @@ impl SimilarityIndex {
         cp_obs::counter!("core.similarity.index_builds").inc();
         let _span = cp_obs::span!("core.similarity.build_us");
         let total = ds.total_candidates();
-        let mut entries: Vec<(f64, u32, u32)> = Vec::with_capacity(total);
+        let mut offsets = Vec::with_capacity(ds.len() + 1);
+        let mut sims = Vec::with_capacity(total);
+        let mut keys = Vec::with_capacity(total);
+        offsets.push(0);
         for i in 0..ds.len() {
+            let base = sims.len();
             for j in 0..ds.set_size(i) {
                 let s = kernel.similarity(ds.candidate(i, j), t);
-                entries.push((s, i as u32, j as u32));
+                sims.push(s);
+                keys.push(CandKey::new(s, i as u32, j as u32));
             }
+            keys[base..].sort_unstable();
+            offsets.push(sims.len() as u32);
         }
-        entries.sort_by(|a, b| match a.0.total_cmp(&b.0) {
-            Ordering::Equal => (a.1, a.2).cmp(&(b.1, b.2)),
-            ord => ord,
-        });
-        let mut rank: Vec<Vec<u32>> = (0..ds.len()).map(|i| vec![0u32; ds.set_size(i)]).collect();
-        let mut order = Vec::with_capacity(total);
-        let mut sims = Vec::with_capacity(total);
-        for (pos, &(s, i, j)) in entries.iter().enumerate() {
-            rank[i as usize][j as usize] = pos as u32;
-            order.push((i, j));
-            sims.push(s);
+        SimilarityIndex {
+            offsets,
+            sims,
+            keys,
+            full: OnceLock::new(),
         }
-        SimilarityIndex { order, rank, sims }
     }
 
     /// Number of candidates in the index.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.sims.len()
     }
 
     /// `true` iff the index is empty (never true for a validated dataset).
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.sims.is_empty()
     }
 
-    /// Candidates in ascending similarity order.
+    /// Similarity of candidate `(i, j)` to the test point.
+    #[inline]
+    pub fn sim(&self, i: usize, j: usize) -> f64 {
+        self.sims[self.offsets[i] as usize + j]
+    }
+
+    /// Scan-order key of candidate `(i, j)`.
+    #[inline]
+    pub fn key(&self, i: usize, j: usize) -> CandKey {
+        CandKey::new(self.sim(i, j), i as u32, j as u32)
+    }
+
+    /// Set `i`'s candidate keys in ascending order.
+    #[inline]
+    pub fn set_keys(&self, i: usize) -> &[CandKey] {
+        &self.keys[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Candidates in ascending similarity order. Sorts the whole index on
+    /// the first call (`O(NM log NM)`, once per index).
     pub fn order(&self) -> &[(u32, u32)] {
-        &self.order
+        &self.full().order
     }
 
-    /// Rank (ascending-similarity position) of candidate `(i, j)`.
+    /// Rank (ascending-similarity position) of candidate `(i, j)`. Sorts
+    /// the whole index on the first call, like [`SimilarityIndex::order`].
     pub fn rank(&self, i: usize, j: usize) -> u32 {
-        self.rank[i][j]
+        self.full().rank[self.offsets[i] as usize + j]
     }
 
-    /// Similarity of the candidate at a given rank.
+    /// Similarity of the candidate at a given rank. Sorts the whole index
+    /// on the first call, like [`SimilarityIndex::order`].
     pub fn sim_at(&self, pos: usize) -> f64 {
-        self.sims[pos]
+        self.full().sims[pos]
+    }
+
+    fn full(&self) -> &FullOrder {
+        self.full.get_or_init(|| {
+            cp_obs::counter!("core.similarity.full_sorts").inc();
+            let _span = cp_obs::span!("core.similarity.full_sort_us");
+            let mut keys = self.keys.clone();
+            keys.sort_unstable();
+            let mut rank = vec![0u32; keys.len()];
+            for (pos, key) in keys.iter().enumerate() {
+                rank[self.offsets[key.set()] as usize + key.cand()] = pos as u32;
+            }
+            FullOrder {
+                order: keys
+                    .iter()
+                    .map(|k| (k.set() as u32, k.cand() as u32))
+                    .collect(),
+                sims: keys.iter().map(|k| k.sim()).collect(),
+                rank,
+            }
+        })
     }
 
     /// Candidate of set `i` with the **lowest** similarity among candidates
     /// permitted by `pins` (the `arg min_j κ(x_{i,j}, t)` of MM).
     pub fn least_similar(&self, i: usize, pins: &Pins) -> usize {
-        self.extreme(i, pins, false)
+        match pins.pinned(i) {
+            Some(j) => j,
+            None => self.set_keys(i)[0].cand(),
+        }
     }
 
     /// Candidate of set `i` with the **highest** similarity among candidates
     /// permitted by `pins` (the `arg max_j κ(x_{i,j}, t)` of MM).
     pub fn most_similar(&self, i: usize, pins: &Pins) -> usize {
-        self.extreme(i, pins, true)
-    }
-
-    fn extreme(&self, i: usize, pins: &Pins, max: bool) -> usize {
-        if let Some(j) = pins.pinned(i) {
-            return j;
+        match pins.pinned(i) {
+            Some(j) => j,
+            None => self.set_keys(i)[self.set_keys(i).len() - 1].cand(),
         }
-        let ranks = &self.rank[i];
-        let mut best = 0usize;
-        for (j, &r) in ranks.iter().enumerate().skip(1) {
-            let better = if max {
-                r > ranks[best]
-            } else {
-                r < ranks[best]
-            };
-            if better {
-                best = j;
-            }
-        }
-        best
     }
 }
 
@@ -133,6 +269,7 @@ impl SimilarityIndex {
 mod tests {
     use super::*;
     use crate::dataset::IncompleteExample;
+    use proptest::prelude::*;
 
     fn ds() -> IncompleteDataset {
         IncompleteDataset::new(
@@ -186,6 +323,122 @@ mod tests {
     fn rejects_wrong_test_dimension() {
         let ds = ds();
         SimilarityIndex::build(&ds, Kernel::NegEuclidean, &[1.0, 2.0]);
+    }
+
+    /// The global sort the index replaced: every candidate by
+    /// `(similarity by total_cmp, set, candidate)`.
+    fn reference_order(ds: &IncompleteDataset, kernel: Kernel, t: &[f64]) -> Vec<(u32, u32)> {
+        let mut entries: Vec<(f64, u32, u32)> = (0..ds.len())
+            .flat_map(|i| {
+                (0..ds.set_size(i))
+                    .map(move |j| (kernel.similarity(ds.candidate(i, j), t), i as u32, j as u32))
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        entries.into_iter().map(|(_, i, j)| (i, j)).collect()
+    }
+
+    #[test]
+    fn signed_zeros_and_exact_ties_decide_the_key_order() {
+        // linear kernel against t = 1: each candidate's similarity is its
+        // own coordinate, so -0.0 and +0.0 both occur (f64 `Sum` starts at
+        // -0.0, keeping a lone -0.0 product negative)
+        let ds = IncompleteDataset::new(
+            vec![
+                IncompleteExample::incomplete(vec![vec![0.0], vec![-0.0], vec![-1.0]], 0),
+                IncompleteExample::incomplete(vec![vec![-0.0], vec![0.0]], 1),
+                IncompleteExample::complete(vec![0.0], 1),
+            ],
+            2,
+        )
+        .unwrap();
+        let idx = SimilarityIndex::build(&ds, Kernel::Linear, &[1.0]);
+        assert!(idx.sim(0, 1).is_sign_negative() && idx.sim(0, 0).is_sign_positive());
+        // -0.0 sorts below +0.0; equal similarities by (set, candidate)
+        let expected = [(0, 2), (0, 1), (1, 0), (0, 0), (1, 1), (2, 0)];
+        assert_eq!(idx.order(), &expected);
+        assert_eq!(
+            idx.order(),
+            &reference_order(&ds, Kernel::Linear, &[1.0])[..]
+        );
+        assert!(idx.key(0, 1) < idx.key(1, 0) && idx.key(1, 0) < idx.key(0, 0));
+        assert!(idx.key(0, 0) < idx.key(1, 1) && idx.key(1, 1) < idx.key(2, 0));
+        let pins = Pins::none(ds.len());
+        assert_eq!(
+            (idx.least_similar(0, &pins), idx.most_similar(0, &pins)),
+            (2, 0)
+        );
+        assert_eq!(
+            (idx.least_similar(1, &pins), idx.most_similar(1, &pins)),
+            (0, 1)
+        );
+        for (pos, &(i, j)) in expected.iter().enumerate() {
+            let key = idx.key(i as usize, j as usize);
+            assert_eq!((key.set(), key.cand()), (i as usize, j as usize));
+            assert_eq!(key.sim().to_bits(), idx.sim_at(pos).to_bits());
+            assert_eq!(idx.rank(i as usize, j as usize), pos as u32);
+        }
+    }
+
+    #[test]
+    fn keys_order_like_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &values {
+            let ka = CandKey::new(a, 3, 1);
+            assert_eq!(ka.sim().to_bits(), a.to_bits());
+            for &b in &values {
+                let kb = CandKey::new(b, 3, 1);
+                assert_eq!(ka.cmp(&kb), a.total_cmp(&b), "{a} vs {b}");
+            }
+            assert!(CandKey::new(a, 3, 1) < CandKey::new(a, 3, 2));
+            assert!(CandKey::new(a, 3, 9) < CandKey::new(a, 4, 0));
+            assert!(CandKey::MIN <= ka);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn index_orders_exactly_as_the_global_sort(
+            rows in proptest::collection::vec(proptest::collection::vec(-3i32..=3, 1..=4), 1..=8),
+            t in -3i32..=3,
+            pin_row in 0usize..8,
+        ) {
+            let examples = rows
+                .iter()
+                .map(|r| IncompleteExample::incomplete(r.iter().map(|&g| vec![g as f64]).collect(), 0))
+                .collect();
+            let ds = IncompleteDataset::new(examples, 2).unwrap();
+            let t = [t as f64];
+            let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+            let reference = reference_order(&ds, Kernel::NegEuclidean, &t);
+            prop_assert_eq!(idx.order(), &reference[..]);
+            let pins = if pin_row < ds.len() {
+                Pins::single(ds.len(), pin_row, ds.set_size(pin_row) - 1)
+            } else {
+                Pins::none(ds.len())
+            };
+            for i in 0..ds.len() {
+                // the extremes are the lowest- and highest-ranked allowed candidates
+                let allowed = (0..ds.set_size(i)).filter(|&j| pins.allows(i, j));
+                let lo = allowed.clone().min_by_key(|&j| idx.rank(i, j)).unwrap();
+                let hi = allowed.max_by_key(|&j| idx.rank(i, j)).unwrap();
+                prop_assert_eq!(idx.least_similar(i, &pins), lo);
+                prop_assert_eq!(idx.most_similar(i, &pins), hi);
+                let keys = idx.set_keys(i);
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(keys.iter().all(|k| k.set() == i));
+            }
+        }
     }
 
     #[test]

@@ -13,22 +13,38 @@
 //! constant term. If `K` or more such sets exist, every tally would put at
 //! least `K + 1` sets in the top-K, and every support is exactly zero — in
 //! every semiring, since the polynomial products and the accumulators skip
-//! zero factors instead of multiplying through them. With `f_i` the rank of
-//! set `i`'s lowest allowed candidate under the pins and `τ` the K-th
-//! largest `f_i`, every boundary below `τ` therefore contributes nothing.
+//! zero factors instead of multiplying through them. With `f_i` the key
+//! ([`CandKey`]) of set `i`'s lowest allowed candidate under the pins and
+//! `τ` the K-th largest `f_i`, every boundary keyed below `τ` therefore
+//! contributes nothing.
 //!
-//! The scan thus walks `order[..τ]` advancing only the masses, loads every
-//! tree leaf at that point and builds each tree bottom-up once
-//! ([`TallyTree::load_leaf`] + [`TallyTree::rebuild`]), then runs the
-//! per-event loop over `order[τ..]`. Every tree node is a pure function of
-//! the current leaves, and the skipped supports are exact zeros the
-//! accumulators never add, so the counts are bit-identical to the full walk.
-//! Overall: `O(NM·log NM + N·K² + T·(K² log N + |Γ|·|Y|))`, where `T` is the
-//! number of allowed candidates at or above `τ` — against the full walk's
+//! The scan thus needs, per set, only its allowed mass below `τ` and its
+//! allowed candidates at or above `τ`. The opener selects `τ` from the
+//! `f_i` in `O(N log K)`; advances each set's allowed candidates below `τ`
+//! into the masses in ascending key order (the same per-set `advance`
+//! sequence as the full walk, so every mass is bit-identical); gathers the
+//! rest — a set whose largest key is below `τ` is passed over with one
+//! comparison — and sorts only them. It then loads the tree leaves that
+//! differ from the identity `1 + 0·z` and builds each tree bottom-up once
+//! over their ancestors ([`TallyTree::load_leaf`] + [`TallyTree::rebuild`]),
+//! and runs the per-event loop over the sorted tail. Every tree node is a
+//! pure function of the current leaves, an untouched node is the identity
+//! a full rebuild would compute there, and the skipped supports are exact
+//! zeros the accumulators never add, so the counts are bit-identical to the
+//! full walk. Under uniform `f64`, `ScaledF64` and `Possibility` masses every
+//! frozen set (no candidate at or above `τ`) is an identity leaf; in `u128`
+//! and `BigUint` the frozen clean and pinned rows are.
+//!
+//! Overall: the index costs `O(NM + N·M log M)` per build
+//! ([`SimilarityIndex::build`], no global sort) and a scan
+//! `O(NM + T log T + L·K² log N + T·(K² log N + |Γ|·|Y|))`, where `T` is
+//! the number of allowed candidates at or above `τ` and `L` the number of
+//! non-identity leaves — against the full walk's
 //! `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline complexity of
-//! Figure 4's third row.
+//! Figure 4's third row. The paper's `O(NM log NM)` sorting term becomes
+//! `O(NM + N·M log M)` per build plus `O(NM + T log T)` per scan.
 //!
-//! The opening — masses over `order[..τ]`, trees built at `τ` — is
+//! The opening — masses below `τ`, the sorted tail, trees built at `τ` — is
 //! [`TreeScan::open`], shared with the sharded engine's per-shard scans,
 //! which open at their shard-local `τ_s` under the global `K`. Each scan,
 //! in-process or per shard, adds its event counts to the
@@ -43,10 +59,11 @@ use crate::mass::{MassModel, UniformMass};
 use crate::pins::Pins;
 use crate::poly::TallyTree;
 use crate::result::Q2Result;
-use crate::similarity::SimilarityIndex;
+use crate::similarity::{largest_keys, CandKey, SimilarityIndex};
 use crate::ss_mc::accumulate_supports_mc;
 use crate::tally::{accumulate_supports, composition_count, compositions};
 use cp_numeric::CountSemiring;
+use std::collections::BinaryHeap;
 
 /// Above this many tally vectors the scan switches from enumerating `Γ`
 /// (Algorithm A.1) to the label-capped DP of Algorithm A.2, which is
@@ -99,24 +116,27 @@ pub fn q2_sortscan_multiclass_with_index<S: CountSemiring>(
     scan_tree(ds, cfg, idx, pins, mass, true)
 }
 
-/// Length of the scan-order prefix at whose boundaries every support is
-/// exactly zero: `τ`, the K-th largest rank of a set's lowest allowed
-/// candidate (see the module docs); `0` when fewer than `k` sets exist.
-/// `O(N·M)`.
-fn zero_prefix_len(ds: &IncompleteDataset, idx: &SimilarityIndex, pins: &Pins, k: usize) -> usize {
-    let n = ds.len();
+/// The key at which a support can first be non-zero: `τ`, the K-th largest
+/// key of a set's lowest allowed candidate (see the module docs);
+/// [`CandKey::MIN`], which bounds nothing, when fewer than `k` sets exist.
+/// `O(N log K)`.
+fn zero_prefix_key(idx: &SimilarityIndex, pins: &Pins, n: usize, k: usize) -> CandKey {
     if k == 0 || k > n {
-        return 0;
+        return CandKey::MIN;
     }
-    let mut first: Vec<u32> = (0..n)
-        .map(|i| idx.rank(i, idx.least_similar(i, pins)))
-        .collect();
-    *first.select_nth_unstable(n - k).1 as usize
+    let first = (0..n).map(|i| match pins.pinned(i) {
+        Some(j) => idx.key(i, j),
+        None => idx.set_keys(i)[0],
+    });
+    let mut top = BinaryHeap::with_capacity(k);
+    largest_keys(first, k, &mut top);
+    top.peek().expect("k > 0 sets").0
 }
 
 /// A tree scan opened where a support can first be non-zero: the masses
-/// advanced over the provably-zero prefix `order[..τ]`, one tally tree per
-/// label built once there, and the position the per-event loop starts at.
+/// advanced over the provably-zero prefix (every allowed candidate keyed
+/// below `τ`), one tally tree per label built once there, and the allowed
+/// candidates at or above `τ` — the only events the scan runs — sorted.
 ///
 /// The opener shared by [`q2_sortscan_tree`] and the sharded engine's
 /// per-shard scans (`cp-shard`'s `ShardScan`). A shard opens over its own
@@ -126,20 +146,28 @@ fn zero_prefix_len(ds: &IncompleteDataset, idx: &SimilarityIndex, pins: &Pins, k
 /// factors at `τ_s`.
 #[derive(Clone, Debug)]
 pub struct TreeScan<S, M> {
-    /// The mass model, advanced over every allowed candidate below `start`.
+    /// The mass model, advanced over every allowed candidate below `τ`.
     pub mass: M,
-    /// One tally tree per label, loaded from `mass` at `start`.
+    /// One tally tree per label, loaded from `mass` at `τ`.
     pub trees: Vec<TallyTree<S>>,
     /// Each candidate set's leaf in its label's tree.
     pub leaf_pos: Vec<usize>,
-    /// `τ`: the position in `idx.order()` of the first event that can count.
-    pub start: usize,
+    /// The allowed candidates at or above `τ` in ascending key order:
+    /// `idx.order()[τ..]` filtered by the pins.
+    pub tail: Vec<CandKey>,
 }
 
 impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
     /// Open a scan over `ds` at `τ` for slot budget `k` (which may exceed
     /// `ds.len()`: nothing is then skipped). Adds the allowed candidates
     /// walked mass-only to `core.ss.events_skipped`.
+    ///
+    /// Cost `O(NM + T log T + L·K² log N)` for `T` tail events and `L`
+    /// non-identity leaves: each set advances its allowed candidates below
+    /// `τ` in ascending key order (the per-set `advance` sequence of the
+    /// full walk, so every mass is bit-identical), only the candidates at
+    /// or above `τ` are sorted, and only leaves other than the identity
+    /// `1 + 0·z` are loaded into the trees.
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against `ds`.
@@ -152,18 +180,7 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
     ) -> Self {
         pins.validate(ds);
         let n = ds.len();
-        let start = zero_prefix_len(ds, idx, pins, k);
-
-        // below τ only the masses move
-        let mut skipped = 0u64;
-        for &(iu, ju) in &idx.order()[..start] {
-            let (i, j) = (iu as usize, ju as usize);
-            if pins.allows(i, j) {
-                mass.advance(i, j);
-                skipped += 1;
-            }
-        }
-        cp_obs::counter!("core.ss.events_skipped").add(skipped);
+        let tau = zero_prefix_key(idx, pins, n, k);
 
         // map each candidate set to a leaf of its label's tree
         let mut leaf_pos = vec![0usize; n];
@@ -173,19 +190,51 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
             *pos = label_counts[l];
             label_counts[l] += 1;
         }
-        // build the trees once, at τ
         let mut trees: Vec<TallyTree<S>> =
             label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
+
+        // per set: below τ only the mass moves, at or above it are the
+        // events; the set's leaf at τ is then final, and loaded unless it
+        // is the identity
+        let (one, zero) = (S::one(), S::zero());
+        let mut skipped = 0u64;
+        let mut tail = Vec::new();
         for i in 0..n {
-            trees[ds.label(i)].load_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+            let pinned;
+            let keys = match pins.pinned(i) {
+                Some(j) => {
+                    pinned = [idx.key(i, j)];
+                    &pinned[..]
+                }
+                None => idx.set_keys(i),
+            };
+            // the allowed keys ascend, so a frozen set — all of its
+            // candidates below τ — costs one comparison
+            let below = if keys[keys.len() - 1] < tau {
+                keys.len()
+            } else {
+                keys.partition_point(|key| *key < tau)
+            };
+            for key in &keys[..below] {
+                mass.advance(i, key.cand());
+            }
+            skipped += below as u64;
+            tail.extend_from_slice(&keys[below..]);
+            let (seen, unseen) = (mass.seen(i), mass.unseen(i));
+            if seen != one || unseen != zero {
+                trees[ds.label(i)].load_leaf(leaf_pos[i], seen, unseen);
+            }
         }
+        tail.sort_unstable();
+        cp_obs::counter!("core.ss.events_skipped").add(skipped);
+        // build the trees once, at τ
         trees.iter_mut().for_each(TallyTree::rebuild);
 
         TreeScan {
             mass,
             trees,
             leaf_pos,
-            start,
+            tail,
         }
     }
 }
@@ -211,7 +260,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
         mut mass,
         mut trees,
         leaf_pos,
-        start,
+        tail,
     } = TreeScan::open(ds, idx, pins, k, mass);
 
     let comps = if use_mc {
@@ -221,13 +270,8 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     };
     let mut counts = vec![S::zero(); n_labels];
 
-    let mut scanned = 0u64;
-    for &(iu, ju) in &idx.order()[start..] {
-        let (i, j) = (iu as usize, ju as usize);
-        if !pins.allows(i, j) {
-            continue;
-        }
-        scanned += 1;
+    for key in &tail {
+        let (i, j) = (key.set(), key.cand());
         mass.advance(i, j);
         let yi = ds.label(i);
         // one leaf changed -> O(K² log N) tree refresh
@@ -251,7 +295,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
             accumulate_supports(&comps, yi, &boundary, &poly_refs, &mut counts);
         }
     }
-    note_events_scanned(scanned);
+    note_events_scanned(tail.len() as u64);
 
     Q2Result {
         counts,
@@ -335,6 +379,7 @@ mod tests {
     use crate::dataset::IncompleteExample;
     use crate::mass::WeightedMass;
     use crate::ss::q2_sortscan_with_index;
+    use cp_knn::Kernel;
     use cp_numeric::{BigUint, Possibility, ScaledF64};
     use proptest::prelude::*;
 
@@ -362,7 +407,10 @@ mod tests {
 
     /// A bit-identity case: a dataset on a small 1-d grid (exact similarity
     /// ties are common, `grid = 1` makes them dominant), a test point, K in
-    /// 1..=5 (often ≥ N), random pins and normalized per-candidate priors.
+    /// 1..=5 (often ≥ N), random pins and normalized per-candidate priors
+    /// whose rows sum to 1 only within rounding. A set's candidates are
+    /// listed as drawn, most similar first, or least similar first, so its
+    /// key order often differs from its candidate-index order.
     type ScanCase = (IncompleteDataset, Vec<f64>, usize, Pins, Vec<Vec<f64>>);
 
     fn arb_scan_case() -> impl Strategy<Value = ScanCase> {
@@ -372,7 +420,8 @@ mod tests {
                 proptest::collection::vec(-grid..=grid, 1..=4),
                 0..n_labels,
                 0usize..8,
-                proptest::collection::vec(1u32..=9, 4..=4),
+                proptest::collection::vec(1u32..=1_000_000, 4..=4),
+                0u8..3,
             );
             (
                 proptest::collection::vec(example, n..=n),
@@ -384,8 +433,14 @@ mod tests {
                     let mut examples = Vec::new();
                     let mut pins = Vec::new();
                     let mut weights = Vec::new();
-                    for (i, (points, label, pin, w)) in rows.into_iter().enumerate() {
+                    for (i, (mut points, label, pin, w, listing)) in rows.into_iter().enumerate() {
                         let m = points.len();
+                        let dist = |g: &i32| (g - t).abs();
+                        match listing {
+                            0 => points.sort_by_key(dist),
+                            1 => points.sort_by_key(|g| std::cmp::Reverse(dist(g))),
+                            _ => {}
+                        }
                         // pin roughly a third of the sets to a random candidate
                         if pin < 3 && pin < m {
                             pins.push((i, pin));
@@ -419,8 +474,57 @@ mod tests {
         )
     }
 
+    /// `τ` as a position in the full order, from ranks: the opener's
+    /// reference.
+    fn zero_prefix_len_by_rank(
+        ds: &IncompleteDataset,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+    ) -> usize {
+        let n = ds.len();
+        if k == 0 || k > n {
+            return 0;
+        }
+        let mut first: Vec<u32> = (0..n)
+            .map(|i| idx.rank(i, idx.least_similar(i, pins)))
+            .collect();
+        *first.select_nth_unstable(n - k).1 as usize
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn opener_tail_is_the_full_order_from_tau(
+            (ds, t, k, pins, weights) in arb_scan_case()
+        ) {
+            let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+            let start = zero_prefix_len_by_rank(&ds, &idx, &pins, k);
+            let allowed = |&(i, j): &(u32, u32)| pins.allows(i as usize, j as usize);
+            let expected: Vec<(usize, usize)> = idx.order()[start..]
+                .iter()
+                .copied()
+                .filter(allowed)
+                .map(|(i, j)| (i as usize, j as usize))
+                .collect();
+            let mut mass = WeightedMass::new(&ds, &pins, weights);
+            let opened = TreeScan::<f64, _>::open(&ds, &idx, &pins, k, mass.clone());
+            let tail: Vec<(usize, usize)> =
+                opened.tail.iter().map(|key| (key.set(), key.cand())).collect();
+            prop_assert_eq!(tail, expected);
+            for key in &opened.tail {
+                prop_assert_eq!(key.sim().to_bits(), idx.sim(key.set(), key.cand()).to_bits());
+            }
+            // below τ the masses advance exactly as the full walk's do
+            for (i, j) in idx.order()[..start].iter().copied().filter(allowed) {
+                mass.advance(i as usize, j as usize);
+            }
+            for i in 0..ds.len() {
+                prop_assert_eq!(opened.mass.seen(i).to_bits(), mass.seen(i).to_bits());
+                prop_assert_eq!(opened.mass.unseen(i).to_bits(), mass.unseen(i).to_bits());
+            }
+        }
+
         #[test]
         fn zero_prefix_scan_is_bit_identical_to_the_full_walk(
             (ds, t, k, pins, weights) in arb_scan_case()

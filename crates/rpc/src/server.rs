@@ -9,8 +9,8 @@
 //!   and the validated [`cp_clean::CleaningProblem`]. Built **once** per
 //!   distinct [`Request::Open`] payload (deduplicated by a canonical byte
 //!   key with the thread-count knob zeroed) and handed to every session by
-//!   `Arc` — session 2..N of the same shard skip the `O(|val| · NM log NM)`
-//!   index build entirely.
+//!   `Arc` — session 2..N of the same shard skip the `O(|val| · NM)` index
+//!   build entirely.
 //! * **Per-session, mutable** — a [`Request::Open`]-minted session: its pin
 //!   mask, cleaned-row count and last-synced global CP bits, behind a
 //!   readers-writer lock so concurrent read-only queries (`Scan`,
@@ -615,6 +615,18 @@ impl ShardServer {
         }
         if open.val_x.iter().any(|x| x.len() != dataset.dim()) {
             return Err(Response::Error("validation dimension mismatch".into()));
+        }
+        // a NaN or infinite coordinate would be ranked by `total_cmp` as if
+        // it were a similarity — refused like a non-finite feature
+        let non_finite = open
+            .val_x
+            .iter()
+            .enumerate()
+            .find_map(|(v, x)| x.iter().position(|c| !c.is_finite()).map(|d| (v, d)));
+        if let Some((v, d)) = non_finite {
+            return Err(Response::Error(format!(
+                "validation point {v} has a non-finite coordinate {d}"
+            )));
         }
         // the simulated-human choices must validate against the shard rows
         // (CleaningProblem::validate would panic on what we reject here —

@@ -26,7 +26,7 @@
 //!
 //! ## Each shard starts at its own zero-prefix bound
 //!
-//! A shard opens its scan at `τ_s`, the K-th largest rank of a set's lowest
+//! A shard opens its scan at `τ_s`, the K-th largest key of a set's lowest
 //! allowed candidate over the shard's **own** sets under the **global** K
 //! (`cp_core::ss_tree::TreeScan::open`, the in-process scan's opener; `0`
 //! when the shard holds fewer than K sets). No coordinator round trip is
@@ -35,8 +35,10 @@
 //! exact zero — with the shard's true factors there and with its factors at
 //! `τ_s` alike, since the same K sets are still unseen at `τ_s`. From
 //! `τ_s` on the shard's factors are exact. So a shard advances its masses
-//! over `order[..τ_s]`, builds its trees there once, and presents only the
-//! events at or after `τ_s`; its opening factors are its state at `τ_s`.
+//! over its allowed candidates below `τ_s`, builds its trees there once,
+//! and presents only the events at or after `τ_s` — sorted on their own,
+//! never the shard's whole index; its opening factors are its state at
+//! `τ_s`.
 //! The merged counts stay bit-identical to a walk from the first candidate
 //! in every semiring (the full-walk proptests below pin this down).
 
@@ -47,7 +49,7 @@ use cp_core::ss_mc::accumulate_supports_mc;
 use cp_core::ss_tree::{note_events_scanned, use_multiclass_accumulator, TreeScan};
 use cp_core::tally::{accumulate_supports, compositions};
 use cp_core::{
-    CpConfig, DatasetShard, ExtremeSummary, Pins, Q2Result, ShardFactors, SimilarityIndex,
+    CandKey, CpConfig, DatasetShard, ExtremeSummary, Pins, Q2Result, ShardFactors, SimilarityIndex,
 };
 use cp_knn::{Kernel, Label};
 use cp_numeric::{CountSemiring, Possibility};
@@ -63,22 +65,21 @@ use std::cmp::Ordering;
 #[derive(Debug)]
 pub struct ShardScan<'a, S> {
     shard: &'a DatasetShard,
-    idx: &'a SimilarityIndex,
-    pins: &'a Pins,
     mass: UniformMass,
     trees: Vec<TallyTree<S>>,
     leaf_pos: Vec<usize>,
+    /// The events at or after `τ_s`, ascending (see [`TreeScan::tail`]).
+    tail: Vec<CandKey>,
     cursor: usize,
-    scanned: u64,
 }
 
 impl<'a, S: CountSemiring> ShardScan<'a, S> {
     /// Open a scan at the shard-local zero-prefix bound `τ_s`: masses
-    /// advanced over `order[..τ_s]`, trees built there, and the cursor on
-    /// the first allowed candidate at or after `τ_s` (see
-    /// [`TreeScan::open`]). Below `τ_s` every merged support is an exact
-    /// zero, so the merged counts equal those of a walk from the first
-    /// candidate, bit for bit.
+    /// advanced over every allowed candidate below `τ_s`, trees built
+    /// there, and the cursor on the first allowed candidate at or after
+    /// `τ_s` (see [`TreeScan::open`]). Below `τ_s` every merged support is
+    /// an exact zero, so the merged counts equal those of a walk from the
+    /// first candidate, bit for bit.
     ///
     /// `idx` must be the similarity index of the *shard's* dataset for the
     /// test point, and `pins` the shard-local restriction of the global pin
@@ -97,7 +98,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         // the mass model indexes the mask by set before `open` validates it
         assert_eq!(pins.len(), ds.len(), "pin mask length mismatch");
         let opened = TreeScan::open(ds, idx, pins, k, UniformMass::new(ds, pins));
-        Self::at(shard, idx, pins, opened)
+        Self::at(shard, opened)
     }
 
     /// The walk the `τ_s` opening replaces: trees at `α = 0`, cursor on the
@@ -124,59 +125,47 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         for (i, &pos) in leaf_pos.iter().enumerate() {
             trees[ds.label(i)].set_leaf(pos, mass.seen(i), mass.unseen(i));
         }
+        let tail = idx
+            .order()
+            .iter()
+            .map(|&(i, j)| (i as usize, j as usize))
+            .filter(|&(i, j)| pins.allows(i, j))
+            .map(|(i, j)| idx.key(i, j))
+            .collect();
         let opened = TreeScan {
             mass,
             trees,
             leaf_pos,
-            start: 0,
+            tail,
         };
-        Self::at(shard, idx, pins, opened)
+        Self::at(shard, opened)
     }
 
-    fn at(
-        shard: &'a DatasetShard,
-        idx: &'a SimilarityIndex,
-        pins: &'a Pins,
-        opened: TreeScan<S, UniformMass>,
-    ) -> Self {
+    fn at(shard: &'a DatasetShard, opened: TreeScan<S, UniformMass>) -> Self {
         let TreeScan {
             mass,
             trees,
             leaf_pos,
-            start,
+            tail,
         } = opened;
-        let mut scan = ShardScan {
+        ShardScan {
             shard,
-            idx,
-            pins,
             mass,
             trees,
             leaf_pos,
-            cursor: start,
-            scanned: 0,
-        };
-        scan.skip_disallowed();
-        scan
-    }
-
-    /// Move the cursor past candidates the pin mask excludes from the scan.
-    fn skip_disallowed(&mut self) {
-        while let Some(&(i, j)) = self.idx.order().get(self.cursor) {
-            if self.pins.allows(i as usize, j as usize) {
-                break;
-            }
-            self.cursor += 1;
+            tail,
+            cursor: 0,
         }
     }
 
     /// The next boundary event, if any: `(similarity, global row, candidate)`
     /// — the key the coordinator merges shard streams by.
     pub fn peek(&self) -> Option<(f64, usize, u32)> {
-        self.idx.order().get(self.cursor).map(|&(i, j)| {
+        self.tail.get(self.cursor).map(|key| {
             (
-                self.idx.sim_at(self.cursor),
-                self.shard.global_row(i as usize),
-                j,
+                key.sim(),
+                self.shard.global_row(key.set()),
+                key.cand() as u32,
             )
         })
     }
@@ -187,15 +176,13 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     /// # Panics
     /// Panics if the shard stream is exhausted.
     pub fn advance(&mut self) -> (usize, u32) {
-        let (i, j) = self.idx.order()[self.cursor];
-        let (i, j) = (i as usize, j);
-        MassModel::<S>::advance(&mut self.mass, i, j as usize);
+        let key = self.tail[self.cursor];
+        let (i, j) = (key.set(), key.cand());
+        MassModel::<S>::advance(&mut self.mass, i, j);
         let label = self.shard.dataset().label(i);
         self.trees[label].set_leaf(self.leaf_pos[i], self.mass.seen(i), self.mass.unseen(i));
         self.cursor += 1;
-        self.scanned += 1;
-        self.skip_disallowed();
-        (i, j)
+        (i, j as u32)
     }
 
     /// Label of a local candidate set.
@@ -238,7 +225,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
 
 impl<S> Drop for ShardScan<'_, S> {
     fn drop(&mut self) {
-        note_events_scanned(self.scanned);
+        note_events_scanned(self.cursor as u64);
     }
 }
 
@@ -455,7 +442,7 @@ fn check_shards<I, P>(shards: &[DatasetShard], indexes: &[I], pins: &[P]) -> (us
 }
 
 /// Build one similarity index per shard for a test point — the per-shard
-/// `O(N_s M log N_s M)` sort, independent across shards.
+/// `O(N_s M)` build, independent across shards.
 pub fn build_shard_indexes(
     shards: &[DatasetShard],
     kernel: Kernel,
