@@ -10,8 +10,9 @@
 //!
 //! Every index costs `O(NM + N·M log M)` to build ([`SimilarityIndex::build`],
 //! no global sort); `T` is the number of events past the scan's zero-prefix
-//! bound and `L` the number of tally leaves that differ from the identity
-//! (see [`crate::ss_tree`]). Algorithm 1 and brute force, reachable
+//! bound and `L` the number of tally leaves loaded: those that differ from
+//! the identity and are not folded into a per-label scalar (see
+//! [`crate::ss_tree`]). Algorithm 1 and brute force, reachable
 //! through [`q2_with_algorithm`], walk every candidate or world.
 //!
 //! Every entry point has a `*_with_index` twin that reuses a prebuilt

@@ -31,15 +31,30 @@
 //! pure function of the current leaves, an untouched node is the identity
 //! a full rebuild would compute there, and the skipped supports are exact
 //! zeros the accumulators never add, so the counts are bit-identical to the
-//! full walk. Under uniform `f64`, `ScaledF64` and `Possibility` masses every
-//! frozen set (no candidate at or above `τ`) is an identity leaf; in `u128`
-//! and `BigUint` the frozen clean and pinned rows are.
+//! full walk.
+//!
+//! ## Frozen sets fold into one scalar per label
+//!
+//! A frozen set — no allowed candidate at or above `τ` — has the leaf
+//! `seen + 0·z` for the whole scan. Under uniform `f64` and `Possibility`
+//! masses that is the identity for every frozen set; in `u128`, `BigUint`
+//! and `ScaledF64` (whose `from_count` ignores the set size) only frozen
+//! clean and pinned rows are, and a frozen dirty row is `M_i + 0·z`. In an
+//! exact semiring ([`CountSemiring::EXACT`]) the opener multiplies such a
+//! leaf into its label's scalar ([`TreeScan::frozen`]) instead of loading
+//! it: a frozen set is never the boundary set, so every support term
+//! carries each label's scalar exactly once, and the scan multiplies the
+//! product of the scalars into the final counts once. The tree keeps its
+//! shape — folded leaves stay at the identity rather than being compacted
+//! away — so the grouping of every product is unchanged. `ScaledF64` is
+//! not exact (its products round), so its frozen dirty rows stay leaves,
+//! and `f64` takes exactly the unfolded path.
 //!
 //! Overall: the index costs `O(NM + N·M log M)` per build
 //! ([`SimilarityIndex::build`], no global sort) and a scan
 //! `O(NM + T log T + L·K² log N + T·(K² log N + |Γ|·|Y|))`, where `T` is
 //! the number of allowed candidates at or above `τ` and `L` the number of
-//! non-identity leaves — against the full walk's
+//! loaded leaves (non-identity and not folded) — against the full walk's
 //! `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline complexity of
 //! Figure 4's third row. The paper's `O(NM log NM)` sorting term becomes
 //! `O(NM + N·M log M)` per build plus `O(NM + T log T)` per scan.
@@ -48,7 +63,8 @@
 //! [`TreeScan::open`], shared with the sharded engine's per-shard scans,
 //! which open at their shard-local `τ_s` under the global `K`. Each scan,
 //! in-process or per shard, adds its event counts to the
-//! `core.ss.events_scanned` and `core.ss.events_skipped` registry counters.
+//! `core.ss.events_scanned` and `core.ss.events_skipped` registry counters,
+//! and its leaf counts to `core.ss.sets_folded` and `core.ss.leaves_loaded`.
 //!
 //! The scan is generic over the [`MassModel`], which is how the probabilistic
 //! extension ([`crate::prior`]) reuses it with non-uniform candidate priors.
@@ -138,6 +154,10 @@ fn zero_prefix_key(idx: &SimilarityIndex, pins: &Pins, n: usize, k: usize) -> Ca
 /// below `τ`), one tally tree per label built once there, and the allowed
 /// candidates at or above `τ` — the only events the scan runs — sorted.
 ///
+/// In an exact semiring the frozen sets whose leaf is not the identity are
+/// folded into `frozen` instead of loaded (see the module docs): label
+/// `l`'s polynomial over all of its sets is `frozen[l]` times its tree's.
+///
 /// The opener shared by [`q2_sortscan_tree`] and the sharded engine's
 /// per-shard scans (`cp-shard`'s `ShardScan`). A shard opens over its own
 /// sets with the **global** `k`: below the shard-local `τ_s` at least `k`
@@ -148,8 +168,12 @@ fn zero_prefix_key(idx: &SimilarityIndex, pins: &Pins, n: usize, k: usize) -> Ca
 pub struct TreeScan<S, M> {
     /// The mass model, advanced over every allowed candidate below `τ`.
     pub mass: M,
-    /// One tally tree per label, loaded from `mass` at `τ`.
+    /// One tally tree per label, loaded from `mass` at `τ` with every set
+    /// that is not folded into `frozen`.
     pub trees: Vec<TallyTree<S>>,
+    /// Per label, the product of its folded sets' leaves (`one` when none
+    /// is folded, always under an inexact semiring).
+    pub frozen: Vec<S>,
     /// Each candidate set's leaf in its label's tree.
     pub leaf_pos: Vec<usize>,
     /// The allowed candidates at or above `τ` in ascending key order:
@@ -160,14 +184,16 @@ pub struct TreeScan<S, M> {
 impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
     /// Open a scan over `ds` at `τ` for slot budget `k` (which may exceed
     /// `ds.len()`: nothing is then skipped). Adds the allowed candidates
-    /// walked mass-only to `core.ss.events_skipped`.
+    /// walked mass-only to `core.ss.events_skipped`, the non-identity
+    /// frozen leaves folded into `frozen` to `core.ss.sets_folded`, and the
+    /// leaves loaded into the trees to `core.ss.leaves_loaded`.
     ///
     /// Cost `O(NM + T log T + L·K² log N)` for `T` tail events and `L`
-    /// non-identity leaves: each set advances its allowed candidates below
-    /// `τ` in ascending key order (the per-set `advance` sequence of the
-    /// full walk, so every mass is bit-identical), only the candidates at
-    /// or above `τ` are sorted, and only leaves other than the identity
-    /// `1 + 0·z` are loaded into the trees.
+    /// loaded leaves: each set advances its allowed candidates below `τ` in
+    /// ascending key order (the per-set `advance` sequence of the full
+    /// walk, so every mass is bit-identical), only the candidates at or
+    /// above `τ` are sorted, and only leaves other than the identity
+    /// `1 + 0·z` that are not folded are loaded into the trees.
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against `ds`.
@@ -194,10 +220,12 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
             label_counts.iter().map(|&c| TallyTree::new(c, k)).collect();
 
         // per set: below τ only the mass moves, at or above it are the
-        // events; the set's leaf at τ is then final, and loaded unless it
-        // is the identity
+        // events; the set's leaf at τ is then final: left out if it is the
+        // identity, folded if it is frozen and the semiring exact, loaded
+        // otherwise
         let (one, zero) = (S::one(), S::zero());
-        let mut skipped = 0u64;
+        let mut frozen = vec![S::one(); ds.n_labels()];
+        let (mut skipped, mut folded, mut loaded) = (0u64, 0u64, 0u64);
         let mut tail = Vec::new();
         for i in 0..n {
             let pinned;
@@ -221,18 +249,28 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
             skipped += below as u64;
             tail.extend_from_slice(&keys[below..]);
             let (seen, unseen) = (mass.seen(i), mass.unseen(i));
-            if seen != one || unseen != zero {
+            if seen == one && unseen == zero {
+                continue;
+            }
+            if S::EXACT && below == keys.len() && unseen == zero {
+                frozen[ds.label(i)].mul_assign(&seen);
+                folded += 1;
+            } else {
                 trees[ds.label(i)].load_leaf(leaf_pos[i], seen, unseen);
+                loaded += 1;
             }
         }
         tail.sort_unstable();
         cp_obs::counter!("core.ss.events_skipped").add(skipped);
+        cp_obs::counter!("core.ss.sets_folded").add(folded);
+        cp_obs::counter!("core.ss.leaves_loaded").add(loaded);
         // build the trees once, at τ
         trees.iter_mut().for_each(TallyTree::rebuild);
 
         TreeScan {
             mass,
             trees,
+            frozen,
             leaf_pos,
             tail,
         }
@@ -259,6 +297,7 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     let TreeScan {
         mut mass,
         mut trees,
+        frozen,
         leaf_pos,
         tail,
     } = TreeScan::open(ds, idx, pins, k, mass);
@@ -296,6 +335,12 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
         }
     }
     note_events_scanned(tail.len() as u64);
+    // a frozen set is never the boundary set, so every support term carries
+    // each label's folded scalar exactly once: multiply them in at the end
+    let scale = cp_numeric::semiring::product(frozen);
+    if scale != S::one() {
+        counts.iter_mut().for_each(|c| c.mul_assign(&scale));
+    }
 
     Q2Result {
         counts,
@@ -490,6 +535,72 @@ mod tests {
             .map(|i| idx.rank(i, idx.least_similar(i, pins)))
             .collect();
         *first.select_nth_unstable(n - k).1 as usize
+    }
+
+    /// A deterministic instance with more than 2^128 possible worlds: 200
+    /// dirty 4-candidate sets and 20 clean rows on a 2-d grid, |Y| = 4, a
+    /// test point, and pins on about a fifth of the dirty sets.
+    fn large_world_case(seed: u64) -> (IncompleteDataset, Vec<f64>, Pins) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        fn point(next: &mut impl FnMut(u64) -> u64) -> Vec<f64> {
+            vec![next(40) as f64, next(40) as f64]
+        }
+        let mut examples = Vec::new();
+        let mut pins = Vec::new();
+        for i in 0..200 {
+            let candidates = (0..4).map(|_| point(&mut next)).collect();
+            examples.push(IncompleteExample::incomplete(candidates, next(4) as usize));
+            if next(5) == 0 {
+                pins.push((i, next(4) as usize));
+            }
+        }
+        for _ in 0..20 {
+            examples.push(IncompleteExample::complete(
+                point(&mut next),
+                next(4) as usize,
+            ));
+        }
+        let ds = IncompleteDataset::new(examples, 4).unwrap();
+        let pins = Pins::from_pairs(ds.len(), &pins);
+        (ds, point(&mut next), pins)
+    }
+
+    #[test]
+    fn folded_biguint_scan_beyond_2_pow_128_is_the_full_walk() {
+        let cfg = CpConfig::new(3);
+        for seed in 1..=4 {
+            let (ds, t, pinned) = large_world_case(seed);
+            let idx = SimilarityIndex::build(&ds, cfg.kernel, &t);
+            let unpinned = Pins::none(ds.len());
+            assert!(ds.world_count().bit_len() > 128, "seed {seed}");
+            for (pins, all_worlds) in [(&unpinned, true), (&pinned, false)] {
+                // many sets are frozen at K = 3, and their folded product
+                // alone exceeds 2^128
+                let opened =
+                    TreeScan::<BigUint, _>::open(&ds, &idx, pins, 3, UniformMass::new(&ds, pins));
+                let fold = cp_numeric::semiring::product(opened.frozen);
+                assert!(fold.bit_len() > 128, "seed {seed}: fold {fold}");
+                for use_mc in [false, true] {
+                    let (fast, full) = both_scans::<BigUint>(&ds, &cfg, &idx, pins, use_mc);
+                    assert_eq!(fast.counts, full.counts, "seed {seed} mc {use_mc}");
+                    assert_eq!(fast.total, full.total);
+                    let sum = fast
+                        .counts
+                        .iter()
+                        .fold(BigUint::zero(), |acc, c| acc.add(c));
+                    assert_eq!(sum, fast.total, "seed {seed} mc {use_mc}");
+                    if all_worlds {
+                        assert_eq!(sum, ds.world_count());
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

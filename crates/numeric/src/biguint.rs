@@ -8,137 +8,251 @@
 //! conversion to `f64`, and decimal formatting.
 //!
 //! Representation: little-endian base-2^32 limbs with no trailing zero limbs
-//! (so `0` is the empty limb vector).
+//! (so `0` has no limbs). A value below 2^128 — at most four limbs — is
+//! stored inline, with no heap buffer; a longer one in a `Vec`. Which form a
+//! value takes is a function of its size alone, and equality, ordering and
+//! hashing look only at the trimmed limbs. The scans create mostly small
+//! values (every tally entry, every set size, most tree coefficients), so
+//! they allocate only once a count outgrows 128 bits; the in-place
+//! operations behind the semiring's `add_assign` and `mul_assign` reuse the
+//! buffer after that.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Limbs a value may have and still be stored inline.
+const INLINE: usize = 4;
+
+/// The limb storage: inline iff the value has at most [`INLINE`] limbs.
+#[derive(Clone)]
+enum Limbs {
+    /// Four little-endian limbs; the value's limbs end after the highest
+    /// nonzero one.
+    Inline([u32; INLINE]),
+    /// More than [`INLINE`] limbs, the last one nonzero.
+    Heap(Vec<u32>),
+}
 
 /// Arbitrary-precision unsigned integer (little-endian `u32` limbs).
-#[derive(Clone, PartialEq, Eq, Default, Hash)]
+#[derive(Clone)]
 pub struct BigUint {
-    limbs: Vec<u32>,
+    limbs: Limbs,
+}
+
+/// The four limbs of `v`, least significant first.
+fn split(v: u128) -> [u32; INLINE] {
+    [
+        v as u32,
+        (v >> 32) as u32,
+        (v >> 64) as u32,
+        (v >> 96) as u32,
+    ]
+}
+
+/// The value of four little-endian limbs.
+fn join(buf: &[u32; INLINE]) -> u128 {
+    buf.iter()
+        .rev()
+        .fold(0, |acc, &limb| (acc << 32) | limb as u128)
 }
 
 impl BigUint {
     /// The value `0`.
     pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
+        Self::from_u128(0)
     }
 
     /// The value `1`.
     pub fn one() -> Self {
-        BigUint { limbs: vec![1] }
+        Self::from_u128(1)
     }
 
     /// Build from a `u64`.
     pub fn from_u64(v: u64) -> Self {
-        let mut limbs = Vec::new();
-        if v != 0 {
-            limbs.push((v & 0xffff_ffff) as u32);
-            let hi = (v >> 32) as u32;
-            if hi != 0 {
-                limbs.push(hi);
-            }
-        }
-        BigUint { limbs }
+        Self::from_u128(v as u128)
     }
 
     /// Build from a `u128`.
     pub fn from_u128(v: u128) -> Self {
-        let mut limbs = Vec::new();
-        let mut rest = v;
-        while rest != 0 {
-            limbs.push((rest & 0xffff_ffff) as u32);
-            rest >>= 32;
+        BigUint {
+            limbs: Limbs::Inline(split(v)),
         }
-        BigUint { limbs }
+    }
+
+    /// Build from little-endian limbs that may end in zeros.
+    fn from_limbs(mut limbs: Vec<u32>) -> Self {
+        while limbs.last() == Some(&0) {
+            limbs.pop();
+        }
+        if limbs.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..limbs.len()].copy_from_slice(&limbs);
+            return BigUint {
+                limbs: Limbs::Inline(buf),
+            };
+        }
+        BigUint {
+            limbs: Limbs::Heap(limbs),
+        }
+    }
+
+    /// The trimmed little-endian limbs.
+    fn limbs(&self) -> &[u32] {
+        match &self.limbs {
+            Limbs::Inline(buf) => {
+                let len = buf
+                    .iter()
+                    .rposition(|&limb| limb != 0)
+                    .map_or(0, |top| top + 1);
+                &buf[..len]
+            }
+            Limbs::Heap(limbs) => limbs,
+        }
+    }
+
+    /// The value as a `u128` when it is stored inline.
+    fn small(&self) -> Option<u128> {
+        match &self.limbs {
+            Limbs::Inline(buf) => Some(join(buf)),
+            Limbs::Heap(_) => None,
+        }
+    }
+
+    /// The limb buffer, moved to the heap if the value is inline; the
+    /// caller restores the invariant (more than [`INLINE`] limbs, the last
+    /// nonzero) before returning.
+    fn heap_mut(&mut self) -> &mut Vec<u32> {
+        if let Limbs::Inline(_) = self.limbs {
+            self.limbs = Limbs::Heap(self.limbs().to_vec());
+        }
+        match &mut self.limbs {
+            Limbs::Heap(limbs) => limbs,
+            Limbs::Inline(_) => unreachable!("moved to the heap above"),
+        }
     }
 
     /// `true` iff the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        matches!(self.limbs, Limbs::Inline([0, 0, 0, 0]))
     }
 
     /// Number of limbs (mostly useful for capacity heuristics in callers).
     pub fn limb_count(&self) -> usize {
-        self.limbs.len()
-    }
-
-    fn trim(&mut self) {
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
-        }
+        self.limbs().len()
     }
 
     /// `self + other`.
     pub fn add(&self, other: &BigUint) -> BigUint {
-        let (long, short) = if self.limbs.len() >= other.limbs.len() {
-            (&self.limbs, &other.limbs)
-        } else {
-            (&other.limbs, &self.limbs)
-        };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry: u64 = 0;
-        for i in 0..long.len() {
-            let mut sum = long[i] as u64 + carry;
-            if i < short.len() {
-                sum += short[i] as u64;
+        let mut out = self.clone();
+        out.add_in_place(other);
+        out
+    }
+
+    /// `self += other`, in place: no allocation while the sum stays below
+    /// 2^128, and none past that unless the sum outgrows the buffer.
+    pub(crate) fn add_in_place(&mut self, other: &BigUint) {
+        if let (Some(a), Some(b)) = (self.small(), other.small()) {
+            if let Some(sum) = a.checked_add(b) {
+                *self = Self::from_u128(sum);
+                return;
             }
-            out.push((sum & 0xffff_ffff) as u32);
+        }
+        let short = other.limbs();
+        let long = self.heap_mut();
+        if long.len() < short.len() {
+            long.resize(short.len(), 0);
+        }
+        let mut carry = 0u64;
+        for (i, limb) in long.iter_mut().enumerate() {
+            if carry == 0 && i >= short.len() {
+                break;
+            }
+            let sum = *limb as u64 + short.get(i).copied().unwrap_or(0) as u64 + carry;
+            *limb = sum as u32;
             carry = sum >> 32;
         }
         if carry != 0 {
-            out.push(carry as u32);
+            long.push(carry as u32);
         }
-        BigUint { limbs: out }
     }
 
     /// `self * other` (schoolbook multiplication; counts stay small enough
     /// that asymptotically faster algorithms are unnecessary).
     pub fn mul(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
+        if let (Some(a), Some(b)) = (self.small(), other.small()) {
+            if let Some(product) = a.checked_mul(b) {
+                return Self::from_u128(product);
+            }
+        }
+        let (a, b) = (self.limbs(), other.limbs());
+        if a.is_empty() || b.is_empty() {
             return BigUint::zero();
         }
-        let mut out = vec![0u32; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            if a == 0 {
+        let mut out = vec![0u32; a.len() + b.len()];
+        for (i, &x) in a.iter().enumerate() {
+            if x == 0 {
                 continue;
             }
             let mut carry: u64 = 0;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let cur = out[i + j] as u64 + a as u64 * b as u64 + carry;
-                out[i + j] = (cur & 0xffff_ffff) as u32;
+            for (j, &y) in b.iter().enumerate() {
+                let cur = out[i + j] as u64 + x as u64 * y as u64 + carry;
+                out[i + j] = cur as u32;
                 carry = cur >> 32;
             }
-            let mut k = i + other.limbs.len();
+            let mut k = i + b.len();
             while carry != 0 {
                 let cur = out[k] as u64 + carry;
-                out[k] = (cur & 0xffff_ffff) as u32;
+                out[k] = cur as u32;
                 carry = cur >> 32;
                 k += 1;
             }
         }
-        let mut r = BigUint { limbs: out };
-        r.trim();
-        r
+        Self::from_limbs(out)
     }
 
-    /// Multiply by a small scalar in place.
-    pub fn mul_small(&self, scalar: u32) -> BigUint {
-        if scalar == 0 || self.is_zero() {
-            return BigUint::zero();
+    /// `self *= other`, in place. Multiplying by one is a no-op and a
+    /// one-limb factor on either side takes one `O(limbs)` pass over the
+    /// other, reusing its buffer.
+    pub(crate) fn mul_in_place(&mut self, other: &BigUint) {
+        match (self.limbs(), other.limbs()) {
+            (_, [1]) | ([], _) => {}
+            (_, []) => *self = BigUint::zero(),
+            (_, &[factor]) => self.mul_small_in_place(factor),
+            (&[factor], _) => *self = other.mul_small(factor),
+            _ => *self = self.mul(other),
         }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
+    }
+
+    /// `self *= scalar`, in place.
+    fn mul_small_in_place(&mut self, scalar: u32) {
+        if let Some(v) = self.small() {
+            if let Some(product) = v.checked_mul(scalar as u128) {
+                *self = Self::from_u128(product);
+                return;
+            }
+        }
+        if scalar == 0 {
+            *self = BigUint::zero();
+            return;
+        }
+        let limbs = self.heap_mut();
         let mut carry: u64 = 0;
-        for &a in &self.limbs {
-            let cur = a as u64 * scalar as u64 + carry;
-            out.push((cur & 0xffff_ffff) as u32);
+        for limb in limbs.iter_mut() {
+            let cur = *limb as u64 * scalar as u64 + carry;
+            *limb = cur as u32;
             carry = cur >> 32;
         }
         if carry != 0 {
-            out.push(carry as u32);
+            limbs.push(carry as u32);
         }
-        BigUint { limbs: out }
+    }
+
+    /// `self * scalar`, as a new value.
+    pub fn mul_small(&self, scalar: u32) -> BigUint {
+        let mut out = self.clone();
+        out.mul_small_in_place(scalar);
+        out
     }
 
     /// `self^exp` by repeated squaring.
@@ -163,44 +277,43 @@ impl BigUint {
     /// Panics if `scalar == 0`.
     pub fn div_rem_small(&self, scalar: u32) -> (BigUint, u32) {
         assert!(scalar != 0, "division by zero");
-        let mut out = vec![0u32; self.limbs.len()];
+        let limbs = self.limbs();
+        let mut out = vec![0u32; limbs.len()];
         let mut rem: u64 = 0;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = (rem << 32) | self.limbs[i] as u64;
+        for i in (0..limbs.len()).rev() {
+            let cur = (rem << 32) | limbs[i] as u64;
             out[i] = (cur / scalar as u64) as u32;
             rem = cur % scalar as u64;
         }
-        let mut q = BigUint { limbs: out };
-        q.trim();
-        (q, rem as u32)
+        (Self::from_limbs(out), rem as u32)
     }
 
     /// Number of significant bits (0 for zero).
     pub fn bit_len(&self) -> usize {
-        match self.limbs.last() {
+        let limbs = self.limbs();
+        match limbs.last() {
             None => 0,
-            Some(&top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+            Some(&top) => (limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
         }
     }
 
     /// Logical right shift by `n` bits.
     pub fn shr_bits(&self, n: usize) -> BigUint {
+        let limbs = self.limbs();
         let limb_shift = n / 32;
         let bit_shift = (n % 32) as u32;
-        if limb_shift >= self.limbs.len() {
+        if limb_shift >= limbs.len() {
             return BigUint::zero();
         }
-        let mut out = Vec::with_capacity(self.limbs.len() - limb_shift);
-        for idx in limb_shift..self.limbs.len() {
-            let mut v = self.limbs[idx] >> bit_shift;
-            if bit_shift > 0 && idx + 1 < self.limbs.len() {
-                v |= self.limbs[idx + 1] << (32 - bit_shift);
+        let mut out = Vec::with_capacity(limbs.len() - limb_shift);
+        for idx in limb_shift..limbs.len() {
+            let mut v = limbs[idx] >> bit_shift;
+            if bit_shift > 0 && idx + 1 < limbs.len() {
+                v |= limbs[idx + 1] << (32 - bit_shift);
             }
             out.push(v);
         }
-        let mut r = BigUint { limbs: out };
-        r.trim();
-        r
+        Self::from_limbs(out)
     }
 
     /// `self / total` as an `f64`, correct even when both values far exceed
@@ -225,7 +338,7 @@ impl BigUint {
     /// values; exactness is not required for reporting).
     pub fn to_f64(&self) -> f64 {
         let mut acc = 0.0f64;
-        for &limb in self.limbs.iter().rev() {
+        for &limb in self.limbs().iter().rev() {
             acc = acc * 4294967296.0 + limb as f64;
         }
         acc
@@ -233,14 +346,7 @@ impl BigUint {
 
     /// Exact conversion to `u128` if the value fits.
     pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
-        }
-        let mut acc: u128 = 0;
-        for &limb in self.limbs.iter().rev() {
-            acc = (acc << 32) | limb as u128;
-        }
-        Some(acc)
+        self.small()
     }
 
     /// Decimal string (used by `Display`).
@@ -267,6 +373,26 @@ impl BigUint {
     }
 }
 
+impl Default for BigUint {
+    fn default() -> Self {
+        BigUint::zero()
+    }
+}
+
+impl PartialEq for BigUint {
+    fn eq(&self, other: &Self) -> bool {
+        self.limbs() == other.limbs()
+    }
+}
+
+impl Eq for BigUint {}
+
+impl Hash for BigUint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.limbs().hash(state);
+    }
+}
+
 impl PartialOrd for BigUint {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -275,18 +401,10 @@ impl PartialOrd for BigUint {
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {
-                for i in (0..self.limbs.len()).rev() {
-                    match self.limbs[i].cmp(&other.limbs[i]) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                Ordering::Equal
-            }
-            ord => ord,
-        }
+        let (a, b) = (self.limbs(), other.limbs());
+        a.len()
+            .cmp(&b.len())
+            .then_with(|| a.iter().rev().cmp(b.iter().rev()))
     }
 }
 
@@ -432,7 +550,83 @@ mod tests {
         assert_eq!(BigUint::zero().ratio(&b), 0.0);
     }
 
+    /// The storage invariant: inline iff at most [`INLINE`] limbs, a heap
+    /// buffer never ends in a zero limb.
+    fn canonical(v: &BigUint) -> bool {
+        match &v.limbs {
+            Limbs::Inline(_) => true,
+            Limbs::Heap(limbs) => limbs.len() > INLINE && limbs.last() != Some(&0),
+        }
+    }
+
+    #[test]
+    fn values_below_2_pow_128_stay_inline() {
+        let max = BigUint::from_u128(u128::MAX);
+        assert!(matches!(max.limbs, Limbs::Inline(_)));
+        assert_eq!(max.limb_count(), 4);
+        let grown = max.add(&BigUint::one());
+        assert!(matches!(grown.limbs, Limbs::Heap(_)));
+        assert_eq!(grown.limb_count(), 5);
+        // shrinking back below 2^128 returns to inline storage
+        let (half, rem) = grown.div_rem_small(2);
+        assert_eq!(rem, 0);
+        assert!(matches!(half.limbs, Limbs::Inline(_)));
+        assert_eq!(half.to_u128(), Some(1 << 127));
+    }
+
+    #[test]
+    fn a_longer_trimmed_buffer_is_the_same_value() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &BigUint| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        for (limbs, value) in [
+            (vec![0u32; 7], 0u128),
+            (vec![5, 0, 0, 0, 0, 0], 5),
+            (
+                vec![1, 2, 3, 4, 0, 0, 0, 0, 0],
+                (4 << 96) | (3 << 64) | (2 << 32) | 1,
+            ),
+        ] {
+            let built = BigUint::from_limbs(limbs);
+            let inline = BigUint::from_u128(value);
+            assert!(canonical(&built));
+            assert_eq!(built, inline);
+            assert_eq!(hash(&built), hash(&inline));
+            // the hash is the trimmed limb slice's, as with a plain `Vec`
+            assert_eq!(hash(&built), hash(&BigUint::from_u128(value)));
+            assert_eq!(built.cmp(&inline), Ordering::Equal);
+            assert!(built < BigUint::from_u128(value + 1));
+        }
+        let heap = BigUint::from_limbs(vec![7, 0, 0, 0, 1, 0, 0]);
+        assert!(canonical(&heap));
+        assert_eq!(heap.limb_count(), 5);
+        assert!(heap > BigUint::from_u128(u128::MAX));
+    }
+
     proptest! {
+        #[test]
+        fn in_place_ops_match_the_pure_ones_and_stay_canonical(
+            a in 0u128.., b in 0u128.., ea in 0u32..4, eb in 0u32..4
+        ) {
+            // operands from inline up to a few hundred bits
+            let a = BigUint::from_u128(a).mul(&BigUint::from_u128(u128::MAX).pow(ea));
+            let b = BigUint::from_u128(b).mul(&BigUint::from_u128(u128::MAX).pow(eb));
+            let mut sum = a.clone();
+            sum.add_in_place(&b);
+            prop_assert_eq!(&sum, &a.add(&b));
+            prop_assert!(canonical(&sum));
+            let mut product = a.clone();
+            product.mul_in_place(&b);
+            prop_assert_eq!(&product, &a.mul(&b));
+            prop_assert!(canonical(&product));
+            let mut small = a.clone();
+            small.mul_small_in_place(b.limbs().first().copied().unwrap_or(0));
+            prop_assert!(canonical(&small));
+        }
+
         #[test]
         fn shr_matches_u128(a in 0u128.., n in 0usize..130) {
             let r = BigUint::from_u128(a).shr_bits(n);

@@ -36,6 +36,16 @@ pub trait CountSemiring: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'st
     /// Semiring multiplication.
     fn mul(&self, other: &Self) -> Self;
 
+    /// Whether `add` and `mul` are exact: reordering or regrouping any sum
+    /// or product yields the identical value.
+    ///
+    /// The tree scans fold a label's frozen candidate sets into one scalar
+    /// and multiply it in once, instead of carrying each set as a tree leaf,
+    /// only when this holds: a scalar times a polynomial then equals the
+    /// tree's product bit for bit. The floating-point types keep the default
+    /// `false`, because their products round.
+    const EXACT: bool = false;
+
     /// In-place addition (override for allocation-heavy types).
     fn add_assign(&mut self, other: &Self) {
         *self = self.add(other);
@@ -105,7 +115,10 @@ impl DivSemiring for ScaledF64 {
     }
 }
 
+/// Exact: an overflow panics rather than wrapping.
 impl CountSemiring for u128 {
+    const EXACT: bool = true;
+
     fn zero() -> Self {
         0
     }
@@ -164,6 +177,8 @@ impl CountSemiring for f64 {
 }
 
 impl CountSemiring for BigUint {
+    const EXACT: bool = true;
+
     fn zero() -> Self {
         BigUint::zero()
     }
@@ -178,6 +193,12 @@ impl CountSemiring for BigUint {
     }
     fn mul(&self, other: &Self) -> Self {
         BigUint::mul(self, other)
+    }
+    fn add_assign(&mut self, other: &Self) {
+        self.add_in_place(other);
+    }
+    fn mul_assign(&mut self, other: &Self) {
+        self.mul_in_place(other);
     }
     fn from_count(count: u32, _set_size: u32) -> Self {
         BigUint::from_u64(count as u64)
@@ -234,6 +255,8 @@ impl CountSemiring for ScaledF64 {
 pub struct Possibility(pub bool);
 
 impl CountSemiring for Possibility {
+    const EXACT: bool = true;
+
     fn zero() -> Self {
         Possibility(false)
     }

@@ -6,6 +6,9 @@
 //! the laws down for the exact integer semirings ([`BigUint`], `u128`), the
 //! boolean [`Possibility`] semiring, and (approximately, as floating point
 //! admits) the extended-range [`ScaledF64`].
+//!
+//! Every type that declares [`CountSemiring::EXACT`] passes the exact laws,
+//! in-place twins included; the floating-point types must not declare it.
 
 use cp_numeric::{BigUint, CountSemiring, Possibility, ScaledF64};
 use proptest::prelude::*;
@@ -85,6 +88,27 @@ fn arb_scaled() -> impl Strategy<Value = ScaledF64> {
     })
 }
 
+/// `BigUint` operands at the inline/heap boundary (values below 2^128 are
+/// stored inline): 0, 1, 2^32−1, 2^64, 2^128−1, 2^128.
+fn biguint_boundary() -> Vec<BigUint> {
+    let two_pow_128 = BigUint::from_u128(u128::MAX).add(&BigUint::one());
+    vec![
+        BigUint::zero(),
+        BigUint::one(),
+        BigUint::from_u64(u32::MAX as u64),
+        BigUint::from_u128(1 << 64),
+        BigUint::from_u128(u128::MAX),
+        two_pow_128,
+    ]
+}
+
+/// A boundary operand or an arbitrary one.
+fn arb_biguint_near_boundary() -> impl Strategy<Value = BigUint> {
+    // half the draws pick one of the six boundary values
+    (0usize..12, arb_biguint())
+        .prop_map(|(i, v)| biguint_boundary().into_iter().nth(i).unwrap_or(v))
+}
+
 fn arb_possibility() -> impl Strategy<Value = Possibility> {
     (0u32..2).prop_map(|b| Possibility(b == 1))
 }
@@ -94,6 +118,15 @@ proptest! {
 
     #[test]
     fn biguint_laws((a, b, c) in (arb_biguint(), arb_biguint(), arb_biguint())) {
+        if let Err(msg) = check_exact_laws(a, b, c) {
+            prop_assert!(false, "BigUint violates {msg}");
+        }
+    }
+
+    #[test]
+    fn biguint_laws_near_the_inline_boundary(
+        (a, b, c) in (arb_biguint_near_boundary(), arb_biguint_near_boundary(), arb_biguint_near_boundary())
+    ) {
         if let Err(msg) = check_exact_laws(a, b, c) {
             prop_assert!(false, "BigUint violates {msg}");
         }
@@ -148,5 +181,126 @@ proptest! {
         let p = f64::from_count(count, set_size);
         prop_assert!((p - count as f64 / set_size as f64).abs() < 1e-15);
         prop_assert!((ScaledF64::from_count(count, set_size).to_f64() - exact as f64).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn exactness_is_declared_by_the_exact_types_only() {
+    let declared = [
+        u128::EXACT,
+        BigUint::EXACT,
+        Possibility::EXACT,
+        f64::EXACT,
+        ScaledF64::EXACT,
+    ];
+    assert_eq!(declared, [true, true, true, false, false]);
+}
+
+#[test]
+fn biguint_boundary_operands_obey_the_exact_laws() {
+    let values = biguint_boundary();
+    for a in &values {
+        for b in &values {
+            for c in &values {
+                if let Err(msg) = check_exact_laws(a.clone(), b.clone(), c.clone()) {
+                    panic!("BigUint violates {msg}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn biguint_products_and_sums_grow_from_four_to_five_limbs() {
+    let max = BigUint::from_u128(u128::MAX);
+    let two_pow_128 = "340282366920938463463374607431768211456";
+    // (a, b, a·b) across the 2^128 boundary, in decimal
+    let products = [
+        (
+            max.clone(),
+            BigUint::from_u64(2),
+            "680564733841876926926749214863536422910",
+        ),
+        (
+            BigUint::from_u128(1 << 64),
+            BigUint::from_u128(1 << 64),
+            two_pow_128,
+        ),
+        (
+            BigUint::from_u128(1 << 96),
+            BigUint::from_u64(1 << 32),
+            two_pow_128,
+        ),
+        (
+            max.clone(),
+            BigUint::from_u64(u32::MAX as u64),
+            "1461501636990620551282746369252908412219869364225",
+        ),
+        (
+            max.clone(),
+            max.clone(),
+            "115792089237316195423570985008687907852589419931798687112530834793049593217025",
+        ),
+    ];
+    for (a, b, expected) in products {
+        assert!(a.limb_count() <= 4 && b.limb_count() <= 4);
+        let product = a.mul(&b);
+        assert_eq!(product.to_decimal(), expected, "{a:?} * {b:?}");
+        assert!(product.limb_count() >= 5 && product.to_u128().is_none());
+        let mut in_place = a.clone();
+        in_place.mul_assign(&b);
+        assert_eq!(in_place, product);
+        let mut swapped = b.clone();
+        swapped.mul_assign(&a);
+        assert_eq!(swapped, product);
+    }
+    let mut sum = max.clone();
+    sum.add_assign(&BigUint::one());
+    assert_eq!(sum.to_decimal(), two_pow_128);
+    assert_eq!(sum.limb_count(), 5);
+    assert_eq!(
+        max.add(&max).to_decimal(),
+        "680564733841876926926749214863536422910"
+    );
+}
+
+#[test]
+fn a_value_built_from_a_longer_buffer_equals_its_inline_twin() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let hash = |v: &BigUint| {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
+    let shift = BigUint::from_u64(2).pow(192);
+    for v in [
+        0u128,
+        1,
+        u32::MAX as u128,
+        1 << 64,
+        u128::MAX - 1,
+        u128::MAX,
+    ] {
+        let inline = BigUint::from_u128(v);
+        // shifted past 2^128 and back: the shift trims a longer limb buffer
+        let via_heap = inline.mul(&shift).shr_bits(192);
+        assert_eq!(via_heap, inline);
+        assert_eq!(hash(&via_heap), hash(&inline));
+        assert_eq!(via_heap.cmp(&inline), std::cmp::Ordering::Equal);
+        // and divided back down, from a heap value where v·(2^32−1) ≥ 2^128
+        let (quotient, rem) = inline.mul_small(u32::MAX).div_rem_small(u32::MAX);
+        assert_eq!(rem, 0);
+        assert_eq!(quotient, inline);
+        assert_eq!(hash(&quotient), hash(&inline));
+        // ordering against neighbours is the u128 ordering
+        for w in [0u128, 1, 1 << 64, u128::MAX] {
+            assert_eq!(
+                via_heap.cmp(&BigUint::from_u128(w)),
+                v.cmp(&w),
+                "{v} vs {w}"
+            );
+        }
+        assert!(via_heap < BigUint::from_u128(u128::MAX).add(&BigUint::one()));
     }
 }

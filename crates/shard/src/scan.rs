@@ -41,6 +41,11 @@
 //! `τ_s`.
 //! The merged counts stay bit-identical to a walk from the first candidate
 //! in every semiring (the full-walk proptests below pin this down).
+//!
+//! In the exact semirings the opener folds a shard's frozen sets into one
+//! scalar per label ([`TreeScan::frozen`]) instead of loading them as tree
+//! leaves; the scan multiplies that scalar into every polynomial it emits,
+//! so its factors and events are exactly those of the unfolded trees.
 
 use cp_core::mass::{merge_totals, MassModel, UniformMass};
 use cp_core::poly::TallyTree;
@@ -67,6 +72,8 @@ pub struct ShardScan<'a, S> {
     shard: &'a DatasetShard,
     mass: UniformMass,
     trees: Vec<TallyTree<S>>,
+    /// Per label, the product of the sets folded out of its tree.
+    frozen: Vec<S>,
     leaf_pos: Vec<usize>,
     /// The events at or after `τ_s`, ascending (see [`TreeScan::tail`]).
     tail: Vec<CandKey>,
@@ -135,6 +142,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         let opened = TreeScan {
             mass,
             trees,
+            frozen: vec![S::one(); ds.n_labels()],
             leaf_pos,
             tail,
         };
@@ -145,6 +153,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         let TreeScan {
             mass,
             trees,
+            frozen,
             leaf_pos,
             tail,
         } = opened;
@@ -152,6 +161,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
             shard,
             mass,
             trees,
+            frozen,
             leaf_pos,
             tail,
             cursor: 0,
@@ -190,24 +200,35 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         self.shard.dataset().label(local_set)
     }
 
+    /// `poly`, a polynomial of `label`'s tree, times the label's folded
+    /// scalar: the polynomial over all of the label's sets.
+    fn unfold(&self, label: usize, mut poly: Vec<S>) -> Vec<S> {
+        let scale = &self.frozen[label];
+        if *scale != S::one() {
+            poly.iter_mut().for_each(|c| c.mul_assign(scale));
+        }
+        poly
+    }
+
     /// This shard's current per-label partial factors (tree roots) — the
     /// compact summary it exchanges with the coordinator.
     pub fn factors(&self) -> ShardFactors<S> {
         ShardFactors::from_polys(
-            self.trees.iter().map(|t| t.root().to_vec()).collect(),
+            (0..self.trees.len()).map(|l| self.label_poly(l)).collect(),
             self.trees[0].k(),
         )
     }
 
     /// The current partial polynomial of one label.
-    pub fn label_poly(&self, label: usize) -> &[S] {
-        self.trees[label].root()
+    pub fn label_poly(&self, label: usize) -> Vec<S> {
+        self.unfold(label, self.trees[label].root().to_vec())
     }
 
     /// The boundary label's partial polynomial with `local_set` excluded —
     /// how the boundary set is removed from its own label's support.
     pub fn excluding_poly(&self, local_set: usize) -> Vec<S> {
-        self.trees[self.label(local_set)].excluding(self.leaf_pos[local_set])
+        let label = self.label(local_set);
+        self.unfold(label, self.trees[label].excluding(self.leaf_pos[local_set]))
     }
 
     /// Mass of the boundary set choosing exactly candidate `cand`.
@@ -288,7 +309,7 @@ impl<S: CountSemiring> FactorSource<S> for ShardScan<'_, S> {
         let label = self.label(local_set);
         BoundaryEvent {
             label,
-            updated_poly: self.label_poly(label).to_vec(),
+            updated_poly: self.label_poly(label),
             excluding_poly: self.excluding_poly(local_set),
             boundary_mass: self.boundary_mass(local_set, cand),
         }
@@ -1176,6 +1197,88 @@ mod tests {
         /// Capture, then merge the streams.
         fn replayed<S: CountSemiring>(&self, full: bool, use_mc: bool) -> Q2Result<S> {
             merged_streams_until(&self.streams::<S>(full), Some(use_mc), |_| false)
+        }
+    }
+
+    /// A deterministic instance with more than 2^128 possible worlds: 200
+    /// dirty 4-candidate sets and 20 clean rows on a 2-d grid, |Y| = 4, a
+    /// test point, and pins on about a fifth of the dirty sets.
+    fn large_world_case(seed: u64) -> (IncompleteDataset, Vec<f64>, Pins) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        fn point(next: &mut impl FnMut(u64) -> u64) -> Vec<f64> {
+            vec![next(40) as f64, next(40) as f64]
+        }
+        let mut examples = Vec::new();
+        let mut pins = Vec::new();
+        for i in 0..200 {
+            let candidates = (0..4).map(|_| point(&mut next)).collect();
+            examples.push(IncompleteExample::incomplete(candidates, next(4) as usize));
+            if next(5) == 0 {
+                pins.push((i, next(4) as usize));
+            }
+        }
+        for _ in 0..20 {
+            examples.push(IncompleteExample::complete(
+                point(&mut next),
+                next(4) as usize,
+            ));
+        }
+        let ds = IncompleteDataset::new(examples, 4).unwrap();
+        let pins = Pins::from_pairs(ds.len(), &pins);
+        (ds, point(&mut next), pins)
+    }
+
+    #[test]
+    fn folded_biguint_shard_scans_beyond_2_pow_128_equal_the_in_process_scan() {
+        let k = 3;
+        for seed in 1..=3 {
+            let (ds, t, pinned) = large_world_case(seed);
+            assert!(ds.world_count().bit_len() > 128, "seed {seed}");
+            let idx = SimilarityIndex::build(&ds, Kernel::default(), &t);
+            for pins in [Pins::none(ds.len()), pinned] {
+                let sh = Sharded::new(&ds, &t, k, &pins, 3);
+                // every shard folds some of its frozen sets
+                for s in 0..3 {
+                    let (shard, p) = (&sh.shards[s], &sh.pins[s]);
+                    let opened = TreeScan::<BigUint, _>::open(
+                        shard.dataset(),
+                        &sh.indexes[s],
+                        p,
+                        k,
+                        UniformMass::new(shard.dataset(), p),
+                    );
+                    assert!(opened.frozen.iter().any(|f| *f != BigUint::one()));
+                }
+                for use_mc in [false, true] {
+                    let single = if use_mc {
+                        cp_core::ss_tree::q2_sortscan_multiclass_with_index::<BigUint>(
+                            &ds,
+                            &CpConfig::new(k),
+                            &idx,
+                            &pins,
+                        )
+                    } else {
+                        cp_core::ss_tree::q2_sortscan_tree_with_index::<BigUint>(
+                            &ds,
+                            &CpConfig::new(k),
+                            &idx,
+                            &pins,
+                        )
+                    };
+                    let live = sh.live::<BigUint>(false, use_mc);
+                    let replayed = sh.replayed::<BigUint>(false, use_mc);
+                    assert_eq!(live.counts, single.counts, "seed {seed} mc {use_mc}");
+                    assert_eq!(replayed.counts, single.counts, "seed {seed} mc {use_mc}");
+                    assert_eq!(live.total, single.total);
+                    assert_eq!(replayed.total, single.total);
+                }
+            }
         }
     }
 
