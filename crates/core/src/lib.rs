@@ -23,6 +23,7 @@
 //! | SS-DC (divide & conquer) | App. A.2 | paper `O(NM(log NM + K² log N))`; here `O(NM + T log T + (L + T)·K² log N)` per scan, `T` events past `τ` | [`ss_tree`] |
 //! | SS-DC-MC (many classes) | App. A.3 | `+ O(NM·\|Y\|²K³)` | [`ss_mc`] |
 //! | MM (MinMax), Q1 binary | §3.2 / App. B | `O(NM + N log K)` | [`mm`] |
+//! | MM per-shard extreme summary | §3.2 | one `O(N)` pin-mask pass, then `O(K + P)` per direction for `P` pinned sets skipped; the first per index sorts the extreme order, `O(\|Y\|·N log N)` | [`mm_summary`] |
 //! | brute force (reference) | §2.1 | `O(M^N)` | [`bruteforce`] |
 //!
 //! [`batch`] scales the same queries out over whole test sets: one rayon

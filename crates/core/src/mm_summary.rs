@@ -22,7 +22,10 @@
 //!
 //! So each shard summarizes `E_l` restricted to its own sets as a
 //! rank-ordered list of its top-K chosen candidates ([`ExtremeSummary`]),
-//! `O(|Y| · K)` entries independent of shard size, and a coordinator merges
+//! `O(|Y| · K)` entries independent of shard size. Building one does not
+//! walk the shard either: its top-K is read off the head of the index's
+//! lazily sorted extreme order, skipping pinned sets, and merged with the
+//! top-K pinned choices ([`ExtremeSummary::build`]). A coordinator merges
 //! summaries **by rank** — an associative merge with an identity, the MM
 //! twin of the polynomial factor algebra ([`crate::poly::ShardFactors`]).
 //! The fully merged summary holds exactly the global extreme worlds' top-K
@@ -32,10 +35,11 @@
 
 use crate::dataset::DatasetShard;
 use crate::pins::Pins;
-use crate::similarity::SimilarityIndex;
+use crate::similarity::{largest_keys, CandKey, SimilarityIndex};
 use cp_knn::vote::majority_label;
 use cp_knn::Label;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// One chosen extreme candidate: its global merge key
 /// `(similarity, global row, candidate)` plus the owning set's label — the
@@ -104,10 +108,60 @@ impl ExtremeSummary {
     /// test point, `pins` the shard-local pin mask, and `k` the **global**
     /// effective K.
     ///
+    /// Cost: per direction, a walk down the index's lazily sorted
+    /// `SimilarityIndex::extreme_order` until `k` unpinned sets are found
+    /// — `O(K + pinned sets skipped)` — merged with the top-`k` pinned
+    /// choices (a pinned set's choice is its pinned candidate in every
+    /// direction, so one pass over the pin mask serves them all). The
+    /// first summary of an index pays the `O(|Y|·N log N)` order sort.
+    /// Keys order exactly like [`cmp_entries`] because
+    /// `global row = shard start + local row` is monotone, so the entries
+    /// are those of the per-set walk, bit for bit.
+    ///
     /// # Panics
     /// Panics if `k` is zero or the pin mask does not validate against the
     /// shard dataset.
     pub fn build(shard: &DatasetShard, idx: &SimilarityIndex, pins: &Pins, k: usize) -> Self {
+        assert!(k > 0, "k must be positive");
+        let ds = shard.dataset();
+        pins.validate(ds);
+        let mut pinned = BinaryHeap::new();
+        largest_keys(
+            pins.iter_pinned().map(|(i, j)| idx.key(i, j)),
+            k,
+            &mut pinned,
+        );
+        let tops = idx
+            .extreme_order(ds)
+            .iter()
+            .map(|order| {
+                let mut keys: Vec<CandKey> = order
+                    .iter()
+                    .copied()
+                    .filter(|key| pins.pinned(key.set()).is_none())
+                    .take(k)
+                    .collect();
+                keys.extend(pinned.iter().map(|Reverse(key)| *key));
+                keys.sort_unstable_by(|a, b| b.cmp(a));
+                keys.truncate(k);
+                keys.into_iter()
+                    .map(|key| ExtremeEntry {
+                        sim: key.sim(),
+                        row: shard.global_row(key.set()),
+                        cand: key.cand() as u32,
+                        label: ds.label(key.set()),
+                    })
+                    .collect()
+            })
+            .collect();
+        ExtremeSummary { k, tops }
+    }
+
+    /// The per-set walk [`ExtremeSummary::build`] replaced, kept as its
+    /// test oracle: every set's extreme entry per direction, then a partial
+    /// selection of the top `k` — `O(N + K log K)` per direction.
+    #[cfg(test)]
+    fn build_oracle(shard: &DatasetShard, idx: &SimilarityIndex, pins: &Pins, k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         let ds = shard.dataset();
         pins.validate(ds);
@@ -128,7 +182,6 @@ impl ExtremeSummary {
                         }
                     })
                     .collect();
-                // partial selection: O(N + K log K), not a full sort
                 if entries.len() > k {
                     entries.select_nth_unstable_by(k, |a, b| cmp_entries(b, a));
                     entries.truncate(k);
@@ -282,6 +335,7 @@ mod tests {
     use crate::config::CpConfig;
     use crate::dataset::{IncompleteDataset, IncompleteExample};
     use crate::mm::certain_label_minmax;
+    use cp_knn::Kernel;
     use proptest::prelude::*;
 
     fn figure6() -> (IncompleteDataset, Vec<f64>) {
@@ -468,6 +522,83 @@ mod tests {
             })
     }
 
+    /// A random instance whose similarities tie exactly and hit both
+    /// signed zeros: integer grid values under the linear kernel (a lone
+    /// `-0.0` product stays negative) or the negated squared distance (a
+    /// candidate on the test point scores `-0.0`), `|Y|` of 2 or 3.
+    fn arb_tied_instance() -> impl Strategy<Value = (IncompleteDataset, Kernel, Vec<f64>)> {
+        (1usize..=12, 2usize..=3).prop_flat_map(|(n, n_labels)| {
+            let example = (proptest::collection::vec(-2i32..=2, 1..=3), 0..n_labels).prop_map(
+                |(grid, label)| {
+                    let cands = grid
+                        .into_iter()
+                        .map(|g| vec![if g == 0 { -0.0 } else { g as f64 }])
+                        .collect();
+                    IncompleteExample::incomplete(cands, label)
+                },
+            );
+            (
+                proptest::collection::vec(example, n..=n),
+                (0usize..2).prop_map(|b| [Kernel::Linear, Kernel::NegEuclidean][b]),
+                -2i32..=2,
+            )
+                .prop_map(move |(examples, kernel, t)| {
+                    let ds = IncompleteDataset::new(examples, n_labels).unwrap();
+                    (ds, kernel, vec![t as f64])
+                })
+        })
+    }
+
+    /// Each set pinned to a seeded random candidate with probability ~1/2.
+    fn seeded_pins(ds: &IncompleteDataset, seed: u64) -> Pins {
+        let mut pins = Pins::none(ds.len());
+        let mut x = seed | 1;
+        for i in 0..ds.len() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x & 1 == 1 {
+                pins.pin(i, (x >> 8) as usize % ds.set_size(i));
+            }
+        }
+        pins
+    }
+
+    #[test]
+    fn extreme_order_build_matches_the_oracle_on_signed_zeros_and_ties() {
+        // every similarity is ±0.0 or an exact tie: the order must fall
+        // back to (set, candidate) exactly like the per-set walk
+        let ds = IncompleteDataset::new(
+            vec![
+                IncompleteExample::incomplete(vec![vec![0.0], vec![-0.0]], 0),
+                IncompleteExample::incomplete(vec![vec![-0.0], vec![0.0]], 1),
+                IncompleteExample::incomplete(vec![vec![1.0], vec![-1.0]], 1),
+                IncompleteExample::complete(vec![-0.0], 0),
+                IncompleteExample::complete(vec![1.0], 0),
+            ],
+            2,
+        )
+        .unwrap();
+        let idx = SimilarityIndex::build(&ds, Kernel::Linear, &[1.0]);
+        assert!(idx.sim(0, 1).is_sign_negative() && idx.sim(0, 0).is_sign_positive());
+        for n_shards in [1usize, 2, 3] {
+            for sh in &ds.partition(n_shards) {
+                let idx = SimilarityIndex::build(sh.dataset(), Kernel::Linear, &[1.0]);
+                for k in 1..=7 {
+                    let last = sh.dataset().set_size(0) - 1;
+                    for pins in [Pins::none(sh.len()), Pins::single(sh.len(), 0, last)] {
+                        assert_eq!(
+                            ExtremeSummary::build(sh, &idx, &pins, k),
+                            ExtremeSummary::build_oracle(sh, &idx, &pins, k),
+                            "n_shards={n_shards} start={} k={k}",
+                            sh.start()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -489,6 +620,46 @@ mod tests {
                         merged.certain_label(), mm,
                         "k={} n_shards={}", k, n_shards
                     );
+                }
+            }
+        }
+
+        /// The order-based build is the per-set walk, entry for entry: every
+        /// shard of every partition, random pins, K up to past the shard
+        /// size, exact ties and signed zeros — and for binary instances the
+        /// folded summaries answer like single-process MM.
+        #[test]
+        fn extreme_order_build_equals_the_per_set_walk(
+            (ds, kernel, t) in arb_tied_instance(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let full = SimilarityIndex::build(&ds, kernel, &t);
+            for pins in [Pins::none(ds.len()), seeded_pins(&ds, seed)] {
+                for n_shards in [1usize, 2, 3, 7] {
+                    for k in [1usize, 2, 3, 5, 13] {
+                        let mut acc = ExtremeSummary::identity(ds.n_labels(), k);
+                        for sh in &ds.partition(n_shards) {
+                            let idx = SimilarityIndex::build(sh.dataset(), kernel, &t);
+                            let local = sh.local_pins(&pins);
+                            let fast = ExtremeSummary::build(sh, &idx, &local, k);
+                            prop_assert_eq!(
+                                &fast,
+                                &ExtremeSummary::build_oracle(sh, &idx, &local, k),
+                                "n_shards={} k={}", n_shards, k
+                            );
+                            acc.merge_assign(&fast);
+                        }
+                        if ds.n_labels() == 2 {
+                            // a budget past N keeps every set, as MM's
+                            // clamped K does
+                            let cfg = CpConfig { kernel, ..CpConfig::new(k) };
+                            prop_assert_eq!(
+                                acc.certain_label(),
+                                certain_label_minmax(&ds, &cfg, &full, &pins),
+                                "n_shards={} k={}", n_shards, k
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -69,6 +69,14 @@ impl Pins {
         self.pinned[set].map(|j| j as usize)
     }
 
+    /// Every pin as `(set, candidate)`, in ascending set order.
+    pub(crate) fn iter_pinned(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.pinned
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.map(|j| (i, j as usize)))
+    }
+
     /// Whether candidate `(set, cand)` participates in the scan.
     #[inline]
     pub fn allows(&self, set: usize, cand: usize) -> bool {

@@ -21,10 +21,20 @@
 //! candidate (Algorithm 1 and the K=1 fast path). The
 //! `core.similarity.full_sorts` counter and `core.similarity.full_sort_us`
 //! span record those sorts apart from `core.similarity.build_us`.
+//!
+//! MM's extreme worlds get an order of their own:
+//! `SimilarityIndex::extreme_order` holds, per label `l`, every set's
+//! unpinned `l`-extreme key (its most similar candidate if the set's label
+//! is `l`, its least similar otherwise) in descending key order — `|Y|`
+//! sorts of `N` keys, done lazily, once per index, on first use and
+//! counted by `core.similarity.extreme_sorts` /
+//! `core.similarity.extreme_sort_us`. A per-shard extreme summary then
+//! reads its top-K off the head of that order instead of walking every set
+//! ([`crate::mm_summary::ExtremeSummary::build`]).
 
 use crate::dataset::IncompleteDataset;
 use crate::pins::Pins;
-use cp_knn::Kernel;
+use cp_knn::{Kernel, Label};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
@@ -49,6 +59,14 @@ pub fn build_count() -> u64 {
 /// out.
 pub fn full_sort_count() -> u64 {
     cp_obs::counter!("core.similarity.full_sorts").get()
+}
+
+/// Process-wide number of lazy extreme-order sorts so far (at most one per
+/// index: on the first [`crate::ExtremeSummary::build`] over it). Backed by the
+/// `core.similarity.extreme_sorts` counter; reads 0 when metrics are
+/// compiled out.
+pub fn extreme_sort_count() -> u64 {
+    cp_obs::counter!("core.similarity.extreme_sorts").get()
 }
 
 /// A candidate's position in the scan order: `(similarity, set, candidate)`
@@ -131,6 +149,9 @@ pub struct SimilarityIndex {
     keys: Vec<CandKey>,
     /// The full ascending order, sorted on first use.
     full: OnceLock<FullOrder>,
+    /// Per label, every set's unpinned extreme key in descending order,
+    /// sorted on first use.
+    extreme: OnceLock<Vec<Vec<CandKey>>>,
 }
 
 /// The whole index in ascending key order.
@@ -176,6 +197,7 @@ impl SimilarityIndex {
             sims,
             keys,
             full: OnceLock::new(),
+            extreme: OnceLock::new(),
         }
     }
 
@@ -243,6 +265,40 @@ impl SimilarityIndex {
                 sims: keys.iter().map(|k| k.sim()).collect(),
                 rank,
             }
+        })
+    }
+
+    /// Per label `l`, the `l`-extreme world's unpinned choices in
+    /// descending key order: one key per set — the set's most similar
+    /// candidate if its label is `l`, its least similar otherwise (the two
+    /// ends of [`SimilarityIndex::set_keys`]). `ds` must be the dataset the
+    /// index was built from; it supplies the labels. Sorts `|Y|` orders of
+    /// `N` keys on the first call (`O(|Y|·N log N)`, once per index).
+    ///
+    /// # Panics
+    /// Panics if `ds` has a different number of sets than the index.
+    pub(crate) fn extreme_order(&self, ds: &IncompleteDataset) -> &[Vec<CandKey>] {
+        let n = self.offsets.len() - 1;
+        assert_eq!(ds.len(), n, "dataset does not match the index");
+        self.extreme.get_or_init(|| {
+            cp_obs::counter!("core.similarity.extreme_sorts").inc();
+            let _span = cp_obs::span!("core.similarity.extreme_sort_us");
+            (0..ds.n_labels())
+                .map(|l: Label| {
+                    let mut order: Vec<CandKey> = (0..n)
+                        .map(|i| {
+                            let keys = self.set_keys(i);
+                            if ds.label(i) == l {
+                                keys[keys.len() - 1]
+                            } else {
+                                keys[0]
+                            }
+                        })
+                        .collect();
+                    order.sort_unstable_by(|a, b| b.cmp(a));
+                    order
+                })
+                .collect()
         })
     }
 
@@ -316,6 +372,35 @@ mod tests {
         assert_eq!(idx.least_similar(1, &pins), 0);
         // unpinned sets unaffected
         assert_eq!(idx.most_similar(0, &pins), 1);
+    }
+
+    #[test]
+    fn extreme_order_holds_each_sets_extreme_key_descending() {
+        let ds = ds();
+        let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &[5.0]);
+        let pins = Pins::none(ds.len());
+        let orders = idx.extreme_order(&ds);
+        assert_eq!(orders.len(), ds.n_labels());
+        for (l, order) in orders.iter().enumerate() {
+            assert!(
+                order.windows(2).all(|w| w[0] > w[1]),
+                "descending, label {l}"
+            );
+            let mut expected: Vec<CandKey> = (0..ds.len())
+                .map(|i| {
+                    let j = if ds.label(i) == l {
+                        idx.most_similar(i, &pins)
+                    } else {
+                        idx.least_similar(i, &pins)
+                    };
+                    idx.key(i, j)
+                })
+                .collect();
+            expected.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(order, &expected);
+        }
+        // sorted once: later calls hand back the same order
+        assert!(std::ptr::eq(orders, idx.extreme_order(&ds)));
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //!
 //! An [`RpcCoordinator`] owns the global problem, the cleaning state and the
 //! CP status vector; shard servers own everything partition-local (rows,
-//! similarity indexes, pin masks). Per status refresh the coordinator asks
-//! every server for one batched `Possibility` stream and merges them with
-//! [`cp_shard::certain_label_from_streams`]; per greedy selection it fetches
+//! similarity indexes, pin masks). A status refresh sends every server one
+//! pipelined window with one status request per uncertain validation
+//! point, and a cleaning step puts its `Step` at the head of the owning
+//! server's window, so the requests behind it see the new pin. For binary
+//! labels (streams in RAM) each request is an [`ExtremeSummary`], folded by
+//! rank with [`cp_shard::certain_label_from_summaries`]; otherwise it is a
+//! `Possibility` stream, merged with
+//! [`cp_shard::certain_label_from_streams`]. `SyncStatus` goes out only
+//! when a server's published bits differ from the refreshed status. Per
+//! greedy selection the coordinator fetches
 //! each shard's base probability stream once and, for every candidate pin,
 //! one hypothetical stream from the *owning* shard only — every other
 //! shard's stream is replayed as-is, mirroring the in-process engine's
@@ -585,78 +592,81 @@ impl ShardClient {
         }
     }
 
-    /// Pipeline a batch of `(val, pins)` scan requests in semiring `S`:
-    /// keep up to `SCAN_WINDOW` (8) requests in flight on this connection and
-    /// collect the responses in request order. One greedy selection step
-    /// needs `set_size(row)` mutually independent hypothetical streams from
-    /// the owning shard; serializing them pays a full network round trip
-    /// each, while pipelining overlaps them all on the one connection.
-    ///
-    /// On a per-response failure the replies still in flight are drained so
-    /// the connection stays at a frame boundary and remains usable
-    /// (transport failures have already poisoned it, which stops the
-    /// drain); the first failure is returned.
+    /// Pipeline a batch of `(val, pins)` scan requests in semiring `S`
+    /// (one window, see `ShardClient::pipeline`) and collect the streams in request
+    /// order. One greedy selection step needs `set_size(row)` mutually
+    /// independent hypothetical streams from the owning shard; serializing
+    /// them pays a full network round trip each, while pipelining overlaps
+    /// them all on the one connection. Returns the first failure, if any.
     pub fn scan_many<S: WireSemiring>(
         &mut self,
         k: usize,
         scans: Vec<(usize, Option<Pins>)>,
     ) -> RpcResult<Vec<ShardStream<S>>> {
-        let mut out = Vec::with_capacity(scans.len());
+        let session = self.session;
+        let reqs = scans.into_iter().map(|(val, pins)| Request::Scan {
+            session,
+            val: val as u32,
+            k: k as u32,
+            semiring: S::TAG,
+            pins,
+        });
+        let (streams, outcome) = self.pipeline(reqs, |_, resp| match resp {
+            Response::Stream(bytes) => decode_stream::<S>(&bytes),
+            other => Err(Self::unexpected("Stream", other)),
+        });
+        outcome.map(|()| streams)
+    }
+
+    /// Send a window of requests down this connection, keeping up to
+    /// `SCAN_WINDOW` (8) in flight, and hand each response, in request
+    /// order and with its position, to `decode`. The server answers one
+    /// connection strictly in request order, so a request sees every
+    /// earlier request's effect — a status request behind a `Step` reads
+    /// the new pin.
+    ///
+    /// Returns the decoded replies before the first failure and the
+    /// failure, if any. Past a failure nothing more is sent, and the
+    /// replies still in flight are drained so the connection stays at a
+    /// frame boundary and remains usable (transport failures have already
+    /// poisoned it, which stops the drain).
+    fn pipeline<T>(
+        &mut self,
+        reqs: impl IntoIterator<Item = Request>,
+        mut decode: impl FnMut(usize, Response) -> RpcResult<T>,
+    ) -> (Vec<T>, RpcResult<()>) {
+        cp_obs::counter!("rpc.client.windows").inc();
+        let mut reqs = reqs.into_iter();
+        let mut out = Vec::new();
         let mut pending: VecDeque<u32> = VecDeque::new();
         let mut failure: Option<RpcError> = None;
-        for (val, pins) in scans {
-            if pending.len() == SCAN_WINDOW {
-                let id = pending.pop_front().expect("window is non-empty");
-                match self.recv_stream::<S>(id) {
-                    Ok(stream) => out.push(stream),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
+        loop {
+            while failure.is_none() && pending.len() < SCAN_WINDOW {
+                let Some(req) = reqs.next() else { break };
+                match self.send(&req) {
+                    Ok(id) => {
+                        pending.push_back(id);
+                        // in-flight window occupancy, sampled after each send
+                        // (values 1..=SCAN_WINDOW land in distinct µs-ladder
+                        // buckets, so the histogram doubles as an exact tally)
+                        cp_obs::histogram!("rpc.client.scan_window")
+                            .record_us(pending.len() as u64);
                     }
+                    Err(e) => failure = Some(e),
                 }
             }
-            match self.send(&Request::Scan {
-                session: self.session,
-                val: val as u32,
-                k: k as u32,
-                semiring: S::TAG,
-                pins,
-            }) {
-                Ok(id) => {
-                    pending.push_back(id);
-                    // in-flight window occupancy, sampled after each send
-                    // (values 1..=SCAN_WINDOW land in distinct µs-ladder
-                    // buckets, so the histogram doubles as an exact tally)
-                    cp_obs::histogram!("rpc.client.scan_window").record_us(pending.len() as u64);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        while let Some(id) = pending.pop_front() {
+            let Some(id) = pending.pop_front() else { break };
             if self.poisoned {
                 break;
             }
-            match (self.recv_stream::<S>(id), &failure) {
-                (Ok(stream), None) => out.push(stream),
-                (Ok(_), Some(_)) => {} // draining past the first failure
+            let reply = self.recv(id).and_then(|resp| decode(out.len(), resp));
+            match (reply, &failure) {
+                (Ok(reply), None) => out.push(reply),
                 (Err(e), None) => failure = Some(e),
-                (Err(_), Some(_)) => {}
+                _ => {} // draining past the first failure
             }
         }
-        match failure {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
-    }
-
-    fn recv_stream<S: WireSemiring>(&mut self, id: u32) -> RpcResult<ShardStream<S>> {
-        match self.recv(id)? {
-            Response::Stream(bytes) => decode_stream::<S>(&bytes),
-            other => Err(Self::unexpected("Stream", other)),
-        }
+        (out, failure.map_or(Ok(()), Err))
     }
 
     /// Request one rank-ordered extreme summary — the binary-Q1 status
@@ -741,6 +751,9 @@ pub struct RpcCoordinator {
     mask_epochs: Vec<u64>,
     state: CleaningState,
     cp: Vec<bool>,
+    /// Per shard, the status bits last published to its server (`None`
+    /// before the first `SyncStatus`).
+    published: RefCell<Vec<Option<Vec<bool>>>>,
     /// Global effective K, computed once from the full dataset.
     k: usize,
     /// Incremental-selection state shared with the in-process engines
@@ -752,6 +765,14 @@ pub struct RpcCoordinator {
     base_streams: RefCell<Vec<Option<BaseStreams>>>,
     /// Out-of-core policy; `None` keeps every stream in RAM.
     spill: Option<SpillState>,
+}
+
+/// One status reply from a shard: an extreme summary (binary, in RAM) or a
+/// `Possibility` stream (multiclass, or under the spill policy).
+#[derive(Debug)]
+enum StatusReply {
+    Summary(ExtremeSummary),
+    Stream(ShardStream<Possibility>),
 }
 
 /// One cached base-stream set: the per-shard mask epochs at capture time
@@ -949,6 +970,7 @@ impl RpcCoordinator {
             clients.push(RefCell::new(client));
             journals.push(RefCell::new(ShardJournal::new(open)));
         }
+        let n_shards = shards.len();
         let masks: Vec<Pins> = shards.iter().map(|sh| Pins::none(sh.len())).collect();
         let mask_epochs = vec![0u64; shards.len()];
         let state = CleaningState::new(&problem);
@@ -983,12 +1005,13 @@ impl RpcCoordinator {
             mask_epochs,
             state,
             cp,
+            published: RefCell::new(vec![None; n_shards]),
             k,
             sel,
             base_streams,
             spill,
         };
-        coordinator.try_refresh_status()?;
+        coordinator.refresh(None)?;
         Ok(coordinator)
     }
 
@@ -1234,6 +1257,7 @@ impl RpcCoordinator {
                 Ok(n) => {
                     self.pins_replayed.set(self.pins_replayed.get() + n as u64);
                     self.clients[s].borrow_mut().sync_status(self.cp.clone())?;
+                    self.published.borrow_mut()[s] = Some(self.cp.clone());
                     return Ok(());
                 }
                 Err(e) => {
@@ -1352,34 +1376,147 @@ impl RpcCoordinator {
     /// the current pins — the same dispatch as the in-process engines:
     /// binary label spaces ship one `O(|Y|·K)` [`ExtremeSummary`] per shard
     /// and fold them by rank (no boundary-event stream crosses the wire);
-    /// everything else merges fresh `Possibility` streams.
+    /// everything else merges fresh `Possibility` streams. Travels the same
+    /// per-shard pipelined windows as a status refresh.
     pub fn certain_label_at(&self, v: usize) -> RpcResult<Option<Label>> {
-        if let Some(sp) = &self.spill {
-            return self.certain_label_spilled(v, sp);
-        }
-        if self.problem.dataset.n_labels() == 2 {
-            let summaries: Vec<ExtremeSummary> = (0..self.clients.len())
-                .map(|s| {
-                    let summary = self.with_recovery(s, |c| c.extreme_summary(v, self.k, None))?;
-                    self.check_summary_shape(summary)
-                })
-                .collect::<RpcResult<_>>()?;
-            Ok(certain_label_from_summaries(&summaries))
-        } else {
-            let streams = self.fetch_streams::<Possibility>(v)?;
-            Ok(certain_label_from_streams(&streams))
-        }
+        let labels = self.status_windows(None, &[v], &Cell::new(false))?;
+        Ok(labels[0])
     }
 
-    /// [`RpcCoordinator::certain_label_at`] under the out-of-core policy:
-    /// fetched `Possibility` streams at or above the spill threshold go to
+    /// Whether status requests ask for extreme summaries: binary label
+    /// spaces with every stream in RAM. Otherwise they scan the
+    /// `Possibility` semiring, which the spill policy can put on disk.
+    fn summary_status(&self) -> bool {
+        self.spill.is_none() && self.problem.dataset.n_labels() == 2
+    }
+
+    /// Send shard `s` one pipelined window ([`ShardClient::pipeline`]): the
+    /// optional `Step { local_row, expect_cleaned }` first, then one status
+    /// request per point of `vals` — a summary or a `Possibility` scan, as
+    /// [`Self::summary_status`] picks. The server answers in request order,
+    /// so the status requests see the new pin.
+    ///
+    /// The window is retried as a unit under the recovery loop: `Step` is
+    /// idempotent and status requests are read-only. The first time the
+    /// `Step` is acknowledged the pin is journaled and `acked` is set, so
+    /// a failover later in the window replays it, and the caller commits
+    /// the pin locally even when a later reply fails.
+    fn status_window(
+        &self,
+        s: usize,
+        step: Option<(u32, u32)>,
+        vals: &[usize],
+        acked: &Cell<bool>,
+    ) -> RpcResult<Vec<StatusReply>> {
+        let summaries = self.summary_status();
+        let k = self.k as u32;
+        let replies = self.with_recovery(s, |c| {
+            let session = c.session();
+            let step_req = step.map(|(local_row, expect_cleaned)| Request::Step {
+                session,
+                local_row,
+                expect_cleaned,
+            });
+            let n_step = usize::from(step_req.is_some());
+            let status_reqs = vals.iter().map(|&v| {
+                let val = v as u32;
+                if summaries {
+                    Request::ExtremeSummary {
+                        session,
+                        val,
+                        k,
+                        pins: None,
+                    }
+                } else {
+                    Request::Scan {
+                        session,
+                        val,
+                        k,
+                        semiring: <Possibility as WireSemiring>::TAG,
+                        pins: None,
+                    }
+                }
+            });
+            let reqs = step_req.into_iter().chain(status_reqs);
+            let (replies, outcome) = c.pipeline(reqs, |i, resp| match (i < n_step, resp) {
+                (true, Response::Ok) => Ok(None),
+                (true, other) => Err(ShardClient::unexpected("Ok", other)),
+                (false, Response::Summary(bytes)) if summaries => {
+                    decode_summary(&bytes).map(|x| Some(StatusReply::Summary(x)))
+                }
+                (false, Response::Stream(bytes)) if !summaries => {
+                    decode_stream(&bytes).map(|x| Some(StatusReply::Stream(x)))
+                }
+                (false, other) => Err(ShardClient::unexpected(
+                    if summaries { "Summary" } else { "Stream" },
+                    other,
+                )),
+            });
+            if let Some((local_row, _)) = step {
+                if !replies.is_empty() && !acked.replace(true) {
+                    self.journals[s].borrow_mut().record_pin(local_row);
+                }
+            }
+            outcome.map(|()| replies)
+        })?;
+        replies
+            .into_iter()
+            .flatten()
+            .map(|reply| match reply {
+                StatusReply::Summary(x) => self.check_summary_shape(x).map(StatusReply::Summary),
+                StatusReply::Stream(x) => self.check_stream_shape(x).map(StatusReply::Stream),
+            })
+            .collect()
+    }
+
+    /// The certainly-predicted label of every point of `vals`, from one
+    /// [`Self::status_window`] per shard; `step = Some((s, local_row,
+    /// expect_cleaned))` puts a `Step` at the head of shard `s`'s window.
+    fn status_windows(
+        &self,
+        step: Option<(usize, u32, u32)>,
+        vals: &[usize],
+        acked: &Cell<bool>,
+    ) -> RpcResult<Vec<Option<Label>>> {
+        let mut per_shard = Vec::with_capacity(self.clients.len());
+        for s in 0..self.clients.len() {
+            let shard_step = step
+                .filter(|&(owner, ..)| owner == s)
+                .map(|(_, local_row, expect)| (local_row, expect));
+            per_shard.push(self.status_window(s, shard_step, vals, acked)?.into_iter());
+        }
+        vals.iter()
+            .map(|&v| {
+                let (mut summaries, mut streams) = (Vec::new(), Vec::new());
+                for replies in &mut per_shard {
+                    match replies.next().expect("one reply per point") {
+                        StatusReply::Summary(x) => summaries.push(x),
+                        StatusReply::Stream(x) => streams.push(x),
+                    }
+                }
+                match &self.spill {
+                    _ if streams.is_empty() => Ok(certain_label_from_summaries(&summaries)),
+                    Some(sp) => self.certain_label_spilled(v, sp, &streams),
+                    None => Ok(certain_label_from_streams(&streams)),
+                }
+            })
+            .collect()
+    }
+
+    /// The status check over fetched `Possibility` streams under the
+    /// out-of-core policy: streams at or above the spill threshold go to
     /// disk as runs (scratch files, deleted before returning), and the
     /// check runs over the runs' filters + lazy cursors —
     /// [`certain_label_over_runs`] when everything spilled (the binary
     /// footer pre-check can then answer with zero block reads), a mixed
     /// RAM/disk merge otherwise. Answers are bit-identical to the in-RAM
     /// dispatch.
-    fn certain_label_spilled(&self, v: usize, sp: &SpillState) -> RpcResult<Option<Label>> {
+    fn certain_label_spilled(
+        &self,
+        v: usize,
+        sp: &SpillState,
+        streams: &[ShardStream<Possibility>],
+    ) -> RpcResult<Option<Label>> {
         // scratch runs are deleted on every exit path, including errors
         struct Scratch(Vec<PathBuf>);
         impl Drop for Scratch {
@@ -1389,7 +1526,6 @@ impl RpcCoordinator {
                 }
             }
         }
-        let streams = self.fetch_streams::<Possibility>(v)?;
         let n_labels = self.problem.dataset.n_labels();
         let mut scratch = Scratch(Vec::new());
         let mut runs: Vec<Option<Run>> = Vec::with_capacity(streams.len());
@@ -1474,39 +1610,27 @@ impl RpcCoordinator {
         Ok(())
     }
 
-    /// Re-evaluate the not-yet-certain validation points (certainty is
-    /// monotone under cleaning, exactly as in the in-process sessions), then
-    /// publish the refreshed global status to every server.
-    fn try_refresh_status(&mut self) -> RpcResult<()> {
-        let uncertain: Vec<usize> = (0..self.cp.len()).filter(|&v| !self.cp[v]).collect();
-        if uncertain.is_empty() {
-            return Ok(());
-        }
-        for v in uncertain {
-            self.cp[v] = self.certain_label_at(v)?.is_some();
-        }
-        for s in 0..self.clients.len() {
-            let bits = self.cp.clone();
-            self.with_recovery(s, |c| c.sync_status(bits.clone()))?;
-        }
-        Ok(())
-    }
-
     /// Clean one externally chosen global row: route the pin to the owning
     /// server first, then mirror it in the coordinator's state and mask and
     /// refresh the global CP status.
     ///
-    /// Failure semantics: a transport failure during the `Step` round trip
-    /// is ambiguous — the server may have applied the pin and lost the ack
-    /// — so the recovery loop reconnects (or fails over and replays the
-    /// journal) and retransmits the idempotent `Step` (it carries the
-    /// cleaned-count it expects); a server that had already applied it
-    /// acknowledges without double-pinning. Only if the whole retry budget
-    /// fails does the error surface, with nothing local mutated. On
-    /// success the pin is journaled *before* the local mutations, so a
-    /// failover during the subsequent status refresh already replays it.
-    /// If that refresh errors, the pin is applied consistently on both
-    /// sides and only the cached [`Self::status`] may lag; staleness is
+    /// The `Step` and the owner's status requests for every uncertain point
+    /// travel in one pipelined window (`ShardClient::pipeline`); every
+    /// other shard gets one window of status requests, and `SyncStatus`
+    /// goes only to shards whose published bits differ from the refreshed
+    /// status.
+    ///
+    /// Failure semantics: a transport failure in the window is ambiguous —
+    /// the server may have applied the pin and lost the ack — so the
+    /// recovery loop reconnects (or fails over and replays the journal) and
+    /// retransmits the whole window; the idempotent `Step` (it carries the
+    /// cleaned-count it expects) acknowledges without double-pinning on a
+    /// server that had already applied it. If the `Step` is never
+    /// acknowledged, the error surfaces with nothing local mutated. Once it
+    /// is, the pin is journaled at once (a later failover already replays
+    /// it) and committed locally even if a later reply in the window fails;
+    /// that error then surfaces with the pin applied consistently on both
+    /// sides, and only the cached [`Self::status`] may lag. Staleness is
     /// *sound* (certainty is monotone, so stale entries only under-report)
     /// and the next successful refresh catches up.
     ///
@@ -1516,19 +1640,61 @@ impl RpcCoordinator {
     pub fn clean(&mut self, row: usize) -> RpcResult<()> {
         let _span = cp_obs::span!("rpc.coordinator.clean_us");
         // validate the misuse preconditions up front so the server is never
-        // asked to pin a row the local mutation below would then reject
+        // asked to pin a row the local mutation would then reject
         assert!(!self.state.is_cleaned(row), "row {row} already cleaned");
-        let truth =
-            self.problem.truth_choice[row].unwrap_or_else(|| panic!("row {row} is not dirty"));
-        let s = self.owner[row];
-        let local = self.shards[s].local_row(row).expect("owner map is exact");
-        let (local_row, expect) = (local as u32, self.mask_epochs[s] as u32);
-        self.with_recovery(s, |c| c.step(local_row, expect))?;
-        self.journals[s].borrow_mut().record_pin(local_row);
-        self.state.clean_row(&self.problem, row);
-        self.masks[s].pin(local, truth);
-        self.mask_epochs[s] += 1;
-        self.try_refresh_status()
+        assert!(
+            self.problem.truth_choice[row].is_some(),
+            "row {row} is not dirty"
+        );
+        self.refresh(Some(row))
+    }
+
+    /// Clean `row` (if any) and re-evaluate the not-yet-certain validation
+    /// points (certainty is monotone under cleaning, exactly as in the
+    /// in-process sessions) in one window per shard, commit an
+    /// acknowledged pin locally, then publish the status to the shards
+    /// whose published bits differ.
+    fn refresh(&mut self, row: Option<usize>) -> RpcResult<()> {
+        let uncertain: Vec<usize> = (0..self.cp.len()).filter(|&v| !self.cp[v]).collect();
+        let step = row.map(|row| {
+            let s = self.owner[row];
+            (
+                row,
+                s,
+                self.shards[s].local_row(row).expect("owner map is exact"),
+            )
+        });
+        let acked = Cell::new(false);
+        let labels = self.status_windows(
+            step.map(|(_, s, local)| (s, local as u32, self.mask_epochs[s] as u32)),
+            &uncertain,
+            &acked,
+        );
+        if let Some((row, s, local)) = step.filter(|_| acked.get()) {
+            let truth = self.problem.truth_choice[row].expect("checked dirty");
+            self.state.clean_row(&self.problem, row);
+            self.masks[s].pin(local, truth);
+            self.mask_epochs[s] += 1;
+        }
+        for (&v, label) in uncertain.iter().zip(labels?) {
+            self.cp[v] = label.is_some();
+        }
+        self.publish_status()
+    }
+
+    /// Send `SyncStatus` to every shard whose last published bits differ
+    /// from the current status; certainty only flips a few times per run,
+    /// so most steps send none.
+    fn publish_status(&self) -> RpcResult<()> {
+        for s in 0..self.clients.len() {
+            if self.published.borrow()[s].as_ref() == Some(&self.cp) {
+                continue;
+            }
+            let bits = self.cp.clone();
+            self.with_recovery(s, |c| c.sync_status(bits.clone()))?;
+            self.published.borrow_mut()[s] = Some(bits);
+        }
+        Ok(())
     }
 
     /// The greedy CPClean selection over the given candidate rows, running

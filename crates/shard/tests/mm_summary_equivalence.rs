@@ -10,13 +10,22 @@
 //!   ([`certain_label_sharded_merged_scan`], the pre-fast-path route);
 //! * single-process MM ([`cp_core::mm::certain_label_minmax`]).
 //!
+//! A third property pins the summaries themselves: each shard's summary,
+//! read off the index's lazily sorted extreme order, must equal the
+//! per-set walk it replaced — every set's extreme choice, fully sorted,
+//! cut at K — entry for entry.
+//!
 //! The session-level test drives the same equivalence through
 //! [`ShardedSession`]'s incremental status along arbitrary cleaning
 //! trajectories (the status-update workload the fast path exists for).
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::mm::certain_label_minmax;
-use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, SimilarityIndex};
+use cp_core::mm_summary::cmp_entries;
+use cp_core::{
+    CpConfig, DatasetShard, ExtremeEntry, ExtremeSummary, IncompleteDataset, IncompleteExample,
+    Pins, SimilarityIndex,
+};
 use cp_shard::{
     build_shard_indexes, certain_label_from_summaries, certain_label_sharded_merged_scan,
     certain_label_sharded_with_indexes, extreme_summaries, local_pins, ShardedSession,
@@ -83,6 +92,41 @@ fn random_pins(problem: &CleaningProblem, rng: &mut StdRng) -> Pins {
     pins
 }
 
+/// The summary by definition: per direction `l`, every set's extreme
+/// choice (most similar if labeled `l`, least similar otherwise, pins
+/// overriding both), fully sorted by rank, cut at `k`.
+fn per_set_walk(
+    shard: &DatasetShard,
+    idx: &SimilarityIndex,
+    pins: &Pins,
+    k: usize,
+) -> ExtremeSummary {
+    let ds = shard.dataset();
+    let tops = (0..ds.n_labels())
+        .map(|l| {
+            let mut entries: Vec<ExtremeEntry> = (0..ds.len())
+                .map(|i| {
+                    let j = if ds.label(i) == l {
+                        idx.most_similar(i, pins)
+                    } else {
+                        idx.least_similar(i, pins)
+                    };
+                    ExtremeEntry {
+                        sim: idx.sim(i, j),
+                        row: shard.global_row(i),
+                        cand: j as u32,
+                        label: ds.label(i),
+                    }
+                })
+                .collect();
+            entries.sort_by(|a, b| cmp_entries(b, a));
+            entries.truncate(k);
+            entries
+        })
+        .collect();
+    ExtremeSummary::from_parts(k, tops).expect("sorted, distinct, within budget")
+}
+
 fn opts(n_threads: usize) -> RunOptions {
     RunOptions {
         max_cleaned: None,
@@ -135,6 +179,47 @@ proptest! {
                         scanned, mm,
                         "possibility scan vs MM, n_shards={}", n_shards
                     );
+                }
+            }
+        }
+    }
+
+    /// Every shard summary equals the per-set walk, and their fold equals
+    /// single-process MM, for every shard count, under random pin masks
+    /// and at budgets from 1 to past the shard size.
+    #[test]
+    fn summaries_equal_the_per_set_walk((problem, seed) in arb_binary_instance()) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd5);
+        let ds = &problem.dataset;
+        for round in 0..3 {
+            let pins = if round == 0 {
+                Pins::none(ds.len())
+            } else {
+                random_pins(&problem, &mut rng)
+            };
+            for t in problem.val_x.iter() {
+                for k in [1usize, 2, 5, 9] {
+                    let cfg = CpConfig { kernel: problem.config.kernel, ..CpConfig::new(k) };
+                    let full_idx = SimilarityIndex::build(ds, cfg.kernel, t);
+                    let mm = certain_label_minmax(ds, &cfg, &full_idx, &pins);
+                    for n_shards in SHARD_COUNTS {
+                        let shards = ds.partition(n_shards);
+                        let indexes = build_shard_indexes(&shards, cfg.kernel, t);
+                        let shard_pins = local_pins(&shards, &pins);
+                        let summaries = extreme_summaries(&shards, &indexes, &shard_pins, &cfg);
+                        for (s, summary) in summaries.iter().enumerate() {
+                            let k_eff = cfg.k_eff(ds.len());
+                            prop_assert_eq!(
+                                summary,
+                                &per_set_walk(&shards[s], &indexes[s], &shard_pins[s], k_eff),
+                                "shard {} of {}, k={}", s, n_shards, k
+                            );
+                        }
+                        prop_assert_eq!(
+                            certain_label_from_summaries(&summaries), mm,
+                            "summary fold vs MM, n_shards={} k={}", n_shards, k
+                        );
+                    }
                 }
             }
         }

@@ -8,11 +8,16 @@
 //! across the batch queries, a greedy cleaning session and a sharded
 //! capture, and read exactly 1 for repeated Algorithm 1 scans of one index.
 //!
+//! Binary status checks on the sharded and RPC engines read MM's extreme
+//! worlds off a second lazy order, counted by `core.similarity.extreme_sorts`:
+//! over a whole cleaning run it moves at most once per index built, and
+//! the full sort still never happens.
+//!
 //! Lives in its own integration-test binary with a single `#[test]`
 //! because the counter is process-wide.
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
-use cp_core::similarity::full_sort_count;
+use cp_core::similarity::{build_count, extreme_sort_count, full_sort_count};
 use cp_core::ss::q2_sortscan_with_index;
 use cp_core::ss_tree::q2_sortscan_tree_with_index;
 use cp_core::{
@@ -20,7 +25,10 @@ use cp_core::{
     IncompleteExample, Pins, SimilarityIndex,
 };
 use cp_numeric::BigUint;
-use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams, ShardStream};
+use cp_rpc::{spawn_server, RpcCoordinator, ServerConfig};
+use cp_shard::{
+    build_shard_indexes, capture_streams, local_pins, q2_from_streams, ShardStream, ShardedSession,
+};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -136,4 +144,24 @@ fn hot_paths_never_sort_the_whole_index() {
         "greedy cleaning session"
     );
     assert!(steps > 0, "the session must clean at least one row");
+
+    // the same problem on the sharded and RPC engines, whose binary status
+    // checks build extreme summaries: at most one extreme sort per index,
+    // no full sort
+    let (builds, extreme, full) = (build_count(), extreme_sort_count(), full_sort_count());
+    let mut sharded = ShardedSession::new(&problem, 2, &opts);
+    while sharded.step().is_some() {}
+    assert!(sharded.converged());
+    let server = spawn_server(ServerConfig::default()).expect("spawn server");
+    let mut remote = RpcCoordinator::connect(&problem, &[server.addr()], &opts).expect("connect");
+    while remote.step().is_some() {}
+    assert!(remote.converged());
+    remote.shutdown().expect("shutdown");
+    let (builds, extreme) = (build_count() - builds, extreme_sort_count() - extreme);
+    assert_eq!(full_sort_count() - full, 0, "sharded and RPC cleaning runs");
+    assert!(extreme > 0, "binary status checks read the extreme order");
+    assert!(
+        extreme <= builds,
+        "{extreme} extreme sorts over {builds} index builds"
+    );
 }
