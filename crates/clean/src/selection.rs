@@ -46,41 +46,31 @@
 //! only diverge if two rows' scores land within ~1e-15 of each other's
 //! exact `1e-12` decision boundary, which the lockstep property tests
 //! (all three engines, random instances) empirically rule out.
+//!
+//! **Per-step cost.** Let `U` be the uncertain validation points, `B ⊆ U`
+//! those whose state a pin invalidated, and `R` the (point, row) cache
+//! misses the branch-and-bound loop evaluates. Each rebuilt state costs its
+//! relevance set — `O(NM + N log K)`: every allowed candidate's similarity,
+//! then `τ`, the K-th largest `minkey` (a row is relevant iff its `maxkey`
+//! is at least `τ`) — plus its base entropy. On the in-process engine all
+//! entropies of one point come from one [`cp_core::PinnedProbabilities`],
+//! opened at the point's first request of the step: one SS-DC opening,
+//! `O(NM + T log T + L·K² log N)` (see [`cp_core::ss_tree`]), then one pass
+//! over the scan's `T`-event tail for the base distribution and one per
+//! missed row, which answers all `M` pins of the row at once in
+//! `O(T·(K² log N + |Γ|·|Y|))`. A step therefore opens at most `|U|` scans
+//! — exactly `|B|` while no pruned row has left a kept state unscored —
+//! where the naive scorer opens `|U| · M · |remaining|`. Only the first 64
+//! points asked keep their opened scan for the step; past them every
+//! request opens its own, so a step opens at most `|B| + |R|` scans, still
+//! one per missed row rather than `M`. With `K = 1` each pin takes the
+//! `O(NM)` K = 1 fast path instead, as the naive scorer does. The sharded
+//! and RPC engines still run `M` pinned scans per miss.
 
 use crate::problem::CleaningProblem;
-use cp_core::Pins;
-use std::cmp::Ordering;
-use std::collections::HashMap;
-
-/// A candidate's position in the global similarity order: similarity first
-/// (by `total_cmp`, matching `SimilarityIndex`'s sort), then `(row, cand)`
-/// ascending — exactly the tie-break the merged shard scan uses, so "more
-/// similar" here means "later in every engine's scan" bit-for-bit.
-#[derive(Clone, Copy, Debug)]
-struct SimKey {
-    sim: f64,
-    row: usize,
-    cand: usize,
-}
-
-impl PartialEq for SimKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for SimKey {}
-impl PartialOrd for SimKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SimKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.sim
-            .total_cmp(&other.sim)
-            .then_with(|| (self.row, self.cand).cmp(&(other.row, other.cand)))
-    }
-}
+use cp_core::similarity::largest_keys;
+use cp_core::{CandKey, Pins};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Per-validation-point cached selection state (see the module docs).
 #[derive(Clone, Debug)]
@@ -176,6 +166,14 @@ pub(crate) fn nan_guard(score: f64) -> f64 {
 /// Conservative top-K relevance of every row for validation point `v` under
 /// `pins` (see the module docs): `relevant[r]` is `false` only if `r` is
 /// outside the top-K in every possible world.
+///
+/// Keys are [`CandKey`]s — similarity by `total_cmp`, then `(row, cand)` —
+/// the order every engine's scan walks, so "more similar" here means "later
+/// in every scan" bit for bit. Fewer than K rows have a least similar
+/// allowed key above row `r`'s most similar one iff that key is at least
+/// `τ`, the K-th largest least similar key (the SS-DC zero-prefix bound,
+/// [`cp_core::ss_tree`]); a row never beats itself, since its least
+/// similar key is at most its most similar one. `O(NM + N log K)`.
 fn relevant_rows(problem: &CleaningProblem, pins: &Pins, v: usize) -> Vec<bool> {
     let ds = &problem.dataset;
     let t = &problem.val_x[v];
@@ -185,39 +183,23 @@ fn relevant_rows(problem: &CleaningProblem, pins: &Pins, v: usize) -> Vec<bool> 
     let mut min_key = Vec::with_capacity(n);
     let mut max_key = Vec::with_capacity(n);
     for row in 0..n {
-        let mut lo: Option<SimKey> = None;
-        let mut hi: Option<SimKey> = None;
-        for cand in 0..ds.set_size(row) {
-            if !pins.allows(row, cand) {
-                continue;
-            }
-            let key = SimKey {
-                sim: kernel.similarity(ds.candidate(row, cand), t),
-                row,
-                cand,
-            };
-            if lo.is_none_or(|cur| key < cur) {
-                lo = Some(key);
-            }
-            if hi.is_none_or(|cur| key > cur) {
-                hi = Some(key);
-            }
-        }
-        min_key.push(lo.expect("every row has at least one allowed candidate"));
-        max_key.push(hi.expect("every row has at least one allowed candidate"));
+        let mut keys = (0..ds.set_size(row))
+            .filter(|&cand| pins.allows(row, cand))
+            .map(|cand| {
+                let sim = kernel.similarity(ds.candidate(row, cand), t);
+                CandKey::new(sim, row as u32, cand as u32)
+            });
+        let first = keys
+            .next()
+            .expect("every row has at least one allowed candidate");
+        let (lo, hi) = keys.fold((first, first), |(lo, hi), key| (lo.min(key), hi.max(key)));
+        min_key.push(lo);
+        max_key.push(hi);
     }
-    let mut sorted_min = min_key;
-    sorted_min.sort_unstable();
-    max_key
-        .iter()
-        .map(|hi| {
-            // rows whose *least* similar allowed candidate still outranks
-            // every allowed candidate of this row — certain to beat it in
-            // every world (a row never beats itself: minkey ≤ maxkey)
-            let certainly_beaten_by = n - sorted_min.partition_point(|key| key <= hi);
-            certainly_beaten_by < k
-        })
-        .collect()
+    let mut top = BinaryHeap::with_capacity(k);
+    largest_keys(min_key, k, &mut top);
+    let tau = top.peek().expect("k_eff is at least 1").0;
+    max_key.into_iter().map(|hi| hi >= tau).collect()
 }
 
 /// The incremental greedy selection (Equation 4) over `remaining`, reusing
@@ -330,6 +312,7 @@ pub fn select_next_incremental<B: SelectionBackend>(
 mod tests {
     use super::*;
     use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn two_row_problem() -> CleaningProblem {
@@ -378,35 +361,63 @@ mod tests {
         assert_eq!(nan_guard(f64::INFINITY), f64::INFINITY);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // relevance by `τ` is the definition: fewer than K rows whose least
+        // similar allowed candidate outranks the row's most similar one
+        #[test]
+        fn relevance_is_fewer_than_k_rows_certainly_ahead(
+            grids in proptest::collection::vec(proptest::collection::vec(-6i32..6, 1..=3), 1..=8),
+            t in -6i32..6,
+            k in 1usize..=5,
+            pin_choices in proptest::collection::vec(0usize..6, 8..=8),
+        ) {
+            let n = grids.len();
+            let examples = grids
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    IncompleteExample::incomplete(g.iter().map(|&x| vec![x as f64]).collect(), i % 2)
+                })
+                .collect();
+            let problem = CleaningProblem {
+                dataset: IncompleteDataset::new(examples, 2).unwrap(),
+                config: CpConfig::new(k),
+                val_x: Arc::new(vec![vec![t as f64]]),
+                truth_choice: vec![None; n],
+                default_choice: vec![None; n],
+            };
+            let mut pins = Pins::none(n);
+            for (row, g) in grids.iter().enumerate() {
+                if pin_choices[row] < g.len() {
+                    pins.pin(row, pin_choices[row]);
+                }
+            }
+            let allowed_keys = |row: usize| -> Vec<CandKey> {
+                (0..grids[row].len())
+                    .filter(|&c| pins.allows(row, c))
+                    .map(|c| CandKey::new(-((grids[row][c] - t) as f64).abs(), row as u32, c as u32))
+                    .collect()
+            };
+            let lo: Vec<CandKey> = (0..n).map(|r| *allowed_keys(r).iter().min().unwrap()).collect();
+            let hi: Vec<CandKey> = (0..n).map(|r| *allowed_keys(r).iter().max().unwrap()).collect();
+            let k_eff = problem.config.k_eff(n);
+            let want: Vec<bool> = (0..n)
+                .map(|r| lo.iter().filter(|&&other| other > hi[r]).count() < k_eff)
+                .collect();
+            prop_assert_eq!(relevant_rows(&problem, &pins, 0), want);
+        }
+    }
+
     #[test]
     fn sim_key_orders_by_similarity_then_ids() {
-        let a = SimKey {
-            sim: 1.0,
-            row: 5,
-            cand: 0,
-        };
-        let b = SimKey {
-            sim: 2.0,
-            row: 0,
-            cand: 0,
-        };
-        let c = SimKey {
-            sim: 1.0,
-            row: 5,
-            cand: 1,
-        };
+        // relevance compares `CandKey`s: similarity by `total_cmp`, then
+        // (row, cand)
+        let a = CandKey::new(1.0, 5, 0);
+        let b = CandKey::new(2.0, 0, 0);
+        let c = CandKey::new(1.0, 5, 1);
         assert!(a < b);
         assert!(a < c);
-        assert!(
-            SimKey {
-                sim: -0.0,
-                row: 0,
-                cand: 0
-            } < SimKey {
-                sim: 0.0,
-                row: 0,
-                cand: 0
-            }
-        );
+        assert!(CandKey::new(-0.0, 0, 0) < CandKey::new(0.0, 0, 0));
     }
 }

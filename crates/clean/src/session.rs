@@ -41,7 +41,8 @@ use crate::problem::CleaningProblem;
 use crate::selection::{nan_guard, select_next_incremental, SelectionBackend, SelectionCache};
 use crate::state::CleaningState;
 use cp_core::{
-    certain_label_with_index, q2_probabilities_with_index, Pins, SimilarityIndex, ValIndexCache,
+    certain_label_with_index, q2_probabilities_with_index, PinnedProbabilities, Pins,
+    SimilarityIndex, ValIndexCache,
 };
 use cp_numeric::stats::entropy_bits;
 use std::convert::Infallible;
@@ -307,11 +308,7 @@ impl CleaningSession {
     /// already exclude are never rescored (see [`crate::selection`]).
     /// Selects the identical row as [`CleaningSession::select_next_naive`].
     pub fn select_next(&self, remaining: &[usize]) -> usize {
-        let mut backend = SessionBackend {
-            problem: &self.problem,
-            pins: self.state.pins(),
-            cache: &self.cache,
-        };
+        let mut backend = SessionBackend::new(&self.problem, self.state.pins(), &self.cache);
         let result = select_next_incremental(
             &self.problem,
             self.state.pins(),
@@ -604,42 +601,66 @@ where
     pick_min_expected_entropy(problem, remaining, &per_val)
 }
 
-/// [`SelectionBackend`] over the session's cached indexes: the exact same
-/// `q2_probabilities_with_index` + `entropy_bits` calls `select_next_with`
-/// makes, so the incremental loop scores bit-identically to the naive one.
+/// Most points whose opened scan a [`SessionBackend`] keeps for the rest
+/// of the call: the first this many points asked. Each kept scan holds its
+/// tally trees, ~0.8 MB at paper scale (N ≈ 6200); every other point opens
+/// a scan per request and drops it at once.
+const KEPT_SWEEPS: usize = 64;
+
+/// [`SelectionBackend`] over the session's cached indexes: every entropy is
+/// `entropy_bits` of a distribution bit-identical to the
+/// `q2_probabilities_with_index` call `select_next_with` makes, so the
+/// incremental loop scores bit-identically to the naive one. A request
+/// answers the base or every pin of a row from one opened
+/// [`PinnedProbabilities`]; the first [`KEPT_SWEEPS`] points asked keep
+/// theirs, so their base entropy and all their missed rows share one
+/// opener, until the backend is dropped at the end of the call.
 struct SessionBackend<'a> {
     problem: &'a CleaningProblem,
     pins: &'a Pins,
     cache: &'a ValIndexCache,
+    sweeps: Vec<Option<PinnedProbabilities<'a>>>,
+    kept: usize,
+}
+
+impl<'a> SessionBackend<'a> {
+    fn new(problem: &'a CleaningProblem, pins: &'a Pins, cache: &'a ValIndexCache) -> Self {
+        SessionBackend {
+            problem,
+            pins,
+            cache,
+            sweeps: (0..problem.val_x.len()).map(|_| None).collect(),
+            kept: 0,
+        }
+    }
+
+    /// `f` over point `v`'s sweep: the kept one, or a newly opened one that
+    /// is kept while fewer than [`KEPT_SWEEPS`] are, else dropped after `f`.
+    fn with_sweep<T>(&mut self, v: usize, f: impl FnOnce(&mut PinnedProbabilities<'a>) -> T) -> T {
+        let (problem, pins, cache) = (self.problem, self.pins, self.cache);
+        let open = || PinnedProbabilities::new(&problem.dataset, &problem.config, &cache[v], pins);
+        if self.sweeps[v].is_none() && self.kept < KEPT_SWEEPS {
+            self.sweeps[v] = Some(open());
+            self.kept += 1;
+        }
+        match &mut self.sweeps[v] {
+            Some(sweep) => f(sweep),
+            None => f(&mut open()),
+        }
+    }
 }
 
 impl SelectionBackend for SessionBackend<'_> {
     type Error = Infallible;
 
     fn base_entropy(&mut self, v: usize) -> Result<f64, Infallible> {
-        Ok(entropy_bits(&q2_probabilities_with_index(
-            &self.problem.dataset,
-            &self.problem.config,
-            &self.cache[v],
-            self.pins,
-        )))
+        Ok(self.with_sweep(v, |sweep| entropy_bits(&sweep.base())))
     }
 
     fn hypothetical_entropies(&mut self, v: usize, row: usize) -> Result<Vec<f64>, Infallible> {
-        let idx = &self.cache[v];
-        let mut pins = self.pins.clone();
-        Ok((0..self.problem.dataset.set_size(row))
-            .map(|j| {
-                pins.with_pin(row, j, |conditioned| {
-                    entropy_bits(&q2_probabilities_with_index(
-                        &self.problem.dataset,
-                        &self.problem.config,
-                        idx,
-                        conditioned,
-                    ))
-                })
-            })
-            .collect())
+        Ok(self.with_sweep(v, |sweep| {
+            sweep.pinned(row).iter().map(|p| entropy_bits(p)).collect()
+        }))
     }
 }
 
@@ -749,6 +770,45 @@ mod tests {
         assert!(session.converged());
         assert_eq!(session.step(), None, "converged session refuses to step");
         assert_eq!(session.n_cleaned(), 1);
+    }
+
+    /// More uncertain validation points than [`KEPT_SWEEPS`]: points past
+    /// the kept ones open a scan per request, and every pick still equals
+    /// the naive scorer's.
+    #[test]
+    fn selection_past_the_kept_sweeps_matches_naive() {
+        let mut examples = Vec::new();
+        let mut truth_choice = Vec::new();
+        for i in 0..24 {
+            let x = i as f64 * 0.5;
+            if i % 2 == 0 {
+                examples.push(IncompleteExample::incomplete(
+                    vec![vec![x], vec![12.0 - x], vec![6.0]],
+                    usize::from(i % 4 == 0),
+                ));
+                truth_choice.push(Some(0));
+            } else {
+                examples.push(IncompleteExample::complete(vec![x], usize::from(x > 6.0)));
+                truth_choice.push(None);
+            }
+        }
+        let n_val = 2 * KEPT_SWEEPS;
+        let p = CleaningProblem {
+            dataset: IncompleteDataset::new(examples, 2).unwrap(),
+            config: CpConfig::new(3),
+            val_x: Arc::new((0..n_val).map(|v| vec![3.0 + v as f64 * 0.05]).collect()),
+            default_choice: truth_choice.iter().map(|c| c.map(|_| 1)).collect(),
+            truth_choice,
+        };
+        let mut session = CleaningSession::new(&p, &opts(1));
+        let uncertain = session.status().iter().filter(|&&c| !c).count();
+        assert!(uncertain > KEPT_SWEEPS, "{uncertain} uncertain points");
+        for _ in 0..3 {
+            let remaining = session.remaining();
+            let row = session.select_next(&remaining);
+            assert_eq!(row, session.select_next_naive(&remaining));
+            session.clean(row);
+        }
     }
 
     /// A NaN score is mapped to +∞ and loses the selection deterministically

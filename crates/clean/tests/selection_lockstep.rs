@@ -16,9 +16,11 @@ use rand::rngs::StdRng;
 
 /// A random small cleaning problem (same family as the session
 /// incrementality suite): 1-D candidate grids with frequent similarity
-/// ties, 2–3 labels, K in 1..=3, plus a seed for the derived randomness.
+/// ties, 2–5 labels, K in 1..=7 — so K = 1 (the fast path), K ≥ N (4..=6
+/// rows) and the label-capped multi-class accumulator (`|Y| = 5`, `K ≥ 4`)
+/// all occur — plus a seed for the derived randomness.
 fn arb_instance() -> impl Strategy<Value = (CleaningProblem, u64)> {
-    (2usize..=3, 4usize..=6, 1usize..=3).prop_flat_map(|(n_labels, n, k)| {
+    (2usize..=5, 4usize..=6, 1usize..=7).prop_flat_map(|(n_labels, n, k)| {
         let example =
             (proptest::collection::vec(-9i32..9, 1..=3), 0..n_labels).prop_map(|(grid, label)| {
                 let candidates: Vec<Vec<f64>> = grid.into_iter().map(|g| vec![g as f64]).collect();

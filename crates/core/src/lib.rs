@@ -91,7 +91,7 @@ pub use poly::ShardFactors;
 pub use queries::{
     certain_label, certain_label_with_index, note_q2_probability_query, prediction_entropy_bits,
     q1, q1_with_index, q2, q2_probabilities, q2_probabilities_with_index, q2_probability_count,
-    q2_with_algorithm, Q2Algorithm,
+    q2_with_algorithm, PinnedProbabilities, Q2Algorithm,
 };
 pub use result::Q2Result;
 pub use similarity::{CandKey, SimilarityIndex};

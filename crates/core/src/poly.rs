@@ -159,6 +159,41 @@ impl<S: CountSemiring> TallyTree<S> {
         self.loaded.push(leaf);
     }
 
+    /// Leaf `leaf`'s polynomial as `(out, in)`, or `None` while it is the
+    /// implicit identity — the state [`TallyTree::reload_leaf`] puts back.
+    ///
+    /// # Panics
+    /// Panics if `leaf >= n_leaves`.
+    pub fn leaf_state(&self, leaf: usize) -> Option<(S, S)> {
+        assert!(leaf < self.n_leaves, "leaf index out of range");
+        if self.identity[self.cap + leaf] {
+            return None;
+        }
+        let poly = self.poly(self.cap + leaf);
+        Some((
+            poly[0].clone(),
+            poly.get(1).cloned().unwrap_or_else(S::zero),
+        ))
+    }
+
+    /// Put back a state read by [`TallyTree::leaf_state`] without
+    /// refreshing its ancestors — [`TallyTree::load_leaf`] that can also
+    /// restore the implicit identity. Call [`TallyTree::rebuild`] before
+    /// reading the tree.
+    ///
+    /// # Panics
+    /// Panics if `leaf >= n_leaves`.
+    pub fn reload_leaf(&mut self, leaf: usize, state: Option<(S, S)>) {
+        match state {
+            Some((out, in_)) => self.load_leaf(leaf, out, in_),
+            None => {
+                assert!(leaf < self.n_leaves, "leaf index out of range");
+                self.identity[self.cap + leaf] = true;
+                self.loaded.push(leaf);
+            }
+        }
+    }
+
     fn write_leaf(&mut self, leaf: usize, out: S, in_: S) {
         assert!(leaf < self.n_leaves, "leaf index out of range");
         let stride = self.k + 1;

@@ -23,6 +23,7 @@
 use crate::bruteforce;
 use crate::config::CpConfig;
 use crate::dataset::IncompleteDataset;
+use crate::mass::UniformMass;
 use crate::mm;
 use crate::pins::Pins;
 use crate::result::Q2Result;
@@ -122,6 +123,86 @@ pub fn q2_probabilities_with_index(
         ss_tree::q2_sortscan_tree_with_index(ds, cfg, idx, pins)
     };
     result.probabilities()
+}
+
+/// Q2 probabilities at one point under a base pin mask and under every
+/// single-row extension of it — CPClean's greedy step, which scores each
+/// row by the distribution under every pin of that row. Each answer is
+/// bit-identical to [`q2_probabilities_with_index`] under the same pins and
+/// counts as one evaluation in [`q2_probability_count`].
+///
+/// With `K ≥ 2` every answer comes from one [`ss_tree::PinSweep`] opened at
+/// construction: the base distribution and all `M` pins of a row each cost
+/// a pass over the scan's short tail instead of a full `O(NM)` opening.
+/// With `K = 1` each answer is the K = 1 fast path, as in
+/// [`q2_probabilities_with_index`].
+#[derive(Debug)]
+pub struct PinnedProbabilities<'a> {
+    ds: &'a IncompleteDataset,
+    cfg: &'a CpConfig,
+    idx: &'a SimilarityIndex,
+    /// The base pins; extended in place, one pin at a time, off the sweep.
+    pins: Pins,
+    sweep: Option<ss_tree::PinSweep<'a, f64, UniformMass>>,
+}
+
+impl<'a> PinnedProbabilities<'a> {
+    /// Open for the point behind `idx` under `pins`.
+    pub fn new(
+        ds: &'a IncompleteDataset,
+        cfg: &'a CpConfig,
+        idx: &'a SimilarityIndex,
+        pins: &Pins,
+    ) -> Self {
+        let k = cfg.k_eff(ds.len());
+        let sweep = (k != 1).then(|| {
+            let use_mc = ss_tree::use_multiclass_accumulator(ds.n_labels(), k);
+            ss_tree::PinSweep::open(ds, idx, pins, k, UniformMass::new(ds, pins), use_mc)
+        });
+        PinnedProbabilities {
+            ds,
+            cfg,
+            idx,
+            pins: pins.clone(),
+            sweep,
+        }
+    }
+
+    /// The distribution under the base pins.
+    pub fn base(&mut self) -> Vec<f64> {
+        match &mut self.sweep {
+            Some(sweep) => {
+                note_q2_probability_query();
+                sweep.base().probabilities()
+            }
+            None => q2_probabilities_with_index(self.ds, self.cfg, self.idx, &self.pins),
+        }
+    }
+
+    /// The distribution under the base pins plus `(row, j)`, for every
+    /// candidate `j` of `row` in index order.
+    pub fn pinned(&mut self, row: usize) -> Vec<Vec<f64>> {
+        let (ds, cfg, idx) = (self.ds, self.cfg, self.idx);
+        match &mut self.sweep {
+            Some(sweep) if self.pins.pinned(row).is_none() => {
+                // the world mass is 1 in probability space, under any pins
+                sweep
+                    .pinned(row, &1.0)
+                    .iter()
+                    .map(|r| {
+                        note_q2_probability_query();
+                        r.probabilities()
+                    })
+                    .collect()
+            }
+            _ => (0..ds.set_size(row))
+                .map(|j| {
+                    self.pins
+                        .with_pin(row, j, |p| q2_probabilities_with_index(ds, cfg, idx, p))
+                })
+                .collect(),
+        }
+    }
 }
 
 /// **Q1 (checking query, Definition 4)**: is `y` predicted in *every*
@@ -278,6 +359,34 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+        // both dispatch arms (K = 1 per pin, K ≥ 2 from one sweep) answer
+        // every pin bit for bit as the standalone query, with and without a
+        // base pin on the first set
+        #[test]
+        fn pinned_probabilities_are_the_standalone_queries(
+            (ds, t, k) in arb_multiclass(),
+            base_pin in 0usize..4,
+        ) {
+            let cfg = CpConfig::new(k);
+            let idx = SimilarityIndex::build(&ds, cfg.kernel, &t);
+            let mut pins = Pins::none(ds.len());
+            if base_pin < ds.set_size(0) {
+                pins.pin(0, base_pin);
+            }
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut sweep = PinnedProbabilities::new(&ds, &cfg, &idx, &pins);
+            for row in 0..ds.len() {
+                let got = sweep.pinned(row);
+                prop_assert_eq!(got.len(), ds.set_size(row));
+                for (j, p) in got.iter().enumerate() {
+                    let want = pins.with_pin(row, j, |q| q2_probabilities_with_index(&ds, &cfg, &idx, q));
+                    prop_assert_eq!(bits(p), bits(&want), "row {} pin {}", row, j);
+                }
+            }
+            let want = q2_probabilities_with_index(&ds, &cfg, &idx, &pins);
+            prop_assert_eq!(bits(&sweep.base()), bits(&want));
+        }
+
         #[test]
         fn multiclass_q1_matches_brute_force((ds, t, k) in arb_multiclass()) {
             let cfg = CpConfig::new(k);

@@ -31,6 +31,21 @@ pub fn accumulate_supports_mc<S: CountSemiring>(
     polys: &[&[S]],
     counts: &mut [S],
 ) {
+    for_each_support_mc(k, yi, boundary, polys, |w, support| {
+        counts[w].add_assign(support)
+    });
+}
+
+/// [`accumulate_supports_mc`] handing each non-zero support term to `sink`
+/// as `(winner, support)`, in the order `accumulate_supports_mc` adds them
+/// (see [`crate::tally::for_each_support`]).
+pub fn for_each_support_mc<S: CountSemiring>(
+    k: usize,
+    yi: Label,
+    boundary: &S,
+    polys: &[&[S]],
+    mut sink: impl FnMut(Label, &S),
+) {
     if boundary.is_zero() {
         return;
     }
@@ -54,7 +69,7 @@ pub fn accumulate_supports_mc<S: CountSemiring>(
         }
     };
 
-    for (w, count_w) in counts.iter_mut().enumerate().take(n_labels) {
+    for w in 0..n_labels {
         for c in 1..=k {
             let ways_w = &pi(w)[c];
             if ways_w.is_zero() {
@@ -86,8 +101,7 @@ pub fn accumulate_supports_mc<S: CountSemiring>(
                 dp = next;
             }
             if !dp[rem].is_zero() {
-                let support = ways_w.mul(&dp[rem]);
-                count_w.add_assign(&support);
+                sink(w, &ways_w.mul(&dp[rem]));
             }
         }
     }

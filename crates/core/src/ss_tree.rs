@@ -66,6 +66,51 @@
 //! `core.ss.events_scanned` and `core.ss.events_skipped` registry counters,
 //! and its leaf counts to `core.ss.sets_folded` and `core.ss.leaves_loaded`.
 //!
+//! ## Every pin of a row from one opener
+//!
+//! CPClean's greedy step (§4.1, Equation 4) needs, for each unpinned row
+//! `r`, the scan under every extra pin `(r, j)`. Opening each of those `M`
+//! scans costs `O(NM)` for a tail of a few events. A [`PinSweep`] opens once,
+//! at the `τ` of the base pins, and answers every pin of every row, and the
+//! base pins themselves, from that opener, each bit-identical to its
+//! standalone scan:
+//!
+//! * **One opener covers every pin.** With `r` unpinned its `f_r` is its
+//!   lowest key; pinning raises `f_r` to `key(r, j)`, which can only raise
+//!   the K-th largest `f`, so the base `τ` is at most every pinned `τ_j`,
+//!   and the base opener's tail holds every event of every pinned scan.
+//! * **Events between `τ` and `τ_j` add nothing to pin `j`.** Under pin
+//!   `j`, at least `K` sets other than the boundary set are fully inside
+//!   the top-K there, so every support is an exact zero (the argument of
+//!   the provably-zero prefix above), which the accumulators skip.
+//! * **`r`'s leaf has two states.** The sweep holds `r`'s leaf at the
+//!   identity. At an event of another set, pin `j` has `r` *in* (its leaf
+//!   `0 + 1·z`) iff `key(r, j)` lies above the event, and *out* (the
+//!   identity, `1 + 0·z`) otherwise. "Out" is the tree as it stands; "in"
+//!   is label(r)'s polynomial shifted up one degree. The polynomial
+//!   products skip zero coefficients and `1·x = x` exactly, so a `z`
+//!   factor is an exact shift under every grouping: each event costs at
+//!   most two support evaluations, whose terms are replayed into the pins
+//!   on each side.
+//! * **`r`'s own event is the boundary of its own pin only.** Event
+//!   `(r, j)` counts for pin `j` alone, with boundary mass `one` (a pinned
+//!   set carries its whole mass on its candidate) and label(r)'s
+//!   polynomial `excluding(leaf(r))`, as in the standalone scan — not
+//!   `root()`, which is the same product grouped differently.
+//! * **Each pin sees the same additions in the same order** as its
+//!   standalone scan: other sets' masses advance in the same per-set order,
+//!   tree nodes are pure functions of their leaves, and the events run in
+//!   the one key order.
+//! * **Restoring the opener is exact.** After every row the masses are
+//!   copied back and every changed leaf reloaded, with one rebuild of its
+//!   ancestors, which recomputes the opener's nodes.
+//!
+//! The sweep opens unfolded even in the exact semirings: the swept row may
+//! be frozen at `τ`, and its leaf must stay separable. The per-event loop
+//! is written once (`run_tail`): the plain scan is that loop with no
+//! swept row. Each swept row adds one to the `core.ss.pin_sweeps` registry
+//! counter.
+//!
 //! The scan is generic over the [`MassModel`], which is how the probabilistic
 //! extension ([`crate::prior`]) reuses it with non-uniform candidate priors.
 
@@ -76,8 +121,9 @@ use crate::pins::Pins;
 use crate::poly::TallyTree;
 use crate::result::Q2Result;
 use crate::similarity::{largest_keys, CandKey, SimilarityIndex};
-use crate::ss_mc::accumulate_supports_mc;
-use crate::tally::{accumulate_supports, composition_count, compositions};
+use crate::ss_mc::for_each_support_mc;
+use crate::tally::{composition_count, compositions, for_each_support};
+use cp_knn::Label;
 use cp_numeric::CountSemiring;
 use std::collections::BinaryHeap;
 
@@ -158,8 +204,8 @@ fn zero_prefix_key(idx: &SimilarityIndex, pins: &Pins, n: usize, k: usize) -> Ca
 /// folded into `frozen` instead of loaded (see the module docs): label
 /// `l`'s polynomial over all of its sets is `frozen[l]` times its tree's.
 ///
-/// The opener shared by [`q2_sortscan_tree`] and the sharded engine's
-/// per-shard scans (`cp-shard`'s `ShardScan`). A shard opens over its own
+/// The opener shared by [`q2_sortscan_tree`], [`PinSweep`] and the sharded
+/// engine's per-shard scans (`cp-shard`'s `ShardScan`). A shard opens over its own
 /// sets with the **global** `k`: below the shard-local `τ_s` at least `k`
 /// of the shard's sets have zero out-mass, so every merged support is an
 /// exact zero whether the shard presents its true factors there or its
@@ -202,8 +248,23 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
         idx: &SimilarityIndex,
         pins: &Pins,
         k: usize,
-        mut mass: M,
+        mass: M,
     ) -> Self {
+        Self::open_with(ds, idx, pins, k, mass, S::EXACT)
+    }
+
+    /// [`TreeScan::open`], folding frozen sets only if `fold` (which needs
+    /// an exact semiring). A pin sweep opens unfolded: the swept row may be
+    /// frozen at `τ`, and its leaf must stay separable.
+    fn open_with(
+        ds: &IncompleteDataset,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        mut mass: M,
+        fold: bool,
+    ) -> Self {
+        debug_assert!(!fold || S::EXACT, "folding needs an exact semiring");
         pins.validate(ds);
         let n = ds.len();
         let tau = zero_prefix_key(idx, pins, n, k);
@@ -252,7 +313,7 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
             if seen == one && unseen == zero {
                 continue;
             }
-            if S::EXACT && below == keys.len() && unseen == zero {
+            if fold && below == keys.len() && unseen == zero {
                 frozen[ds.label(i)].mul_assign(&seen);
                 folded += 1;
             } else {
@@ -283,7 +344,176 @@ pub fn note_events_scanned(n: u64) {
     cp_obs::counter!("core.ss.events_scanned").add(n);
 }
 
-/// The shared tree-based scan over a mass model.
+/// How a scan turns one event's polynomials into support terms: by
+/// enumerating the tally vectors `Γ` (Algorithm A.1) or by the label-capped
+/// DP over slot budget `k` (Algorithm A.2, for many labels).
+#[derive(Debug)]
+enum Supports {
+    Tally(Vec<Vec<u32>>),
+    Capped { k: usize },
+}
+
+impl Supports {
+    fn new(n_labels: usize, k: usize, use_mc: bool) -> Self {
+        if use_mc {
+            Supports::Capped { k }
+        } else {
+            Supports::Tally(compositions(n_labels, k))
+        }
+    }
+
+    /// Hand each non-zero support term of one event to `sink`, in the
+    /// order the accumulators add them.
+    fn each<S: CountSemiring>(
+        &self,
+        yi: Label,
+        boundary: &S,
+        polys: &[&[S]],
+        sink: impl FnMut(Label, &S),
+    ) {
+        match self {
+            Supports::Tally(comps) => for_each_support(comps, yi, boundary, polys, sink),
+            Supports::Capped { k } => for_each_support_mc(*k, yi, boundary, polys, sink),
+        }
+    }
+
+    /// One event's supports added to `counts[p.cand()]` for every pin key
+    /// `p` in `pins`: computed once, then replayed, so each pin's counts
+    /// receive the same additions in the same order as if the accumulator
+    /// had run on them alone.
+    fn add_to_pins<S: CountSemiring>(
+        &self,
+        yi: Label,
+        boundary: &S,
+        polys: &[&[S]],
+        pins: &[CandKey],
+        counts: &mut [Vec<S>],
+        terms: &mut Vec<(Label, S)>,
+    ) {
+        if let [pin] = pins {
+            let counts = &mut counts[pin.cand()];
+            return self.each(yi, boundary, polys, |w, v| counts[w].add_assign(v));
+        }
+        terms.clear();
+        self.each(yi, boundary, polys, |w, v| terms.push((w, v.clone())));
+        for pin in pins {
+            for (w, v) in terms.iter() {
+                counts[pin.cand()][*w].add_assign(v);
+            }
+        }
+    }
+}
+
+/// Leaf states a run changed, as `(set, state before the change)` in change
+/// order ([`TallyTree::leaf_state`]): what restores a pin sweep's opener.
+type UndoLog<S> = Vec<(usize, Option<(S, S)>)>;
+
+/// The row a pin sweep answers every pin of (see the module docs).
+struct Swept<'k> {
+    row: usize,
+    label: Label,
+    leaf: usize,
+    /// The row's candidate keys, ascending; pin `j`'s counts are
+    /// `counts[j]`, with `j = key.cand()`.
+    keys: &'k [CandKey],
+}
+
+/// The per-label polynomials one event's supports read: label `yi`'s with
+/// the boundary set excluded, every other label's whole tree.
+fn event_polys<'p, S: CountSemiring>(
+    trees: &'p [TallyTree<S>],
+    yi: Label,
+    ex: &'p [S],
+) -> Vec<&'p [S]> {
+    (0..trees.len())
+        .map(|l| if l == yi { ex } else { trees[l].root() })
+        .collect()
+}
+
+/// The per-event loop over an opened scan's tail — the one loop every
+/// in-process tree scan runs.
+///
+/// With no swept row every event's supports go to `counts[0]`: the plain
+/// scan. With a swept row `r`, whose leaf the caller holds at the
+/// identity, `counts[j]` receives exactly the additions the standalone
+/// scan under the extra pin `(r, j)` makes (see the module docs). Each set
+/// whose leaf an event changes is logged to `undo` with its state before
+/// the change, so the caller can restore the opener.
+fn run_tail<S: CountSemiring, M: MassModel<S>>(
+    ds: &IncompleteDataset,
+    supports: &Supports,
+    scan: &mut TreeScan<S, M>,
+    swept: Option<&Swept>,
+    counts: &mut [Vec<S>],
+    mut undo: Option<&mut UndoLog<S>>,
+) {
+    let TreeScan {
+        mass,
+        trees,
+        frozen,
+        leaf_pos,
+        tail,
+    } = scan;
+    let one = S::one();
+    let mut terms = Vec::new();
+    let mut shifted = Vec::new();
+
+    for key in tail.iter() {
+        let (i, j) = (key.set(), key.cand());
+        if let Some(r) = swept.filter(|r| r.row == i) {
+            // the swept row's own candidate is the boundary of pin j alone;
+            // a pinned set carries its whole mass, `one`, on it
+            let ex = trees[r.label].excluding(r.leaf);
+            let polys = event_polys(trees, r.label, &ex);
+            let counts = &mut counts[j];
+            supports.each(r.label, &one, &polys, |w, v| counts[w].add_assign(v));
+            continue;
+        }
+        mass.advance(i, j);
+        let yi = ds.label(i);
+        if let Some(undo) = undo.as_deref_mut() {
+            undo.push((i, trees[yi].leaf_state(leaf_pos[i])));
+        }
+        // one leaf changed -> O(K² log N) tree refresh
+        trees[yi].set_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
+        // slot polynomial of yi's sets with the boundary set excluded
+        let ex = trees[yi].excluding(leaf_pos[i]);
+        let boundary = mass.boundary(i, j);
+        let mut polys = event_polys(trees, yi, &ex);
+        let Some(r) = swept else {
+            let counts = &mut counts[0];
+            supports.each(yi, &boundary, &polys, |w, v| counts[w].add_assign(v));
+            continue;
+        };
+        // a pin below this event has already passed: r is out of the top-K
+        // there, its leaf the identity; a pin above it keeps r in, its leaf
+        // `0 + 1·z`, which shifts r's label polynomial by one degree
+        let (out, in_) = r.keys.split_at(r.keys.partition_point(|p| p < key));
+        if !out.is_empty() {
+            supports.add_to_pins(yi, &boundary, &polys, out, counts, &mut terms);
+        }
+        if !in_.is_empty() {
+            let poly = polys[r.label];
+            shifted.clear();
+            shifted.push(S::zero());
+            shifted.extend_from_slice(&poly[..poly.len() - 1]);
+            polys[r.label] = &shifted;
+            supports.add_to_pins(yi, &boundary, &polys, in_, counts, &mut terms);
+        }
+    }
+    note_events_scanned(tail.len() as u64);
+    // a frozen set is never the boundary set, so every support term carries
+    // each label's folded scalar exactly once: multiply them in at the end
+    let scale = cp_numeric::semiring::product(frozen.iter().cloned());
+    if scale != one {
+        for c in counts.iter_mut().flatten() {
+            c.mul_assign(&scale);
+        }
+    }
+}
+
+/// The shared tree-based scan over a mass model: open, then run the tail
+/// with no swept row.
 pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     ds: &IncompleteDataset,
     cfg: &CpConfig,
@@ -292,59 +522,132 @@ pub(crate) fn scan_tree<S: CountSemiring, M: MassModel<S>>(
     mass: M,
     use_mc: bool,
 ) -> Q2Result<S> {
-    let n_labels = ds.n_labels();
     let k = cfg.k_eff(ds.len());
-    let TreeScan {
-        mut mass,
-        mut trees,
-        frozen,
-        leaf_pos,
-        tail,
-    } = TreeScan::open(ds, idx, pins, k, mass);
-
-    let comps = if use_mc {
-        Vec::new()
-    } else {
-        compositions(n_labels, k)
-    };
-    let mut counts = vec![S::zero(); n_labels];
-
-    for key in &tail {
-        let (i, j) = (key.set(), key.cand());
-        mass.advance(i, j);
-        let yi = ds.label(i);
-        // one leaf changed -> O(K² log N) tree refresh
-        trees[yi].set_leaf(leaf_pos[i], mass.seen(i), mass.unseen(i));
-        // slot polynomial of yi's sets with the boundary set excluded
-        let ex = trees[yi].excluding(leaf_pos[i]);
-        let boundary = mass.boundary(i, j);
-
-        let poly_refs: Vec<&[S]> = (0..n_labels)
-            .map(|l| {
-                if l == yi {
-                    ex.as_slice()
-                } else {
-                    trees[l].root()
-                }
-            })
-            .collect();
-        if use_mc {
-            accumulate_supports_mc(k, yi, &boundary, &poly_refs, &mut counts);
-        } else {
-            accumulate_supports(&comps, yi, &boundary, &poly_refs, &mut counts);
-        }
-    }
-    note_events_scanned(tail.len() as u64);
-    // a frozen set is never the boundary set, so every support term carries
-    // each label's folded scalar exactly once: multiply them in at the end
-    let scale = cp_numeric::semiring::product(frozen);
-    if scale != S::one() {
-        counts.iter_mut().for_each(|c| c.mul_assign(&scale));
-    }
-
+    let mut scan = TreeScan::open(ds, idx, pins, k, mass);
+    let supports = Supports::new(ds.n_labels(), k, use_mc);
+    let mut counts = [vec![S::zero(); ds.n_labels()]];
+    run_tail(ds, &supports, &mut scan, None, &mut counts, None);
+    let [counts] = counts;
     Q2Result {
         counts,
-        total: mass.total(),
+        total: scan.mass.total(),
+    }
+}
+
+/// Every single-row pin extension of one (point, base pins) scan, answered
+/// from one opener (see the module docs): [`PinSweep::pinned`] returns, for
+/// an unpinned row `r`, the Q2 result under the base pins plus `(r, j)` for
+/// every candidate `j` — each equal to the standalone scan under those pins
+/// (bit for bit in `f64`) — and [`PinSweep::base`] the result under the
+/// base pins alone. The opener is restored after every call, so calls can
+/// come in any order.
+#[derive(Debug)]
+pub struct PinSweep<'a, S, M> {
+    ds: &'a IncompleteDataset,
+    idx: &'a SimilarityIndex,
+    pins: Pins,
+    supports: Supports,
+    /// Opened at the base pins' `τ`, frozen sets left unfolded.
+    scan: TreeScan<S, M>,
+    /// The opener's masses, copied back after every run.
+    opened_mass: M,
+    undo: UndoLog<S>,
+}
+
+impl<'a, S: CountSemiring, M: MassModel<S> + Clone> PinSweep<'a, S, M> {
+    /// Open the sweep at `τ` of `pins` with slot budget `k`, accumulating
+    /// by the label-capped DP if `use_mc`. `mass` is the mass model under
+    /// `pins`.
+    pub fn open(
+        ds: &'a IncompleteDataset,
+        idx: &'a SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        mass: M,
+        use_mc: bool,
+    ) -> Self {
+        let scan = TreeScan::open_with(ds, idx, pins, k, mass, false);
+        PinSweep {
+            ds,
+            idx,
+            pins: pins.clone(),
+            supports: Supports::new(ds.n_labels(), k, use_mc),
+            opened_mass: scan.mass.clone(),
+            scan,
+            undo: Vec::new(),
+        }
+    }
+
+    /// Q2 under the base pins: the scan [`q2_sortscan_tree_with_index`]
+    /// runs, from this opener.
+    pub fn base(&mut self) -> Q2Result<S> {
+        let mut counts = [vec![S::zero(); self.ds.n_labels()]];
+        self.run(None, &mut counts);
+        let [counts] = counts;
+        Q2Result {
+            counts,
+            total: self.scan.mass.total(),
+        }
+    }
+
+    /// Q2 under the base pins plus `(row, j)`, for every candidate `j` of
+    /// `row` in index order. `total` is the world mass under those pins —
+    /// the same for every `j`: [`MassModel::total`] of the mass model a
+    /// standalone scan under them opens with. Adds one to `core.ss.pin_sweeps`.
+    ///
+    /// # Panics
+    /// Panics if `row` is pinned in the base pins.
+    pub fn pinned(&mut self, row: usize, total: &S) -> Vec<Q2Result<S>> {
+        assert!(
+            self.pins.pinned(row).is_none(),
+            "a pin sweep answers unpinned rows only (row {row} is pinned)"
+        );
+        cp_obs::counter!("core.ss.pin_sweeps").inc();
+        let (ds, idx) = (self.ds, self.idx);
+        let swept = Swept {
+            row,
+            label: ds.label(row),
+            leaf: self.scan.leaf_pos[row],
+            keys: idx.set_keys(row),
+        };
+        // hold the swept row's leaf at the identity for the whole run
+        let tree = &mut self.scan.trees[swept.label];
+        self.undo.push((row, tree.leaf_state(swept.leaf)));
+        tree.reload_leaf(swept.leaf, None);
+        tree.rebuild();
+        let mut counts = vec![vec![S::zero(); ds.n_labels()]; ds.set_size(row)];
+        self.run(Some(&swept), &mut counts);
+        counts
+            .into_iter()
+            .map(|counts| Q2Result {
+                counts,
+                total: total.clone(),
+            })
+            .collect()
+    }
+
+    /// Run the tail, then restore the opener: the masses from their copy,
+    /// the changed leaves from the undo log (latest change first, so each
+    /// ends at its state before the run) with one rebuild of their
+    /// ancestors. Tree nodes are pure functions of their leaves, so the
+    /// restored trees equal the opener's.
+    fn run(&mut self, swept: Option<&Swept>, counts: &mut [Vec<S>]) {
+        run_tail(
+            self.ds,
+            &self.supports,
+            &mut self.scan,
+            swept,
+            counts,
+            Some(&mut self.undo),
+        );
+        self.scan.mass = self.opened_mass.clone();
+        let TreeScan {
+            trees, leaf_pos, ..
+        } = &mut self.scan;
+        for (i, state) in self.undo.drain(..).rev() {
+            trees[self.ds.label(i)].reload_leaf(leaf_pos[i], state);
+        }
+        trees.iter_mut().for_each(TallyTree::rebuild);
     }
 }
 
@@ -359,6 +662,8 @@ fn scan_tree_full_walk<S: CountSemiring, M: MassModel<S>>(
     mut mass: M,
     use_mc: bool,
 ) -> Q2Result<S> {
+    use crate::ss_mc::accumulate_supports_mc;
+    use crate::tally::accumulate_supports;
     pins.validate(ds);
     let n = ds.len();
     let n_labels = ds.n_labels();
@@ -599,6 +904,172 @@ mod tests {
                         assert_eq!(sum, ds.world_count());
                     }
                 }
+            }
+        }
+    }
+
+    /// Every unpinned row of `pins` swept on one opener, forward and then
+    /// in reverse, each pin's answer next to the standalone scan under
+    /// `pins + (row, j)`, and the base answer next to the plain scan.
+    /// `seen` reduces a result to what must match: its bits in `f64`, the
+    /// result itself in the exact semirings. Returns the rows swept.
+    fn check_sweep<S, M, T>(
+        ds: &IncompleteDataset,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        use_mc: bool,
+        mass_under: impl Fn(&Pins) -> M,
+        seen: impl Fn(&Q2Result<S>) -> T,
+    ) -> Vec<usize>
+    where
+        S: CountSemiring,
+        M: MassModel<S> + Clone,
+        T: PartialEq + std::fmt::Debug,
+    {
+        let cfg = CpConfig::new(k);
+        let mut sweep =
+            PinSweep::open(ds, idx, pins, cfg.k_eff(ds.len()), mass_under(pins), use_mc);
+        let rows: Vec<usize> = (0..ds.len())
+            .filter(|&r| pins.pinned(r).is_none())
+            .collect();
+        let mut scratch = pins.clone();
+        let mut forward = Vec::new();
+        for &r in &rows {
+            let total = scratch.with_pin(r, 0, |p| mass_under(p).total());
+            let swept = sweep.pinned(r, &total);
+            assert_eq!(swept.len(), ds.set_size(r));
+            for (j, got) in swept.iter().enumerate() {
+                let want =
+                    scratch.with_pin(r, j, |p| scan_tree(ds, &cfg, idx, p, mass_under(p), use_mc));
+                assert_eq!(seen(got), seen(&want), "row {r} pin {j} mc {use_mc}");
+            }
+            forward.push(swept.iter().map(&seen).collect::<Vec<T>>());
+        }
+        let plain = scan_tree(ds, &cfg, idx, pins, mass_under(pins), use_mc);
+        assert_eq!(seen(&sweep.base()), seen(&plain), "base mc {use_mc}");
+        // the restore is exact: the same opener answers again, in reverse
+        for (&r, want) in rows.iter().zip(&forward).rev() {
+            let total = scratch.with_pin(r, 0, |p| mass_under(p).total());
+            let again: Vec<T> = sweep.pinned(r, &total).iter().map(&seen).collect();
+            assert_eq!(&again, want, "row {r} swept again mc {use_mc}");
+        }
+        rows
+    }
+
+    fn f64_bits(r: &Q2Result<f64>) -> Vec<u64> {
+        r.counts
+            .iter()
+            .chain([&r.total])
+            .map(|c| c.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn sweep_of_rows_straddling_tau_is_every_standalone_scan() {
+        let k = 3;
+        let (ds, t, pins) = large_world_case(1);
+        let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+        // rows with candidates both below τ and in the tail
+        let opened = TreeScan::<f64, _>::open(&ds, &idx, &pins, k, UniformMass::new(&ds, &pins));
+        let straddling = (0..ds.len())
+            .filter(|&r| {
+                let in_tail = opened.tail.iter().filter(|key| key.set() == r).count();
+                pins.pinned(r).is_none() && in_tail > 0 && in_tail < ds.set_size(r)
+            })
+            .count();
+        assert!(straddling > 0, "no row straddles τ");
+        let uniform = |p: &Pins| UniformMass::new(&ds, p);
+        // uniform masses over 4 candidates are dyadic, so f64 products are
+        // exact there; non-dyadic priors make any change of grouping show
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let weights: Vec<Vec<f64>> = (0..ds.len())
+            .map(|i| {
+                let w: Vec<f64> = (0..ds.set_size(i))
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % 1000 + 1) as f64
+                    })
+                    .collect();
+                let sum: f64 = w.iter().sum();
+                w.iter().map(|x| x / sum).collect()
+            })
+            .collect();
+        let weighted = |p: &Pins| WeightedMass::new(&ds, p, weights.clone());
+        for use_mc in [false, true] {
+            check_sweep(&ds, &idx, &pins, k, use_mc, uniform, f64_bits);
+            check_sweep(&ds, &idx, &pins, k, use_mc, weighted, f64_bits);
+        }
+        check_sweep(
+            &ds,
+            &idx,
+            &pins,
+            k,
+            false,
+            uniform,
+            |r: &Q2Result<BigUint>| r.clone(),
+        );
+    }
+
+    /// Every set has one candidate near the test point and two anywhere, so
+    /// near the top of the order — where the supports that decide the
+    /// answer sit — nearly every set straddles the boundary and the label
+    /// polynomials are dense: a product grouped differently from the
+    /// standalone scan's (say, `root()` for the swept row's own event)
+    /// shows in the `f64` bits. 48 sets of 3 candidates in 1-d, |Y| = 2,
+    /// uniform and non-dyadic prior masses.
+    #[test]
+    fn sweep_of_wide_rows_is_every_standalone_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut examples = Vec::new();
+        let mut weights = Vec::new();
+        for _ in 0..48 {
+            let near = 450 + next(100);
+            let candidates = [near, next(1000), next(1000)]
+                .into_iter()
+                .map(|x| vec![x as f64])
+                .collect();
+            examples.push(IncompleteExample::incomplete(candidates, next(2) as usize));
+            let w: Vec<f64> = (0..3).map(|_| (next(1000) + 1) as f64).collect();
+            let sum: f64 = w.iter().sum();
+            weights.push(w.iter().map(|x| x / sum).collect::<Vec<f64>>());
+        }
+        let ds = IncompleteDataset::new(examples, 2).unwrap();
+        let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &[500.0]);
+        let pins = Pins::from_pairs(ds.len(), &[(3, 1), (17, 0)]);
+        let uniform = |p: &Pins| UniformMass::new(&ds, p);
+        let weighted = |p: &Pins| WeightedMass::new(&ds, p, weights.clone());
+        for k in [3, 5] {
+            for use_mc in [false, true] {
+                check_sweep(&ds, &idx, &pins, k, use_mc, uniform, f64_bits);
+                check_sweep(&ds, &idx, &pins, k, use_mc, weighted, f64_bits);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn pin_sweep_is_every_standalone_pinned_scan(
+            (ds, t, k, pins, weights) in arb_scan_case()
+        ) {
+            let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+            for use_mc in [false, true] {
+                let uniform = |p: &Pins| UniformMass::new(&ds, p);
+                check_sweep(&ds, &idx, &pins, k, use_mc, uniform, f64_bits);
+                check_sweep(&ds, &idx, &pins, k, use_mc, uniform, |r: &Q2Result<u128>| r.clone());
+                check_sweep(&ds, &idx, &pins, k, use_mc, uniform, |r: &Q2Result<BigUint>| r.clone());
+                check_sweep(&ds, &idx, &pins, k, use_mc, uniform, |r: &Q2Result<Possibility>| r.clone());
+                let weighted = |p: &Pins| WeightedMass::new(&ds, p, weights.clone());
+                check_sweep(&ds, &idx, &pins, k, use_mc, weighted, f64_bits);
             }
         }
     }

@@ -56,6 +56,22 @@ pub fn accumulate_supports<S: cp_numeric::CountSemiring>(
     polys: &[&[S]],
     counts: &mut [S],
 ) {
+    for_each_support(comps, yi, boundary, polys, |w, support| {
+        counts[w].add_assign(support)
+    });
+}
+
+/// [`accumulate_supports`] handing each non-zero support term to `sink` as
+/// `(winner, support)`, in the order `accumulate_supports` adds them — the
+/// shape a pin sweep ([`crate::ss_tree::PinSweep`]) needs to replay one
+/// event's terms into several pins' counts.
+pub fn for_each_support<S: cp_numeric::CountSemiring>(
+    comps: &[Vec<u32>],
+    yi: Label,
+    boundary: &S,
+    polys: &[&[S]],
+    mut sink: impl FnMut(Label, &S),
+) {
     if boundary.is_zero() {
         return;
     }
@@ -78,7 +94,7 @@ pub fn accumulate_supports<S: cp_numeric::CountSemiring>(
             }
         }
         if !support.is_zero() {
-            counts[tally_winner(gamma)].add_assign(&support);
+            sink(tally_winner(gamma), &support);
         }
     }
 }
