@@ -17,7 +17,7 @@
 
 use crate::dataset::IncompleteDataset;
 use crate::pins::Pins;
-use cp_numeric::CountSemiring;
+use cp_numeric::{CountProduct, CountSemiring};
 use std::sync::Arc;
 
 /// Per-set boundary masses driving the SortScan dynamic programs.
@@ -35,6 +35,14 @@ pub trait MassModel<S: CountSemiring> {
     /// Total mass over all possible worlds (`∏ M_i` for counting semirings,
     /// `1` in probability space).
     fn total(&self) -> S;
+
+    /// `Some(c)` when `set`'s whole mass has passed the boundary and its
+    /// masses are exactly `seen = from_count(c, c)` and `unseen = zero`:
+    /// what lets a scan opener treat a frozen set as a count, without
+    /// building its semiring values. `None` (the default) says nothing.
+    fn settled_count(&self, _set: usize) -> Option<u32> {
+        None
+    }
 }
 
 /// Merge the total world masses of disjoint dataset partitions.
@@ -110,11 +118,14 @@ impl<S: CountSemiring> MassModel<S> for UniformMass {
     }
 
     fn total(&self) -> S {
-        let mut acc = S::one();
-        for &m in &self.sizes {
-            acc.mul_assign(&S::from_count(m, m));
-        }
-        acc
+        let mut acc = CountProduct::default();
+        self.sizes.iter().for_each(|&m| acc.push(m));
+        acc.finish()
+    }
+
+    fn settled_count(&self, set: usize) -> Option<u32> {
+        let m = self.sizes[set];
+        (self.alpha[set] == m).then_some(m)
     }
 }
 

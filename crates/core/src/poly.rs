@@ -71,6 +71,12 @@ pub fn poly_one<S: CountSemiring>(k: usize) -> Vec<S> {
 }
 
 /// Segment tree over per-set slot polynomials with truncated products.
+///
+/// Node storage is made on first write: a fresh tree holds no semiring
+/// values, a node gets its `K + 1` coefficients when a leaf below it is
+/// first written, and a node that has only ever been the identity never
+/// gets any. A scan that loads `L` leaves therefore materializes at most
+/// `L·(log₂ cap + 1)` nodes, whatever the number of leaves.
 #[derive(Clone, Debug)]
 pub struct TallyTree<S> {
     /// Slot budget K: polynomials keep K+1 coefficients.
@@ -79,14 +85,15 @@ pub struct TallyTree<S> {
     n_leaves: usize,
     /// Leaf capacity (next power of two, at least 1).
     cap: usize,
-    /// Flattened node polynomials; node `v` occupies
-    /// `nodes[v*(k+1) .. (v+1)*(k+1)]`. Nodes are 1-indexed (root = 1),
-    /// leaves at `cap + leaf`. Meaningful only where `identity[v]` is false.
+    /// Materialized node polynomials, `k + 1` coefficients each, in the
+    /// order the nodes were first written. Nodes are 1-indexed (root = 1),
+    /// leaves at `cap + leaf`.
     nodes: Vec<S>,
-    /// `identity[v]`: node `v` is the identity polynomial `one`, which its
-    /// slot in `nodes` does not hold — so a fresh tree allocates no
-    /// semiring values, and untouched subtrees cost nothing.
-    identity: Vec<bool>,
+    /// `slot[v]`: node `v`'s polynomial is `nodes[slot[v]·(k+1) ..]`,
+    /// unless the [`IDENTITY`] bit is set: then `v` is the identity
+    /// polynomial `one`, which its storage (if any, [`UNWRITTEN`] if none)
+    /// does not hold — untouched subtrees cost nothing.
+    slot: Vec<u32>,
     /// The identity polynomial `1 + 0·z + …`.
     one: Vec<S>,
     /// Leaves written by [`TallyTree::load_leaf`] whose ancestors the next
@@ -94,22 +101,70 @@ pub struct TallyTree<S> {
     loaded: Vec<usize>,
 }
 
+/// The bit of [`TallyTree::slot`] marking an identity node.
+const IDENTITY: u32 = 1 << 31;
+
+/// [`TallyTree::slot`] of an identity node with no storage yet.
+const UNWRITTEN: u32 = u32::MAX;
+
 impl<S: CountSemiring> TallyTree<S> {
-    /// Build a tree of `n_leaves` identity polynomials.
+    /// Build a tree of `n_leaves` identity polynomials. Allocates no
+    /// semiring values beyond the identity polynomial itself.
     pub fn new(n_leaves: usize, k: usize) -> Self {
         cp_obs::counter!("core.poly.tree_builds").inc();
         let _span = cp_obs::span!("core.poly.tree_build_us");
         let cap = n_leaves.max(1).next_power_of_two();
+        // a slot index must leave the identity bit free
+        assert!(
+            2 * cap <= IDENTITY as usize,
+            "too many leaves for a tally tree"
+        );
         TallyTree {
             k,
             n_leaves,
             cap,
-            nodes: vec![S::zero(); 2 * cap * (k + 1)],
+            nodes: Vec::new(),
             // every node starts as the identity polynomial
-            identity: vec![true; 2 * cap],
+            slot: vec![UNWRITTEN; 2 * cap],
             one: poly_one(k),
             loaded: Vec::new(),
         }
+    }
+
+    /// Number of nodes that have storage: the nodes ever written with a
+    /// polynomial other than the identity. At most `2·cap − 1`.
+    #[cfg(test)]
+    pub(crate) fn materialized_nodes(&self) -> usize {
+        self.nodes.len() / (self.k + 1)
+    }
+
+    /// Leaf capacity: the number of leaf slots, a power of two.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    #[inline]
+    fn is_identity(&self, v: usize) -> bool {
+        self.slot[v] & IDENTITY != 0
+    }
+
+    /// Mark node `v` as not the identity and return the start of its
+    /// coefficients in `nodes`, giving it storage first if it has none;
+    /// the caller writes them. The first node reserves room for two
+    /// leaf-to-root paths.
+    fn materialize(&mut self, v: usize) -> usize {
+        let stride = self.k + 1;
+        if self.slot[v] == UNWRITTEN {
+            if self.nodes.is_empty() {
+                let depth = self.cap.trailing_zeros() as usize;
+                self.nodes.reserve(2 * (depth + 1) * stride);
+            }
+            self.slot[v] = (self.nodes.len() / stride) as u32;
+            self.nodes.resize(self.nodes.len() + stride, S::zero());
+        }
+        self.slot[v] &= !IDENTITY;
+        self.slot[v] as usize * stride
     }
 
     /// Slot budget K.
@@ -124,11 +179,12 @@ impl<S: CountSemiring> TallyTree<S> {
 
     #[inline]
     fn poly(&self, v: usize) -> &[S] {
-        if self.identity[v] {
+        if self.is_identity(v) {
             return &self.one;
         }
         let stride = self.k + 1;
-        &self.nodes[v * stride..(v + 1) * stride]
+        let base = self.slot[v] as usize * stride;
+        &self.nodes[base..base + stride]
     }
 
     /// Set leaf `leaf`'s polynomial to `out + in·z` and refresh its
@@ -166,7 +222,7 @@ impl<S: CountSemiring> TallyTree<S> {
     /// Panics if `leaf >= n_leaves`.
     pub fn leaf_state(&self, leaf: usize) -> Option<(S, S)> {
         assert!(leaf < self.n_leaves, "leaf index out of range");
-        if self.identity[self.cap + leaf] {
+        if self.is_identity(self.cap + leaf) {
             return None;
         }
         let poly = self.poly(self.cap + leaf);
@@ -188,7 +244,7 @@ impl<S: CountSemiring> TallyTree<S> {
             Some((out, in_)) => self.load_leaf(leaf, out, in_),
             None => {
                 assert!(leaf < self.n_leaves, "leaf index out of range");
-                self.identity[self.cap + leaf] = true;
+                self.slot[self.cap + leaf] |= IDENTITY;
                 self.loaded.push(leaf);
             }
         }
@@ -196,9 +252,7 @@ impl<S: CountSemiring> TallyTree<S> {
 
     fn write_leaf(&mut self, leaf: usize, out: S, in_: S) {
         assert!(leaf < self.n_leaves, "leaf index out of range");
-        let stride = self.k + 1;
-        let base = (self.cap + leaf) * stride;
-        self.identity[self.cap + leaf] = false;
+        let base = self.materialize(self.cap + leaf);
         self.nodes[base] = out;
         if self.k >= 1 {
             self.nodes[base + 1] = in_;
@@ -241,26 +295,32 @@ impl<S: CountSemiring> TallyTree<S> {
     }
 
     /// Overwrite internal node `node` with the truncated product of its two
-    /// children, in place. The product of two identities is the identity
-    /// in every semiring, so such a node is marked rather than multiplied.
+    /// children. The product of two identities is the identity in every
+    /// semiring, so such a node is marked rather than multiplied.
     fn refresh(&mut self, node: usize) {
         let (l, r) = (2 * node, 2 * node + 1);
-        if self.identity[l] && self.identity[r] {
-            self.identity[node] = true;
+        if self.is_identity(l) && self.is_identity(r) {
+            self.slot[node] |= IDENTITY;
             return;
         }
-        self.identity[node] = false;
         let stride = self.k + 1;
-        // children live at 2·node and 2·node + 1, strictly after the parent
-        let (head, children) = self.nodes.split_at_mut(l * stride);
-        let (left, right) = children[..2 * stride].split_at(stride);
-        let one = self.one.as_slice();
-        poly_mul_into(
-            if self.identity[l] { one } else { left },
-            if self.identity[r] { one } else { right },
-            self.k,
-            &mut head[node * stride..(node + 1) * stride],
-        );
+        let at = self.materialize(node);
+        // each child's storage lies before or after the node's
+        let (before, rest) = self.nodes.split_at_mut(at);
+        let (out, after) = rest.split_at_mut(stride);
+        let child = |v: usize| -> &[S] {
+            let slot = self.slot[v];
+            if slot & IDENTITY != 0 {
+                return &self.one;
+            }
+            let c = slot as usize * stride;
+            if c < at {
+                &before[c..c + stride]
+            } else {
+                &after[c - at - stride..][..stride]
+            }
+        };
+        poly_mul_into(child(l), child(r), self.k, out);
     }
 
     /// Every node's polynomial, root first — the whole tree as a reader

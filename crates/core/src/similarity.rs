@@ -11,9 +11,10 @@
 //!
 //! [`SimilarityIndex::build`] costs `O(NM + N·M log M)`: it computes the `NM`
 //! similarities into one flat per-set array and orders each set's few
-//! candidates by key, with no global sort. That is all MM needs (a set's
-//! least and most similar candidates are the two ends of its order) and all
-//! the tree scans need: their opener ([`crate::ss_tree::TreeScan::open`])
+//! candidates by key (a fixed compare-exchange network for 4), with
+//! no global sort. That is all MM needs (a set's least and most similar
+//! candidates are the two ends of its order) and all the tree scans need:
+//! their opener ([`crate::ss_tree::TreeScan::open`])
 //! sorts only the candidates at or above its zero-prefix bound. The full
 //! ascending order — [`SimilarityIndex::order`], [`SimilarityIndex::rank`],
 //! [`SimilarityIndex::sim_at`], an `O(NM log NM)` sort — is built lazily,
@@ -136,6 +137,25 @@ pub fn largest_keys(
     }
 }
 
+/// Sort a candidate set's values ascending: a set of 4 — the `M` of every
+/// benchmark workload — by a fixed compare-exchange network, whose
+/// exchanges are selects rather than branches, any other by
+/// `sort_unstable`. The keys of one set are distinct, so every correct
+/// sort leaves the same order.
+pub(crate) fn sort_small<T: Copy + Ord>(v: &mut [T]) {
+    let Ok(v) = <&mut [T; 4]>::try_from(&mut *v) else {
+        v.sort_unstable();
+        return;
+    };
+    // each (i, j), i < j, puts the smaller of v[i], v[j] at i
+    for (i, j) in [(0, 2), (1, 3), (0, 1), (2, 3), (1, 2)] {
+        let (a, b) = (v[i], v[j]);
+        let swap = b < a;
+        v[i] = if swap { b } else { a };
+        v[j] = if swap { a } else { b };
+    }
+}
+
 /// Per-set similarity structure for one test point, plus the lazily built
 /// full ascending order.
 #[derive(Clone, Debug)]
@@ -169,7 +189,10 @@ impl SimilarityIndex {
     /// Compute all candidate similarities to `t` and order each set's
     /// candidates by key.
     ///
-    /// Cost: `O(NM + N·M log M)` — no global sort (see the module docs).
+    /// Cost: `O(NM + N·M log M)` — no global sort (see the module docs). A
+    /// set of 4 candidates is ordered by a fixed compare-exchange network
+    /// (5 selects, no data-dependent branches), any other by
+    /// `sort_unstable`; the `NM` kernel evaluations dominate either way.
     ///
     /// # Panics
     /// Panics if `t`'s dimension does not match the dataset.
@@ -189,7 +212,7 @@ impl SimilarityIndex {
                 sims.push(s);
                 keys.push(CandKey::new(s, i as u32, j as u32));
             }
-            keys[base..].sort_unstable();
+            sort_small(&mut keys[base..]);
             offsets.push(sims.len() as u32);
         }
         SimilarityIndex {
@@ -523,6 +546,41 @@ mod tests {
                 prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
                 prop_assert!(keys.iter().all(|k| k.set() == i));
             }
+        }
+    }
+
+    /// The 0-1 principle: a comparator network sorts every input iff it
+    /// sorts every 0-1 input, so the 4-network is checked on all 16 of them.
+    #[test]
+    fn the_four_network_sorts_every_zero_one_input() {
+        for bits in 0u32..16 {
+            let mut v: Vec<u8> = (0..4).map(|b| (bits >> b & 1) as u8).collect();
+            sort_small(&mut v);
+            let ones = bits.count_ones() as usize;
+            let expected: Vec<u8> = (0..4).map(|b| u8::from(b >= 4 - ones)).collect();
+            assert_eq!(v, expected, "input {bits:04b}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn small_set_sort_is_sort_unstable_under_tied_similarities(
+            sims in proptest::collection::vec(-2i32..=2, 0..=12),
+            set in 0u32..1000,
+            listing in 0u32..1000,
+        ) {
+            // few distinct similarities, so most keys tie on them and are
+            // ordered by candidate; candidates listed in a scrambled order
+            let mut keys: Vec<CandKey> = sims
+                .iter()
+                .enumerate()
+                // 7 is coprime to 13: distinct candidates
+                .map(|(j, &g)| CandKey::new(g as f64 * 0.5, set, (j as u32 * 7 + listing) % 13))
+                .collect();
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            sort_small(&mut keys);
+            prop_assert_eq!(keys, expected);
         }
     }
 

@@ -50,14 +50,32 @@
 //! not exact (its products round), so its frozen dirty rows stay leaves,
 //! and `f64` takes exactly the unfolded path.
 //!
+//! The opener decides a frozen set on its size alone when the mass model
+//! reports one ([`MassModel::settled_count`]: a frozen set under
+//! [`UniformMass`] has the leaf `from_count(M_i, M_i) + 0·z`). Whether that
+//! leaf is the identity is asked once per distinct size, and a folded set
+//! multiplies `M_i` into its label's `u32` product ([`CountProduct`]),
+//! which is lifted into the semiring only when it would overflow — the
+//! count law of [`CountSemiring::EXACT`] makes that the same scalar as one
+//! semiring multiply per set. A frozen set still advances its mass one
+//! candidate at a time, so non-uniform masses keep their per-candidate
+//! sums, and the world total `∏ M_i` batches the same way.
+//!
 //! Overall: the index costs `O(NM + N·M log M)` per build
-//! ([`SimilarityIndex::build`], no global sort) and a scan
-//! `O(NM + T log T + L·K² log N + T·(K² log N + |Γ|·|Y|))`, where `T` is
-//! the number of allowed candidates at or above `τ` and `L` the number of
-//! loaded leaves (non-identity and not folded) — against the full walk's
-//! `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline complexity of
-//! Figure 4's third row. The paper's `O(NM log NM)` sorting term becomes
-//! `O(NM + N·M log M)` per build plus `O(NM + T log T)` per scan.
+//! ([`SimilarityIndex::build`], no global sort; sets of 4 candidates are
+//! ordered by a branch-free network) and a scan
+//! `O(NM + T log T + L·K² log N + T·(K² log N + |Γ|·|Y|))`,
+//! where `T` is the number of allowed candidates at or above `τ` and `L`
+//! the number of loaded leaves (non-identity and not folded) — against the
+//! full walk's `O(NM·(log NM + K² log N + |Γ|·|Y|))`, the headline
+//! complexity of Figure 4's third row. Its `O(NM)` term is integer work: a
+//! tally bump per candidate below `τ` and a size test per set, with no
+//! semiring value built for a frozen set. The trees allocate storage only
+//! for the `≤ L·(log₂ N + 1)` nodes above loaded leaves, `K + 1`
+//! coefficients each, and the exact semirings lift one batch per 32 bits
+//! of folded sizes (`N·log₂ M / 32` values) instead of one value per set.
+//! The paper's `O(NM log NM)` sorting term becomes `O(NM + N·M log M)` per
+//! build plus `O(NM + T log T)` per scan.
 //!
 //! The opening — masses below `τ`, the sorted tail, trees built at `τ` — is
 //! [`TreeScan::open`], shared with the sharded engine's per-shard scans,
@@ -124,7 +142,7 @@ use crate::similarity::{largest_keys, CandKey, SimilarityIndex};
 use crate::ss_mc::for_each_support_mc;
 use crate::tally::{composition_count, compositions, for_each_support};
 use cp_knn::Label;
-use cp_numeric::CountSemiring;
+use cp_numeric::{CountProduct, CountSemiring};
 use std::collections::BinaryHeap;
 
 /// Above this many tally vectors the scan switches from enumerating `Γ`
@@ -195,6 +213,16 @@ fn zero_prefix_key(idx: &SimilarityIndex, pins: &Pins, n: usize, k: usize) -> Ca
     top.peek().expect("k > 0 sets").0
 }
 
+/// Whether `from_count(c, c)` is the identity in `S`, memoized per count
+/// in `memo`: a frozen set of that size then leaves its tree as it is.
+fn is_unit_count<S: CountSemiring>(memo: &mut Vec<Option<bool>>, c: u32) -> bool {
+    let c = c as usize;
+    if c >= memo.len() {
+        memo.resize(c + 1, None);
+    }
+    *memo[c].get_or_insert_with(|| S::from_count(c as u32, c as u32) == S::one())
+}
+
 /// A tree scan opened where a support can first be non-zero: the masses
 /// advanced over the provably-zero prefix (every allowed candidate keyed
 /// below `τ`), one tally tree per label built once there, and the allowed
@@ -239,7 +267,9 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
     /// ascending key order (the per-set `advance` sequence of the full
     /// walk, so every mass is bit-identical), only the candidates at or
     /// above `τ` are sorted, and only leaves other than the identity
-    /// `1 + 0·z` that are not folded are loaded into the trees.
+    /// `1 + 0·z` that are not folded are loaded into the trees, which give
+    /// storage only to the nodes above them. A frozen set with a settled
+    /// count is decided by integer work alone (see the module docs).
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against `ds`.
@@ -283,9 +313,15 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
         // per set: below τ only the mass moves, at or above it are the
         // events; the set's leaf at τ is then final: left out if it is the
         // identity, folded if it is frozen and the semiring exact, loaded
-        // otherwise
+        // otherwise. A frozen set whose mass model reports its settled
+        // count `c` is decided on `c` alone: its leaf `from_count(c, c)` is
+        // the identity for a memoized set of counts, and folding multiplies
+        // `c` into its label's integer product
         let (one, zero) = (S::one(), S::zero());
-        let mut frozen = vec![S::one(); ds.n_labels()];
+        let mut folds: Vec<CountProduct<S>> = (0..ds.n_labels())
+            .map(|_| CountProduct::default())
+            .collect();
+        let mut unit_counts = Vec::new();
         let (mut skipped, mut folded, mut loaded) = (0u64, 0u64, 0u64);
         let mut tail = Vec::new();
         for i in 0..n {
@@ -298,29 +334,38 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
                 None => idx.set_keys(i),
             };
             // the allowed keys ascend, so a frozen set — all of its
-            // candidates below τ — costs one comparison
-            let below = if keys[keys.len() - 1] < tau {
-                keys.len()
+            // candidates below τ — is told by one comparison
+            if keys[keys.len() - 1] < tau {
+                for key in keys {
+                    mass.advance(i, key.cand());
+                }
+                skipped += keys.len() as u64;
+                if let Some(c) = mass.settled_count(i) {
+                    if is_unit_count::<S>(&mut unit_counts, c) {
+                        continue;
+                    }
+                    if fold {
+                        folds[ds.label(i)].push(c);
+                        folded += 1;
+                        continue;
+                    }
+                }
             } else {
-                keys.partition_point(|key| *key < tau)
-            };
-            for key in &keys[..below] {
-                mass.advance(i, key.cand());
+                let below = keys.partition_point(|key| *key < tau);
+                for key in &keys[..below] {
+                    mass.advance(i, key.cand());
+                }
+                skipped += below as u64;
+                tail.extend_from_slice(&keys[below..]);
             }
-            skipped += below as u64;
-            tail.extend_from_slice(&keys[below..]);
             let (seen, unseen) = (mass.seen(i), mass.unseen(i));
             if seen == one && unseen == zero {
                 continue;
             }
-            if fold && below == keys.len() && unseen == zero {
-                frozen[ds.label(i)].mul_assign(&seen);
-                folded += 1;
-            } else {
-                trees[ds.label(i)].load_leaf(leaf_pos[i], seen, unseen);
-                loaded += 1;
-            }
+            trees[ds.label(i)].load_leaf(leaf_pos[i], seen, unseen);
+            loaded += 1;
         }
+        let frozen = folds.into_iter().map(CountProduct::finish).collect();
         tail.sort_unstable();
         cp_obs::counter!("core.ss.events_skipped").add(skipped);
         cp_obs::counter!("core.ss.sets_folded").add(folded);
@@ -908,6 +953,137 @@ mod tests {
         }
     }
 
+    /// `n_far` sets far from the test point at 0, of every size 1..=9 in
+    /// turn and alternating between two labels, plus four two-candidate
+    /// sets near it that hold `τ` (K ≤ 4) and the whole tail: every far
+    /// set is frozen, and per label the far sizes multiply past 2^32, so
+    /// the opener's integer batches flush. With `pinned`, every seventh
+    /// far set and the nearest set are pinned.
+    fn frozen_sizes_case(n_far: usize, pinned: bool) -> (IncompleteDataset, Vec<f64>, Pins) {
+        let mut examples = Vec::new();
+        let mut pins = Vec::new();
+        for i in 0..n_far {
+            let side = if i % 3 == 0 { -1.0 } else { 1.0 };
+            let candidates = (0..i % 9 + 1)
+                .map(|j| vec![side * (10 + (i * 13 + j * 7) % 50) as f64])
+                .collect();
+            examples.push(IncompleteExample::incomplete(candidates, i % 2));
+            if pinned && i % 7 == 3 {
+                pins.push((i, i % (i % 9 + 1)));
+            }
+        }
+        for q in 0..4 {
+            let x = q as f64 + 1.0;
+            examples.push(IncompleteExample::incomplete(
+                vec![vec![x], vec![-x - 0.5]],
+                q % 2,
+            ));
+        }
+        if pinned {
+            pins.push((n_far, 1));
+        }
+        let ds = IncompleteDataset::new(examples, 2).unwrap();
+        let pins = Pins::from_pairs(ds.len(), &pins);
+        (ds, vec![0.0], pins)
+    }
+
+    #[test]
+    fn batched_frozen_sizes_scan_is_the_full_walk() {
+        // 48 far sets: ∏ sizes < 2^128, within u128; 200: past 2^128
+        for (n_far, pinned) in [(48, false), (48, true), (200, false), (200, true)] {
+            let (ds, t, pins) = frozen_sizes_case(n_far, pinned);
+            let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+            for k in [2, 3] {
+                let cfg = CpConfig::new(k);
+                let mass = UniformMass::new(&ds, &pins);
+                let opened = TreeScan::<BigUint, _>::open(&ds, &idx, &pins, k, mass.clone());
+                assert!(opened.tail.iter().all(|key| key.set() >= n_far));
+                for f in &opened.frozen {
+                    assert!(f.bit_len() > 32, "n_far {n_far} k {k}: fold {f}");
+                }
+                if n_far == 48 {
+                    let opened = TreeScan::<u128, _>::open(&ds, &idx, &pins, k, mass.clone());
+                    assert!(opened.frozen.iter().all(|&f| f > 1 << 32));
+                }
+                // ScaledF64 is inexact: it folds nothing and loads every
+                // frozen leaf whose size is not 1
+                let scaled = TreeScan::<ScaledF64, _>::open(&ds, &idx, &pins, k, mass);
+                assert!(scaled.frozen.iter().all(|f| *f == ScaledF64::one()));
+                let in_tail = |i| scaled.tail.iter().any(|key| key.set() == i);
+                let expected = (0..ds.len())
+                    .filter(|&i| pins.eff_size(&ds, i) > 1 || in_tail(i))
+                    .count();
+                let loaded: usize = (0..ds.len())
+                    .filter(|&i| {
+                        scaled.trees[ds.label(i)]
+                            .leaf_state(scaled.leaf_pos[i])
+                            .is_some()
+                    })
+                    .count();
+                assert_eq!(loaded, expected, "n_far {n_far} k {k}");
+                for use_mc in [false, true] {
+                    let what = format!("n_far {n_far} pinned {pinned} k {k} mc {use_mc}");
+                    if n_far == 48 {
+                        let (fast, full) = both_scans::<u128>(&ds, &cfg, &idx, &pins, use_mc);
+                        assert_eq!(fast.counts, full.counts, "{what}");
+                        assert_eq!(fast.total, full.total, "{what}");
+                    }
+                    let (fast, full) = both_scans::<BigUint>(&ds, &cfg, &idx, &pins, use_mc);
+                    assert_eq!(fast.counts, full.counts, "{what}");
+                    assert_eq!(fast.total, full.total, "{what}");
+                    let (fast, full) = both_scans::<Possibility>(&ds, &cfg, &idx, &pins, use_mc);
+                    assert_eq!(fast.counts, full.counts, "{what}");
+                    let (fast, full) = both_scans::<ScaledF64>(&ds, &cfg, &idx, &pins, use_mc);
+                    assert!(
+                        fast.counts == full.counts && fast.total == full.total,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `(loaded leaves, materialized nodes, depth)` of each tree.
+    fn tree_storage<S: CountSemiring>(trees: &[TallyTree<S>]) -> Vec<(usize, usize, usize)> {
+        trees
+            .iter()
+            .map(|tree| {
+                let loaded = (0..tree.n_leaves())
+                    .filter(|&leaf| tree.leaf_state(leaf).is_some())
+                    .count();
+                let depth = tree.capacity().trailing_zeros() as usize;
+                (loaded, tree.materialized_nodes(), depth)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trees_materialize_only_the_paths_of_loaded_leaves() {
+        let k = 3;
+        for seed in 1..=3 {
+            let (ds, t, pins) = large_world_case(seed);
+            let idx = SimilarityIndex::build(&ds, Kernel::NegEuclidean, &t);
+            let mass = UniformMass::new(&ds, &pins);
+            let f64_scan = TreeScan::<f64, _>::open(&ds, &idx, &pins, k, mass.clone());
+            let big_scan = TreeScan::<BigUint, _>::open(&ds, &idx, &pins, k, mass.clone());
+            let storage = tree_storage(&f64_scan.trees)
+                .into_iter()
+                .chain(tree_storage(&big_scan.trees));
+            for (loaded, nodes, depth) in storage {
+                assert!(nodes <= loaded * (depth + 1), "seed {seed}: {nodes} nodes");
+            }
+            // a sweep over every unpinned row writes each node at most once
+            let mut sweep = PinSweep::<f64, _>::open(&ds, &idx, &pins, k, mass, false);
+            for row in (0..ds.len()).filter(|&r| pins.pinned(r).is_none()) {
+                sweep.pinned(row, &1.0);
+            }
+            sweep.base();
+            for tree in &sweep.scan.trees {
+                assert!(tree.materialized_nodes() <= 2 * tree.capacity());
+            }
+        }
+    }
+
     /// Every unpinned row of `pins` swept on one opener, forward and then
     /// in reverse, each pin's answer next to the standalone scan under
     /// `pins + (row, j)`, and the base answer next to the plain scan.
@@ -1091,6 +1267,9 @@ mod tests {
                 .collect();
             let mut mass = WeightedMass::new(&ds, &pins, weights);
             let opened = TreeScan::<f64, _>::open(&ds, &idx, &pins, k, mass.clone());
+            for (loaded, nodes, depth) in tree_storage(&opened.trees) {
+                prop_assert!(nodes <= loaded * (depth + 1));
+            }
             let tail: Vec<(usize, usize)> =
                 opened.tail.iter().map(|key| (key.set(), key.cand())).collect();
             prop_assert_eq!(tail, expected);

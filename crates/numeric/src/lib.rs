@@ -25,4 +25,4 @@ pub mod stats;
 
 pub use biguint::BigUint;
 pub use scaled::ScaledF64;
-pub use semiring::{CountSemiring, DivSemiring, Possibility};
+pub use semiring::{CountProduct, CountSemiring, DivSemiring, Possibility};

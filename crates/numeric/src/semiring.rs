@@ -37,13 +37,18 @@ pub trait CountSemiring: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'st
     fn mul(&self, other: &Self) -> Self;
 
     /// Whether `add` and `mul` are exact: reordering or regrouping any sum
-    /// or product yields the identical value.
+    /// or product yields the identical value. An exact semiring also lifts
+    /// counts multiplicatively: `from_count(1, 1) == one()`, and
+    /// `from_count(a·b, a·b) == from_count(a, a) ⊗ from_count(b, b)` whenever
+    /// `a·b` fits a `u32`.
     ///
     /// The tree scans fold a label's frozen candidate sets into one scalar
     /// and multiply it in once, instead of carrying each set as a tree leaf,
     /// only when this holds: a scalar times a polynomial then equals the
-    /// tree's product bit for bit. The floating-point types keep the default
-    /// `false`, because their products round.
+    /// tree's product bit for bit. The count law lets [`CountProduct`]
+    /// multiply many set sizes as machine integers and lift the product
+    /// once. The floating-point types keep the default `false`, because
+    /// their products round.
     const EXACT: bool = false;
 
     /// In-place addition (override for allocation-heavy types).
@@ -294,6 +299,63 @@ pub fn product<S: CountSemiring>(items: impl IntoIterator<Item = S>) -> S {
         acc.mul_assign(&item);
     }
     acc
+}
+
+/// The product of `from_count(c, c)` over a stream of counts `c` — a
+/// world count `∏ M_i` or a label's folded frozen sets.
+///
+/// In an exact semiring ([`CountSemiring::EXACT`]) the counts multiply as a
+/// `u32` and the product is lifted into `S` only when the next count would
+/// overflow it (and once at the end), which the count law makes equal to
+/// lifting every count. Any other semiring multiplies each lifted count in
+/// turn, the one-at-a-time grouping.
+#[derive(Clone, Debug)]
+pub struct CountProduct<S> {
+    acc: S,
+    /// Counts not yet lifted into `acc`, multiplied (exact semirings only).
+    pending: u32,
+}
+
+impl<S: CountSemiring> Default for CountProduct<S> {
+    fn default() -> Self {
+        CountProduct {
+            acc: S::one(),
+            pending: 1,
+        }
+    }
+}
+
+impl<S: CountSemiring> CountProduct<S> {
+    /// Multiply `from_count(count, count)` in.
+    #[inline]
+    pub fn push(&mut self, count: u32) {
+        if !S::EXACT {
+            self.acc.mul_assign(&S::from_count(count, count));
+            return;
+        }
+        match self.pending.checked_mul(count) {
+            Some(p) => self.pending = p,
+            None => {
+                self.flush();
+                self.pending = count;
+            }
+        }
+    }
+
+    /// Lift the pending counts into the accumulated value.
+    fn flush(&mut self) {
+        if self.pending != 1 {
+            self.acc
+                .mul_assign(&S::from_count(self.pending, self.pending));
+            self.pending = 1;
+        }
+    }
+
+    /// The product of every count pushed (`one` when none was).
+    pub fn finish(mut self) -> S {
+        self.flush();
+        self.acc
+    }
 }
 
 /// Fold a sum over an iterator of semiring values.

@@ -10,7 +10,7 @@
 //! Every type that declares [`CountSemiring::EXACT`] passes the exact laws,
 //! in-place twins included; the floating-point types must not declare it.
 
-use cp_numeric::{BigUint, CountSemiring, Possibility, ScaledF64};
+use cp_numeric::{BigUint, CountProduct, CountSemiring, Possibility, ScaledF64};
 use proptest::prelude::*;
 
 /// Check every exact law on one operand triple.
@@ -173,6 +173,50 @@ proptest! {
     }
 
     #[test]
+    fn exact_semirings_lift_counts_multiplicatively(
+        shift in 0u32..=32,
+        a in 0u32..=u32::MAX,
+        b in 0u32..=u32::MAX,
+    ) {
+        // a of every magnitude, then b shrunk until a·b fits a u32
+        let a = a.checked_shr(shift).unwrap_or(0);
+        let b = match u32::MAX.checked_div(a) {
+            Some(most) => (b as u64 % (most as u64 + 1)) as u32,
+            None => b,
+        };
+        if let Err(msg) = check_count_law::<u128>(a, b)
+            .and(check_count_law::<BigUint>(a, b))
+            .and(check_count_law::<Possibility>(a, b))
+        {
+            prop_assert!(false, "{msg}");
+        }
+    }
+
+    #[test]
+    fn batched_count_products_equal_one_at_a_time(
+        counts in proptest::collection::vec(0u32..=9, 0..=240),
+        big in proptest::collection::vec(1u32..=u32::MAX, 0..=6),
+    ) {
+        // small set sizes plus a few counts that overflow a u32 at once
+        let mut counts = counts;
+        for (i, c) in big.into_iter().enumerate() {
+            counts.insert((i * 37) % (counts.len() + 1), c);
+        }
+        prop_assert_eq!(batched::<BigUint>(&counts), one_at_a_time::<BigUint>(&counts));
+        prop_assert_eq!(batched::<Possibility>(&counts), one_at_a_time::<Possibility>(&counts));
+        // u128 panics on overflow, so only where no partial product overflows
+        let nonzero: Vec<u32> = counts.iter().copied().filter(|&c| c > 0).collect();
+        if one_at_a_time::<BigUint>(&nonzero).to_u128().is_some() {
+            prop_assert_eq!(batched::<u128>(&counts), one_at_a_time::<u128>(&counts));
+        }
+        // the inexact semirings lift set sizes, never 0
+        counts.retain(|&c| c > 0);
+        let bits = batched::<f64>(&counts).to_bits();
+        prop_assert_eq!(bits, one_at_a_time::<f64>(&counts).to_bits());
+        prop_assert!(batched::<ScaledF64>(&counts) == one_at_a_time::<ScaledF64>(&counts));
+    }
+
+    #[test]
     fn from_count_is_consistent_across_semirings(count in 0u32..7, extra in 0u32..7) {
         let set_size = count + extra + 1;
         let exact = u128::from_count(count, set_size);
@@ -182,6 +226,57 @@ proptest! {
         prop_assert!((p - count as f64 / set_size as f64).abs() < 1e-15);
         prop_assert!((ScaledF64::from_count(count, set_size).to_f64() - exact as f64).abs() < 1e-9);
     }
+}
+
+/// The count law of [`CountSemiring::EXACT`] on one pair `a·b ≤ u32::MAX`,
+/// plus `from_count(1, 1) == one()`.
+fn check_count_law<S: CountSemiring>(a: u32, b: u32) -> Result<(), String> {
+    let ab = a * b;
+    let (l, r) = (
+        S::from_count(ab, ab),
+        S::from_count(a, a).mul(&S::from_count(b, b)),
+    );
+    if l != r {
+        return Err(format!("from_count({a}·{b}): {l:?} != {r:?}"));
+    }
+    if S::from_count(1, 1) != S::one() {
+        return Err("from_count(1, 1) is not one".into());
+    }
+    Ok(())
+}
+
+fn batched<S: CountSemiring>(counts: &[u32]) -> S {
+    let mut p = CountProduct::<S>::default();
+    counts.iter().for_each(|&c| p.push(c));
+    p.finish()
+}
+
+/// The product with every count lifted and multiplied in turn.
+fn one_at_a_time<S: CountSemiring>(counts: &[u32]) -> S {
+    let mut acc = S::one();
+    for &c in counts {
+        acc.mul_assign(&S::from_count(c, c));
+    }
+    acc
+}
+
+#[test]
+fn batched_count_products_cross_the_u32_flush_and_2_pow_128() {
+    // 9^10 > 2^31: every eleventh count or so flushes the u32 batch
+    let nines = [9u32; 40];
+    let exact = one_at_a_time::<u128>(&nines);
+    assert!(exact > 1 << 126, "9^40 is just below 2^128");
+    assert_eq!(batched::<u128>(&nines), exact);
+    let sizes: Vec<u32> = (0..300).map(|i| i % 9 + 1).collect();
+    let big = batched::<BigUint>(&sizes);
+    assert!(big.bit_len() > 128 * 4, "{}", big.bit_len());
+    assert_eq!(big, one_at_a_time::<BigUint>(&sizes));
+    // a count that alone fills the batch, then a zero
+    let edge = [u32::MAX, 2, u32::MAX, 0, 7];
+    assert!(batched::<BigUint>(&edge).is_zero());
+    assert_eq!(batched::<BigUint>(&edge[..3]), one_at_a_time(&edge[..3]));
+    assert_eq!(batched::<Possibility>(&edge), Possibility(false));
+    assert_eq!(batched::<u128>(&[]), 1);
 }
 
 #[test]

@@ -893,7 +893,7 @@ mod tests {
     use super::*;
     use cp_core::queries::q2_with_algorithm;
     use cp_core::{IncompleteDataset, IncompleteExample};
-    use cp_numeric::BigUint;
+    use cp_numeric::{BigUint, ScaledF64};
     use proptest::prelude::*;
 
     fn figure6() -> (IncompleteDataset, Vec<f64>) {
@@ -1277,6 +1277,98 @@ mod tests {
                     assert_eq!(replayed.counts, single.counts, "seed {seed} mc {use_mc}");
                     assert_eq!(live.total, single.total);
                     assert_eq!(replayed.total, single.total);
+                }
+            }
+        }
+    }
+
+    /// `n_far` frozen sets far from the test point at 0, of every size
+    /// 1..=9 in turn and alternating between two labels, plus four
+    /// two-candidate sets near it that hold `τ` and the tail (the in-process
+    /// suite's instance): per label the far sizes multiply past 2^32. With
+    /// `pinned`, every seventh far set and the nearest set are pinned.
+    fn frozen_sizes_case(n_far: usize, pinned: bool) -> (IncompleteDataset, Vec<f64>, Pins) {
+        let mut examples = Vec::new();
+        let mut pins = Vec::new();
+        for i in 0..n_far {
+            let side = if i % 3 == 0 { -1.0 } else { 1.0 };
+            let candidates = (0..i % 9 + 1)
+                .map(|j| vec![side * (10 + (i * 13 + j * 7) % 50) as f64])
+                .collect();
+            examples.push(IncompleteExample::incomplete(candidates, i % 2));
+            if pinned && i % 7 == 3 {
+                pins.push((i, i % (i % 9 + 1)));
+            }
+        }
+        for q in 0..4 {
+            let x = q as f64 + 1.0;
+            examples.push(IncompleteExample::incomplete(
+                vec![vec![x], vec![-x - 0.5]],
+                q % 2,
+            ));
+        }
+        if pinned {
+            pins.push((n_far, 1));
+        }
+        let ds = IncompleteDataset::new(examples, 2).unwrap();
+        let pins = Pins::from_pairs(ds.len(), &pins);
+        (ds, vec![0.0], pins)
+    }
+
+    #[test]
+    fn batched_frozen_sizes_shard_scans_are_the_full_walk() {
+        let k = 3;
+        // 48 far sets: ∏ sizes < 2^128, within u128; 200: past 2^128
+        for (n_far, pinned) in [(48, false), (48, true), (200, false), (200, true)] {
+            let (ds, t, pins) = frozen_sizes_case(n_far, pinned);
+            let idx = SimilarityIndex::build(&ds, Kernel::default(), &t);
+            let cfg = CpConfig::new(k);
+            for n_shards in [1, 2, 3] {
+                let sh = Sharded::new(&ds, &t, k, &pins, n_shards);
+                for use_mc in [false, true] {
+                    let what =
+                        format!("n_far {n_far} pinned {pinned} shards {n_shards} mc {use_mc}");
+                    for run in [Sharded::live::<BigUint>, Sharded::replayed::<BigUint>] {
+                        let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                        assert_eq!(fast.counts, full.counts, "{what}");
+                        assert_eq!(fast.total, full.total, "{what}");
+                    }
+                    if n_far == 48 {
+                        for run in [Sharded::live::<u128>, Sharded::replayed::<u128>] {
+                            let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                            assert_eq!(fast.counts, full.counts, "{what}");
+                            assert_eq!(fast.total, full.total, "{what}");
+                        }
+                    }
+                    for run in [
+                        Sharded::live::<Possibility>,
+                        Sharded::replayed::<Possibility>,
+                    ] {
+                        let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                        assert_eq!(fast.counts, full.counts, "{what}");
+                    }
+                    for run in [Sharded::live::<ScaledF64>, Sharded::replayed::<ScaledF64>] {
+                        let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                        assert!(
+                            fast.counts == full.counts && fast.total == full.total,
+                            "{what}"
+                        );
+                    }
+                    // and the merged counts are the in-process scan's
+                    let single = if use_mc {
+                        cp_core::ss_tree::q2_sortscan_multiclass_with_index::<BigUint>(
+                            &ds, &cfg, &idx, &pins,
+                        )
+                    } else {
+                        cp_core::ss_tree::q2_sortscan_tree_with_index::<BigUint>(
+                            &ds, &cfg, &idx, &pins,
+                        )
+                    };
+                    assert_eq!(
+                        sh.live::<BigUint>(false, use_mc).counts,
+                        single.counts,
+                        "{what}"
+                    );
                 }
             }
         }
