@@ -333,7 +333,7 @@ fn main() {
         let problem = problem_from_prepared(&prep, 3);
         let opts = RunOptions {
             max_cleaned: None,
-            n_threads: cp_clean::eval::env_threads(),
+            n_threads: rayon::current_num_threads(),
             record_every: 1,
         };
         let order: Vec<usize> = problem.dirty_rows().into_iter().take(steps).collect();

@@ -42,7 +42,7 @@ impl ExperimentScale {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(7);
-        let n_threads = cp_clean::eval::env_threads();
+        let n_threads = rayon::current_num_threads();
         ExperimentScale {
             n_train: ((300.0 * scale) as usize).max(60),
             n_val: ((150.0 * scale) as usize).max(20),

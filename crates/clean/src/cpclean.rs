@@ -40,7 +40,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             max_cleaned: None,
-            n_threads: crate::eval::env_threads(),
+            n_threads: rayon::current_num_threads(),
             record_every: 1,
         }
     }

@@ -1,66 +1,12 @@
-//! Evaluation plumbing: world accuracy, validation CP status (served by the
-//! rayon-backed batch engine in [`cp_core::batch`]), and a small
-//! scoped-thread parallel map for CPClean's entropy loop (also
-//! embarrassingly parallel over validation examples).
+//! Evaluation plumbing: world accuracy and validation CP status, one
+//! pool call over the validation set (the rayon shim's process-wide worker
+//! pool, which every parallel loop of the cleaning engines shares).
 
 use crate::problem::CleaningProblem;
 use crate::state::CleaningState;
-use cp_core::batch::certain_labels_batch_pinned;
 use cp_core::{certain_label_with_index, Pins, SimilarityIndex};
 use cp_knn::KnnClassifier;
-
-/// Parallel indexed map over `0..n` using scoped threads. Falls back to a
-/// sequential loop for one thread or tiny inputs.
-pub fn parallel_map<T, F>(n: usize, n_threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n_threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let threads = n_threads.min(n);
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                scope.spawn(move || {
-                    let start = t * chunk;
-                    let end = ((t + 1) * chunk).min(n);
-                    (start..end).map(f).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for c in chunks.iter_mut() {
-        out.append(c);
-    }
-    out
-}
-
-/// Default worker count: the machine's available parallelism.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Worker count honouring the `CP_THREADS` environment override (the
-/// ROADMAP's controlled-scaling knob; also respected by the batch engine's
-/// thread pool), falling back to [`default_threads`].
-pub fn env_threads() -> usize {
-    std::env::var("CP_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(default_threads)
-}
+use rayon::prelude::*;
 
 /// Train a KNN on the world selected by `choices` and score it on a test
 /// set.
@@ -99,28 +45,18 @@ pub fn state_accuracy(
 /// the indexes and maintains the status incrementally; the property tests
 /// use this function as the independent oracle the session must agree with.
 ///
-/// `n_threads <= 1` runs the per-point loop sequentially in the calling
-/// thread; an explicit cap *below* the machine's parallelism is honoured via
-/// the scoped-thread map; otherwise (the default: `n_threads =`
-/// [`default_threads`]) the whole validation set goes through the
-/// rayon-backed batch engine ([`cp_core::batch`]). The answer is identical
-/// on every path.
+/// At most `n_threads` threads work the call, the caller counted, so
+/// `n_threads <= 1` runs every point on the calling thread. The answer is
+/// the same whatever the cap.
 pub fn val_cp_status(problem: &CleaningProblem, pins: &Pins, n_threads: usize) -> Vec<bool> {
-    let per_point = |t: &Vec<f64>| {
-        let idx = SimilarityIndex::build(&problem.dataset, problem.config.kernel, t);
-        certain_label_with_index(&problem.dataset, &problem.config, &idx, pins).is_some()
-    };
-    if n_threads <= 1 {
-        return problem.val_x.iter().map(per_point).collect();
-    }
-    if n_threads < default_threads() {
-        return parallel_map(problem.val_x.len(), n_threads, |vi| {
-            per_point(&problem.val_x[vi])
-        });
-    }
-    certain_labels_batch_pinned(&problem.dataset, &problem.config, &problem.val_x, pins)
-        .iter()
-        .map(|l| l.is_some())
+    problem
+        .val_x
+        .par_iter()
+        .with_max_threads(n_threads)
+        .map(|t| {
+            let idx = SimilarityIndex::build(&problem.dataset, problem.config.kernel, t);
+            certain_label_with_index(&problem.dataset, &problem.config, &idx, pins).is_some()
+        })
         .collect()
 }
 
@@ -148,15 +84,6 @@ mod tests {
             truth_choice: vec![None, Some(0), None],
             default_choice: vec![None, Some(1), None],
         }
-    }
-
-    #[test]
-    fn parallel_map_matches_sequential() {
-        let seq: Vec<usize> = (0..100).map(|i| i * i).collect();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(parallel_map(100, threads, |i| i * i), seq);
-        }
-        assert!(parallel_map(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -50,11 +50,14 @@
 //! **Per-step cost.** Let `U` be the uncertain validation points, `B ⊆ U`
 //! those whose state a pin invalidated, and `R` the (point, row) cache
 //! misses the branch-and-bound loop evaluates. Each rebuilt state costs its
-//! relevance set — `O(NM + N log K)`: every allowed candidate's similarity,
-//! then `τ`, the K-th largest `minkey` (a row is relevant iff its `maxkey`
-//! is at least `τ`) — plus its base entropy. On the in-process engine all
-//! entropies of one point come from one [`cp_core::PinnedProbabilities`],
-//! opened at the point's first request of the step: one SS-DC opening,
+//! relevance set — every row's extreme allowed keys, then `τ`, the K-th
+//! largest `minkey` (a row is relevant iff its `maxkey` is at least `τ`):
+//! `O(N log K)` on the in-process engine, which reads the keys off the
+//! point's cached index, and `O(NM + N log K)` on the sharded and RPC
+//! engines, which evaluate the kernel — plus its base entropy. On the
+//! in-process engine all entropies of one point come from one
+//! [`cp_core::PinnedProbabilities`], opened at the point's first request
+//! of the step: one SS-DC opening,
 //! `O(NM + T log T + L·K² log N)` (see [`cp_core::ss_tree`]), then one pass
 //! over the scan's `T`-event tail for the base distribution and one per
 //! missed row, which answers all `M` pins of the row at once in
@@ -69,7 +72,7 @@
 
 use crate::problem::CleaningProblem;
 use cp_core::similarity::largest_keys;
-use cp_core::{CandKey, Pins};
+use cp_core::{CandKey, Pins, SimilarityIndex};
 use std::collections::{BinaryHeap, HashMap};
 
 /// Per-validation-point cached selection state (see the module docs).
@@ -147,6 +150,14 @@ pub trait SelectionBackend {
     /// Per-candidate entropies (bits) for `v` under base pins plus
     /// `pin(row, j)`, for `j` in `0..set_size(row)`.
     fn hypothetical_entropies(&mut self, v: usize, row: usize) -> Result<Vec<f64>, Self::Error>;
+
+    /// Validation point `v`'s similarity index over the whole dataset, if
+    /// the engine holds one: relevance then reads every row's extreme
+    /// allowed keys off the index's sorted set keys instead of evaluating
+    /// the kernel. `None` (the kernel path) by default.
+    fn index(&self, _v: usize) -> Option<&SimilarityIndex> {
+        None
+    }
 }
 
 /// Map a NaN score to +∞ so a poisoned row *loses* the selection instead of
@@ -173,29 +184,49 @@ pub(crate) fn nan_guard(score: f64) -> f64 {
 /// allowed key above row `r`'s most similar one iff that key is at least
 /// `τ`, the K-th largest least similar key (the SS-DC zero-prefix bound,
 /// [`cp_core::ss_tree`]); a row never beats itself, since its least
-/// similar key is at most its most similar one. `O(NM + N log K)`.
-fn relevant_rows(problem: &CleaningProblem, pins: &Pins, v: usize) -> Vec<bool> {
+/// similar key is at most its most similar one.
+///
+/// Each row's extreme allowed keys come from `index`, `v`'s similarity
+/// index, when the engine supplies it — the two ends of the row's sorted
+/// set keys, or its pinned key: `O(N log K)` — and otherwise from the
+/// kernel, `O(NM + N log K)`. Both give the same keys bit for bit.
+fn relevant_rows(
+    problem: &CleaningProblem,
+    pins: &Pins,
+    v: usize,
+    index: Option<&SimilarityIndex>,
+) -> Vec<bool> {
     let ds = &problem.dataset;
-    let t = &problem.val_x[v];
-    let kernel = problem.config.kernel;
     let n = ds.len();
     let k = problem.config.k_eff(n);
-    let mut min_key = Vec::with_capacity(n);
-    let mut max_key = Vec::with_capacity(n);
-    for row in 0..n {
-        let mut keys = (0..ds.set_size(row))
-            .filter(|&cand| pins.allows(row, cand))
-            .map(|cand| {
-                let sim = kernel.similarity(ds.candidate(row, cand), t);
-                CandKey::new(sim, row as u32, cand as u32)
-            });
-        let first = keys
-            .next()
-            .expect("every row has at least one allowed candidate");
-        let (lo, hi) = keys.fold((first, first), |(lo, hi), key| (lo.min(key), hi.max(key)));
-        min_key.push(lo);
-        max_key.push(hi);
-    }
+    let (min_key, max_key): (Vec<CandKey>, Vec<CandKey>) = match index {
+        Some(idx) => (0..n)
+            .map(|row| match pins.pinned(row) {
+                Some(cand) => (idx.key(row, cand), idx.key(row, cand)),
+                None => {
+                    let keys = idx.set_keys(row);
+                    (keys[0], keys[keys.len() - 1])
+                }
+            })
+            .unzip(),
+        None => {
+            let (t, kernel) = (&problem.val_x[v], problem.config.kernel);
+            (0..n)
+                .map(|row| {
+                    let mut keys = (0..ds.set_size(row))
+                        .filter(|&cand| pins.allows(row, cand))
+                        .map(|cand| {
+                            let sim = kernel.similarity(ds.candidate(row, cand), t);
+                            CandKey::new(sim, row as u32, cand as u32)
+                        });
+                    let first = keys
+                        .next()
+                        .expect("every row has at least one allowed candidate");
+                    keys.fold((first, first), |(lo, hi), key| (lo.min(key), hi.max(key)))
+                })
+                .unzip()
+        }
+    };
     let mut top = BinaryHeap::with_capacity(k);
     largest_keys(min_key, k, &mut top);
     let tau = top.peek().expect("k_eff is at least 1").0;
@@ -236,7 +267,7 @@ pub fn select_next_incremental<B: SelectionBackend>(
             debug_assert!(!base_entropy.is_nan(), "NaN base entropy for val {v}");
             cache.states[v] = Some(ValState {
                 epoch,
-                relevant: relevant_rows(problem, base_pins, v),
+                relevant: relevant_rows(problem, base_pins, v, backend.index(v)),
                 base_entropy,
                 ent: HashMap::new(),
             });
@@ -340,7 +371,7 @@ mod tests {
         let p = two_row_problem();
         let pins = Pins::none(p.dataset.len());
         // val point 5.0 with K=1: row 3 (≥100 away) can never beat rows 0–2
-        let rel = relevant_rows(&p, &pins, 0);
+        let rel = relevant_rows(&p, &pins, 0, None);
         assert!(rel[1], "row 1 straddles the decision boundary");
         assert!(!rel[3], "row 3 is certainly outside the top-1");
     }
@@ -350,7 +381,7 @@ mod tests {
         let p = two_row_problem();
         let mut pins = Pins::none(p.dataset.len());
         pins.pin(1, 0);
-        let rel = relevant_rows(&p, &pins, 0);
+        let rel = relevant_rows(&p, &pins, 0, None);
         assert!(!rel[3], "irrelevance is monotone under pinning");
     }
 
@@ -364,7 +395,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         // relevance by `τ` is the definition: fewer than K rows whose least
-        // similar allowed candidate outranks the row's most similar one
+        // similar allowed candidate outranks the row's most similar one,
+        // whether the keys come from the kernel or from the point's index
         #[test]
         fn relevance_is_fewer_than_k_rows_certainly_ahead(
             grids in proptest::collection::vec(proptest::collection::vec(-6i32..6, 1..=3), 1..=8),
@@ -405,7 +437,9 @@ mod tests {
             let want: Vec<bool> = (0..n)
                 .map(|r| lo.iter().filter(|&&other| other > hi[r]).count() < k_eff)
                 .collect();
-            prop_assert_eq!(relevant_rows(&problem, &pins, 0), want);
+            prop_assert_eq!(relevant_rows(&problem, &pins, 0, None), want.clone());
+            let idx = SimilarityIndex::build(&problem.dataset, problem.config.kernel, &problem.val_x[0]);
+            prop_assert_eq!(relevant_rows(&problem, &pins, 0, Some(&idx)), want);
         }
     }
 

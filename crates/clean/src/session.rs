@@ -35,7 +35,7 @@
 //! per-label polynomial factors upward.
 
 use crate::cpclean::RunOptions;
-use crate::eval::{parallel_map, state_accuracy};
+use crate::eval::state_accuracy;
 use crate::metrics::{CleaningRun, CurvePoint};
 use crate::problem::CleaningProblem;
 use crate::selection::{nan_guard, select_next_incremental, SelectionBackend, SelectionCache};
@@ -45,6 +45,7 @@ use cp_core::{
     SimilarityIndex, ValIndexCache,
 };
 use cp_numeric::stats::entropy_bits;
+use rayon::prelude::*;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
@@ -65,7 +66,7 @@ pub struct CleaningSession {
     cp: Vec<bool>,
     /// Incremental selection state ([`crate::selection`]); behind a mutex —
     /// not a `RefCell` — because selection takes `&self` and sharded
-    /// front-ends fan `&self` out across scoped threads.
+    /// front-ends fan `&self` out across pool workers.
     sel: Mutex<SelectionCache>,
 }
 
@@ -90,8 +91,8 @@ impl CleaningSession {
     }
 
     /// Open a session: validate the problem, build every validation point's
-    /// similarity index **once** (under the session's own thread cap, not
-    /// the rayon pool's), and evaluate the initial CP status.
+    /// similarity index **once** (on the worker pool, at most
+    /// [`RunOptions::n_threads`] threads), and evaluate the initial CP status.
     pub fn from_arc(problem: Arc<CleaningProblem>, opts: &RunOptions) -> Self {
         let mut session = Self::from_arc_deferred(problem, opts);
         session.refresh_status();
@@ -105,13 +106,18 @@ impl CleaningSession {
     /// [`CleaningSession::status`] reports every point as not-yet-certain
     /// until a [`CleaningSession::clean`] refreshes it.
     pub fn from_arc_deferred(problem: Arc<CleaningProblem>, opts: &RunOptions) -> Self {
-        let indexes = parallel_map(problem.val_x.len(), opts.n_threads, |v| {
-            Arc::new(SimilarityIndex::build(
-                &problem.dataset,
-                problem.config.kernel,
-                &problem.val_x[v],
-            ))
-        });
+        let indexes = problem
+            .val_x
+            .par_iter()
+            .with_max_threads(opts.n_threads)
+            .map(|t| {
+                Arc::new(SimilarityIndex::build(
+                    &problem.dataset,
+                    problem.config.kernel,
+                    t,
+                ))
+            })
+            .collect();
         let cache =
             ValIndexCache::from_indexes(problem.config.kernel, problem.val_x.clone(), indexes);
         Self::from_cache_deferred(problem, cache, opts)
@@ -263,15 +269,19 @@ impl CleaningSession {
             return;
         }
         let pins = self.state.pins();
-        let fresh = parallel_map(uncertain.len(), self.opts.n_threads, |u| {
-            certain_label_with_index(
-                &self.problem.dataset,
-                &self.problem.config,
-                &self.cache[uncertain[u]],
-                pins,
-            )
-            .is_some()
-        });
+        let fresh: Vec<bool> = uncertain
+            .par_iter()
+            .with_max_threads(self.opts.n_threads)
+            .map(|&v| {
+                certain_label_with_index(
+                    &self.problem.dataset,
+                    &self.problem.config,
+                    &self.cache[v],
+                    pins,
+                )
+                .is_some()
+            })
+            .collect();
         for (&v, now_certain) in uncertain.iter().zip(fresh) {
             self.cp[v] = now_certain;
         }
@@ -575,28 +585,32 @@ where
 
     // per validation example: entropy of Q2 probabilities under every pin;
     // one pins clone per worker item, scoped pin/unpin per candidate
-    let per_val: Vec<Vec<Vec<f64>>> = parallel_map(uncertain.len(), n_threads, |u| {
-        let idx = index_of(uncertain[u]);
-        let mut pins = base_pins.clone();
-        remaining
-            .iter()
-            .map(|&row| {
-                (0..problem.dataset.set_size(row))
-                    .map(|j| {
-                        pins.with_pin(row, j, |conditioned| {
-                            let probs = q2_probabilities_with_index(
-                                &problem.dataset,
-                                &problem.config,
-                                &idx,
-                                conditioned,
-                            );
-                            entropy_bits(&probs)
+    let per_val: Vec<Vec<Vec<f64>>> = uncertain
+        .par_iter()
+        .with_max_threads(n_threads)
+        .map(|&v| {
+            let idx = index_of(v);
+            let mut pins = base_pins.clone();
+            remaining
+                .iter()
+                .map(|&row| {
+                    (0..problem.dataset.set_size(row))
+                        .map(|j| {
+                            pins.with_pin(row, j, |conditioned| {
+                                let probs = q2_probabilities_with_index(
+                                    &problem.dataset,
+                                    &problem.config,
+                                    &idx,
+                                    conditioned,
+                                );
+                                entropy_bits(&probs)
+                            })
                         })
-                    })
-                    .collect()
-            })
-            .collect()
-    });
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
 
     pick_min_expected_entropy(problem, remaining, &per_val)
 }
@@ -661,6 +675,10 @@ impl SelectionBackend for SessionBackend<'_> {
         Ok(self.with_sweep(v, |sweep| {
             sweep.pinned(row).iter().map(|p| entropy_bits(p)).collect()
         }))
+    }
+
+    fn index(&self, v: usize) -> Option<&SimilarityIndex> {
+        Some(&self.cache[v])
     }
 }
 

@@ -58,7 +58,7 @@ impl ValIndexCache {
 
     /// Assemble a cache from indexes built elsewhere — the hook for callers
     /// that must control the build parallelism themselves (e.g. a cleaning
-    /// session honouring its own thread cap instead of the rayon pool).
+    /// session capping how many pool threads build its indexes).
     /// `points` is taken as a shared handle so a session's cache aliases the
     /// problem's validation features instead of copying them.
     ///

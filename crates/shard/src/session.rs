@@ -19,9 +19,8 @@
 //! [`crate::scan`] protocol). Greedy selection is routed to the owning
 //! shard: pinning a candidate of row `r` touches exactly one shard's local
 //! pin mask, and every other shard's factor stream is reused as-is. Shard
-//! evaluation fans out on the scoped-thread pool and honours the same
-//! `CP_THREADS` cap as the rest of the workspace (via
-//! [`RunOptions::n_threads`]).
+//! evaluation fans out on the rayon shim's process-wide worker pool, at
+//! most [`RunOptions::n_threads`] threads per call.
 //!
 //! Status answers take the same dispatch as the single-process session:
 //! binary label spaces go through the rank-merged MM extreme-summary fast
@@ -33,7 +32,6 @@
 //! equivalence.
 
 use crate::scan::{certain_label_sharded_with_indexes, q2_probabilities_sharded_with_indexes};
-use cp_clean::eval::parallel_map;
 use cp_clean::metrics::CleaningRun;
 use cp_clean::{
     pick_min_expected_entropy, select_next_incremental, CleaningEngine, CleaningProblem,
@@ -42,6 +40,7 @@ use cp_clean::{
 use cp_core::{DatasetShard, Pins, SimilarityIndex};
 use cp_knn::Label;
 use cp_numeric::stats::entropy_bits;
+use rayon::prelude::*;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
@@ -60,7 +59,7 @@ pub struct ShardedSession {
     cp: Vec<bool>,
     /// Incremental selection state over *global* row ids
     /// ([`cp_clean::selection`]); a mutex because status refreshes fan
-    /// `&self` across scoped threads.
+    /// `&self` across pool workers.
     sel: Mutex<SelectionCache>,
 }
 
@@ -123,9 +122,11 @@ impl ShardedSession {
             n_threads: (opts.n_threads / outer).max(1),
             ..opts.clone()
         };
-        let sessions = parallel_map(shards.len(), outer, |s| {
-            CleaningSession::from_arc_deferred(Arc::clone(&shard_problems[s]), &inner_opts)
-        });
+        let sessions = shard_problems
+            .par_iter()
+            .with_max_threads(outer)
+            .map(|sp| CleaningSession::from_arc_deferred(Arc::clone(sp), &inner_opts))
+            .collect();
         let state = CleaningState::new(&problem);
         let cp = vec![false; problem.val_x.len()];
         let sel = Mutex::new(SelectionCache::new(
@@ -232,11 +233,13 @@ impl ShardedSession {
         if uncertain.is_empty() {
             return;
         }
-        let fresh = {
+        let fresh: Vec<bool> = {
             let this = &*self;
-            parallel_map(uncertain.len(), this.opts.n_threads, |u| {
-                this.certain_label_at(uncertain[u]).is_some()
-            })
+            uncertain
+                .par_iter()
+                .with_max_threads(this.opts.n_threads)
+                .map(|&v| this.certain_label_at(v).is_some())
+                .collect()
         };
         for (&v, now_certain) in uncertain.iter().zip(fresh) {
             self.cp[v] = now_certain;
@@ -294,41 +297,44 @@ impl ShardedSession {
             return remaining[0];
         }
 
-        let per_val: Vec<Vec<Vec<f64>>> = parallel_map(uncertain.len(), self.opts.n_threads, |u| {
-            let v = uncertain[u];
-            let indexes: Vec<&SimilarityIndex> =
-                self.sessions.iter().map(|s| &*s.cache()[v]).collect();
-            // one clone of each shard's mask per worker; candidate pins are
-            // applied and reverted in place (the `with_pin` discipline,
-            // across shard masks)
-            let mut masks: Vec<Pins> = self
-                .sessions
-                .iter()
-                .map(|s| s.state().pins().clone())
-                .collect();
-            remaining
-                .iter()
-                .map(|&row| {
-                    let s = self.owner[row];
-                    let local = self.shards[s].local_row(row).expect("owner map is exact");
-                    (0..self.problem.dataset.set_size(row))
-                        .map(|j| {
-                            masks[s].pin(local, j);
-                            let probs = q2_probabilities_sharded_with_indexes(
-                                &self.shards,
-                                &indexes,
-                                &masks,
-                                &self.problem.config,
-                            );
-                            // candidate rows are uncleaned, so restoring
-                            // means unpinning
-                            masks[s].unpin(local);
-                            entropy_bits(&probs)
-                        })
-                        .collect()
-                })
-                .collect()
-        });
+        let per_val: Vec<Vec<Vec<f64>>> = uncertain
+            .par_iter()
+            .with_max_threads(self.opts.n_threads)
+            .map(|&v| {
+                let indexes: Vec<&SimilarityIndex> =
+                    self.sessions.iter().map(|s| &*s.cache()[v]).collect();
+                // one clone of each shard's mask per worker; candidate pins are
+                // applied and reverted in place (the `with_pin` discipline,
+                // across shard masks)
+                let mut masks: Vec<Pins> = self
+                    .sessions
+                    .iter()
+                    .map(|s| s.state().pins().clone())
+                    .collect();
+                remaining
+                    .iter()
+                    .map(|&row| {
+                        let s = self.owner[row];
+                        let local = self.shards[s].local_row(row).expect("owner map is exact");
+                        (0..self.problem.dataset.set_size(row))
+                            .map(|j| {
+                                masks[s].pin(local, j);
+                                let probs = q2_probabilities_sharded_with_indexes(
+                                    &self.shards,
+                                    &indexes,
+                                    &masks,
+                                    &self.problem.config,
+                                );
+                                // candidate rows are uncleaned, so restoring
+                                // means unpinning
+                                masks[s].unpin(local);
+                                entropy_bits(&probs)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
 
         pick_min_expected_entropy(&self.problem, remaining, &per_val)
     }

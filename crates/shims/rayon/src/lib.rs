@@ -1,26 +1,36 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! Implements the `par_iter().map(..).collect()` shape the workspace's batch
-//! engine uses, with genuine data parallelism: items are fed through a shared
-//! work queue drained by `std::thread::scope` workers (one per available
-//! core), so skewed per-item costs — e.g. CP queries whose cost varies with
-//! the candidate count near the decision boundary — balance dynamically, like
+//! engine and cleaning sessions use, with genuine data parallelism on one
+//! process-wide pool of parked workers (`pool.rs`): it starts on the first
+//! parallel call with [`current_num_threads`]` − 1` workers, and the calling
+//! thread works too. Items are claimed one at a time from a shared index, so
+//! skewed per-item costs — e.g. CP queries whose cost varies with the
+//! candidate count near the decision boundary — balance dynamically, like
 //! rayon's work stealing. Item order is preserved in the collected output.
 //!
-//! Scope is deliberately minimal: parallel iteration over slices, `Vec`s and
-//! `Range<usize>`, with `map` / `for_each` / `collect` / `sum` / `reduce` as
-//! inherent methods (no trait import needed beyond the entry points in
-//! [`prelude`]).
+//! Scope is deliberately minimal: parallel iteration over slices, `&Vec`s
+//! and `Range<usize>`, with `map` / `for_each` / `collect` / `sum` /
+//! `reduce` as inherent methods (no trait import needed beyond the entry
+//! points in [`prelude`]). One addition the real crate lacks:
+//! [`ParIter::with_max_threads`] caps how many threads work one call.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+mod pool;
 
-/// Number of worker threads: `RAYON_NUM_THREADS` if set to a positive
-/// integer (the same knob the real crate honours), else `CP_THREADS` (this
-/// workspace's experiment-wide thread cap, so one knob controls both the
-/// scoped-thread loops and the batch engine), else the machine's available
-/// parallelism.
+pub use pool::threads_spawned;
+
+/// Number of threads that work a parallel call, the caller counted: the
+/// pool's size once it has started, and until then the size it will start
+/// with — `RAYON_NUM_THREADS` if set to a positive integer (the same knob
+/// the real crate honours), else `CP_THREADS` (this workspace's
+/// experiment-wide thread cap), else the machine's available parallelism.
+/// The environment is read until the pool starts, never after.
 pub fn current_num_threads() -> usize {
+    pool::started_size().unwrap_or_else(configured_threads)
+}
+
+/// The size the environment asks for (see [`current_num_threads`]).
+fn configured_threads() -> usize {
     for var in ["RAYON_NUM_THREADS", "CP_THREADS"] {
         if let Some(n) = std::env::var(var)
             .ok()
@@ -35,52 +45,17 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f` over `items` on scoped worker threads, preserving order.
-fn run_parallel<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(I) -> R + Sync,
-{
-    let n = items.len();
-    let threads = current_num_threads().min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("queue poisoned").pop_front();
-                match job {
-                    Some((i, item)) => {
-                        let r = f(item);
-                        *results[i].lock().expect("slot poisoned") = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("worker dropped item")
-        })
-        .collect()
-}
-
-/// A materialized parallel iterator over items of type `I`.
+/// A materialized parallel iterator over items of type `I`: borrowed
+/// elements or indices, which every thread of a call reads in place.
 pub struct ParIter<I> {
     items: Vec<I>,
+    max_threads: usize,
 }
 
 /// The result of [`ParIter::map`]: a lazy parallel map pipeline.
 pub struct ParMap<I, F> {
     items: Vec<I>,
+    max_threads: usize,
     f: F,
 }
 
@@ -95,7 +70,23 @@ impl<T> FromParallelIterator<T> for Vec<T> {
     }
 }
 
-impl<I: Send> ParIter<I> {
+impl<I: Copy + Send + Sync> ParIter<I> {
+    fn new(items: Vec<I>) -> Self {
+        ParIter {
+            items,
+            max_threads: usize::MAX,
+        }
+    }
+
+    /// Let at most `n` threads, the caller counted, work this call; `1`
+    /// runs every item on the calling thread.
+    pub fn with_max_threads(self, n: usize) -> Self {
+        ParIter {
+            max_threads: n,
+            ..self
+        }
+    }
+
     /// Lazily apply `f` to every item in parallel.
     pub fn map<R, F>(self, f: F) -> ParMap<I, F>
     where
@@ -104,6 +95,7 @@ impl<I: Send> ParIter<I> {
     {
         ParMap {
             items: self.items,
+            max_threads: self.max_threads,
             f,
         }
     }
@@ -118,19 +110,29 @@ impl<I: Send> ParIter<I> {
     where
         F: Fn(I) + Sync,
     {
-        let _ = run_parallel(self.items, f);
+        self.map(f).run();
     }
 }
 
 impl<I, R, F> ParMap<I, F>
 where
-    I: Send,
+    I: Copy + Send + Sync,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
-    /// Evaluate the pipeline on worker threads, preserving input order.
+    /// Let at most `n` threads, the caller counted, work this call; `1`
+    /// runs every item on the calling thread.
+    pub fn with_max_threads(self, n: usize) -> Self {
+        ParMap {
+            max_threads: n,
+            ..self
+        }
+    }
+
+    /// Evaluate the pipeline on the pool, preserving input order.
     fn run(self) -> Vec<R> {
-        run_parallel(self.items, self.f)
+        let (items, f) = (&self.items, &self.f);
+        pool::map_indexed(items.len(), self.max_threads, |i| f(items[i]))
     }
 
     /// Evaluate and collect in input order (only `Vec` targets supported).
@@ -147,6 +149,7 @@ where
         let f1 = self.f;
         ParMap {
             items: self.items,
+            max_threads: self.max_threads,
             f: move |item| f2(f1(item)),
         }
     }
@@ -156,8 +159,7 @@ where
     where
         F2: Fn(R) + Sync,
     {
-        let f1 = self.f;
-        let _ = run_parallel(self.items, move |item| f2(f1(item)));
+        self.map(f2).run();
     }
 
     /// Evaluate and sum the results.
@@ -178,43 +180,30 @@ where
     }
 }
 
-/// Conversion into a parallel iterator by value.
+/// Conversion into a parallel iterator.
 pub trait IntoParallelIterator {
     type Item: Send;
     fn into_par_iter(self) -> ParIter<Self::Item>;
 }
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
 impl IntoParallelIterator for std::ops::Range<usize> {
     type Item = usize;
     fn into_par_iter(self) -> ParIter<usize> {
-        ParIter {
-            items: self.collect(),
-        }
+        ParIter::new(self.collect())
     }
 }
 
 impl<'a, T: Sync> IntoParallelIterator for &'a [T] {
     type Item = &'a T;
     fn into_par_iter(self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
+        ParIter::new(self.iter().collect())
     }
 }
 
 impl<'a, T: Sync> IntoParallelIterator for &'a Vec<T> {
     type Item = &'a T;
     fn into_par_iter(self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
+        ParIter::new(self.iter().collect())
     }
 }
 
@@ -227,18 +216,14 @@ pub trait IntoParallelRefIterator<'a> {
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = &'a T;
     fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
+        ParIter::new(self.iter().collect())
     }
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = &'a T;
     fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
+        ParIter::new(self.iter().collect())
     }
 }
 
@@ -251,6 +236,8 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::{Arc, Barrier};
+    use std::thread;
 
     #[test]
     fn map_collect_preserves_order() {
@@ -303,5 +290,140 @@ mod tests {
             .collect();
         let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
         assert!(distinct.len() > 1, "expected work on more than one thread");
+    }
+
+    #[test]
+    fn capped_maps_match_sequential() {
+        let seq: Vec<usize> = (0..100).map(|i| i * i).collect();
+        for threads in [0, 1, 2, 4, 7] {
+            let out: Vec<usize> = (0..100)
+                .into_par_iter()
+                .with_max_threads(threads)
+                .map(|i| i * i)
+                .collect();
+            assert_eq!(out, seq, "threads={threads}");
+        }
+        let empty: Vec<usize> = (0..0)
+            .into_par_iter()
+            .with_max_threads(4)
+            .map(|i| i)
+            .collect();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn one_thread_cap_runs_on_the_caller() {
+        let me = thread::current().id();
+        let ids: Vec<thread::ThreadId> = (0..64)
+            .into_par_iter()
+            .with_max_threads(1)
+            .map(|_| thread::current().id())
+            .collect();
+        assert!(ids.iter().all(|&id| id == me));
+        let ids: Vec<thread::ThreadId> = [0u8; 16]
+            .par_iter()
+            .map(|_| thread::current().id())
+            .with_max_threads(1)
+            .collect();
+        assert!(ids.iter().all(|&id| id == me));
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_pool_survives() {
+        let caught = std::panic::catch_unwind(|| {
+            (0..32)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 7 {
+                        panic!("item {i} failed");
+                    }
+                    i
+                })
+                .collect::<Vec<usize>>()
+        });
+        assert_eq!(panic_message(caught.unwrap_err()), "item 7 failed");
+        let out: Vec<usize> = (0..32).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(out, (1..33).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_on_a_worker_reaches_the_caller() {
+        if super::current_num_threads() < 2 {
+            return; // no worker to panic on
+        }
+        let caller = thread::current().id();
+        // items 0 and 1 meet at the barrier, so they run on two threads at
+        // once and at least one of them on a worker
+        let barrier = Barrier::new(2);
+        let caught = std::panic::catch_unwind(|| {
+            (0..2)
+                .into_par_iter()
+                .with_max_threads(2)
+                .map(|i| {
+                    barrier.wait();
+                    if thread::current().id() != caller {
+                        panic!("worker item {i}");
+                    }
+                    i
+                })
+                .collect::<Vec<usize>>()
+        });
+        assert!(panic_message(caught.unwrap_err()).starts_with("worker item"));
+        let out: Vec<usize> = (0..64).into_par_iter().map(|i| 2 * i).collect();
+        assert_eq!(out, (0..64).map(|i| 2 * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_calls_complete() {
+        let out: Vec<usize> = (0..16)
+            .into_par_iter()
+            .map(|i| (0..50).into_par_iter().map(|j| i * j).sum::<usize>())
+            .collect();
+        assert_eq!(out, (0..16).map(|i| i * 1225).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_results() {
+        let start = Arc::new(Barrier::new(4));
+        let callers: Vec<_> = (1..=4usize)
+            .map(|c| {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    (0..200).all(|round| {
+                        let out: Vec<usize> =
+                            (0..97).into_par_iter().map(|i| c * i + round).collect();
+                        out == (0..97).map(|i| c * i + round).collect::<Vec<_>>()
+                    })
+                })
+            })
+            .collect();
+        for caller in callers {
+            assert!(caller.join().expect("caller thread"));
+        }
+    }
+
+    #[test]
+    fn workers_start_once_and_never_per_call() {
+        let warm: Vec<usize> = (0..64).into_par_iter().map(|i| i).collect();
+        assert_eq!(warm.len(), 64);
+        let size = super::current_num_threads();
+        assert_eq!(super::threads_spawned(), size - 1);
+        for round in 0..1000 {
+            let out: usize = (0..8).into_par_iter().map(|i| i + round).sum();
+            assert_eq!(out, 28 + 8 * round);
+        }
+        assert_eq!(super::threads_spawned(), size - 1);
+        assert_eq!(super::current_num_threads(), size);
     }
 }
