@@ -9,7 +9,9 @@
 //!
 //! The **overhead guard** can't compare two compilation modes inside one
 //! binary, so it bounds the instrumented build directly: run a real greedy
-//! cleaning workload, count every registry operation it performed (counter
+//! cleaning workload (an `RpcCoordinator` over two loopback shard servers,
+//! whose client, server and codec layers all record into the one process
+//! registry), count every registry operation it performed (counter
 //! increments and histogram records, from a snapshot diff), price those ops
 //! with the measured per-op primitive costs, and assert the priced total is
 //! under 5% of the workload's wall time. Under `obs-off` the diff is empty
@@ -19,7 +21,7 @@
 use cp_bench::random_incomplete_dataset;
 use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::CpConfig;
-use cp_shard::ShardedSession;
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -108,10 +110,15 @@ fn bench_obs(c: &mut Criterion) {
         record_every: usize::MAX,
         ..RunOptions::default()
     };
+    let servers: Vec<RunningServer> = (0..2)
+        .map(|_| spawn_server(ServerConfig::default()).expect("spawn loopback server"))
+        .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
     let before = cp_obs::snapshot();
     let t0 = Instant::now();
-    let mut session = ShardedSession::new(&problem, 2, &opts);
+    let mut session = RpcCoordinator::connect(&problem, &addrs, &opts).expect("connect");
     while session.step().is_some() {}
+    session.shutdown().expect("shutdown");
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let diff = cp_obs::snapshot().diff(&before);
 

@@ -15,21 +15,18 @@
 //!   entropy loop dominates both arms equally, so caching shows up as a
 //!   smaller relative margin here.
 //!
-//! The sharded rows (`status_updates_sharded_*`) drive the same fixed-order
-//! status workload through `ShardedSession`; the bank bundle is binary, so
-//! they exercise the rank-merged MM extreme-summary path. The
-//! `status_updates_rpc` group is their multi-process twin: an
-//! `RpcCoordinator` against persistent loopback `shard-server` accept
-//! loops, timing connect + `Open` + per-step `ExtremeSummary` exchanges.
+//! The `status_updates_rpc` group drives the same fixed-order status
+//! workload through the sharded engine: an `RpcCoordinator` against
+//! persistent loopback shard servers, timing connect + `Open` + per-step
+//! `ExtremeSummary` exchanges (the bank bundle is binary, so status checks
+//! take the rank-merged MM extreme-summary path).
 
 use cp_bench::{problem_from_prepared, seed_style_status_updates};
 use cp_clean::{select_next, val_cp_status, CleaningSession, CleaningState, RunOptions};
 use cp_datasets::{bank, make_bundle, prepare, BundleConfig};
-use cp_rpc::RpcCoordinator;
-use cp_shard::ShardedSession;
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::net::TcpListener;
 use std::time::Duration;
 
 fn bench_session(c: &mut Criterion) {
@@ -109,51 +106,22 @@ fn bench_session(c: &mut Criterion) {
         })
     });
 
-    // the same status-update workload through the partition-parallel
-    // engine: unsharded CleaningSession vs ShardedSession at 1 and 4
-    // shards. The bank bundle is binary, so status refreshes take the
-    // rank-merged MM extreme-summary path (no boundary-event stream, no
-    // tally trees) — the same fast path the unsharded session's MinMax
-    // dispatch uses, which is what keeps these rows near the cached-session
-    // row instead of paying the merged Possibility scan
-    for n_shards in [1usize, 4] {
-        group.bench_function(format!("status_updates_sharded_{n_shards}"), |b| {
-            b.iter(|| {
-                let mut session = ShardedSession::new(&problem, n_shards, &opts);
-                for &row in &order {
-                    if session.converged() {
-                        break;
-                    }
-                    session.clean(row);
-                }
-                black_box(session.n_certain())
-            })
-        });
-    }
-
     group.finish();
 
-    // the multi-process twin: the identical status-update workload driven
-    // through an RpcCoordinator against persistent shard-server accept
-    // loops on loopback TCP, so the serving path's status-check cost
-    // (Open + per-step ExtremeSummary exchanges) is tracked alongside the
-    // in-process sharded rows
+    // the sharded engine: the identical status-update workload driven
+    // through an RpcCoordinator against persistent shard servers on
+    // loopback TCP, so the serving path's status-check cost (Open +
+    // per-step ExtremeSummary exchanges) is tracked alongside the
+    // single-process rows
     let mut rpc_group = c.benchmark_group("status_updates_rpc");
     rpc_group
         .measurement_time(Duration::from_secs(5))
         .sample_size(10);
     let n_servers = 2usize;
-    let addrs: Vec<String> = (0..n_servers)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let addr = listener.local_addr().expect("local addr").to_string();
-            std::thread::spawn(move || {
-                // accept loop for the whole bench process lifetime
-                let _ = cp_rpc::serve(listener, false);
-            });
-            addr
-        })
+    let servers: Vec<RunningServer> = (0..n_servers)
+        .map(|_| spawn_server(ServerConfig::default()).expect("spawn loopback server"))
         .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
     rpc_group.bench_function(format!("loopback_{n_servers}"), |b| {
         b.iter(|| {
             let mut remote =

@@ -28,10 +28,10 @@
 //! care where the coordinator keeps its status streams.
 
 use cp_bench::{random_incomplete_dataset, Reporter};
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
 use cp_rpc::{spawn_server, ClientConfig, FaultPlan, RpcCoordinator, ServerConfig, ShardClient};
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm, ShardedSession};
+use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::time::Duration;
@@ -117,10 +117,10 @@ fn run_profile(
 ) -> ProfileOutcome {
     let n_shards = addrs.len();
 
-    // fault-free oracle: the in-process sharded engine — a greedy run to
+    // fault-free oracle: the single-process session — a greedy run to
     // convergence, then a sweep of every remaining dirty row (the smoke
     // must outlast one lucky pick; more traffic, more chances to misbehave)
-    let mut local = ShardedSession::new(problem, n_shards, &opts());
+    let mut local = CleaningSession::new(problem, &opts());
     let mut expected_picks = Vec::new();
     let mut expected_statuses = vec![local.status().to_vec()];
     while let Some(row) = local.step() {

@@ -1,12 +1,12 @@
 //! Multi-process serving experiment: a coordinator driving shard servers
-//! over loopback TCP, verified against (and timed against) the in-process
-//! `ShardedSession`.
+//! over loopback TCP, verified against (and timed against) the
+//! single-process `CleaningSession`.
 //!
 //! Two modes:
 //!
-//! * self-contained (default): spawns its own `--shards N` single-connection
-//!   server accept loops on ephemeral loopback ports — an in-one-binary
-//!   rehearsal of the multi-host deployment;
+//! * self-contained (default): spawns its own `--shards N` server accept
+//!   loops on ephemeral loopback ports — an in-one-binary rehearsal of the
+//!   multi-host deployment;
 //! * `--connect ADDR1,ADDR2,…`: drives externally launched `shard-server`
 //!   processes (the CI smoke test starts two real processes and points this
 //!   binary at them).
@@ -16,22 +16,21 @@
 //! shows what per-pin fsync durability costs next to the volatile RPC path.
 //!
 //! Every run cross-checks the RPC path: initial CP status, the full greedy
-//! cleaning order and the final status must equal the in-process sharded
+//! cleaning order and the final status must equal the single-process
 //! session's exactly, for the same problem. `--smoke` keeps CI runs at
 //! seconds scale.
 
 use cp_bench::{random_incomplete_dataset, Reporter};
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
 use cp_numeric::Possibility;
 use cp_rpc::{
-    encode_stream, encode_stream_raw, serve_ephemeral, spawn_server, RpcCoordinator, ServerConfig,
+    encode_stream, encode_stream_raw, spawn_server, RpcCoordinator, RunningServer, ServerConfig,
 };
-use cp_shard::{build_shard_indexes, ShardStream, ShardedSession};
+use cp_shard::{build_shard_indexes, ShardStream};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::path::PathBuf;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A synthetic cleaning problem over the shared random-instance generator.
@@ -63,10 +62,6 @@ fn synthetic_problem(n: usize, m: usize, n_val: usize, seed: u64) -> CleaningPro
         truth_choice,
         default_choice,
     )
-}
-
-fn spawn_servers(n: usize) -> (Vec<String>, Vec<JoinHandle<()>>) {
-    serve_ephemeral(n).expect("bind loopback servers")
 }
 
 fn main() {
@@ -139,10 +134,10 @@ fn main() {
         ));
     }
 
-    // in-process baseline (same shard count)
+    // single-process baseline
     let n_shards = connect.as_ref().map(|a| a.len()).unwrap_or(shards);
     let t0 = Instant::now();
-    let mut local = ShardedSession::new(&problem, n_shards, &opts);
+    let mut local = CleaningSession::new(&problem, &opts);
     let local_open_s = t0.elapsed().as_secs_f64();
     let initial_status = local.status().to_vec();
     let t0 = Instant::now();
@@ -150,14 +145,22 @@ fn main() {
     let local_run_s = t0.elapsed().as_secs_f64();
 
     // RPC path
-    let (addrs, handles) = match &connect {
+    // self-spawned servers stay up until the end of main, after the
+    // coordinator has shut down
+    let (addrs, _servers): (Vec<String>, Vec<RunningServer>) = match &connect {
         Some(addrs) => {
             r.note(&format!("connecting to external servers: {addrs:?}"));
             (addrs.clone(), Vec::new())
         }
         None => {
             r.note(&format!("self-spawning {n_shards} loopback servers"));
-            spawn_servers(n_shards)
+            let servers: Vec<RunningServer> = (0..n_shards)
+                .map(|_| spawn_server(ServerConfig::default()).expect("bind loopback server"))
+                .collect();
+            (
+                servers.iter().map(|s| s.addr().to_string()).collect(),
+                servers,
+            )
         }
     };
     let t0 = Instant::now();
@@ -166,7 +169,7 @@ fn main() {
     assert_eq!(
         remote.status(),
         initial_status,
-        "initial CP status must match the in-process session"
+        "initial CP status must match the single-process session"
     );
 
     // binary-label problems dispatch status checks to the rank-merged
@@ -237,9 +240,6 @@ fn main() {
     }
     assert_eq!(remote.status(), local.status(), "final status must match");
     remote.shutdown().expect("shutdown servers");
-    for h in handles {
-        h.join().expect("server thread");
-    }
 
     // ---- durable mode: the same run against WAL-backed servers -----------
     // one data-dir subdirectory per server (instances must not share one —
@@ -301,12 +301,12 @@ fn main() {
         (open_s, run_s, order.len())
     });
 
-    r.note("verified: order, convergence and status identical to ShardedSession");
+    r.note("verified: order, convergence and status identical to CleaningSession");
     println!();
     println!("| engine | open (s) | greedy run (s) | rows cleaned |");
     println!("|--------|---------:|---------------:|-------------:|");
     println!(
-        "| ShardedSession (in-process, {n_shards} shards) | {local_open_s:.3} | {local_run_s:.3} | {} |",
+        "| CleaningSession (single process) | {local_open_s:.3} | {local_run_s:.3} | {} |",
         local_run.order.len()
     );
     println!(

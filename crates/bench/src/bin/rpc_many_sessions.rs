@@ -14,7 +14,7 @@
 //!
 //! Every coordinator cleans a distinct random order, and its final CP
 //! status is cross-checked against an **isolated** in-process
-//! [`ShardedSession`] run of the same order — concurrent tenants must be
+//! [`CleaningSession`] run of the same order — concurrent tenants must be
 //! bit-indistinguishable from isolated runs. The run also reports the
 //! delta-vs-raw on-wire size of the workload's scan streams (the dominant
 //! message class) and asserts the ≥3× compression the codec is sized for.
@@ -45,13 +45,13 @@
 //! that caveat instead of a hollow speedup number.
 
 use cp_bench::{random_incomplete_dataset, Reporter};
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins};
 use cp_rpc::{
     encode_stream, encode_stream_raw, spawn_server, ClientConfig, FaultPlan, Request,
     RpcCoordinator, ServerConfig, ShardClient,
 };
-use cp_shard::{build_shard_indexes, ShardStream, ShardedSession};
+use cp_shard::{build_shard_indexes, ShardStream};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::{Arc, Barrier};
@@ -190,7 +190,7 @@ fn run_fleet(
 
     // every tenant == the isolated run of its order, bit-for-bit
     for (status, order) in finished {
-        let mut local = ShardedSession::new(problem, 1, opts);
+        let mut local = CleaningSession::new(problem, opts);
         for &row in &order {
             local.clean(row);
         }

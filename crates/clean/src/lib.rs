@@ -15,8 +15,8 @@
 //!   CP status; `run_cpclean` and the baselines are thin wrappers over it.
 //! * [`selection`] — **incremental greedy selection**: the epoch-keyed
 //!   score cache, top-K relevance analysis and entropy-bound pruning shared
-//!   by every engine's `select_next` (this crate's session, `cp-shard`'s
-//!   sharded session, `cp-rpc`'s coordinator).
+//!   by every engine's `select_next` (this crate's session and `cp-rpc`'s
+//!   sharded coordinator).
 //! * [`random_clean`] — the RandomClean baseline (same machinery, random
 //!   order).
 //! * [`boostclean`] — BoostClean: validation-driven selection (plus

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// A data-cleaning-for-ML problem instance.
 ///
 /// The validation features sit behind an [`Arc`]: cloning a problem (or
-/// deriving per-shard sub-problems, as the sharded and RPC engines do) shares
+/// deriving per-shard sub-problems, as the shard servers do) shares
 /// the one `val_x` allocation instead of copying it per clone — an S-shard
 /// session used to hold S+1 copies of the validation set. Read access is
 /// unchanged (`problem.val_x[v]`, iteration and `.len()` all work through

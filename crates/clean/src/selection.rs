@@ -53,8 +53,8 @@
 //! relevance set — every row's extreme allowed keys, then `τ`, the K-th
 //! largest `minkey` (a row is relevant iff its `maxkey` is at least `τ`):
 //! `O(N log K)` on the in-process engine, which reads the keys off the
-//! point's cached index, and `O(NM + N log K)` on the sharded and RPC
-//! engines, which evaluate the kernel — plus its base entropy. On the
+//! point's cached index, and `O(NM + N log K)` on the sharded engine,
+//! which evaluates the kernel — plus its base entropy. On the
 //! in-process engine all entropies of one point come from one
 //! [`cp_core::PinnedProbabilities`], opened at the point's first request
 //! of the step: one SS-DC opening,
@@ -68,7 +68,7 @@
 //! request opens its own, so a step opens at most `|B| + |R|` scans, still
 //! one per missed row rather than `M`. With `K = 1` each pin takes the
 //! `O(NM)` K = 1 fast path instead, as the naive scorer does. The sharded
-//! and RPC engines still run `M` pinned scans per miss.
+//! engine still runs `M` pinned scans per miss.
 
 use crate::problem::CleaningProblem;
 use cp_core::similarity::largest_keys;

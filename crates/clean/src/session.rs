@@ -54,8 +54,8 @@ use std::sync::{Arc, Mutex};
 ///
 /// The session *shares* its problem behind an [`Arc`] rather than borrowing
 /// it, so sessions are freely movable across threads and owners — the shape
-/// the sharded engine needs, where a `ShardedSession` owns one
-/// `CleaningSession` per dataset shard alongside the shard problems
+/// the sharded engine needs, where a shard server owns one
+/// `CleaningSession` per open session alongside the shard problems
 /// themselves.
 #[derive(Debug)]
 pub struct CleaningSession {
@@ -65,8 +65,8 @@ pub struct CleaningSession {
     cache: ValIndexCache,
     cp: Vec<bool>,
     /// Incremental selection state ([`crate::selection`]); behind a mutex —
-    /// not a `RefCell` — because selection takes `&self` and sharded
-    /// front-ends fan `&self` out across pool workers.
+    /// not a `RefCell` — because selection takes `&self` and a shard
+    /// server shares a session across its connection threads.
     sel: Mutex<SelectionCache>,
 }
 
@@ -101,7 +101,7 @@ impl CleaningSession {
 
     /// [`CleaningSession::from_arc`] without the initial CP-status
     /// evaluation — for coordinators that derive certainty globally (a
-    /// sharded session merges factors across shards) and use this session
+    /// sharded run merges factors across shards) and use this session
     /// only for pin ownership and its cached indexes.
     /// [`CleaningSession::status`] reports every point as not-yet-certain
     /// until a [`CleaningSession::clean`] refreshes it.
@@ -299,7 +299,7 @@ impl CleaningSession {
 
     /// Apply a cleaning pin **without** re-evaluating this session's own CP
     /// status — for coordinators that derive certainty globally (a sharded
-    /// session answers status questions by merging factors across shards)
+    /// run answers status questions by merging factors across shards)
     /// and use this session only for pin ownership and its index cache.
     ///
     /// The local status vector keeps its last refreshed value, which stays
@@ -401,8 +401,8 @@ impl CleaningEngine for CleaningSession {
 }
 
 /// The run-loop surface shared by every cleaning engine — the
-/// single-process [`CleaningSession`] and partition-parallel engines
-/// (`cp-shard`'s `ShardedSession`) alike.
+/// single-process [`CleaningSession`] and the sharded one (`cp-rpc`'s
+/// `RpcCoordinator`) alike.
 ///
 /// An engine supplies problem access, its CP-status counts, cleaning and
 /// greedy selection; the trait supplies the *identical* stepping and

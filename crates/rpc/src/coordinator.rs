@@ -1,7 +1,9 @@
-//! The coordinator client: drives N shard servers through the existing
-//! merged-scan logic and exposes the same
+//! The coordinator client: drives N shard servers through the merged-scan
+//! logic of `cp-shard` and exposes the same
 //! `step()` / `status()` / `run_to_convergence()` / `run_order()` surface as
-//! the in-process [`cp_shard::ShardedSession`].
+//! the in-process [`cp_clean::CleaningSession`]. It is the one sharded
+//! engine; in one process its servers run on loopback ports
+//! ([`crate::spawn_server`]).
 //!
 //! An [`RpcCoordinator`] owns the global problem, the cleaning state and the
 //! CP status vector; shard servers own everything partition-local (rows,
@@ -17,13 +19,11 @@
 //! greedy selection the coordinator fetches
 //! each shard's base probability stream once and, for every candidate pin,
 //! one hypothetical stream from the *owning* shard only — every other
-//! shard's stream is replayed as-is, mirroring the in-process engine's
-//! "only the owner's mask changes" structure. Because the streams are
-//! produced by the same `ShardScan` code and merged by the same
-//! [`cp_shard::merged_scan_sources`] loop in the same shard order, the
-//! coordinator's status vectors, greedy choices and cleaned orders are
-//! **identical** to `ShardedSession`'s — property-tested over real loopback
-//! sockets in `tests/rpc_equivalence.rs`.
+//! shard's stream is replayed as-is, since pinning a row changes only its
+//! owner's mask. The coordinator's status vectors, greedy choices and
+//! cleaned orders are **identical** to `CleaningSession`'s, and its Q2
+//! counts to the live merged scan's bit for bit — property-tested over
+//! real loopback sockets in `tests/rpc_equivalence.rs`.
 //!
 //! Selection runs the shared *incremental* loop
 //! ([`cp_clean::select_next_incremental`]: relevance-based score caching
@@ -46,7 +46,7 @@ use crate::journal::ShardJournal;
 use crate::proto::{
     decode_response, encode_request, OpenShard, Request, Response, SessionId, ShardStatus,
 };
-use crate::retry::{Admission, CircuitBreaker, RetryPolicy};
+use crate::retry::{Admission, Attempt, CircuitBreaker, RetryPolicy};
 use crate::server::U128_OVERFLOW;
 use crate::spill::{certain_label_over_runs, spill_stream, LazyRunCursor, SpillSource};
 use cp_clean::metrics::CleaningRun;
@@ -71,7 +71,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Connection policy for a [`ShardClient`] — the transport-hardening knobs
 /// for serving beyond loopback.
@@ -332,44 +332,32 @@ impl ShardClient {
     }
 
     fn establish(peers: &[SocketAddr], cfg: &ClientConfig) -> RpcResult<Conn> {
-        let policy = cfg.retry_policy();
-        let started = Instant::now();
-        let mut last: Option<RpcError> = None;
-        for attempt in 0..policy.attempts.max(1) {
-            if attempt > 0 {
-                cp_obs::counter!("rpc.client.connect_retries").inc();
-                let pause = policy.backoff(attempt);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                if policy.expired(started) {
-                    break;
-                }
-            }
+        let dial = || {
             // a chaos plan can refuse the dial outright, before any socket
             // work — the deterministic stand-in for a crashed listener
-            if let Some(plan) = &cfg.chaos {
-                if plan.should_refuse_dial() {
-                    last = Some(RpcError::Io(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionRefused,
-                        "dial refused by fault injection",
-                    )));
-                    continue;
-                }
+            if cfg
+                .chaos
+                .as_ref()
+                .is_some_and(|plan| plan.should_refuse_dial())
+            {
+                return Attempt::Retry(RpcError::Io(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionRefused,
+                    "dial refused by fault injection",
+                )));
             }
             match Self::connect_once(peers, cfg) {
-                Ok(stream) => {
-                    return Ok(match &cfg.chaos {
-                        Some(plan) => Conn::Chaos(FaultyTransport::new(stream, plan.schedule())),
-                        None => Conn::Plain(stream),
-                    })
-                }
+                Ok(stream) => Attempt::Done(Ok(match &cfg.chaos {
+                    Some(plan) => Conn::Chaos(FaultyTransport::new(stream, plan.schedule())),
+                    None => Conn::Plain(stream),
+                })),
                 // only transport-level failures are worth another attempt
-                Err(e @ RpcError::Io(_)) => last = Some(e),
-                Err(other) => return Err(other),
+                Err(e @ RpcError::Io(_)) => Attempt::Retry(e),
+                Err(other) => Attempt::Done(Err(other)),
             }
-        }
-        Err(last.unwrap_or_else(|| RpcError::Protocol("no socket address resolved".into())))
+        };
+        cfg.retry_policy().run(1, dial, |_| {
+            cp_obs::counter!("rpc.client.connect_retries").inc()
+        })
     }
 
     fn connect_once(peers: &[SocketAddr], cfg: &ClientConfig) -> RpcResult<TcpStream> {
@@ -714,9 +702,8 @@ impl ShardClient {
     }
 }
 
-/// A cleaning run distributed over shard servers: the multi-process twin of
-/// [`cp_shard::ShardedSession`], answering through the same merged-scan
-/// algebra over decoded streams instead of live scans.
+/// A cleaning run distributed over shard servers, answering through the
+/// merged-scan algebra of `cp-shard` over decoded streams.
 #[derive(Debug)]
 pub struct RpcCoordinator {
     problem: Arc<CleaningProblem>,
@@ -756,7 +743,7 @@ pub struct RpcCoordinator {
     published: RefCell<Vec<Option<Vec<bool>>>>,
     /// Global effective K, computed once from the full dataset.
     k: usize,
-    /// Incremental-selection state shared with the in-process engines
+    /// Incremental-selection state shared with the in-process engine
     /// (pin-log epochs, per-point relevance, memoized entropies).
     sel: RefCell<SelectionCache>,
     /// Per-validation-point base streams tagged with the `mask_epochs` they
@@ -932,34 +919,17 @@ impl RpcCoordinator {
                 default_choice: slice_choices(&problem.default_choice, sh),
             });
             // a Busy refusal (session cap on a multi-tenant server) and a
-            // deadline-shed Open are retryable under the same unified
-            // policy as connect itself — jittered capped backoff with the
-            // policy's total-time deadline — since load drains as other
-            // coordinators close their sessions
-            let policy = client_cfg.retry_policy();
-            let started = Instant::now();
-            let mut n_rows = client.open((*open).clone());
-            for retry in 1..policy.attempts.max(1) {
-                match &n_rows {
-                    Err(e) if e.is_retryable() => {
-                        match e {
-                            RpcError::Expired(_) => {
-                                cp_obs::counter!("rpc.client.expired_retries").inc()
-                            }
-                            _ => cp_obs::counter!("rpc.client.busy_retries").inc(),
-                        }
-                        let pause = policy.backoff(retry);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        if policy.expired(started) {
-                            break;
-                        }
-                        n_rows = client.open((*open).clone());
-                    }
-                    _ => break,
-                }
-            }
+            // deadline-shed Open are retryable under the same policy as
+            // connect itself, since load drains as other coordinators
+            // close their sessions
+            let open_once = || match client.open((*open).clone()) {
+                Err(e) if e.is_retryable() => Attempt::Retry(e),
+                result => Attempt::Done(result),
+            };
+            let n_rows = client_cfg.retry_policy().run(1, open_once, |e| match e {
+                RpcError::Expired(_) => cp_obs::counter!("rpc.client.expired_retries").inc(),
+                _ => cp_obs::counter!("rpc.client.busy_retries").inc(),
+            });
             let n_rows = n_rows?;
             if n_rows != sh.len() {
                 return Err(RpcError::Protocol(format!(
@@ -1103,29 +1073,15 @@ impl RpcCoordinator {
         s: usize,
         mut op: impl FnMut(&mut ShardClient) -> RpcResult<R>,
     ) -> RpcResult<R> {
-        let policy = self.cfg.retry_policy();
-        let attempts = policy.attempts.max(2);
-        let started = Instant::now();
-        let mut last: Option<RpcError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let pause = policy.backoff(attempt);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                if policy.expired(started) {
-                    break;
-                }
-            }
+        let attempt = || {
             match self.breakers[s].borrow_mut().admit() {
                 Admission::Allow => {}
                 Admission::FastFail => {
                     cp_obs::counter!("rpc.client.breaker_fast_fails").inc();
-                    last = Some(RpcError::Io(std::io::Error::new(
+                    return Attempt::Retry(RpcError::Io(std::io::Error::new(
                         std::io::ErrorKind::ConnectionAborted,
                         format!("shard {s} circuit breaker open"),
                     )));
-                    continue;
                 }
                 Admission::Probe => {
                     cp_obs::counter!("rpc.client.breaker_probes").inc();
@@ -1136,67 +1092,51 @@ impl RpcCoordinator {
                         Ok(()) => self.breakers[s].borrow_mut().on_success(),
                         Err(e) => {
                             self.breakers[s].borrow_mut().on_failure();
-                            last = Some(e);
-                            continue;
+                            return Attempt::Retry(e);
                         }
                     }
                 }
             }
             if let Err(e) = self.revive(s) {
                 self.breakers[s].borrow_mut().on_failure();
-                last = Some(e);
-                continue;
+                return Attempt::Retry(e);
             }
             let result = op(&mut self.clients[s].borrow_mut());
-            match result {
+            let e = match result {
                 Ok(r) => {
                     self.breakers[s].borrow_mut().on_success();
-                    return Ok(r);
+                    return Attempt::Done(Ok(r));
                 }
-                Err(e) => {
-                    let poisoned = self.clients[s].borrow().is_poisoned();
-                    match &e {
-                        RpcError::Busy(_) => {
-                            cp_obs::counter!("rpc.client.busy_retries").inc();
-                            last = Some(e);
-                        }
-                        RpcError::Expired(_) => {
-                            cp_obs::counter!("rpc.client.expired_retries").inc();
-                            last = Some(e);
-                        }
-                        RpcError::Io(_)
-                        | RpcError::Truncated { .. }
-                        | RpcError::FrameTooLarge { .. } => {
-                            self.breakers[s].borrow_mut().on_failure();
-                            last = Some(e);
-                        }
-                        RpcError::Protocol(_)
-                        | RpcError::Malformed(_)
-                        | RpcError::BadTag { .. }
-                            if poisoned =>
-                        {
-                            // id-pairing or frame-CRC poison: recoverable
-                            // weather. The same variants on an unpoisoned
-                            // client decoded from a *valid* frame — a bug.
-                            self.breakers[s].borrow_mut().on_failure();
-                            last = Some(e);
-                        }
-                        RpcError::Remote(msg) if msg.starts_with("unknown session") => {
-                            // the server is alive but lost our session:
-                            // not a transport fault (no breaker penalty),
-                            // but only a journal replay can cure it
-                            if let Err(fe) = self.failover(s) {
-                                last = Some(fe);
-                            } else {
-                                last = Some(e);
-                            }
-                        }
-                        _ => return Err(e),
+                Err(e) => e,
+            };
+            let poisoned = self.clients[s].borrow().is_poisoned();
+            match &e {
+                RpcError::Busy(_) => cp_obs::counter!("rpc.client.busy_retries").inc(),
+                RpcError::Expired(_) => cp_obs::counter!("rpc.client.expired_retries").inc(),
+                RpcError::Io(_) | RpcError::Truncated { .. } | RpcError::FrameTooLarge { .. } => {
+                    self.breakers[s].borrow_mut().on_failure()
+                }
+                // id-pairing or frame-CRC poison: recoverable weather. The
+                // same variants on an unpoisoned client decoded from a
+                // *valid* frame — a bug.
+                RpcError::Protocol(_) | RpcError::Malformed(_) | RpcError::BadTag { .. }
+                    if poisoned =>
+                {
+                    self.breakers[s].borrow_mut().on_failure()
+                }
+                RpcError::Remote(msg) if msg.starts_with("unknown session") => {
+                    // the server is alive but lost our session: not a
+                    // transport fault (no breaker penalty), but only a
+                    // journal replay can cure it
+                    if let Err(fe) = self.failover(s) {
+                        return Attempt::Retry(fe);
                     }
                 }
+                _ => return Attempt::Done(Err(e)),
             }
-        }
-        Err(last.unwrap_or_else(|| RpcError::Protocol(format!("shard {s} retry budget exhausted"))))
+            Attempt::Retry(e)
+        };
+        self.cfg.retry_policy().run(2, attempt, |_| {})
     }
 
     /// Make shard `s`'s client callable again if a transport failure
@@ -1373,7 +1313,7 @@ impl RpcCoordinator {
     }
 
     /// The certainly-predicted label of validation point `v` (if any) under
-    /// the current pins — the same dispatch as the in-process engines:
+    /// the current pins — the same dispatch as the in-process session:
     /// binary label spaces ship one `O(|Y|·K)` [`ExtremeSummary`] per shard
     /// and fold them by rank (no boundary-event stream crosses the wire);
     /// everything else merges fresh `Possibility` streams. Travels the same
@@ -1720,8 +1660,7 @@ impl RpcCoordinator {
         )
     }
 
-    /// The from-scratch serialized selection — the same structure as
-    /// [`cp_shard::ShardedSession::select_next_naive`]: per uncertain
+    /// The from-scratch serialized selection: per uncertain
     /// validation point, every shard's base stream is fetched once and
     /// replayed for every candidate pin; only the owning shard computes a
     /// per-candidate hypothetical stream, one blocking round trip at a
@@ -1778,7 +1717,7 @@ impl RpcCoordinator {
 
     /// Greedy run with curve recording —
     /// [`CleaningEngine::run_to_convergence`]: the *same* run loop the
-    /// single-process and sharded sessions drive.
+    /// single-process session drives.
     pub fn run_to_convergence(&mut self, test_x: &[Vec<f64>], test_y: &[usize]) -> CleaningRun {
         CleaningEngine::run_to_convergence(self, test_x, test_y)
     }

@@ -1,12 +1,14 @@
 //! # cp-rpc — the multi-process serving layer
 //!
-//! `cp-shard` made a single CP query partition-parallel in-process and left
-//! the seams message-shaped: a worker owns one [`cp_core::DatasetShard`]
-//! plus a shard-local [`cp_clean::CleaningSession`] (state that never needs
-//! to leave the worker), and the coordinator's exchange per scan is compact
+//! `cp-shard` made a single CP query partition-parallel and left the seams
+//! message-shaped: a worker owns one [`cp_core::DatasetShard`] plus a
+//! shard-local [`cp_clean::CleaningSession`] (state that never needs to
+//! leave the worker), and the coordinator's exchange per scan is compact
 //! polynomial factors and boundary keys. This crate turns those seams into
 //! an actual wire protocol over `std::net::TcpStream` — no external
-//! dependencies, a hand-rolled length-prefixed frame codec.
+//! dependencies, a hand-rolled length-prefixed frame codec — and is the one
+//! sharded cleaning engine: in one process, the shard servers run on
+//! loopback ports ([`server::spawn_server`]).
 //!
 //! ## Layers
 //!
@@ -38,14 +40,16 @@
 //!   request returns the shard's **whole** locally-sorted boundary-event
 //!   stream (factor deltas included) in a single message — one round trip
 //!   per *scan*, not one per boundary event. Runs behind the `shard-server`
-//!   binary.
+//!   binary; [`server::spawn_server`] runs the same loop on a background
+//!   thread for in-process deployments, tests and benchmarks.
 //! * [`coordinator`] — [`coordinator::RpcCoordinator`]: partitions a
 //!   cleaning problem over N servers, replays their decoded streams through
-//!   the same [`cp_shard::merged_scan_sources`] loop the in-process engine
-//!   uses, and exposes the `step()` / `status()` / `run_to_convergence()` /
-//!   `run_order()` engine surface. Answers are *identical* to
-//!   [`cp_shard::ShardedSession`]'s — bit-for-bit, property-tested over
-//!   real loopback sockets.
+//!   [`cp_shard::merged_scan_sources`], and exposes the `step()` /
+//!   `status()` / `run_to_convergence()` / `run_order()` engine surface.
+//!   Status vectors and cleaning orders are *identical* to
+//!   [`cp_clean::CleaningSession`]'s, and Q2 counts to
+//!   [`cp_shard::q2_sharded_with_algorithm`]'s bit for bit —
+//!   property-tested over real loopback sockets.
 //! * [`spill`] — the out-of-core seam over `cp-store`: fetched streams
 //!   past [`coordinator::ClientConfig::spill_threshold`] (env
 //!   `CP_SPILL_THRESHOLD`) are written as immutable sorted on-disk runs
@@ -125,8 +129,7 @@ pub use journal::ShardJournal;
 pub use proto::{OpenShard, Request, Response, SessionId, ShardStatus};
 pub use retry::{Admission, CircuitBreaker, RetryPolicy};
 pub use server::{
-    serve, serve_connection, serve_ephemeral, serve_with, spawn_server, spawn_server_on,
-    RunningServer, ServerConfig, ShardServer,
+    serve_with, spawn_server, spawn_server_on, RunningServer, ServerConfig, ShardServer,
 };
 pub use spill::{
     certain_label_over_runs, open_run_cursor, spill_stream, LazyRunCursor, SpillSource,

@@ -2,15 +2,13 @@
 //! seeded jitter, an optional total-time deadline, and the per-shard
 //! circuit breaker.
 //!
-//! Before this module, three call sites each improvised their own retry
-//! shape: `connect` slept a fixed `retry_backoff` per attempt, the
-//! `open`-on-`Busy` loop borrowed the connect attempt budget with no time
-//! bound at all, and request-level failures never retried. One
-//! [`RetryPolicy`] now drives all of them (plus the failover path), which
-//! is what prevents a thundering herd of synchronized redials when a pool
-//! server restarts under a whole fleet: each client's jitter stream is
-//! seeded separately, so their backoff schedules decorrelate while staying
-//! fully deterministic for tests.
+//! `RetryPolicy::run` is the one retry loop: connection establishment,
+//! the `Open`-on-`Busy` loop and the coordinator's request-level recovery
+//! each supply only an attempt body that classifies its failure as
+//! retryable or final. Each client's jitter stream is seeded
+//! separately, so when a pool server restarts under a whole fleet their
+//! redial schedules decorrelate instead of arriving as a thundering herd,
+//! while staying fully deterministic for tests.
 //!
 //! The [`CircuitBreaker`] sits above the policy: after `threshold`
 //! *consecutive* transport failures against one shard it opens and fails
@@ -69,6 +67,48 @@ impl RetryPolicy {
     pub fn expired(&self, started: Instant) -> bool {
         self.deadline.is_some_and(|d| started.elapsed() >= d)
     }
+
+    /// Run `attempt` until it finishes, the attempt budget (`attempts`, but
+    /// at least `min_attempts`) is spent, or the deadline has passed after
+    /// a backoff pause; the last failure is returned. `on_retry` sees each
+    /// failure that is about to be retried, before its pause.
+    pub(crate) fn run<T, E>(
+        &self,
+        min_attempts: u32,
+        mut attempt: impl FnMut() -> Attempt<T, E>,
+        mut on_retry: impl FnMut(&E),
+    ) -> Result<T, E> {
+        let attempts = self.attempts.max(min_attempts);
+        let started = Instant::now();
+        let mut retry = 0;
+        loop {
+            let failure = match attempt() {
+                Attempt::Done(result) => return result,
+                Attempt::Retry(e) => e,
+            };
+            retry += 1;
+            if retry >= attempts {
+                return Err(failure);
+            }
+            on_retry(&failure);
+            let pause = self.backoff(retry);
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+            if self.expired(started) {
+                return Err(failure);
+            }
+        }
+    }
+}
+
+/// What one attempt under [`RetryPolicy::run`] came to.
+#[derive(Debug)]
+pub(crate) enum Attempt<T, E> {
+    /// A success, or a failure another attempt cannot cure: stop here.
+    Done(Result<T, E>),
+    /// A failure worth another attempt.
+    Retry(E),
 }
 
 /// Breaker states, in the classic three-state design.
@@ -242,6 +282,75 @@ mod tests {
         };
         assert!(!fresh.expired(started));
         assert!(!policy(0).expired(started));
+    }
+
+    #[test]
+    fn run_retries_within_the_budget_and_stops_on_a_final_outcome() {
+        let p = RetryPolicy {
+            base: Duration::ZERO,
+            ..policy(3)
+        };
+        let (mut calls, mut retried) = (0u32, 0u32);
+        let exhausted: Result<(), u32> = p.run(
+            1,
+            || {
+                calls += 1;
+                Attempt::Retry(calls)
+            },
+            |_| retried += 1,
+        );
+        assert_eq!(exhausted, Err(5), "the last failure after 5 attempts");
+        assert_eq!((calls, retried), (5, 4));
+
+        // the floor lifts a one-attempt policy to two attempts
+        let once = RetryPolicy {
+            attempts: 1,
+            ..p.clone()
+        };
+        calls = 0;
+        let floored: Result<(), u32> = once.run(
+            2,
+            || {
+                calls += 1;
+                Attempt::Retry(calls)
+            },
+            |_| {},
+        );
+        assert_eq!((floored, calls), (Err(2), 2));
+
+        // a final outcome stops at once, success or failure
+        calls = 0;
+        let done = p.run(
+            1,
+            || {
+                calls += 1;
+                if calls == 2 {
+                    Attempt::Done(Ok(7))
+                } else {
+                    Attempt::Retry(0)
+                }
+            },
+            |_| {},
+        );
+        assert_eq!((done, calls), (Ok(7), 2));
+        let fatal: Result<(), u32> = p.run(1, || Attempt::Done(Err(9)), |_| panic!("no retry"));
+        assert_eq!(fatal, Err(9));
+
+        // an expired deadline ends the loop after the retry's pause
+        let hurried = RetryPolicy {
+            deadline: Some(Duration::ZERO),
+            ..p
+        };
+        (calls, retried) = (0, 0);
+        let expired: Result<(), u32> = hurried.run(
+            1,
+            || {
+                calls += 1;
+                Attempt::Retry(calls)
+            },
+            |_| retried += 1,
+        );
+        assert_eq!((expired, calls, retried), (Err(1), 1, 1));
     }
 
     #[test]

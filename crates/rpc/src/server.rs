@@ -19,7 +19,7 @@
 //!
 //! Each [`Request::Scan`] ships one batched [`cp_shard::ShardStream`]
 //! (delta-compressed by [`crate::codec::encode_stream`]) computed by
-//! exactly the [`cp_shard::ShardScan`] code the in-process engine runs;
+//! exactly the [`cp_shard::ShardScan`] code the in-process merged scans run;
 //! [`Request::ExtremeSummary`] answers binary status checks with one
 //! rank-ordered [`ExtremeSummary`] instead.
 //!
@@ -281,7 +281,7 @@ impl ShardServer {
     pub fn handle(&self, req: Request) -> Response {
         // A deadline envelope reaching handle() directly (an embedder
         // calling without a serve loop) is treated as unexpired — queue
-        // wait is the serve loops' concern; they shed before dispatch.
+        // wait is the serve loop's concern; it sheds before dispatch.
         if let Request::Deadline { inner, .. } = req {
             return self.handle(*inner);
         }
@@ -887,42 +887,6 @@ fn handle_caught(server: &ShardServer, req: Request) -> Response {
     })
 }
 
-/// Serve one established connection serially (no request queue) until the
-/// peer shuts down or disconnects. Returns `true` if the peer sent
-/// [`Request::Shutdown`], `false` on orderly EOF. Every response frame
-/// echoes its request's id. The accept loop uses the queued variant; this
-/// one is the minimal embedding for tests and custom loops.
-pub fn serve_connection(server: &ShardServer, stream: &mut TcpStream) -> RpcResult<bool> {
-    loop {
-        // an EOF at a frame boundary is an orderly disconnect
-        let Some((req_id, frame)) = read_frame_opt_tagged(stream)? else {
-            return Ok(false);
-        };
-        cp_obs::counter!("rpc.server.bytes_in").add(FRAME_OVERHEAD + frame.len() as u64);
-        // a malformed request poisons only that request, not the connection
-        let (resp, shutdown) = match decode_request(&frame) {
-            // serial serving has no queue wait; only a zero budget can expire
-            Ok(req) => match shed_expired(req, 0) {
-                Ok(req) => {
-                    let shutdown = matches!(req, Request::Shutdown);
-                    (handle_caught(server, req), shutdown)
-                }
-                Err(resp) => (resp, false),
-            },
-            Err(e) => {
-                cp_obs::counter!("rpc.server.malformed_requests").inc();
-                (Response::Error(format!("bad request: {e}")), false)
-            }
-        };
-        let payload = encode_response(&resp);
-        cp_obs::counter!("rpc.server.bytes_out").add(FRAME_OVERHEAD + payload.len() as u64);
-        write_frame_tagged(stream, req_id, &payload)?;
-        if shutdown {
-            return Ok(true);
-        }
-    }
-}
-
 /// Unwrap a [`Request::Deadline`] envelope, shedding the request if its
 /// wire-carried budget has already passed after `waited_us` in the queue
 /// (a zero budget is pre-expired by definition). Non-envelope requests
@@ -1088,18 +1052,6 @@ pub fn serve_with(listener: TcpListener, cfg: ServerConfig) -> RpcResult<()> {
     serve_inner(listener, cfg, None)
 }
 
-/// [`serve_with`] under default admission control. With `once = true` the
-/// loop returns after its first admitted connection ends — the mode CI's
-/// loopback smoke test and [`serve_ephemeral`] use so servers exit on
-/// coordinator shutdown.
-pub fn serve(listener: TcpListener, once: bool) -> RpcResult<()> {
-    let cfg = ServerConfig {
-        max_accepts: if once { Some(1) } else { None },
-        ..ServerConfig::default()
-    };
-    serve_with(listener, cfg)
-}
-
 fn serve_inner(
     listener: TcpListener,
     cfg: ServerConfig,
@@ -1235,26 +1187,6 @@ pub fn spawn_server_on(bind: &str, cfg: ServerConfig) -> RpcResult<RunningServer
         stop,
         handle: Some(handle),
     })
-}
-
-/// Spawn `n` single-connection servers on ephemeral loopback ports — one
-/// background accept loop each, exiting when its first admitted connection
-/// closes. Returns the bound addresses plus the join handles. The
-/// deployment shape the loopback tests and the `rpc_loopback` experiment
-/// share.
-pub fn serve_ephemeral(n: usize) -> RpcResult<(Vec<String>, Vec<std::thread::JoinHandle<()>>)> {
-    let mut addrs = Vec::with_capacity(n);
-    let mut handles = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        addrs.push(listener.local_addr()?.to_string());
-        handles.push(std::thread::spawn(move || {
-            if let Err(e) = serve(listener, true) {
-                cp_obs::obs_error!("rpc.server", "ephemeral server failed: {e}");
-            }
-        }));
-    }
-    Ok((addrs, handles))
 }
 
 #[cfg(test)]
@@ -1903,7 +1835,7 @@ mod tests {
             }),
             Response::Ok
         );
-        // …and shed_expired (the serve loops' gate) sheds a pre-expired
+        // …and shed_expired (the serve loop's gate) sheds a pre-expired
         // zero budget but passes a live one through
         assert!(matches!(
             shed_expired(

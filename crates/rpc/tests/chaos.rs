@@ -8,9 +8,9 @@
 //! killed mid-frame, and dials refused. The recovery layer — unified
 //! retry policy, circuit breaker, reconnect, journal-replay failover —
 //! must absorb *all* of it: the greedy pick sequence, every intermediate
-//! status vector, the Q2 counts and the convergence flag equal the
-//! in-process engine's exactly, and the coordinator's own failover /
-//! replayed-pin ledger stays consistent.
+//! status vector and the convergence flag equal the single-process
+//! session's exactly, the Q2 counts equal the live merged scan's, and the
+//! coordinator's own failover / replayed-pin ledger stays consistent.
 //!
 //! The scripted (non-proptest) test kills a WAL-less server mid-run and
 //! restarts it fresh on the same port: the retransmitted `Step` answers
@@ -18,14 +18,14 @@
 //! "restart without its WAL" failover class, with an *exact* replayed-pin
 //! count assertion.
 
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Algorithm, Q2Result};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
     read_frame_opt_tagged, spawn_server, spawn_server_on, write_frame_tagged, ClientConfig,
     FaultPlan, Request, RpcCoordinator, RunningServer, ServerConfig, ShardServer,
 };
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm, ShardedSession};
+use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::mpsc::channel;
@@ -109,8 +109,8 @@ proptest! {
         let problem = chaos_problem();
         let n_shards = 2;
 
-        // fault-free oracle: the in-process sharded engine
-        let mut local = ShardedSession::new(&problem, n_shards, &opts());
+        // fault-free oracle: the single-process session
+        let mut local = CleaningSession::new(&problem, &opts());
         let mut expected_picks = Vec::new();
         let mut expected_statuses = vec![local.status().to_vec()];
         while let Some(row) = local.step() {
@@ -255,7 +255,7 @@ fn unknown_session_failover_replays_the_journal_exactly() {
     let kill_after = 2; // die acknowledging the second pin
 
     // uninterrupted reference, fully in-process
-    let mut reference = ShardedSession::new(&problem, 1, &opts());
+    let mut reference = CleaningSession::new(&problem, &opts());
     let mut reference_statuses = vec![reference.status().to_vec()];
     for &row in &rows {
         reference.clean(row);

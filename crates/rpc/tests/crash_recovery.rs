@@ -16,7 +16,7 @@ use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
-    read_frame_opt_tagged, serve_ephemeral, spawn_server_on, write_frame_tagged, ClientConfig,
+    read_frame_opt_tagged, spawn_server, spawn_server_on, write_frame_tagged, ClientConfig,
     Request, Response, RpcCoordinator, RunningServer, ServerConfig, ShardClient, ShardServer,
 };
 use std::net::TcpListener;
@@ -122,8 +122,9 @@ fn resumed_run_after_crash_is_bit_identical_to_uninterrupted() {
 
     // ---- the uninterrupted reference run, completed (and closed) first so
     // its metrics are unregistered before the baseline snapshot ----------
-    let (addrs, handles) = serve_ephemeral(1).expect("bind reference server");
-    let mut reference = RpcCoordinator::connect(&problem, &addrs, &opts()).expect("connect");
+    let server = spawn_server(ServerConfig::default()).expect("bind reference server");
+    let mut reference =
+        RpcCoordinator::connect(&problem, &[server.addr()], &opts()).expect("connect");
     let mut reference_statuses = vec![reference.status().to_vec()];
     for &row in &rows {
         reference.clean(row).expect("reference clean");
@@ -131,9 +132,7 @@ fn resumed_run_after_crash_is_bit_identical_to_uninterrupted() {
     }
     let reference_converged = reference.converged();
     reference.shutdown().expect("shutdown reference");
-    for h in handles {
-        h.join().expect("reference server thread");
-    }
+    server.stop();
 
     // ---- the crashing run ------------------------------------------------
     let data_dir = std::env::temp_dir().join(format!("cp-crash-recovery-{}", std::process::id()));

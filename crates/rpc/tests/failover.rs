@@ -13,10 +13,9 @@
 //! lost disk / lost node — and the reason the journal lives on the
 //! coordinator.
 
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::{ClientConfig, FaultPlan, RpcCoordinator, ServerConfig};
-use cp_shard::ShardedSession;
 use std::time::Duration;
 
 fn failover_problem() -> CleaningProblem {
@@ -56,7 +55,7 @@ fn mid_run_replacement_onto_a_fresh_data_dir_is_bit_identical() {
     assert_eq!(rows.len(), 4, "the ledger below assumes four dirty rows");
 
     // uninterrupted reference, fully in-process
-    let mut reference = ShardedSession::new(&problem, 1, &opts());
+    let mut reference = CleaningSession::new(&problem, &opts());
     let mut reference_statuses = vec![reference.status().to_vec()];
     for &row in &rows {
         reference.clean(row);

@@ -1,21 +1,26 @@
 //! Dispatch accounting for the binary-Q1 extreme-summary fast path.
 //!
-//! A status sweep over a **binary** sharded session must never touch the
+//! A status sweep of a **binary** sharded run must never touch the
 //! polynomial machinery: the summary path builds extreme-world top-K lists
-//! and merges them by rank, so `cp_core::poly::tree_build_count` — the
-//! tally-tree twin of the similarity-index build counter — must not move
-//! across session construction and a whole fixed-order status-update run.
-//! A 3-label problem is the control: its status checks take the merged
-//! `Possibility` scan, which *does* build trees, proving the counter (and
-//! the dispatch) actually discriminate.
+//! on the shard servers and merges them by rank at the coordinator, so
+//! `cp_core::poly::tree_build_count` — the tally-tree twin of the
+//! similarity-index build counter — must not move across connecting and a
+//! whole fixed-order status-update run. A 3-label problem is the control:
+//! its status checks take the merged `Possibility` scan, which *does* build
+//! trees, proving the counter (and the dispatch) actually discriminate.
+//!
+//! Spilling is pinned off (`spill_threshold: Some(usize::MAX)`): a spill
+//! policy, such as a suite-wide `CP_SPILL_THRESHOLD=0`, routes status
+//! checks through `Possibility` streams instead of summaries.
 //!
 //! Lives in its own integration-test binary with a single `#[test]`
-//! because the counter is process-wide.
+//! because the counter is process-wide, which the in-process loopback
+//! servers share with the test.
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::poly::tree_build_count;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
-use cp_shard::ShardedSession;
+use cp_rpc::{spawn_server, ClientConfig, RpcCoordinator, RunningServer, ServerConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -78,19 +83,31 @@ fn binary_status_sweeps_build_zero_tally_trees() {
         record_every: 1,
     };
 
+    let in_ram = ClientConfig {
+        spill_threshold: Some(usize::MAX),
+        ..ClientConfig::default()
+    };
+    let servers: Vec<RunningServer> = (0..4)
+        .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
+        .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+
     for n_shards in [1usize, 2, 4] {
         // a single-process twin cleaned in lockstep keeps the fast path
         // honest: skipping the trees must not change a single status bit
         let mut single = CleaningSession::new(&problem, &opts);
 
         let before = tree_build_count();
-        let mut session = ShardedSession::new(&problem, n_shards, &opts);
+        let mut session =
+            RpcCoordinator::connect_with(&problem, &addrs[..n_shards], &opts, &in_ram)
+                .expect("connect");
         assert_eq!(session.status(), single.status(), "fresh status");
         for &row in &order {
-            session.clean(row);
+            session.clean(row).expect("clean over rpc");
             single.clean(row);
             assert_eq!(session.status(), single.status(), "after row {row}");
         }
+        session.shutdown().expect("shutdown");
         let built = tree_build_count() - before;
         assert_eq!(
             built, 0,
@@ -103,10 +120,12 @@ fn binary_status_sweeps_build_zero_tally_trees() {
     // Possibility scan, which builds one tree per label per shard scan
     let multiclass = synthetic_problem(43, 3, 15, 6);
     let before = tree_build_count();
-    let mut session = ShardedSession::new(&multiclass, 2, &opts);
+    let mut session =
+        RpcCoordinator::connect_with(&multiclass, &addrs[..2], &opts, &in_ram).expect("connect");
     if let Some(&row) = multiclass.dirty_rows().first() {
-        session.clean(row);
+        session.clean(row).expect("clean over rpc");
     }
+    session.shutdown().expect("shutdown");
     assert!(
         tree_build_count() - before > 0,
         "a 3-label status sweep must still run the tree-backed merged scan"

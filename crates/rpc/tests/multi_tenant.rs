@@ -12,12 +12,11 @@
 //!   retryable `Busy`; the slot frees on `Close` and the retried `Open`
 //!   succeeds. Same for the connection cap.
 
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::{
     spawn_server, OpenShard, Request, RpcCoordinator, RpcError, ServerConfig, ShardClient,
 };
-use cp_shard::ShardedSession;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -164,7 +163,7 @@ proptest! {
         let got_b = b.join().expect("coordinator b");
 
         for (n_shards, order, got) in [(1, &order_a, &got_a), (2, &order_b, &got_b)] {
-            let mut local = ShardedSession::new(&problem, n_shards, &opts(1));
+            let mut local = CleaningSession::new(&problem, &opts(1));
             prop_assert_eq!(&got[0], &local.status().to_vec(), "fresh, {} shards", n_shards);
             for (i, &row) in order.iter().enumerate() {
                 local.clean(row);
@@ -221,7 +220,7 @@ fn garbage_client_then_healthy_client() {
     let problem = tiny_problem();
     let mut remote =
         RpcCoordinator::connect(&problem, &[server.addr()], &opts(1)).expect("healthy connect");
-    let mut local = ShardedSession::new(&problem, 1, &opts(1));
+    let mut local = CleaningSession::new(&problem, &opts(1));
     loop {
         let expect = local.step();
         assert_eq!(remote.step(), expect, "greedy step diverged after garbage");

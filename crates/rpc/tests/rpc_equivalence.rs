@@ -1,40 +1,39 @@
 //! Coordinator-over-TCP equivalence with the in-process engines, over real
 //! loopback sockets.
 //!
-//! For shard counts `{1, 2, 3}` and random small cleaning problems, an
-//! [`RpcCoordinator`] driving actual `shard-server` accept loops must be
-//! indistinguishable from [`ShardedSession`]:
+//! For shard counts `{1, 2, 3, 7}` and random small cleaning problems, an
+//! [`RpcCoordinator`] driving [`spawn_server`] accept loops must give the
+//! single-process [`CleaningSession`]'s answers:
 //!
-//! * identical CP status vectors, fresh and after every step of arbitrary
-//!   random cleaning orders;
+//! * identical CP status vectors (and the from-scratch [`val_cp_status`]
+//!   oracle's), fresh and after every step of arbitrary random cleaning
+//!   orders;
 //! * identical greedy pin choices in lockstep, and identical full greedy
 //!   `run_to_convergence` runs (order, convergence flag, every curve
 //!   point);
 //! * identical `run_order` results under random budgets;
 //! * **exactly** equal Q2 counts in every wire semiring under random global
-//!   pin masks, for every `Q2Algorithm` selector — bit-for-bit, `f64`
-//!   included (the stream payloads are produced by the same `ShardScan`
-//!   code and merged by the same loop in the same order).
+//!   pin masks, for every `Q2Algorithm` selector, against the live merged
+//!   scan [`q2_sharded_with_algorithm`] — bit-for-bit, `f64` included (the
+//!   stream payloads are produced by the same `ShardScan` code and merged
+//!   by the same loop in the same order).
 //!
-//! Also covered: partition clamping when more servers are offered than the
-//! dataset has rows.
+//! 7 shards exceed the row count of every generated instance, so the
+//! partition clamp is exercised throughout; a unit case pins it down when
+//! more servers are offered than the dataset has rows.
 
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{val_cp_status, CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Algorithm, Q2Result};
 use cp_numeric::Possibility;
-use cp_rpc::{serve_ephemeral, RpcCoordinator};
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm, ShardedSession};
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
+use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::net::TcpStream;
-use std::thread::JoinHandle;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 3];
+const MAX_SHARDS: usize = 7;
 
-/// Shard counts for the incremental-selection lockstep — 7 exceeds the row
-/// count of every generated instance, exercising the partition clamp.
-const SHARD_COUNTS_WIDE: [usize; 4] = [1, 2, 3, 7];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, MAX_SHARDS];
 
 const ALL_ALGORITHMS: [Q2Algorithm; 5] = [
     Q2Algorithm::Auto,
@@ -44,16 +43,16 @@ const ALL_ALGORITHMS: [Q2Algorithm; 5] = [
     Q2Algorithm::SortScanMultiClass,
 ];
 
-/// Spawn `n` single-connection shard servers on ephemeral loopback ports.
-fn spawn_servers(n: usize) -> (Vec<String>, Vec<JoinHandle<()>>) {
-    serve_ephemeral(n).expect("bind loopback servers")
+/// Start `n` shard servers on ephemeral loopback ports. Drop every
+/// coordinator before its servers: a server's drop joins its connections.
+fn spawn_servers(n: usize) -> Vec<RunningServer> {
+    (0..n)
+        .map(|_| spawn_server(ServerConfig::default()).expect("bind loopback server"))
+        .collect()
 }
 
-/// Unblock never-connected `--once` servers so their threads can be joined.
-fn release_unused(addrs: &[String]) {
-    for addr in addrs {
-        drop(TcpStream::connect(addr).expect("release connect"));
-    }
+fn addrs(servers: &[RunningServer]) -> Vec<&str> {
+    servers.iter().map(RunningServer::addr).collect()
 }
 
 /// A random small cleaning problem — the same family as the cp-shard
@@ -124,18 +123,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Status-vector equivalence along arbitrary cleaning trajectories, and
-    /// greedy lockstep plus the full greedy run, over real sockets.
+    /// greedy lockstep, over real sockets: the sharded coordinator answers
+    /// exactly what the single-process session (and the from-scratch oracle)
+    /// answers, for every shard count.
     #[test]
     fn tcp_coordinator_matches_sharded_session((problem, seed) in arb_instance()) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7c7);
         let mut order = problem.dirty_rows();
         order.shuffle(&mut rng);
+        let servers = spawn_servers(MAX_SHARDS);
+        let addrs = addrs(&servers);
         for n_shards in SHARD_COUNTS {
             // --- arbitrary-order cleaning: status stays identical ---
-            let (addrs, handles) = spawn_servers(n_shards);
-            let mut remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
-            let mut local = ShardedSession::new(&problem, n_shards, &opts(1));
-            prop_assert_eq!(remote.n_shards(), local.n_shards());
+            let mut remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts(1)).expect("connect");
+            let mut local = CleaningSession::new(&problem, &opts(1));
+            prop_assert_eq!(remote.n_shards(), n_shards.min(problem.dataset.len()));
             prop_assert_eq!(remote.status(), local.status(), "fresh, n_shards={}", n_shards);
             for &row in &order {
                 local.clean(row);
@@ -147,16 +150,21 @@ proptest! {
                     row,
                     n_shards
                 );
+                prop_assert_eq!(
+                    remote.status().to_vec(),
+                    val_cp_status(&problem, remote.state().pins(), 1),
+                    "oracle disagrees after row {}, n_shards={}",
+                    row,
+                    n_shards
+                );
             }
+            prop_assert!(remote.converged(), "single world left ⇒ converged");
             remote.shutdown().expect("shutdown");
-            for h in handles {
-                h.join().expect("server thread");
-            }
 
             // --- greedy lockstep ---
-            let (addrs, handles) = spawn_servers(n_shards);
-            let mut remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
-            let mut local = ShardedSession::new(&problem, n_shards, &opts(1));
+            let mut remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts(1)).expect("connect");
+            let mut local = CleaningSession::new(&problem, &opts(1));
             loop {
                 let expect = local.step();
                 let got = remote.step();
@@ -168,9 +176,6 @@ proptest! {
             prop_assert_eq!(remote.converged(), local.converged());
             prop_assert_eq!(remote.status(), local.status());
             remote.shutdown().expect("shutdown");
-            for h in handles {
-                h.join().expect("server thread");
-            }
         }
     }
 
@@ -178,13 +183,15 @@ proptest! {
     /// relevance substitution, entropy-bound pruning, pipelined scans over
     /// cached base streams) picks the identical row the from-scratch
     /// serialized scorer picks — at every step of a randomly perturbed
-    /// trajectory, for shard counts {1, 2, 3, 7}, over real sockets.
+    /// trajectory, for every shard count, over real sockets.
     #[test]
     fn incremental_selection_matches_serialized_over_tcp((problem, seed) in arb_instance()) {
-        for n_shards in SHARD_COUNTS_WIDE {
+        let servers = spawn_servers(MAX_SHARDS);
+        let addrs = addrs(&servers);
+        for n_shards in SHARD_COUNTS {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1bb5);
-            let (addrs, handles) = spawn_servers(n_shards);
-            let mut remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
+            let mut remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts(1)).expect("connect");
             let mut step = 0usize;
             loop {
                 let remaining = remote.remaining();
@@ -214,17 +221,13 @@ proptest! {
                 remote.clean(row).expect("clean over rpc");
                 step += 1;
             }
-            let served = remote.n_shards();
             remote.shutdown().expect("shutdown");
-            release_unused(&addrs[served..]);
-            for h in handles {
-                h.join().expect("server thread");
-            }
         }
     }
 
     /// Full greedy `run_to_convergence` and budgeted `run_order` through
-    /// real sockets equal the in-process runs curve-point for curve-point.
+    /// real sockets equal the single-process runs curve-point for
+    /// curve-point, for every shard count.
     #[test]
     fn tcp_runs_match_sharded_runs((problem, seed) in arb_instance()) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x2fd);
@@ -233,34 +236,28 @@ proptest! {
         let mut order = problem.dirty_rows();
         order.shuffle(&mut rng);
         let budget = if order.is_empty() { None } else { Some(rng.gen_range(0..=order.len())) };
+        let run_opts = RunOptions { max_cleaned: budget, ..opts(1) };
+        let local_greedy = CleaningSession::new(&problem, &opts(1)).run_to_convergence(&test_x, &test_y);
+        let local_ordered =
+            CleaningSession::new(&problem, &run_opts).run_order(&order, &test_x, &test_y);
+        let servers = spawn_servers(MAX_SHARDS);
+        let addrs = addrs(&servers);
         for n_shards in SHARD_COUNTS {
-            let run_opts = RunOptions { max_cleaned: budget, ..opts(1) };
-
-            let (addrs, handles) = spawn_servers(n_shards);
-            let mut remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
+            let mut remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts(1)).expect("connect");
             let remote_run = remote.run_to_convergence(&test_x, &test_y);
-            let local_run =
-                ShardedSession::new(&problem, n_shards, &opts(1)).run_to_convergence(&test_x, &test_y);
-            prop_assert_eq!(&remote_run.order, &local_run.order, "n_shards={}", n_shards);
-            prop_assert_eq!(remote_run.converged, local_run.converged);
-            prop_assert_eq!(&remote_run.curve, &local_run.curve, "n_shards={}", n_shards);
+            prop_assert_eq!(&remote_run.order, &local_greedy.order, "n_shards={}", n_shards);
+            prop_assert_eq!(remote_run.converged, local_greedy.converged);
+            prop_assert_eq!(&remote_run.curve, &local_greedy.curve, "n_shards={}", n_shards);
             remote.shutdown().expect("shutdown");
-            for h in handles {
-                h.join().expect("server thread");
-            }
 
-            let (addrs, handles) = spawn_servers(n_shards);
-            let mut remote = RpcCoordinator::connect(&problem, &addrs, &run_opts).expect("connect");
+            let mut remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &run_opts).expect("connect");
             let remote_run = remote.run_order(&order, &test_x, &test_y);
-            let local_run =
-                ShardedSession::new(&problem, n_shards, &run_opts).run_order(&order, &test_x, &test_y);
-            prop_assert_eq!(&remote_run.order, &local_run.order, "n_shards={}", n_shards);
-            prop_assert_eq!(remote_run.converged, local_run.converged);
-            prop_assert_eq!(&remote_run.curve, &local_run.curve);
+            prop_assert_eq!(&remote_run.order, &local_ordered.order, "n_shards={}", n_shards);
+            prop_assert_eq!(remote_run.converged, local_ordered.converged);
+            prop_assert_eq!(&remote_run.curve, &local_ordered.curve);
             remote.shutdown().expect("shutdown");
-            for h in handles {
-                h.join().expect("server thread");
-            }
         }
     }
 
@@ -272,9 +269,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x41c3);
         let ds = &problem.dataset;
         let cfg = &problem.config;
+        let servers = spawn_servers(MAX_SHARDS);
+        let addrs = addrs(&servers);
         for n_shards in SHARD_COUNTS {
-            let (addrs, handles) = spawn_servers(n_shards);
-            let remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
+            let remote =
+                RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts(1)).expect("connect");
             let shards = ds.partition(n_shards);
             // the coordinator's certain-label dispatch (rank-merged extreme
             // summaries on binary problems, Possibility streams otherwise)
@@ -329,9 +328,6 @@ proptest! {
                 }
             }
             remote.shutdown().expect("shutdown");
-            for h in handles {
-                h.join().expect("server thread");
-            }
         }
     }
 }
@@ -357,17 +353,14 @@ fn more_servers_than_rows_clamps_the_partition() {
         vec![None, Some(0), None],
         vec![None, Some(1), None],
     );
-    let (addrs, handles) = spawn_servers(5);
-    let mut remote = RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect");
+    let servers = spawn_servers(5);
+    let mut remote =
+        RpcCoordinator::connect(&problem, &addrs(&servers), &opts(1)).expect("connect");
     assert_eq!(remote.n_shards(), 3, "arity clamps to the row count");
-    let local = ShardedSession::new(&problem, 5, &opts(1));
+    let local = CleaningSession::new(&problem, &opts(1));
     assert_eq!(remote.status(), local.status());
     let row = remote.step().expect("one greedy step");
     assert_eq!(row, 1);
     assert!(remote.converged());
     remote.shutdown().expect("shutdown");
-    release_unused(&addrs[3..]);
-    for h in handles {
-        h.join().expect("server thread");
-    }
 }

@@ -1,20 +1,21 @@
-//! Index-build accounting for the sharded session engine — the sharded
-//! extension of `cp-clean`'s `build_counter` test.
+//! Index-build accounting for the sharded engine — the sharded extension of
+//! `cp-clean`'s `build_counter` test.
 //!
-//! Opening a `ShardedSession` gives every shard its own partition-local
-//! `ValIndexCache`: each of the `n_shards` shard sessions builds one
+//! Connecting an `RpcCoordinator` gives every shard server's session its own
+//! partition-local `ValIndexCache`: each of the `n_shards` servers builds one
 //! `SimilarityIndex` per validation point over *its* sub-dataset, and no
-//! further builds may happen for the rest of the run — every merged scan
-//! (status refreshes and the greedy selection's pinned evaluations) reuses
-//! the cached per-shard indexes.
+//! further builds may happen for the rest of the run — every scan (status
+//! refreshes and the greedy selection's pinned evaluations) reuses the
+//! cached per-shard indexes.
 //!
 //! Lives in its own integration-test binary with a single `#[test]` because
-//! `cp_core::similarity::build_count` is a process-wide counter.
+//! `cp_core::similarity::build_count` is a process-wide counter, which the
+//! in-process loopback servers share with the test.
 
 use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::similarity::build_count;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
-use cp_shard::ShardedSession;
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -75,15 +76,21 @@ fn each_shard_builds_its_partition_local_indexes_exactly_once_per_run() {
     };
 
     for n_shards in [1usize, 2, 4] {
-        // session construction: one partition-local index per shard per
-        // validation point, built concurrently across shards
+        // fresh servers: a server shares one index build among identical
+        // opens, so the count must not depend on earlier iterations
+        let servers: Vec<RunningServer> = (0..n_shards)
+            .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
+            .collect();
+        let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+        // connecting: one partition-local index per shard per validation
+        // point, built by each shard's server
         let before = build_count();
-        let mut session = ShardedSession::new(&problem, n_shards, &opts);
+        let mut session = RpcCoordinator::connect(&problem, &addrs, &opts).expect("connect");
         let construction_builds = build_count() - before;
         assert_eq!(
             construction_builds,
             (session.n_shards() * problem.val_x.len()) as u64,
-            "opening a {n_shards}-shard session must build exactly \
+            "connecting a {n_shards}-shard coordinator must build exactly \
              n_shards × |val| partition-local indexes"
         );
 
@@ -105,5 +112,6 @@ fn each_shard_builds_its_partition_local_indexes_exactly_once_per_run() {
              ({} iterations reused the cached ones)",
             run.n_cleaned()
         );
+        session.shutdown().expect("shutdown");
     }
 }

@@ -21,8 +21,8 @@ use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Result};
 use cp_numeric::Possibility;
 use cp_rpc::{
-    certain_label_over_runs, open_run_cursor, serve_ephemeral, spill_stream, ClientConfig,
-    LazyRunCursor, RpcCoordinator, SpillSource, WireSemiring,
+    certain_label_over_runs, open_run_cursor, spawn_server, spill_stream, ClientConfig,
+    LazyRunCursor, RpcCoordinator, RunningServer, ServerConfig, SpillSource, WireSemiring,
 };
 use cp_shard::{
     build_shard_indexes, capture_streams, certain_label_from_sources, certain_label_from_streams,
@@ -271,7 +271,11 @@ proptest! {
         let _ = seed;
         let spilled_before = cp_obs::snapshot().counter("store.runs.spilled");
         for n_shards in [1usize, 3] {
-            let (addrs, handles) = serve_ephemeral(n_shards).expect("bind servers");
+            // both coordinators open their own sessions on the same servers
+            let servers: Vec<RunningServer> = (0..n_shards)
+                .map(|_| spawn_server(ServerConfig::default()).expect("bind server"))
+                .collect();
+            let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
             let spill_cfg = ClientConfig {
                 spill_threshold: Some(0),
                 ..ClientConfig::default()
@@ -280,9 +284,8 @@ proptest! {
                 RpcCoordinator::connect_with(&problem, &addrs, &opts(1), &spill_cfg)
                     .expect("connect spilling");
 
-            let (ram_addrs, ram_handles) = serve_ephemeral(n_shards).expect("bind servers");
             let mut in_ram =
-                RpcCoordinator::connect(&problem, &ram_addrs, &opts(1)).expect("connect in-ram");
+                RpcCoordinator::connect(&problem, &addrs, &opts(1)).expect("connect in-ram");
 
             prop_assert_eq!(spilling.status(), in_ram.status(), "fresh, n_shards={}", n_shards);
             loop {
@@ -297,9 +300,6 @@ proptest! {
             prop_assert_eq!(spilling.converged(), in_ram.converged());
             spilling.shutdown().expect("shutdown spilling");
             in_ram.shutdown().expect("shutdown in-ram");
-            for h in handles.into_iter().chain(ram_handles) {
-                h.join().expect("server thread");
-            }
         }
         prop_assert!(
             cp_obs::snapshot().counter("store.runs.spilled") > spilled_before,

@@ -11,13 +11,12 @@
 //! deployment) and drops the connection right after applying the first
 //! `Step` — before writing the reply.
 
-use cp_clean::{CleaningProblem, RunOptions};
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
     read_frame_opt_tagged, write_frame_tagged, Request, Response, RpcCoordinator, ShardServer,
 };
-use cp_shard::ShardedSession;
 use std::net::TcpListener;
 use std::thread::JoinHandle;
 
@@ -89,7 +88,7 @@ fn lost_step_ack_is_recovered_by_idempotent_retransmission() {
     let server = serve_lossy_step(listener);
 
     let mut remote = RpcCoordinator::connect(&problem, &[&addr], &opts).expect("connect");
-    let mut local = ShardedSession::new(&problem, 1, &opts);
+    let mut local = CleaningSession::new(&problem, &opts);
     assert_eq!(remote.status(), local.status(), "fresh status");
 
     // every step survives — including the one whose ack the server drops —

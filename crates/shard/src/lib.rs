@@ -1,14 +1,12 @@
 //! # cp-shard — partition-parallel certain predictions
 //!
-//! Scale-out layer for the CP query engine: one incomplete dataset is
-//! partitioned into contiguous row-range [`DatasetShard`]s, each shard
-//! scans **only its own candidate sets**, and a coordinator reassembles
-//! exact global answers from compact per-shard summaries. This is the
-//! single-query analogue of the batch engine's point-parallelism — a single
-//! huge Q1/Q2/CPClean query now scales across workers too — and the
-//! designed foundation for a multi-process/RPC serving layer (each
-//! `ShardScan`/`CleaningSession` below is the state a remote worker would
-//! own; only the merge messages cross the boundary).
+//! The factor-merge algebra behind the sharded CP engine: one incomplete
+//! dataset is partitioned into contiguous row-range [`DatasetShard`]s, each
+//! shard scans **only its own candidate sets**, and a coordinator
+//! reassembles exact global answers from compact per-shard summaries. The
+//! engine that drives it is `cp-rpc`'s `RpcCoordinator`: each shard server
+//! owns a shard's [`ShardScan`] state, and only the merge messages (boundary
+//! streams, factor summaries, extreme summaries) cross the boundary.
 //!
 //! ## The factor-merge algebra
 //!
@@ -37,9 +35,8 @@
 //! sorts by, advances the owning shard, and accumulates supports from the
 //! merged factors. Counts are therefore **exactly** — bit-for-bit in exact
 //! semirings — the single-process counts, for every shard count; the
-//! property tests in `tests/shard_equivalence.rs` assert this together with
-//! status/selection equivalence of [`ShardedSession`] against
-//! `cp_clean::CleaningSession`.
+//! property tests in `tests/shard_equivalence.rs` assert this for every
+//! `Q2Algorithm` selector.
 //!
 //! ## The rank-merge algebra (binary Q1)
 //!
@@ -64,28 +61,21 @@
 //!
 //! ## Layers
 //!
-//! * [`scan`] — [`ShardScan`] (per-shard scan state) and the merged-scan
-//!   query functions (`q2_sharded*`, `certain_label_sharded_with_indexes`,
-//!   `q2_probabilities_sharded_with_indexes`).
-//! * [`session`] — [`ShardedSession`]: one `cp_clean::CleaningSession` per
-//!   shard (each with its partition-local index cache built exactly once),
-//!   with the same `step()`/`status()`/`run_to_convergence()`/`run_order()`
-//!   surface as the single-process engine and greedy selection routed to
-//!   the owning shard.
+//! * [`scan`] — [`ShardScan`] (per-shard scan state), the batched
+//!   [`ShardStream`]s a shard server ships, and the merged-scan query
+//!   functions (`q2_sharded*`, `certain_label_sharded_with_indexes`,
+//!   `*_from_streams`).
 
 pub mod scan;
-pub mod session;
 
 pub use scan::{
     build_shard_indexes, capture_streams, certain_label_from_sources, certain_label_from_streams,
     certain_label_from_summaries, certain_label_sharded_merged_scan,
     certain_label_sharded_with_indexes, extreme_summaries, local_pins, merged_scan_sources,
-    q2_from_streams, q2_from_streams_with_algorithm, q2_probabilities_from_streams,
-    q2_probabilities_sharded_with_indexes, q2_sharded, q2_sharded_with_algorithm,
-    q2_sharded_with_indexes, BoundaryEvent, FactorSource, ShardScan, ShardStream, ShardStreamEvent,
-    StreamCursor,
+    q2_from_streams, q2_from_streams_with_algorithm, q2_probabilities_from_streams, q2_sharded,
+    q2_sharded_with_algorithm, q2_sharded_with_indexes, BoundaryEvent, FactorSource, ShardScan,
+    ShardStream, ShardStreamEvent, StreamCursor,
 };
-pub use session::ShardedSession;
 
 /// Re-export: the partition type the whole crate operates on.
 pub use cp_core::DatasetShard;

@@ -871,23 +871,6 @@ where
     merged.certain_label()
 }
 
-/// Q2 prediction probabilities (uniform candidate prior) via the merged scan
-/// in probability space.
-pub fn q2_probabilities_sharded_with_indexes<I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-) -> Vec<f64>
-where
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
-{
-    cp_core::note_q2_probability_query();
-    let r: Q2Result<f64> = q2_sharded_with_indexes(shards, indexes, pins, cfg);
-    r.probabilities()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -976,7 +959,8 @@ mod tests {
                 cp_core::certain_label(&ds, &cfg, &t),
                 "k={k}"
             );
-            let sharded = q2_probabilities_sharded_with_indexes(&shards, &indexes, &pins, &cfg);
+            let sharded = q2_sharded_with_indexes::<f64, _, _>(&shards, &indexes, &pins, &cfg)
+                .probabilities();
             let single = cp_core::q2_probabilities(&ds, &cfg, &t);
             for (a, b) in sharded.iter().zip(&single) {
                 assert!((a - b).abs() < 1e-12, "k={k}: {sharded:?} vs {single:?}");

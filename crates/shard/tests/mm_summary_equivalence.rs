@@ -15,11 +15,12 @@
 //! per-set walk it replaced — every set's extreme choice, fully sorted,
 //! cut at K — entry for entry.
 //!
-//! The session-level test drives the same equivalence through
-//! [`ShardedSession`]'s incremental status along arbitrary cleaning
-//! trajectories (the status-update workload the fast path exists for).
+//! The session-level twin — a sharded engine's incremental status along
+//! arbitrary cleaning trajectories — lives in `cp-rpc`'s
+//! `tests/rpc_equivalence.rs`, which drives `RpcCoordinator` over loopback
+//! shard servers against `cp_clean::CleaningSession`.
 
-use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
+use cp_clean::CleaningProblem;
 use cp_core::mm::certain_label_minmax;
 use cp_core::mm_summary::cmp_entries;
 use cp_core::{
@@ -28,7 +29,7 @@ use cp_core::{
 };
 use cp_shard::{
     build_shard_indexes, certain_label_from_summaries, certain_label_sharded_merged_scan,
-    certain_label_sharded_with_indexes, extreme_summaries, local_pins, ShardedSession,
+    certain_label_sharded_with_indexes, extreme_summaries, local_pins,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -127,14 +128,6 @@ fn per_set_walk(
     ExtremeSummary::from_parts(k, tops).expect("sorted, distinct, within budget")
 }
 
-fn opts(n_threads: usize) -> RunOptions {
-    RunOptions {
-        max_cleaned: None,
-        n_threads,
-        record_every: 1,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -221,40 +214,6 @@ proptest! {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    /// Session-level equivalence: a sharded session's incremental status —
-    /// now answered by rank-merged summaries — stays identical to the
-    /// single-process session's (which takes the MM route) after every
-    /// step of arbitrary cleaning orders.
-    #[test]
-    fn sharded_status_matches_single_session_on_binary_problems(
-        (problem, seed) in arb_binary_instance()
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xb1a5);
-        let mut order = problem.dirty_rows();
-        order.shuffle(&mut rng);
-        for n_shards in SHARD_COUNTS {
-            let mut single = CleaningSession::new(&problem, &opts(1));
-            let mut sharded = ShardedSession::new(&problem, n_shards, &opts(1 + (seed % 2) as usize));
-            prop_assert_eq!(
-                sharded.status(),
-                single.status(),
-                "fresh session, n_shards={}",
-                n_shards
-            );
-            for &row in &order {
-                single.clean(row);
-                sharded.clean(row);
-                prop_assert_eq!(
-                    sharded.status(),
-                    single.status(),
-                    "after cleaning row {}, n_shards={}",
-                    row,
-                    n_shards
-                );
             }
         }
     }

@@ -1,31 +1,24 @@
-//! Shard-count invariance of the partition-parallel engine.
+//! Shard-count invariance of the factor-merge algebra.
 //!
 //! Partitioning is an implementation detail: for **every** shard count, the
-//! sharded engine must give the same answers as the single-process one —
+//! merged factor scan returns exactly the single-process Q2 counts for
+//! every `Q2Algorithm` (graceful fallbacks included) under arbitrary pin
+//! masks — bit-for-bit in the exact `u128` semiring, and within float
+//! tolerance in probability space.
 //!
-//! * `ShardedSession`'s global CP status vector equals `CleaningSession`'s
-//!   (and the from-scratch `val_cp_status` oracle) after every step of
-//!   arbitrary random cleaning orders;
-//! * greedy selection picks the same row at every step, so whole greedy
-//!   runs clean in the same order;
-//! * `run_order` produces the same cleaned order and convergence flag;
-//! * the merged factor scan returns exactly the single-process Q2 counts
-//!   for every `Q2Algorithm` (graceful fallbacks included) under arbitrary
-//!   pin masks — bit-for-bit in the exact `u128` semiring, and within float
-//!   tolerance in probability space.
-//!
-//! Instances cover 2-label problems (where the single-process certain-label
-//! dispatch takes the MinMax route the sharded engine replaces with the
-//! Possibility-semiring scan) and 3-label ones (the SS-DC route), all
-//! `Q2Algorithm`s, random pin masks, and shard counts `{1, 2, 3, 7}` —
-//! 7 exceeds the row count of some instances, exercising the clamp.
+//! Instances cover 2-label and 3-label problems, all `Q2Algorithm`s, random
+//! pin masks, and shard counts `{1, 2, 3, 7}` — 7 exceeds the row count of
+//! some instances, exercising the clamp. The engine-level twins (status,
+//! greedy selection and `run_order` of a sharded run against
+//! `cp_clean::CleaningSession`) live in `cp-rpc`'s
+//! `tests/rpc_equivalence.rs`.
 
-use cp_clean::{val_cp_status, CleaningProblem, CleaningSession, RunOptions};
+use cp_clean::CleaningProblem;
 use cp_core::{
     q2_batch_with_algorithm, CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Algorithm,
     Q2Result,
 };
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm, ShardedSession};
+use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -99,105 +92,8 @@ fn random_pins(problem: &CleaningProblem, rng: &mut StdRng) -> Pins {
     pins
 }
 
-fn opts(n_threads: usize) -> RunOptions {
-    RunOptions {
-        max_cleaned: None,
-        n_threads,
-        record_every: 1,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Status-vector invariance along arbitrary cleaning trajectories: for
-    /// every shard count, the sharded session's global status equals the
-    /// single session's and the from-scratch oracle after every step.
-    #[test]
-    fn status_matches_single_session_across_shard_counts((problem, seed) in arb_instance()) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51a2);
-        let mut order = problem.dirty_rows();
-        order.shuffle(&mut rng);
-        // alternate thread budgets so both the serialized and the fanned-out
-        // shard paths are exercised regardless of the CP_THREADS ambient cap
-        let sharded_opts = opts(1 + (seed % 3) as usize);
-        for n_shards in SHARD_COUNTS {
-            let mut single = CleaningSession::new(&problem, &opts(1));
-            let mut sharded = ShardedSession::new(&problem, n_shards, &sharded_opts);
-            prop_assert!(sharded.n_shards() <= problem.dataset.len());
-            prop_assert_eq!(
-                sharded.status(),
-                single.status(),
-                "fresh session, n_shards={}",
-                n_shards
-            );
-            for &row in &order {
-                single.clean(row);
-                sharded.clean(row);
-                prop_assert_eq!(
-                    sharded.status(),
-                    single.status(),
-                    "after cleaning row {}, n_shards={}",
-                    row,
-                    n_shards
-                );
-                prop_assert_eq!(
-                    sharded.status().to_vec(),
-                    val_cp_status(&problem, sharded.state().pins(), 1),
-                    "oracle disagrees after row {}, n_shards={}",
-                    row,
-                    n_shards
-                );
-            }
-            prop_assert!(sharded.converged(), "single world left ⇒ converged");
-        }
-    }
-
-    /// Greedy-selection invariance: stepping a sharded session and a single
-    /// session in lockstep cleans the same rows in the same order, for every
-    /// shard count.
-    #[test]
-    fn greedy_steps_match_single_session((problem, _seed) in arb_instance()) {
-        for n_shards in SHARD_COUNTS {
-            let mut single = CleaningSession::new(&problem, &opts(1));
-            let mut sharded = ShardedSession::new(&problem, n_shards, &opts(1));
-            loop {
-                let expect = single.step();
-                let got = sharded.step();
-                prop_assert_eq!(
-                    got, expect,
-                    "greedy step {} diverged, n_shards={}",
-                    single.n_cleaned(), n_shards
-                );
-                if expect.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(sharded.converged(), single.converged());
-            prop_assert_eq!(sharded.status(), single.status());
-        }
-    }
-
-    /// `run_order` invariance, including under a cleaning budget.
-    #[test]
-    fn run_order_matches_single_session((problem, seed) in arb_instance()) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xacce);
-        let mut order = problem.dirty_rows();
-        order.shuffle(&mut rng);
-        let budget = if order.is_empty() { None } else { Some(rng.gen_range(0..=order.len())) };
-        let run_opts = RunOptions { max_cleaned: budget, ..opts(1) };
-        let test_x = problem.val_x.clone();
-        let test_y = vec![0usize; test_x.len()];
-        let single = CleaningSession::new(&problem, &run_opts)
-            .run_order(&order, &test_x, &test_y);
-        for n_shards in SHARD_COUNTS {
-            let run = ShardedSession::new(&problem, n_shards, &run_opts)
-                .run_order(&order, &test_x, &test_y);
-            prop_assert_eq!(&run.order, &single.order, "n_shards={}", n_shards);
-            prop_assert_eq!(run.converged, single.converged);
-            prop_assert_eq!(run.curve.len(), single.curve.len());
-        }
-    }
 
     /// The merged factor scan equals every single-process Q2 algorithm under
     /// arbitrary pin masks — exactly in `u128`, within tolerance in `f64`.

@@ -1,11 +1,11 @@
-//! Sharded cleaning sessions: one dataset, many partition-local workers.
+//! Sharded cleaning: one dataset, many partition-local workers.
 //!
-//! Partitions an incomplete training set into row-range shards, opens a
-//! `ShardedSession` (one partition-local `CleaningSession` per shard), and
-//! shows that every global answer — CP status, greedy selection, the whole
-//! cleaning trajectory — is identical to the single-process engine's for
-//! every shard count, while each shard only ever scans its own candidate
-//! sets. Run:
+//! Partitions an incomplete training set into row-range shards, serves each
+//! shard from its own shard server on a loopback port (`spawn_server`), and
+//! drives them with an `RpcCoordinator`. Every global answer — CP status,
+//! greedy selection, the whole cleaning trajectory — is identical to the
+//! single-process engine's for every shard count, while each shard only
+//! ever scans its own candidate sets. Run:
 //!
 //! ```text
 //! cargo run --release --example sharded_session
@@ -13,7 +13,8 @@
 
 use cpclean::clean::{CleaningProblem, CleaningSession, RunOptions};
 use cpclean::core::{CpConfig, IncompleteDataset, IncompleteExample, Pins};
-use cpclean::shard::{q2_sharded, ShardedSession};
+use cpclean::rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
+use cpclean::shard::q2_sharded;
 
 /// A small two-cluster problem with dirty rows straddling the boundary.
 fn example_problem() -> CleaningProblem {
@@ -75,7 +76,8 @@ fn main() {
         assert_eq!(sharded.counts, single.counts, "factor merge must be exact");
     }
 
-    // the sharded cleaning engine: same surface, same trajectory
+    // the sharded cleaning engine: one shard server per partition (here in
+    // this process, on loopback ports), same surface, same trajectory
     let test_x: Vec<Vec<f64>> = (0..8).map(|v| vec![0.9 + 1.1 * v as f64]).collect();
     let test_y: Vec<usize> = (0..8).map(|v| usize::from(v >= 4)).collect();
     let single_run = CleaningSession::new(&problem, &opts).run_to_convergence(&test_x, &test_y);
@@ -84,7 +86,12 @@ fn main() {
         single_run.order
     );
     for n_shards in [2usize, 4] {
-        let mut session = ShardedSession::new(&problem, n_shards, &opts);
+        let servers: Vec<RunningServer> = (0..n_shards)
+            .map(|_| spawn_server(ServerConfig::default()).expect("bind loopback server"))
+            .collect();
+        let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+        let mut session =
+            RpcCoordinator::connect(&problem, &addrs, &opts).expect("connect coordinator");
         println!(
             "{} shards (rows per shard: {:?}), {}/{} certain before cleaning",
             session.n_shards(),
@@ -103,6 +110,8 @@ fn main() {
             run.order, single_run.order,
             "sharding must not change cleaning"
         );
+        // close the sessions before the servers stop
+        session.shutdown().expect("shutdown");
     }
     println!("\nevery shard only ever scanned its own partition; only per-label");
     println!("polynomial factors and CP status bits crossed shard boundaries");

@@ -8,8 +8,8 @@
 //! across the batch queries, a greedy cleaning session and a sharded
 //! capture, and read exactly 1 for repeated Algorithm 1 scans of one index.
 //!
-//! Binary status checks on the sharded and RPC engines read MM's extreme
-//! worlds off a second lazy order, counted by `core.similarity.extreme_sorts`:
+//! Binary status checks on the sharded engine read MM's extreme worlds off
+//! a second lazy order, counted by `core.similarity.extreme_sorts`:
 //! over a whole cleaning run it moves at most once per index built, and
 //! the full sort still never happens.
 //!
@@ -25,10 +25,8 @@ use cp_core::{
     IncompleteExample, Pins, SimilarityIndex,
 };
 use cp_numeric::BigUint;
-use cp_rpc::{spawn_server, RpcCoordinator, ServerConfig};
-use cp_shard::{
-    build_shard_indexes, capture_streams, local_pins, q2_from_streams, ShardStream, ShardedSession,
-};
+use cp_rpc::{spawn_server, ClientConfig, RpcCoordinator, RunningServer, ServerConfig};
+use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams, ShardStream};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -145,20 +143,28 @@ fn hot_paths_never_sort_the_whole_index() {
     );
     assert!(steps > 0, "the session must clean at least one row");
 
-    // the same problem on the sharded and RPC engines, whose binary status
-    // checks build extreme summaries: at most one extreme sort per index,
-    // no full sort
+    // the same problem on the sharded engine over loopback servers, whose
+    // binary status checks build extreme summaries: at most one extreme
+    // sort per index, no full sort. The two-shard run pins spilling off,
+    // which would route its status checks through streams instead
+    let servers: Vec<RunningServer> = (0..2)
+        .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
+        .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+    let in_ram = ClientConfig {
+        spill_threshold: Some(usize::MAX),
+        ..ClientConfig::default()
+    };
     let (builds, extreme, full) = (build_count(), extreme_sort_count(), full_sort_count());
-    let mut sharded = ShardedSession::new(&problem, 2, &opts);
-    while sharded.step().is_some() {}
-    assert!(sharded.converged());
-    let server = spawn_server(ServerConfig::default()).expect("spawn server");
-    let mut remote = RpcCoordinator::connect(&problem, &[server.addr()], &opts).expect("connect");
-    while remote.step().is_some() {}
-    assert!(remote.converged());
-    remote.shutdown().expect("shutdown");
+    for (n_shards, cfg) in [(1, ClientConfig::default()), (2, in_ram)] {
+        let mut remote = RpcCoordinator::connect_with(&problem, &addrs[..n_shards], &opts, &cfg)
+            .expect("connect");
+        while remote.step().is_some() {}
+        assert!(remote.converged());
+        remote.shutdown().expect("shutdown");
+    }
     let (builds, extreme) = (build_count() - builds, extreme_sort_count() - extreme);
-    assert_eq!(full_sort_count() - full, 0, "sharded and RPC cleaning runs");
+    assert_eq!(full_sort_count() - full, 0, "sharded cleaning runs");
     assert!(extreme > 0, "binary status checks read the extreme order");
     assert!(
         extreme <= builds,
