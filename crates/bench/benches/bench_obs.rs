@@ -11,10 +11,13 @@
 //! binary, so it bounds the instrumented build directly: run a real greedy
 //! cleaning workload (an `RpcCoordinator` over two loopback shard servers,
 //! whose client, server and codec layers all record into the one process
-//! registry), count every registry operation it performed (counter
-//! increments and histogram records, from a snapshot diff), price those ops
+//! registry), count every registry operation it performed (counter `add`
+//! calls and histogram records, from a snapshot diff), price those ops
 //! with the measured per-op primitive costs, and assert the priced total is
-//! under 5% of the workload's wall time. Under `obs-off` the diff is empty
+//! under 5% of the workload's wall time. A diff holds counter values, not
+//! calls, so the count is an upper bound: a byte-valued counter is priced
+//! at one call per frame of the workload, every other counter at one call
+//! per unit of its value. Under `obs-off` the diff is empty
 //! and the guard passes trivially — the compile-out escape hatch exists,
 //! but the default build must not need it.
 
@@ -122,13 +125,38 @@ fn bench_obs(c: &mut Criterion) {
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let diff = cp_obs::snapshot().diff(&before);
 
-    let counter_ops: u64 = diff.counters.values().sum();
+    // a counter moves by one `add` call, however large the amount, so it is
+    // priced per call: a byte-valued counter (`rpc.server.bytes_*`,
+    // `rpc.codec.*_bytes_*`) adds one frame's or one stream's size per call,
+    // at most once per frame, so it costs at most one op per frame of the
+    // workload — a request and its response for every request a server
+    // handled — and never more ops than its value; every other counter is
+    // priced at its value, one op per unit, which over-counts its `add`
+    // calls and never under-counts them
+    let frames: u64 = 2 * diff
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("rpc.server.latency."))
+        .map(|(_, h)| h.count())
+        .sum::<u64>();
+    let counter_ops: u64 = diff
+        .counters
+        .iter()
+        .map(|(name, &v)| {
+            if name.contains("bytes") {
+                v.min(frames)
+            } else {
+                v
+            }
+        })
+        .sum();
     let hist_ops: u64 = diff.histograms.values().map(|h| h.count()).sum();
     let priced_ns = counter_ops as f64 * counter_ns + hist_ops as f64 * span_ns;
     let share = priced_ns / wall_ns;
     println!(
-        "overhead guard: {counter_ops} counter incs @ {counter_ns:.1}ns + {hist_ops} records \
-         @ {span_ns:.1}ns = {:.0}ns priced over {:.2e}ns workload — {:.4}% of wall time",
+        "overhead guard: {counter_ops} counter ops ({frames} frames) @ {counter_ns:.1}ns + \
+         {hist_ops} records @ {span_ns:.1}ns = {:.0}ns priced over {:.2e}ns workload — \
+         {:.4}% of wall time",
         priced_ns,
         wall_ns,
         share * 100.0

@@ -68,7 +68,9 @@
 //! request opens its own, so a step opens at most `|B| + |R|` scans, still
 //! one per missed row rather than `M`. With `K = 1` each pin takes the
 //! `O(NM)` K = 1 fast path instead, as the naive scorer does. The sharded
-//! engine still runs `M` pinned scans per miss.
+//! engine (`cp-rpc`'s `RpcCoordinator`) answers a miss the same way: one
+//! swept scan of the row's owner shard, merged once with the other shards'
+//! cached base streams, gives all `M` pins of the row.
 
 use crate::problem::CleaningProblem;
 use cp_core::similarity::largest_keys;

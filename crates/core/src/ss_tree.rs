@@ -129,6 +129,14 @@
 //! swept row. Each swept row adds one to the `core.ss.pin_sweeps` registry
 //! counter.
 //!
+//! The sharded engine applies the same rule to *merged* polynomials: the
+//! owner shard opens at its base `τ_s` with the swept row's leaf held at
+//! the identity ([`TreeScan::open_swept`]), and the coordinator replays
+//! each merged event into the row's pins with [`Supports::add_swept`] (see
+//! `cp-shard`'s `merged_sweep_sources`). A `z` factor shifts a product
+//! exactly under any grouping, so it shifts the product of shard factors
+//! too.
+//!
 //! The scan is generic over the [`MassModel`], which is how the probabilistic
 //! extension ([`crate::prior`]) reuses it with non-uniform candidate priors.
 
@@ -283,6 +291,35 @@ impl<S: CountSemiring, M: MassModel<S>> TreeScan<S, M> {
         Self::open_with(ds, idx, pins, k, mass, S::EXACT)
     }
 
+    /// The opener of a pin sweep over the unpinned set `row`: [`TreeScan::open`]
+    /// at the `τ` of `pins`, unfolded as [`PinSweep::open`] opens, with
+    /// `row`'s leaf held at the identity. The tail still holds `row`'s
+    /// candidates at or above `τ`; a caller running it must leave that leaf
+    /// alone (see the module docs). What a shard serves for the sharded
+    /// coordinator's merged pin sweep.
+    ///
+    /// # Panics
+    /// Panics if the pin mask does not validate against `ds`, or if `row`
+    /// is out of range or pinned.
+    pub fn open_swept(
+        ds: &IncompleteDataset,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        mass: M,
+        row: usize,
+    ) -> Self {
+        assert!(
+            row < ds.len() && pins.pinned(row).is_none(),
+            "a swept row must be an unpinned row of the dataset (row {row})"
+        );
+        let mut scan = Self::open_with(ds, idx, pins, k, mass, false);
+        let tree = &mut scan.trees[ds.label(row)];
+        tree.reload_leaf(scan.leaf_pos[row], None);
+        tree.rebuild();
+        scan
+    }
+
     /// [`TreeScan::open`], folding frozen sets only if `fold` (which needs
     /// an exact semiring). A pin sweep opens unfolded: the swept row may be
     /// frozen at `τ`, and its leaf must stay separable.
@@ -392,14 +429,25 @@ pub fn note_events_scanned(n: u64) {
 /// How a scan turns one event's polynomials into support terms: by
 /// enumerating the tally vectors `Γ` (Algorithm A.1) or by the label-capped
 /// DP over slot budget `k` (Algorithm A.2, for many labels).
+///
+/// Public so that the sharded coordinator's merged pin sweep
+/// (`cp-shard`'s `merged_sweep_sources`) replays one merged event into a
+/// swept row's pins with the same code as [`PinSweep`].
 #[derive(Debug)]
-enum Supports {
+pub enum Supports {
+    /// Enumerate the tally vectors `Γ`.
     Tally(Vec<Vec<u32>>),
-    Capped { k: usize },
+    /// The label-capped DP over slot budget `k`.
+    Capped {
+        /// The slot budget.
+        k: usize,
+    },
 }
 
 impl Supports {
-    fn new(n_labels: usize, k: usize, use_mc: bool) -> Self {
+    /// The accumulator for `n_labels` labels and slot budget `k`: the
+    /// label-capped DP if `use_mc`, tally enumeration otherwise.
+    pub fn new(n_labels: usize, k: usize, use_mc: bool) -> Self {
         if use_mc {
             Supports::Capped { k }
         } else {
@@ -409,7 +457,7 @@ impl Supports {
 
     /// Hand each non-zero support term of one event to `sink`, in the
     /// order the accumulators add them.
-    fn each<S: CountSemiring>(
+    pub fn each<S: CountSemiring>(
         &self,
         yi: Label,
         boundary: &S,
@@ -445,6 +493,41 @@ impl Supports {
             for (w, v) in terms.iter() {
                 counts[pin.cand()][*w].add_assign(v);
             }
+        }
+    }
+
+    /// One event at `key` of a set other than the swept row, added to the
+    /// counts of every pin of that row (see the module docs): a pin keyed
+    /// below the event has the row *out*, and reads `polys` as they are; a
+    /// pin keyed above it has the row *in*, and reads label
+    /// `swept_label`'s polynomial shifted up one degree (built in
+    /// `shifted`). `pins` are the row's keys, ascending; pin `p`'s counts
+    /// are `counts[p.cand()]`, and `terms` is scratch space.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn add_swept<'p, S: CountSemiring>(
+        &self,
+        yi: Label,
+        boundary: &S,
+        polys: &mut [&'p [S]],
+        swept_label: Label,
+        pins: &[CandKey],
+        key: &CandKey,
+        counts: &mut [Vec<S>],
+        terms: &mut Vec<(Label, S)>,
+        shifted: &'p mut Vec<S>,
+    ) {
+        let (out, in_) = pins.split_at(pins.partition_point(|p| p < key));
+        if !out.is_empty() {
+            self.add_to_pins(yi, boundary, polys, out, counts, terms);
+        }
+        if !in_.is_empty() {
+            let poly = polys[swept_label];
+            shifted.clear();
+            shifted.push(S::zero());
+            shifted.extend_from_slice(&poly[..poly.len() - 1]);
+            polys[swept_label] = shifted;
+            self.add_to_pins(yi, boundary, polys, in_, counts, terms);
         }
     }
 }
@@ -533,18 +616,17 @@ fn run_tail<S: CountSemiring, M: MassModel<S>>(
         // a pin below this event has already passed: r is out of the top-K
         // there, its leaf the identity; a pin above it keeps r in, its leaf
         // `0 + 1·z`, which shifts r's label polynomial by one degree
-        let (out, in_) = r.keys.split_at(r.keys.partition_point(|p| p < key));
-        if !out.is_empty() {
-            supports.add_to_pins(yi, &boundary, &polys, out, counts, &mut terms);
-        }
-        if !in_.is_empty() {
-            let poly = polys[r.label];
-            shifted.clear();
-            shifted.push(S::zero());
-            shifted.extend_from_slice(&poly[..poly.len() - 1]);
-            polys[r.label] = &shifted;
-            supports.add_to_pins(yi, &boundary, &polys, in_, counts, &mut terms);
-        }
+        supports.add_swept(
+            yi,
+            &boundary,
+            &mut polys,
+            r.label,
+            r.keys,
+            key,
+            counts,
+            &mut terms,
+            &mut shifted,
+        );
     }
     note_events_scanned(tail.len() as u64);
     // a frozen set is never the boundary set, so every support term carries

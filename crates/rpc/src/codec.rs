@@ -15,10 +15,10 @@
 //! a larger announcement is rejected before any allocation. The request id
 //! pairs responses with requests: a server echoes each request's id on its
 //! response, which is what lets a client keep several requests in flight on
-//! one connection ([`crate::ShardClient::scan_many`]) and still detect any
-//! pairing violation instead of silently mis-attributing a response. The
-//! trailing CRC32 covers the whole frame (length, id, and payload), so a
-//! flipped bit anywhere — header or body — surfaces as a typed
+//! one connection (a coordinator's pipelined status windows) and still
+//! detect any pairing violation instead of silently mis-attributing a
+//! response. The trailing CRC32 covers the whole frame (length, id, and
+//! payload), so a flipped bit anywhere — header or body — surfaces as a typed
 //! [`RpcError::Malformed`] at the frame boundary rather than a decoder
 //! error deep in a payload, or worse, a silently wrong value. That
 //! detection is what lets the failover layer treat *any* corrupted frame
@@ -40,7 +40,7 @@ use crate::wire::{
 use cp_core::{ExtremeEntry, ExtremeSummary, Pins, ShardFactors};
 use cp_knn::Kernel;
 use cp_numeric::{CountSemiring, Possibility};
-use cp_shard::{BoundaryEvent, ShardStream, ShardStreamEvent};
+use cp_shard::{BoundaryEvent, ShardStream, ShardStreamEvent, SweptStream};
 use std::io::{Read, Write};
 
 /// Sanity bound on a frame's announced length (64 MiB) — far above any real
@@ -412,6 +412,12 @@ const STREAM_V_RAW: u8 = 1;
 /// repeat polynomial coefficients heavily — a row's events share its
 /// excluding polynomial, and tally counts recur across boundaries).
 const STREAM_V_DELTA: u8 = 2;
+/// Stream encoding version byte: a swept stream ([`encode_swept`]) — the
+/// swept row's global id, its candidate similarities and the owner's
+/// pinned world total, then the version-2 stream the merged pin sweep
+/// replays. [`decode_stream`] rejects it, and [`decode_swept`] accepts
+/// nothing else.
+const STREAM_V_SWEPT: u8 = 3;
 
 /// Interns semiring scalars by their encoded bytes (bit patterns, so `f64`
 /// stays bit-exact), assigning dictionary ids in first-appearance order.
@@ -706,6 +712,63 @@ fn decode_stream_delta_body<S: WireSemiring>(mut r: Reader<'_>) -> RpcResult<Sha
         initial,
         total,
         events,
+    })
+}
+
+/// Encode the owner's answer to a swept scan (self-tagged with its
+/// semiring, stream version 3): the row's global id, its candidate
+/// similarities and the pinned world total, followed by the stream in the
+/// delta encoding of [`encode_stream`], whose byte counters it moves.
+pub fn encode_swept<S: WireSemiring>(swept: &SweptStream<S>) -> Vec<u8> {
+    let stream = encode_stream(&swept.stream);
+    let mut out = Vec::with_capacity(16 + 8 * swept.sims.len() + stream.len());
+    put_u8(&mut out, S::TAG);
+    put_u8(&mut out, STREAM_V_SWEPT);
+    put_varint_u64(&mut out, swept.row as u64);
+    put_varint_u64(&mut out, swept.sims.len() as u64);
+    for &sim in &swept.sims {
+        put_f64(&mut out, sim);
+    }
+    swept.pinned_total.put(&mut out);
+    out.extend_from_slice(&stream);
+    out
+}
+
+/// Decode a swept stream, checking the semiring tag and version, bounding
+/// the similarity count by the bytes left, and decoding the embedded
+/// stream with [`decode_stream`].
+pub fn decode_swept<S: WireSemiring>(buf: &[u8]) -> RpcResult<SweptStream<S>> {
+    let mut r = Reader::new(buf);
+    check_semiring_tag::<S>(&mut r)?;
+    match r.u8("swept stream version")? {
+        STREAM_V_SWEPT => {}
+        tag => {
+            return Err(RpcError::BadTag {
+                what: "swept stream version",
+                tag,
+            })
+        }
+    }
+    let row = usize::try_from(r.varint_u64("swept row")?)
+        .map_err(|_| RpcError::Malformed("swept row: value exceeds usize".into()))?;
+    let n_sims = usize::try_from(r.varint_u64("swept candidates")?)
+        .map_err(|_| RpcError::Malformed("swept candidates: count exceeds usize".into()))?;
+    if n_sims.saturating_mul(8) > r.remaining() {
+        return Err(RpcError::Truncated {
+            context: "swept candidates",
+        });
+    }
+    let mut sims = Vec::with_capacity(n_sims);
+    for _ in 0..n_sims {
+        sims.push(r.f64("swept candidate similarity")?);
+    }
+    let pinned_total = S::get(&mut r)?;
+    let stream = decode_stream(r.take(r.remaining(), "swept stream body")?)?;
+    Ok(SweptStream {
+        stream,
+        row,
+        sims,
+        pinned_total,
     })
 }
 

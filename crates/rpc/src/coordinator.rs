@@ -15,30 +15,37 @@
 //! rank with [`cp_shard::certain_label_from_summaries`]; otherwise it is a
 //! `Possibility` stream, merged with
 //! [`cp_shard::certain_label_from_streams`]. `SyncStatus` goes out only
-//! when a server's published bits differ from the refreshed status. Per
-//! greedy selection the coordinator fetches
-//! each shard's base probability stream once and, for every candidate pin,
-//! one hypothetical stream from the *owning* shard only — every other
-//! shard's stream is replayed as-is, since pinning a row changes only its
-//! owner's mask. The coordinator's status vectors, greedy choices and
-//! cleaned orders are **identical** to `CleaningSession`'s, and its Q2
-//! counts to the live merged scan's bit for bit — property-tested over
-//! real loopback sockets in `tests/rpc_equivalence.rs`.
+//! when a server's published bits differ from the refreshed status.
+//!
+//! Per greedy selection the coordinator fetches each shard's base
+//! probability stream once and, for every (validation point, row) the
+//! selection misses, one *swept* stream from the row's owning shard only
+//! ([`ShardClient::swept_scan`]): the owner's scan at its base `τ_s` with
+//! the row's leaf held at the identity. One merged scan against the other
+//! shards' cached base streams then answers every pin of the row
+//! ([`cp_shard::merged_sweep_sources`]): pinning a row changes only its
+//! owner's mask, and the row's two leaf states are its label's merged
+//! polynomial as it is and shifted up one degree. The coordinator's status
+//! vectors, greedy choices and cleaned orders are **identical** to
+//! `CleaningSession`'s, and its Q2 counts to the live merged scan's bit
+//! for bit — property-tested over real loopback sockets in
+//! `tests/rpc_equivalence.rs`; every swept entropy is bit for bit the
+//! merged scan with the owner's stream under that one pin (the per-pin
+//! oracle in this module's tests).
 //!
 //! Selection runs the shared *incremental* loop
 //! ([`cp_clean::select_next_incremental`]: relevance-based score caching
-//! plus entropy-bound pruning), and the hypothetical scans it still needs
-//! are *pipelined*: every response frame echoes its request's id, so a
-//! selection step keeps a bounded window of independent `Scan` requests in
-//! flight per connection ([`ShardClient::scan_many`]) instead of paying one
-//! round trip each. Base streams are cached per validation point and
-//! refetched only from shards whose pin mask moved. The from-scratch
-//! serialized scorer survives as
+//! plus entropy-bound pruning), so a step sends one swept scan per cache
+//! miss and refetches a base stream only from a shard whose pin mask moved
+//! (base streams are cached per validation point, in RAM or spilled to
+//! disk). The from-scratch serialized scorer, which scans every pin of
+//! every row on its own, survives as
 //! [`RpcCoordinator::try_select_next_serialized`] — the reference the
 //! equivalence tests pit the incremental path against.
 
 use crate::codec::{
-    decode_stream, decode_summary, read_frame_tagged, write_frame_tagged, WireSemiring,
+    decode_stream, decode_summary, decode_swept, read_frame_tagged, write_frame_tagged,
+    WireSemiring,
 };
 use crate::error::{RpcError, RpcResult};
 use crate::fault::{FaultPlan, FaultyTransport};
@@ -62,7 +69,7 @@ use cp_shard::scan::{
     certain_label_from_sources, certain_label_from_streams, certain_label_from_summaries,
     q2_from_streams_with_algorithm,
 };
-use cp_shard::{merged_scan_sources, ShardStream, StreamCursor};
+use cp_shard::{merged_scan_sources, merged_sweep_sources, ShardStream, StreamCursor, SweptStream};
 use cp_store::Run;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -229,8 +236,8 @@ impl Write for Conn {
     }
 }
 
-/// How many pipelined requests [`ShardClient::scan_many`] keeps in flight
-/// per connection: enough to hide the per-request round-trip latency, small
+/// How many pipelined requests a window (`ShardClient::pipeline`) keeps in
+/// flight per connection: enough to hide the per-request round-trip latency, small
 /// enough that neither side's socket buffers fill with unread frames while
 /// the peer blocks writing (which would deadlock the connection).
 const SCAN_WINDOW: usize = 8;
@@ -244,8 +251,8 @@ pub struct ShardClient {
     peers: Vec<SocketAddr>,
     cfg: ClientConfig,
     /// Id stamped on the next request frame. The server echoes each id on
-    /// its response, which is what lets [`ShardClient::scan_many`] keep
-    /// several requests in flight and still pair every reply.
+    /// its response, which is what lets a pipelined window keep several
+    /// requests in flight and still pair every reply.
     next_id: u32,
     /// Set after a transport-level failure (I/O error, timeout, mid-frame
     /// truncation, oversized frame) or a response-id mismatch. The stream
@@ -419,8 +426,8 @@ impl ShardClient {
     }
 
     /// Write one request frame without waiting for its reply; returns the
-    /// id the reply will echo. The pipelining half-step
-    /// [`ShardClient::scan_many`] builds on.
+    /// id the reply will echo. The pipelining half-step the windows of
+    /// `ShardClient::pipeline` build on.
     fn send(&mut self, req: &Request) -> RpcResult<u32> {
         if self.poisoned {
             return Err(RpcError::Protocol(
@@ -580,30 +587,29 @@ impl ShardClient {
         }
     }
 
-    /// Pipeline a batch of `(val, pins)` scan requests in semiring `S`
-    /// (one window, see `ShardClient::pipeline`) and collect the streams in request
-    /// order. One greedy selection step needs `set_size(row)` mutually
-    /// independent hypothetical streams from the owning shard; serializing
-    /// them pays a full network round trip each, while pipelining overlaps
-    /// them all on the one connection. Returns the first failure, if any.
-    pub fn scan_many<S: WireSemiring>(
+    /// Request the owner's half of a merged pin sweep in semiring `S`: one
+    /// stream that answers every pin of shard-local row `row` for
+    /// validation point `val` under the shard-local mask `pins`, in which
+    /// the row must be unpinned.
+    pub fn swept_scan<S: WireSemiring>(
         &mut self,
+        val: usize,
         k: usize,
-        scans: Vec<(usize, Option<Pins>)>,
-    ) -> RpcResult<Vec<ShardStream<S>>> {
-        let session = self.session;
-        let reqs = scans.into_iter().map(|(val, pins)| Request::Scan {
-            session,
+        pins: &Pins,
+        row: usize,
+    ) -> RpcResult<SweptStream<S>> {
+        let req = Request::SweptScan {
+            session: self.session,
             val: val as u32,
             k: k as u32,
             semiring: S::TAG,
-            pins,
-        });
-        let (streams, outcome) = self.pipeline(reqs, |_, resp| match resp {
-            Response::Stream(bytes) => decode_stream::<S>(&bytes),
-            other => Err(Self::unexpected("Stream", other)),
-        });
-        outcome.map(|()| streams)
+            pins: pins.clone(),
+            row: row as u32,
+        };
+        match self.call(&req)? {
+            Response::Swept(bytes) => decode_swept::<S>(&bytes),
+            other => Err(Self::unexpected("Swept", other)),
+        }
     }
 
     /// Send a window of requests down this connection, keeping up to
@@ -1232,6 +1238,34 @@ impl RpcCoordinator {
         Ok(stream)
     }
 
+    /// Check a swept stream against the row it was asked for: its shape,
+    /// its row, one similarity per candidate, and no event of the row
+    /// naming another candidate.
+    fn check_swept(&self, swept: &SweptStream<f64>, row: usize) -> RpcResult<()> {
+        let ds = &self.problem.dataset;
+        self.check_shape("swept stream", swept.stream.k(), swept.stream.n_labels())?;
+        let m = ds.set_size(row);
+        if swept.row != row || swept.sims.len() != m {
+            return Err(RpcError::Protocol(format!(
+                "swept stream of row {} with {} candidates, expected row {row} with {m}",
+                swept.row,
+                swept.sims.len()
+            )));
+        }
+        if let Some(e) = swept
+            .stream
+            .events
+            .iter()
+            .find(|e| e.row == row && e.cand as usize >= m)
+        {
+            return Err(RpcError::Protocol(format!(
+                "swept stream event names candidate {} of row {row}, which has {m}",
+                e.cand
+            )));
+        }
+        Ok(())
+    }
+
     /// Fetch one batched stream per shard for validation point `v` under
     /// the servers' current pin masks (through the recovery loop: a shard
     /// that drops its connection mid-fetch reconnects or fails over and the
@@ -1284,6 +1318,7 @@ impl RpcCoordinator {
                 Some((epochs, streams)) => {
                     for s in 0..self.clients.len() {
                         if epochs[s] != self.mask_epochs[s] {
+                            cp_obs::counter!("rpc.coordinator.base_fetches").inc();
                             let fresh = self.check_stream_shape(
                                 self.with_recovery(s, |c| c.scan::<f64>(v, self.k, None))?,
                             )?;
@@ -1293,6 +1328,7 @@ impl RpcCoordinator {
                     }
                 }
                 entry @ None => {
+                    cp_obs::counter!("rpc.coordinator.base_fetches").add(self.clients.len() as u64);
                     let fetched = self.fetch_streams::<f64>(v)?;
                     let mut streams = Vec::with_capacity(fetched.len());
                     for (s, st) in fetched.into_iter().enumerate() {
@@ -1640,12 +1676,13 @@ impl RpcCoordinator {
     /// The greedy CPClean selection over the given candidate rows, running
     /// the shared incremental loop ([`cp_clean::select_next_incremental`]):
     /// cached scores are reused across steps, entropy lower bounds prune
-    /// rows that provably cannot beat the incumbent, the hypothetical scans
-    /// that remain are pipelined per connection
-    /// ([`ShardClient::scan_many`]), and base streams are cached per
-    /// validation point, refetched only from shards whose mask moved.
-    /// Selects the **identical** row
-    /// [`RpcCoordinator::try_select_next_serialized`] would.
+    /// rows that provably cannot beat the incumbent, each (validation
+    /// point, row) that remains costs one swept scan of the row's owner
+    /// ([`ShardClient::swept_scan`]) and one merged pin sweep for all of
+    /// the row's pins, and base streams are cached per validation point,
+    /// refetched only from shards whose mask moved. Selects the
+    /// **identical** row [`RpcCoordinator::try_select_next_serialized`]
+    /// would.
     pub fn try_select_next(&self, remaining: &[usize]) -> RpcResult<usize> {
         debug_assert!(!remaining.is_empty());
         let mut sel = self.sel.borrow_mut();
@@ -1796,9 +1833,9 @@ impl Drop for RpcCoordinator {
 }
 
 /// [`SelectionBackend`] over the shard-server connections: entropies come
-/// from exactly the merged-stream arithmetic the serialized scorer runs,
-/// with base streams read through the coordinator's epoch-keyed cache and
-/// the owning shard's hypothetical scans pipelined in one batch.
+/// from merged scans over base streams read through the coordinator's
+/// epoch-keyed cache, and a row's hypothetical entropies from one merged
+/// pin sweep over the owning shard's swept stream.
 struct RpcBackend<'a> {
     coord: &'a RpcCoordinator,
 }
@@ -1820,47 +1857,45 @@ impl SelectionBackend for RpcBackend<'_> {
         })
     }
 
+    /// One swept scan from the row's owner, merged once against every
+    /// other shard's cached base stream ([`merged_sweep_sources`]): each
+    /// pin's entropy is bit for bit the one of the merged scan with the
+    /// owner's stream under that pin.
     fn hypothetical_entropies(&mut self, v: usize, row: usize) -> RpcResult<Vec<f64>> {
         let c = self.coord;
-        let n_labels = c.problem.dataset.n_labels();
         let s = c.owner[row];
         let local = c.shards[s].local_row(row).expect("owner map is exact");
-        let scans: Vec<(usize, Option<Pins>)> = (0..c.problem.dataset.set_size(row))
-            .map(|j| {
-                let mut pinned = c.masks[s].clone();
-                pinned.pin(local, j);
-                (v, Some(pinned))
-            })
-            .collect();
-        // the scan batch is cloned per attempt: a failed window re-runs in
-        // full on the revived (or replacement) connection
-        let hyps = c.with_recovery(s, |client| client.scan_many::<f64>(c.k, scans.clone()))?;
-        let hyps: Vec<ShardStream<f64>> = hyps
-            .into_iter()
-            .map(|h| c.check_stream_shape(h))
-            .collect::<RpcResult<_>>()?;
+        let swept = c.with_recovery(s, |client| {
+            client.swept_scan::<f64>(v, c.k, &c.masks[s], local)
+        })?;
+        c.check_swept(&swept, row)?;
         c.with_base_streams(v, |base| {
-            hyps.iter()
-                .map(|hyp| {
-                    let mut sources = base
-                        .iter()
-                        .enumerate()
-                        .map(|(u, st)| {
-                            if u == s {
-                                // the owner's hypothetical stream is always
-                                // fresh off the wire, never spilled
-                                Ok(SpillSource::Ram(hyp.cursor()))
-                            } else {
-                                st.source()
-                            }
-                        })
-                        .collect::<RpcResult<Vec<_>>>()?;
-                    Ok(entropy_bits(
-                        &merged_scan_sources(&mut sources, n_labels, c.k, None, |_| false)
-                            .probabilities(),
-                    ))
+            let mut sources = base
+                .iter()
+                .enumerate()
+                .map(|(u, st)| {
+                    if u == s {
+                        // the owner's swept stream is always fresh off the
+                        // wire, never spilled
+                        Ok(SpillSource::Ram(swept.stream.cursor()))
+                    } else {
+                        st.source()
+                    }
                 })
-                .collect()
+                .collect::<RpcResult<Vec<_>>>()?;
+            let ds = &c.problem.dataset;
+            Ok(merged_sweep_sources(
+                &mut sources,
+                s,
+                &swept,
+                ds.label(row),
+                ds.n_labels(),
+                c.k,
+                None,
+            )
+            .iter()
+            .map(|r| entropy_bits(&r.probabilities()))
+            .collect())
         })
     }
 }
@@ -1976,5 +2011,119 @@ mod tests {
             "got {err:?}"
         );
         hold.join().expect("server thread");
+    }
+
+    /// The per-pin merged computation the swept selection replaced — the
+    /// owner scans the row under each pin alone, and each pinned stream
+    /// merges with the other shards' cached base streams — kept as the
+    /// oracle of [`RpcBackend::hypothetical_entropies`].
+    fn per_pin_entropies(c: &RpcCoordinator, v: usize, row: usize) -> RpcResult<Vec<f64>> {
+        let n_labels = c.problem.dataset.n_labels();
+        let s = c.owner[row];
+        let local = c.shards[s].local_row(row).expect("owner map is exact");
+        let hyps = (0..c.problem.dataset.set_size(row))
+            .map(|j| {
+                let mut pinned = c.masks[s].clone();
+                pinned.pin(local, j);
+                let hyp = c.with_recovery(s, |client| client.scan::<f64>(v, c.k, Some(&pinned)))?;
+                c.check_stream_shape(hyp)
+            })
+            .collect::<RpcResult<Vec<_>>>()?;
+        c.with_base_streams(v, |base| {
+            hyps.iter()
+                .map(|hyp| {
+                    let mut sources = base
+                        .iter()
+                        .enumerate()
+                        .map(|(u, st)| {
+                            if u == s {
+                                Ok(SpillSource::Ram(hyp.cursor()))
+                            } else {
+                                st.source()
+                            }
+                        })
+                        .collect::<RpcResult<Vec<_>>>()?;
+                    Ok(entropy_bits(
+                        &merged_scan_sources(&mut sources, n_labels, c.k, None, |_| false)
+                            .probabilities(),
+                    ))
+                })
+                .collect()
+        })
+    }
+
+    /// A random small problem on an integer grid (similarity ties), with
+    /// K from 1 up to beyond the row count.
+    fn arb_problem() -> impl proptest::strategy::Strategy<Value = CleaningProblem> {
+        use proptest::prelude::*;
+        (2usize..=3, 3usize..=8, 1usize..=9).prop_flat_map(|(n_labels, n, k)| {
+            let example = (proptest::collection::vec(-5i32..5, 1..=4), 0..n_labels);
+            (
+                proptest::collection::vec(example, n..=n),
+                proptest::collection::vec(-5i32..5, 1..=3),
+            )
+                .prop_map(move |(rows, val)| {
+                    let examples = rows
+                        .into_iter()
+                        .map(|(grid, label)| {
+                            let candidates = grid.into_iter().map(|g| vec![g as f64]).collect();
+                            cp_core::IncompleteExample::incomplete(candidates, label)
+                        })
+                        .collect();
+                    let dataset = cp_core::IncompleteDataset::new(examples, n_labels).unwrap();
+                    let choice: Vec<Option<usize>> = (0..dataset.len())
+                        .map(|i| (dataset.set_size(i) > 1).then_some(0))
+                        .collect();
+                    CleaningProblem::new(
+                        dataset,
+                        cp_core::CpConfig::new(k),
+                        val.into_iter().map(|v| vec![v as f64]).collect(),
+                        choice.clone(),
+                        choice,
+                    )
+                })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Every (point, unpinned row) of a swept selection, before and
+        /// after cleaning some rows, is bit for bit the per-pin merged
+        /// computation — over 1–3 loopback servers, with the non-owner
+        /// base streams in RAM and spilled to disk.
+        #[test]
+        fn swept_entropies_are_the_per_pin_merged_entropies(
+            problem in arb_problem(),
+            n_shards in 1usize..=3,
+            spill in 0u8..2,
+            cleaned in 0usize..3,
+        ) {
+            let servers: Vec<_> = (0..n_shards)
+                .map(|_| crate::spawn_server(crate::ServerConfig::default()).expect("bind"))
+                .collect();
+            let addrs: Vec<&str> = servers.iter().map(|s| s.addr()).collect();
+            let cfg = ClientConfig {
+                spill_threshold: Some(if spill == 1 { 0 } else { usize::MAX }),
+                ..ClientConfig::default()
+            };
+            let opts = RunOptions { max_cleaned: None, n_threads: 1, record_every: 1 };
+            let mut coord = RpcCoordinator::connect_with(&problem, &addrs, &opts, &cfg)
+                .expect("connect");
+            for row in coord.remaining().into_iter().take(cleaned) {
+                coord.clean(row).expect("clean");
+            }
+            for v in 0..problem.val_x.len() {
+                for row in coord.remaining() {
+                    let got = RpcBackend { coord: &coord }
+                        .hypothetical_entropies(v, row)
+                        .expect("swept entropies");
+                    let want = per_pin_entropies(&coord, v, row).expect("per-pin entropies");
+                    let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(&got), bits(&want), "val {} row {}", v, row);
+                }
+            }
+            coord.shutdown().expect("shutdown");
+        }
     }
 }

@@ -20,15 +20,19 @@
 //!   and whole batched [`cp_shard::ShardStream`]s. Wire semirings: exact
 //!   `u128`, probability-space `f64`, and the boolean
 //!   [`cp_numeric::Possibility`] ([`codec::WireSemiring`]).
-//! * [`proto`] — the message schema: `Open`, `Scan`, `ExtremeSummary`,
-//!   `Step`, `SyncStatus`, `Status`, `Stats`, `Close`, `Shutdown` and their
-//!   responses. `Open` mints a [`proto::SessionId`] that every
+//! * [`proto`] — the message schema: `Open`, `Scan`, `SweptScan`,
+//!   `ExtremeSummary`, `Step`, `SyncStatus`, `Status`, `Stats`, `Close`,
+//!   `Shutdown` and their responses. `Open` mints a [`proto::SessionId`] that every
 //!   session-scoped request carries, so independent cleaning sessions
 //!   multiplex over one server process. Binary-label status checks ship
 //!   `ExtremeSummary` messages — `O(|Y|·K)` rank-ordered entries per shard,
 //!   merged by rank at the coordinator — instead of whole boundary-event
 //!   streams; scan streams travel delta-compressed (varint deltas plus a
-//!   per-stream scalar dictionary, [`codec::encode_stream`]).
+//!   per-stream scalar dictionary, [`codec::encode_stream`]). A greedy
+//!   selection's `SweptScan` returns one stream for every pin of a row
+//!   (stream version 3, [`codec::encode_swept`]): the owner's scan with the
+//!   row's leaf held at the identity, plus the row's candidate
+//!   similarities and its pinned world total.
 //! * [`server`] — [`server::ShardServer`]: a **multi-tenant** session
 //!   registry over shared shard data. Index caches are built once per
 //!   distinct `Open` payload and shared by every session over that shard;
@@ -44,7 +48,10 @@
 //!   thread for in-process deployments, tests and benchmarks.
 //! * [`coordinator`] — [`coordinator::RpcCoordinator`]: partitions a
 //!   cleaning problem over N servers, replays their decoded streams through
-//!   [`cp_shard::merged_scan_sources`], and exposes the `step()` /
+//!   [`cp_shard::merged_scan_sources`] — and, for a greedy step's missed
+//!   rows, one swept stream per (point, row) through
+//!   [`cp_shard::merged_sweep_sources`], which answers all of the row's
+//!   pins from one merged scan — and exposes the `step()` /
 //!   `status()` / `run_to_convergence()` / `run_order()` engine surface.
 //!   Status vectors and cleaning orders are *identical* to
 //!   [`cp_clean::CleaningSession`]'s, and Q2 counts to
@@ -117,8 +124,8 @@ pub mod spill;
 pub mod wire;
 
 pub use codec::{
-    decode_factors, decode_stream, decode_summary, encode_factors, encode_stream,
-    encode_stream_raw, encode_summary, raw_stream_size, read_frame, read_frame_opt,
+    decode_factors, decode_stream, decode_summary, decode_swept, encode_factors, encode_stream,
+    encode_stream_raw, encode_summary, encode_swept, raw_stream_size, read_frame, read_frame_opt,
     read_frame_opt_tagged, read_frame_tagged, write_frame, write_frame_tagged, WireSemiring,
     FRAME_OVERHEAD,
 };

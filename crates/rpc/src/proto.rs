@@ -12,6 +12,7 @@
 //! |------------------------|-------------------------------------------|
 //! | [`Request::Open`]      | [`Response::Opened`] — session minted      |
 //! | [`Request::Scan`]      | [`Response::Stream`] — batched event stream |
+//! | [`Request::SweptScan`] | [`Response::Swept`] — one stream for every pin of a row |
 //! | [`Request::ExtremeSummary`] | [`Response::Summary`] — rank-merged MM top-K |
 //! | [`Request::Step`]      | [`Response::Ok`] — pin applied (idempotent) |
 //! | [`Request::SyncStatus`]| [`Response::Ok`] — global CP bits stored   |
@@ -104,6 +105,26 @@ pub enum Request {
         /// session's current pins (hypothetical selection pins travel as
         /// `Some`).
         pins: Option<Pins>,
+    },
+    /// Compute the owner's half of a merged pin sweep over shard-local row
+    /// `row` for validation point `val`: one stream, opened at the base
+    /// `τ_s` with the row's leaf held at the identity, that answers every
+    /// pin of the row (`cp_shard::SweptStream`). What a greedy selection
+    /// step asks the owner per (point, row) cache miss.
+    SweptScan {
+        /// The session to scan.
+        session: SessionId,
+        /// Validation-point index into the opened `val_x`.
+        val: u32,
+        /// The **global** effective K for the scan's tally trees.
+        k: u32,
+        /// Requested [`crate::codec::WireSemiring`] tag.
+        semiring: u8,
+        /// The shard-local pin mask to scan under; the row must be
+        /// unpinned in it.
+        pins: Pins,
+        /// Shard-local index of the swept row.
+        row: u32,
     },
     /// Compute one rank-ordered extreme summary for validation point `val`
     /// — the binary-Q1 MM fast path's `O(|Y|·K)` exchange, replacing the
@@ -219,6 +240,9 @@ pub enum Response {
     /// One rank-ordered extreme summary, encoded with
     /// [`crate::codec::encode_summary`].
     Summary(Vec<u8>),
+    /// One swept stream, encoded with [`crate::codec::encode_swept`]
+    /// (self-tagged with its semiring).
+    Swept(Vec<u8>),
     /// The server's local view.
     Status(ShardStatus),
     /// The server's live metrics: a `cp_obs::Snapshot` in its own wire
@@ -249,6 +273,7 @@ const REQ_CLOSE: u8 = 8;
 const REQ_STATS: u8 = 9;
 const REQ_PING: u8 = 10;
 const REQ_DEADLINE: u8 = 11;
+const REQ_SWEPT_SCAN: u8 = 12;
 
 /// `Open` payload layout versions — the byte after the `REQ_OPEN` tag.
 /// `Open` is the largest single message of the protocol (it carries the
@@ -266,6 +291,7 @@ const RESP_SUMMARY: u8 = 6;
 const RESP_BUSY: u8 = 7;
 const RESP_STATS: u8 = 8;
 const RESP_EXPIRED: u8 = 9;
+const RESP_SWEPT: u8 = 10;
 
 #[cfg(test)]
 fn put_choices(out: &mut Vec<u8>, choices: &[Option<u32>]) {
@@ -489,6 +515,22 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 }
             }
         }
+        Request::SweptScan {
+            session,
+            val,
+            k,
+            semiring,
+            pins,
+            row,
+        } => {
+            put_u8(&mut out, REQ_SWEPT_SCAN);
+            put_u64(&mut out, *session);
+            put_u32(&mut out, *val);
+            put_u32(&mut out, *k);
+            put_u8(&mut out, *semiring);
+            put_u32(&mut out, *row);
+            put_pins(&mut out, pins);
+        }
         Request::ExtremeSummary {
             session,
             val,
@@ -637,6 +679,22 @@ pub fn decode_request(buf: &[u8]) -> RpcResult<Request> {
                 pins,
             }
         }
+        REQ_SWEPT_SCAN => {
+            let session = r.u64("swept scan session")?;
+            let val = r.u32("swept scan val")?;
+            let k = r.u32("swept scan k")?;
+            let semiring = r.u8("swept scan semiring")?;
+            let row = r.u32("swept scan row")?;
+            let pins = get_pins(&mut r)?;
+            Request::SweptScan {
+                session,
+                val,
+                k,
+                semiring,
+                pins,
+                row,
+            }
+        }
         REQ_EXTREME_SUMMARY => {
             let session = r.u64("summary session")?;
             let val = r.u32("summary val")?;
@@ -721,6 +779,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u32(&mut out, bytes.len() as u32);
             out.extend_from_slice(bytes);
         }
+        Response::Swept(bytes) => {
+            put_u8(&mut out, RESP_SWEPT);
+            put_u32(&mut out, bytes.len() as u32);
+            out.extend_from_slice(bytes);
+        }
         Response::Status(status) => {
             put_u8(&mut out, RESP_STATUS);
             put_usize(&mut out, status.start);
@@ -767,6 +830,10 @@ pub fn decode_response(buf: &[u8]) -> RpcResult<Response> {
             let n = r.count(1, "summary bytes")?;
             Response::Summary(r.take(n, "summary payload")?.to_vec())
         }
+        RESP_SWEPT => {
+            let n = r.count(1, "swept stream bytes")?;
+            Response::Swept(r.take(n, "swept stream payload")?.to_vec())
+        }
         RESP_STATUS => Response::Status(ShardStatus {
             start: r.usize("status start")?,
             n_rows: r.usize("status rows")?,
@@ -812,6 +879,22 @@ mod tests {
                 k: 1,
                 semiring: 1,
                 pins: None,
+            },
+            Request::SweptScan {
+                session: 7,
+                val: 3,
+                k: 2,
+                semiring: 2,
+                pins: Pins::from_pairs(4, &[(1, 2), (3, 0)]),
+                row: 2,
+            },
+            Request::SweptScan {
+                session: 1,
+                val: 0,
+                k: 1,
+                semiring: 3,
+                pins: Pins::none(0),
+                row: u32::MAX,
             },
             Request::ExtremeSummary {
                 session: 2,
@@ -916,6 +999,7 @@ mod tests {
             },
             Response::Stream(vec![1, 2, 3]),
             Response::Summary(vec![7, 8]),
+            Response::Swept(vec![4, 5, 6]),
             Response::Status(ShardStatus {
                 start: 2,
                 n_rows: 3,

@@ -20,8 +20,10 @@
 //! Each [`Request::Scan`] ships one batched [`cp_shard::ShardStream`]
 //! (delta-compressed by [`crate::codec::encode_stream`]) computed by
 //! exactly the [`cp_shard::ShardScan`] code the in-process merged scans run;
-//! [`Request::ExtremeSummary`] answers binary status checks with one
-//! rank-ordered [`ExtremeSummary`] instead.
+//! [`Request::SweptScan`] ships the owner's half of a merged pin sweep
+//! ([`cp_shard::SweptStream`]), one stream for every pin of a row, counted
+//! as one scan; [`Request::ExtremeSummary`] answers binary status checks
+//! with one rank-ordered [`ExtremeSummary`] instead.
 //!
 //! The request handler ([`ShardServer::handle`]) is a pure state machine
 //! over decoded messages (`&self` — the server is shared across connection
@@ -37,8 +39,8 @@
 //! input.
 
 use crate::codec::{
-    encode_stream, encode_summary, read_frame_opt_tagged, write_frame_tagged, WireSemiring,
-    FRAME_OVERHEAD,
+    encode_stream, encode_summary, encode_swept, read_frame_opt_tagged, write_frame_tagged,
+    WireSemiring, FRAME_OVERHEAD,
 };
 use crate::error::RpcResult;
 use crate::fault::{FaultPlan, FaultyTransport};
@@ -51,7 +53,7 @@ use cp_core::{
     ValIndexCache,
 };
 use cp_numeric::Possibility;
-use cp_shard::ShardStream;
+use cp_shard::{ShardStream, SweptStream};
 use cp_store::WalWriter;
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -290,6 +292,7 @@ impl ShardServer {
         let _span = match &req {
             Request::Open(_) => cp_obs::span!("rpc.server.latency.open_us"),
             Request::Scan { .. } => cp_obs::span!("rpc.server.latency.scan_us"),
+            Request::SweptScan { .. } => cp_obs::span!("rpc.server.latency.swept_scan_us"),
             Request::ExtremeSummary { .. } => {
                 cp_obs::span!("rpc.server.latency.extreme_summary_us")
             }
@@ -314,6 +317,17 @@ impl ShardServer {
                 pins,
             } => match self.session(session) {
                 Ok(sess) => Self::handle_scan(&sess, val, k, semiring, pins),
+                Err(resp) => resp,
+            },
+            Request::SweptScan {
+                session,
+                val,
+                k,
+                semiring,
+                pins,
+                row,
+            } => match self.session(session) {
+                Ok(sess) => Self::handle_swept_scan(&sess, val, k, semiring, pins, row),
                 Err(resp) => resp,
             },
             Request::ExtremeSummary {
@@ -692,7 +706,7 @@ impl ShardServer {
         state: &SessionState,
         val: usize,
         k: u32,
-        pins: &Option<Pins>,
+        pins: Option<&Pins>,
     ) -> Option<Response> {
         if val >= state.session.cache().len() {
             return Some(Response::Error(format!(
@@ -727,7 +741,7 @@ impl ShardServer {
     fn handle_scan(sess: &Session, val: u32, k: u32, semiring: u8, pins: Option<Pins>) -> Response {
         let state = sess.read_state();
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, &pins) {
+        if let Some(reject) = Self::validate_query(sess, &state, val, k, pins.as_ref()) {
             return reject;
         }
         let pins = pins
@@ -765,10 +779,69 @@ impl ShardServer {
         Response::Stream(bytes)
     }
 
+    /// Answer [`Request::SweptScan`]: the owner's half of a merged pin
+    /// sweep over local row `row` ([`SweptStream::capture`]), counted as
+    /// one scan. Beyond [`Self::validate_query`], the row must exist and be
+    /// unpinned in the scanned mask, and `u128` counts must fit under the
+    /// row's pin.
+    fn handle_swept_scan(
+        sess: &Session,
+        val: u32,
+        k: u32,
+        semiring: u8,
+        pins: Pins,
+        row: u32,
+    ) -> Response {
+        let state = sess.read_state();
+        let val = val as usize;
+        if let Some(reject) = Self::validate_query(sess, &state, val, k, Some(&pins)) {
+            return reject;
+        }
+        let shard = &sess.shared.shard;
+        let row = row as usize;
+        if row >= shard.len() {
+            return Response::Error(format!("swept row {row} out of range"));
+        }
+        if let Some(j) = pins.pinned(row) {
+            return Response::Error(format!(
+                "swept row {row} is already pinned (to candidate {j})"
+            ));
+        }
+        if semiring == <u128 as WireSemiring>::TAG {
+            let mut pinned = pins.clone();
+            pinned.pin(row, 0);
+            if pinned.world_count_u128(shard.dataset()).is_none() {
+                return Response::Error(U128_OVERFLOW.into());
+            }
+        }
+        let idx = &state.session.cache()[val];
+        let k = k as usize;
+        let bytes = match semiring {
+            <u128 as WireSemiring>::TAG => {
+                encode_swept(&SweptStream::<u128>::capture(shard, idx, &pins, k, row))
+            }
+            <f64 as WireSemiring>::TAG => {
+                encode_swept(&SweptStream::<f64>::capture(shard, idx, &pins, k, row))
+            }
+            <Possibility as WireSemiring>::TAG => encode_swept(
+                &SweptStream::<Possibility>::capture(shard, idx, &pins, k, row),
+            ),
+            tag => return Response::Error(format!("unknown semiring tag {tag}")),
+        };
+        if bytes.len() as u64 + 16 > crate::codec::MAX_FRAME_LEN {
+            return Response::Error(format!(
+                "swept stream of {} bytes exceeds the frame bound — repartition over more shards",
+                bytes.len()
+            ));
+        }
+        sess.metrics.scans.inc();
+        Response::Swept(bytes)
+    }
+
     fn handle_extreme_summary(sess: &Session, val: u32, k: u32, pins: Option<Pins>) -> Response {
         let state = sess.read_state();
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, &pins) {
+        if let Some(reject) = Self::validate_query(sess, &state, val, k, pins.as_ref()) {
             return reject;
         }
         // the extreme-world equivalence is only proven for binary label

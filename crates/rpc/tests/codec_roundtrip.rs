@@ -1,8 +1,10 @@
 //! Codec round-trip and robustness properties.
 //!
 //! * `decode(encode(x)) == x` for [`ShardFactors`] in every wire semiring
-//!   (binary and multiclass label spaces), [`Pins`], CP status vectors, and
-//!   whole batched [`ShardStream`]s;
+//!   (binary and multiclass label spaces), [`Pins`], CP status vectors,
+//!   whole batched [`ShardStream`]s and swept streams;
+//! * a decoded swept stream gives every pin of its row the single-process
+//!   counts under that pin;
 //! * shard streams captured from real scans (each starting at its shard's
 //!   zero-prefix bound) merge, after the codec round trip, to the full-walk
 //!   counts;
@@ -19,17 +21,18 @@ use cp_core::{
 use cp_knn::Kernel;
 use cp_numeric::Possibility;
 use cp_rpc::codec::{
-    decode_factors, decode_stream, decode_summary, encode_factors, encode_stream,
-    encode_stream_raw, encode_summary, get_pins, get_status_bits, put_pins, put_status_bits,
-    read_frame, write_frame,
+    decode_factors, decode_stream, decode_summary, decode_swept, encode_factors, encode_stream,
+    encode_stream_raw, encode_summary, encode_swept, get_pins, get_status_bits, put_pins,
+    put_status_bits, read_frame, write_frame,
 };
 use cp_rpc::proto::{decode_request, decode_response, encode_request, OpenShard, Request};
 use cp_rpc::wire::Reader;
 use cp_rpc::RpcError;
 use cp_rpc::WireSemiring;
 use cp_shard::{
-    build_shard_indexes, capture_streams, certain_label_from_streams, local_pins, q2_from_streams,
-    q2_sharded_with_indexes, BoundaryEvent, ShardStream, ShardStreamEvent,
+    build_shard_indexes, capture_streams, certain_label_from_streams, local_pins,
+    merged_sweep_sources, q2_from_streams, q2_sharded_with_indexes, BoundaryEvent, ShardStream,
+    ShardStreamEvent, SweptStream,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -245,6 +248,9 @@ proptest! {
         let _ = decode_stream::<u128>(&bytes);
         let _ = decode_stream::<f64>(&bytes);
         let _ = decode_stream::<Possibility>(&bytes);
+        let _ = decode_swept::<u128>(&bytes);
+        let _ = decode_swept::<f64>(&bytes);
+        let _ = decode_swept::<Possibility>(&bytes);
         let _ = decode_summary(&bytes);
         let mut r = Reader::new(&bytes);
         let _ = get_pins(&mut r);
@@ -424,5 +430,52 @@ proptest! {
         let wire = q2_from_streams::<f64, _>(&wire_streams(&shards, &indexes, &local, &cfg));
         let live = q2_sharded_with_indexes::<f64, _, _>(&shards, &indexes, &local, &cfg);
         prop_assert_eq!(bits(wire), bits(live));
+    }
+
+    /// A swept stream survives the codec (and only its own decoder takes
+    /// it; every strict prefix is a typed error), and the decoded sweep,
+    /// merged with the other shards' decoded streams, gives every pin of
+    /// the row the exact counts of the single-process scan under it.
+    #[test]
+    fn decoded_swept_streams_answer_every_pin_of_their_row(
+        (ds, t, k, pins, n_shards) in arb_captured_case(),
+        cut_seed in 0usize..10_000,
+    ) {
+        let cfg = CpConfig::new(k);
+        let k_eff = cfg.k_eff(ds.len());
+        let idx = SimilarityIndex::build(&ds, cfg.kernel, &t);
+        let shards = ds.partition(n_shards);
+        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
+        let local = local_pins(&shards, &pins);
+        let base = wire_streams::<u128>(&shards, &indexes, &local, &cfg);
+        for (s, sh) in shards.iter().enumerate() {
+            for row in (0..sh.len()).filter(|&i| local[s].pinned(i).is_none()) {
+                let swept = SweptStream::<u128>::capture(sh, &indexes[s], &local[s], k_eff, row);
+                let bytes = encode_swept(&swept);
+                let back = decode_swept::<u128>(&bytes).unwrap();
+                prop_assert_eq!(&back, &swept);
+                prop_assert!(decode_stream::<u128>(&bytes).is_err());
+                prop_assert!(decode_swept::<f64>(&bytes).is_err());
+                let cut = cut_seed % bytes.len();
+                prop_assert!(decode_swept::<u128>(&bytes[..cut]).is_err(), "cut {}", cut);
+
+                let mut cursors: Vec<_> = base
+                    .iter()
+                    .enumerate()
+                    .map(|(u, st)| if u == s { back.stream.cursor() } else { st.cursor() })
+                    .collect();
+                let label = ds.label(back.row);
+                let got =
+                    merged_sweep_sources(&mut cursors, s, &back, label, ds.n_labels(), k_eff, None);
+                prop_assert_eq!(got.len(), ds.set_size(back.row));
+                for (j, got) in got.iter().enumerate() {
+                    let mut pinned = pins.clone();
+                    pinned.pin(back.row, j);
+                    let want = q2_sortscan_with_index::<u128>(&ds, &cfg, &idx, &pinned);
+                    prop_assert_eq!(&got.counts, &want.counts, "row {} pin {}", back.row, j);
+                    prop_assert_eq!(got.total, want.total);
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Response-poisoning coverage for **every** request type, beyond the
-//! `Step` lost-ack suite: a server whose response to `Scan`,
+//! `Step` lost-ack suite: a server whose response to `Scan`, `SweptScan`,
 //! `ExtremeSummary`, `SyncStatus`, `Status`, `Stats` or `Close` arrives
 //! bit-flipped or cut off mid-frame must leave the client *poisoned* with
 //! a typed error — never a silently wrong payload — and a plain
@@ -17,11 +17,12 @@
 //! contract.)
 
 use cp_clean::CleaningProblem;
+use cp_core::Pins;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
-    read_frame_opt_tagged, write_frame_tagged, ClientConfig, OpenShard, Request, RpcError,
-    ShardClient, ShardServer,
+    read_frame_opt_tagged, spawn_server, write_frame_tagged, ClientConfig, OpenShard, Request,
+    RpcError, ServerConfig, ShardClient, ShardServer,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -147,6 +148,7 @@ fn issue(client: &mut ShardClient, target_idx: usize) -> cp_rpc::RpcResult<()> {
         2 => client.sync_status(vec![false, false, false]),
         3 => client.status().map(|_| ()),
         4 => client.stats(0).map(|_| ()),
+        5 => client.swept_scan::<f64>(0, 3, &stepped(), 3).map(|_| ()),
         _ => client.close(),
     }
 }
@@ -158,6 +160,7 @@ fn matcher(target_idx: usize) -> fn(&Request) -> bool {
         2 => |r: &Request| matches!(r, Request::SyncStatus { .. }),
         3 => |r: &Request| matches!(r, Request::Status { .. }),
         4 => |r: &Request| matches!(r, Request::Stats { .. }),
+        5 => |r: &Request| matches!(r, Request::SweptScan { .. }),
         _ => |r: &Request| matches!(r, Request::Close { .. }),
     }
 }
@@ -171,7 +174,7 @@ proptest! {
     /// state (the one applied step stays exactly one step).
     #[test]
     fn any_sabotaged_response_poisons_then_recovers_by_reconnect(
-        target_idx in 0usize..6,
+        target_idx in 0usize..7,
         pos in 0u32..u32::MAX,
         truncate in 0u8..2,
     ) {
@@ -219,7 +222,7 @@ proptest! {
         prop_assert!(matches!(refused, RpcError::Protocol(_)));
 
         client.reconnect().expect("reconnect to the same server");
-        if target_idx == 5 {
+        if target_idx == 6 {
             // Close: the sabotaged ack may or may not have covered an
             // applied close — re-closing is Ok, or the idempotent-shaped
             // "unknown session" rejection; never anything else
@@ -237,4 +240,65 @@ proptest! {
         client.expect_ok(&Request::Shutdown).expect("shutdown");
         server.join().expect("server thread");
     }
+}
+
+/// The session's pin mask once `step(1, 0)` pinned row 1 to its truth.
+fn stepped() -> Pins {
+    Pins::from_pairs(6, &[(1, 0)])
+}
+
+/// A swept scan the server must refuse: the typed `Remote` rejection
+/// comes back, no handler panicked, and the connection stays usable (a
+/// valid swept scan of the same session succeeds right after).
+fn assert_swept_scan_rejected(val: usize, pins: Pins, row: usize, expect: &str) {
+    let problem = poison_problem();
+    let server = spawn_server(ServerConfig::default()).expect("bind loopback server");
+    let panics = || cp_obs::counter!("rpc.server.handler_panics").get();
+    let before = panics();
+    let mut client = ShardClient::connect(server.addr()).expect("connect");
+    client.open(open_whole(&problem)).expect("open session");
+    client.step(1, 0).expect("pin row 1");
+    let err = client
+        .swept_scan::<f64>(val, 3, &pins, row)
+        .expect_err("a bad swept scan must be rejected");
+    match &err {
+        RpcError::Remote(msg) => assert!(msg.contains(expect), "got {msg:?}, want {expect:?}"),
+        other => panic!("expected a typed remote rejection, got {other:?}"),
+    }
+    assert_eq!(panics(), before, "no handler may panic on a bad swept scan");
+    assert!(
+        !client.is_poisoned(),
+        "a rejection leaves the connection usable"
+    );
+    let ok = client
+        .swept_scan::<f64>(0, 3, &stepped(), 3)
+        .expect("a valid swept scan after the rejection");
+    assert_eq!(ok.row, 3);
+    assert_eq!(ok.sims.len(), 2);
+    client.close().expect("close");
+}
+
+#[test]
+fn swept_scan_of_a_row_out_of_range_is_rejected() {
+    assert_swept_scan_rejected(0, stepped(), 6, "out of range");
+    assert_swept_scan_rejected(0, stepped(), u32::MAX as usize, "out of range");
+}
+
+#[test]
+fn swept_scan_of_a_row_pinned_in_the_shipped_mask_is_rejected() {
+    // row 1 is pinned by the session's step, row 4 only in the shipped mask
+    assert_swept_scan_rejected(0, stepped(), 1, "already pinned");
+    let shipped = Pins::from_pairs(6, &[(1, 0), (4, 1)]);
+    assert_swept_scan_rejected(0, shipped, 4, "already pinned");
+}
+
+#[test]
+fn swept_scan_of_a_validation_point_out_of_range_is_rejected() {
+    assert_swept_scan_rejected(3, stepped(), 3, "validation point 3 out of range");
+}
+
+#[test]
+fn swept_scan_with_a_mask_of_the_wrong_length_is_rejected() {
+    assert_swept_scan_rejected(0, Pins::none(5), 3, "pin mask length mismatch");
+    assert_swept_scan_rejected(0, Pins::none(7), 3, "pin mask length mismatch");
 }

@@ -51,7 +51,7 @@ use cp_core::mass::{merge_totals, MassModel, UniformMass};
 use cp_core::poly::TallyTree;
 use cp_core::queries::Q2Algorithm;
 use cp_core::ss_mc::accumulate_supports_mc;
-use cp_core::ss_tree::{note_events_scanned, use_multiclass_accumulator, TreeScan};
+use cp_core::ss_tree::{note_events_scanned, use_multiclass_accumulator, Supports, TreeScan};
 use cp_core::tally::{accumulate_supports, compositions};
 use cp_core::{
     CandKey, CpConfig, DatasetShard, ExtremeSummary, Pins, Q2Result, ShardFactors, SimilarityIndex,
@@ -78,6 +78,9 @@ pub struct ShardScan<'a, S> {
     /// The events at or after `τ_s`, ascending (see [`TreeScan::tail`]).
     tail: Vec<CandKey>,
     cursor: usize,
+    /// The local set a swept scan ([`ShardScan::swept`]) holds at the
+    /// identity.
+    held: Option<usize>,
 }
 
 impl<'a, S: CountSemiring> ShardScan<'a, S> {
@@ -106,6 +109,36 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         assert_eq!(pins.len(), ds.len(), "pin mask length mismatch");
         let opened = TreeScan::open(ds, idx, pins, k, UniformMass::new(ds, pins));
         Self::at(shard, opened)
+    }
+
+    /// The shard's half of a merged pin sweep over the unpinned local row
+    /// `local_row`: [`ShardScan::new`]'s opening at the base `τ_s`,
+    /// unfolded, with the row's leaf held at the identity for the whole
+    /// scan ([`TreeScan::open_swept`]). The row's own candidates at or
+    /// after `τ_s` stay events, but advancing over one leaves the row's
+    /// mass and leaf alone: its payload is the row's label polynomial with
+    /// the row excluded and boundary mass `one` (a pinned set carries its
+    /// whole mass on its candidate), which is what the standalone scan
+    /// under that pin presents at its own event. See
+    /// [`merged_sweep_sources`] for why one such scan answers every pin.
+    ///
+    /// # Panics
+    /// Panics if the pin mask does not validate against the shard dataset,
+    /// or if `local_row` is out of range or pinned.
+    pub fn swept(
+        shard: &'a DatasetShard,
+        idx: &'a SimilarityIndex,
+        pins: &'a Pins,
+        k: usize,
+        local_row: usize,
+    ) -> Self {
+        let ds = shard.dataset();
+        assert_eq!(pins.len(), ds.len(), "pin mask length mismatch");
+        let mass = UniformMass::new(ds, pins);
+        let opened = TreeScan::open_swept(ds, idx, pins, k, mass, local_row);
+        let mut scan = Self::at(shard, opened);
+        scan.held = Some(local_row);
+        scan
     }
 
     /// The walk the `τ_s` opening replaces: trees at `α = 0`, cursor on the
@@ -165,6 +198,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
             leaf_pos,
             tail,
             cursor: 0,
+            held: None,
         }
     }
 
@@ -188,9 +222,11 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     pub fn advance(&mut self) -> (usize, u32) {
         let key = self.tail[self.cursor];
         let (i, j) = (key.set(), key.cand());
-        MassModel::<S>::advance(&mut self.mass, i, j);
-        let label = self.shard.dataset().label(i);
-        self.trees[label].set_leaf(self.leaf_pos[i], self.mass.seen(i), self.mass.unseen(i));
+        if self.held != Some(i) {
+            MassModel::<S>::advance(&mut self.mass, i, j);
+            let label = self.shard.dataset().label(i);
+            self.trees[label].set_leaf(self.leaf_pos[i], self.mass.seen(i), self.mass.unseen(i));
+        }
         self.cursor += 1;
         (i, j as u32)
     }
@@ -235,6 +271,9 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     /// (Uniform mass ignores the candidate, but threading the real one
     /// keeps this correct for any future non-uniform [`MassModel`].)
     pub fn boundary_mass(&self, local_set: usize, cand: u32) -> S {
+        if self.held == Some(local_set) {
+            return S::one();
+        }
         self.mass.boundary(local_set, cand as usize)
     }
 
@@ -417,6 +456,67 @@ impl<S: CountSemiring> ShardStream<S> {
     }
 }
 
+/// The owner shard's answer for one row of a merged pin sweep: its
+/// [`ShardScan::swept`] stream plus what the coordinator needs to give
+/// every pin of the row its counts — the row's candidate similarities and
+/// the shard's world total under the row's pin.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweptStream<S> {
+    /// The shard's stream at its base `τ_s` with the swept row held at the
+    /// identity; the row's own candidates are events with boundary mass
+    /// `one` that leave the factors unchanged.
+    pub stream: ShardStream<S>,
+    /// Global id of the swept row.
+    pub row: usize,
+    /// Similarity of each of the row's candidates, in candidate order.
+    pub sims: Vec<f64>,
+    /// The shard's total world mass with the row pinned: the same for
+    /// every candidate, since a pinned set's mass is `one`.
+    pub pinned_total: S,
+}
+
+impl<S: CountSemiring> SweptStream<S> {
+    /// Drain a [`ShardScan::swept`] over `local_row` (the shard-server side
+    /// of a swept scan request); the other arguments are
+    /// [`ShardScan::new`]'s.
+    ///
+    /// # Panics
+    /// Panics as [`ShardScan::swept`] does.
+    pub fn capture(
+        shard: &DatasetShard,
+        idx: &SimilarityIndex,
+        pins: &Pins,
+        k: usize,
+        local_row: usize,
+    ) -> Self {
+        let stream = ShardStream::drain(ShardScan::swept(shard, idx, pins, k, local_row));
+        let ds = shard.dataset();
+        let mut pinned = pins.clone();
+        pinned.pin(local_row, 0);
+        SweptStream {
+            stream,
+            row: shard.global_row(local_row),
+            sims: (0..ds.set_size(local_row))
+                .map(|j| idx.key(local_row, j).sim())
+                .collect(),
+            pinned_total: MassModel::<S>::total(&UniformMass::new(ds, &pinned)),
+        }
+    }
+
+    /// The swept row's merge keys, ascending: pin `j` is the key whose
+    /// [`CandKey::cand`] is `j`.
+    fn keys(&self) -> Vec<CandKey> {
+        let mut keys: Vec<CandKey> = self
+            .sims
+            .iter()
+            .enumerate()
+            .map(|(j, &sim)| CandKey::new(sim, self.row as u32, j as u32))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+}
+
 /// A replay position inside a [`ShardStream`] — the decoded-frames
 /// implementation of [`FactorSource`].
 #[derive(Clone, Debug)]
@@ -540,39 +640,16 @@ where
     let mut factors: Vec<ShardFactors<S>> = sources.iter().map(|s| s.opening_factors()).collect();
     let mut counts = vec![S::zero(); n_labels];
 
-    loop {
-        // the shard owning the globally next boundary candidate, under the
-        // exact (similarity, row, candidate) order the single scan sorts by
-        let mut owner: Option<(usize, (f64, usize, u32))> = None;
-        for (s, src) in sources.iter().enumerate() {
-            if let Some(ev) = src.peek_key() {
-                let better = match &owner {
-                    None => true,
-                    Some((_, best)) => match ev.0.total_cmp(&best.0) {
-                        Ordering::Less => true,
-                        Ordering::Equal => (ev.1, ev.2) < (best.1, best.2),
-                        Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    owner = Some((s, ev));
-                }
-            }
-        }
-        let Some((s, _)) = owner else { break };
-
+    while let Some((s, _)) = next_source(sources) {
         let ev = sources[s].next_event();
         let yi = ev.label;
-        factors[s].set_poly(yi, ev.updated_poly);
-
-        // merge: owner's factors with the boundary set excluded from its own
-        // label, times every other shard's summary
-        let mut merged = factors[s].with_poly(yi, ev.excluding_poly);
-        for (u, f) in factors.iter().enumerate() {
-            if u != s {
-                merged.merge_assign(f);
-            }
-        }
+        let merged = merge_event(
+            &mut factors,
+            s,
+            ev.label,
+            ev.updated_poly,
+            ev.excluding_poly,
+        );
         let polys = merged.poly_refs();
         if use_mc {
             accumulate_supports_mc(k, yi, &ev.boundary_mass, &polys, &mut counts);
@@ -588,6 +665,160 @@ where
         counts,
         total: merge_totals(sources.iter().map(|s| s.total_mass())),
     }
+}
+
+/// The source owning the globally next boundary candidate, with its key,
+/// under the exact `(similarity, row, candidate)` order the single scan
+/// sorts by; `None` once every source is exhausted.
+#[inline]
+fn next_source<S: CountSemiring, F: FactorSource<S>>(
+    sources: &[F],
+) -> Option<(usize, (f64, usize, u32))> {
+    let mut owner: Option<(usize, (f64, usize, u32))> = None;
+    for (s, src) in sources.iter().enumerate() {
+        if let Some(ev) = src.peek_key() {
+            let better = match &owner {
+                None => true,
+                Some((_, best)) => match ev.0.total_cmp(&best.0) {
+                    Ordering::Less => true,
+                    Ordering::Equal => (ev.1, ev.2) < (best.1, best.2),
+                    Ordering::Greater => false,
+                },
+            };
+            if better {
+                owner = Some((s, ev));
+            }
+        }
+    }
+    owner
+}
+
+/// Record source `s`'s refreshed `label` polynomial in the cached
+/// `factors`, and return the merged factors one boundary event of `s`
+/// reads: `s`'s factors with the boundary set excluded from its own label
+/// (`excluding`), times every other source's, in source order.
+#[inline]
+fn merge_event<S: CountSemiring>(
+    factors: &mut [ShardFactors<S>],
+    s: usize,
+    label: Label,
+    updated: Vec<S>,
+    excluding: Vec<S>,
+) -> ShardFactors<S> {
+    factors[s].set_poly(label, updated);
+    let mut merged = factors[s].with_poly(label, excluding);
+    for (u, f) in factors.iter().enumerate() {
+        if u != s {
+            merged.merge_assign(f);
+        }
+    }
+    merged
+}
+
+/// **Every pin of one row from one merged scan** — the sharded twin of
+/// [`cp_core::ss_tree::PinSweep::pinned`]. `sources[owner]` replays the
+/// stream of `swept`, the owner shard's [`SweptStream`] for a row of label
+/// `label`; every other source replays its shard's stream under the base
+/// pins. Returns, for each candidate `j` of the row, the Q2 result under
+/// the base pins plus `(row, j)`: the merged scan with the owner's stream
+/// under that pin ([`merged_scan_sources`]), equal bit for bit in `f64`
+/// and by value in the exact semirings.
+///
+/// Why one merged scan answers every pin:
+///
+/// * **One opening covers every pin.** Pinning the row can only raise the
+///   owner's `τ_s`, so the swept stream, opened at the base `τ_s`, holds
+///   every event of every pinned stream. Where a pinned stream has not
+///   started yet, at least `K` of the owner's sets are inside the top-K in
+///   that pin's worlds, so every support is an exact zero there, from
+///   either stream.
+/// * **The row's leaf has two states** ([`cp_core::ss_tree`] module docs).
+///   The swept stream holds it at the identity. At an event of any other
+///   set, pin `j` has the row *out* iff `key(row, j)` lies below the
+///   event, and reads the merged polynomials as they are; otherwise the
+///   row is *in*, its leaf `0 + 1·z`, and label(row)'s merged polynomial
+///   is read shifted up one degree. The merged polynomial is the product
+///   of per-shard factors, and a truncated product skips zero coefficients
+///   and adds its terms in the same order, so shifting one factor — under
+///   any grouping, in the owner's tree or in the merge — shifts the
+///   product exactly. Each merged event costs at most two support
+///   evaluations, replayed into the pins on each side
+///   ([`Supports::add_swept`], the code [`cp_core::ss_tree::PinSweep`]
+///   runs).
+/// * **The row's own event `(row, j)` counts for pin `j` only**, with
+///   boundary mass `one` and label(row)'s polynomial with the row excluded,
+///   as in the pinned stream.
+///
+/// # Panics
+/// Panics if `owner` is out of range, on factor shape mismatches, or if
+/// an event of the swept row names a candidate it does not have.
+pub fn merged_sweep_sources<S, F>(
+    sources: &mut [F],
+    owner: usize,
+    swept: &SweptStream<S>,
+    label: Label,
+    n_labels: usize,
+    k: usize,
+    force_mc: Option<bool>,
+) -> Vec<Q2Result<S>>
+where
+    S: CountSemiring,
+    F: FactorSource<S>,
+{
+    assert!(owner < sources.len(), "owner {owner} out of range");
+    let use_mc = force_mc.unwrap_or_else(|| use_multiclass_accumulator(n_labels, k));
+    let supports = Supports::new(n_labels, k, use_mc);
+    let keys = swept.keys();
+    let mut factors: Vec<ShardFactors<S>> = sources.iter().map(|s| s.opening_factors()).collect();
+    let mut counts = vec![vec![S::zero(); n_labels]; keys.len()];
+    let (mut terms, mut shifted) = (Vec::new(), Vec::new());
+
+    while let Some((s, (sim, row, cand))) = next_source(sources) {
+        let ev = sources[s].next_event();
+        let yi = ev.label;
+        let merged = merge_event(
+            &mut factors,
+            s,
+            ev.label,
+            ev.updated_poly,
+            ev.excluding_poly,
+        );
+        let mut polys = merged.poly_refs();
+        if s == owner && row == swept.row {
+            // the row's own candidate is the boundary of its own pin alone
+            let counts = &mut counts[cand as usize];
+            supports.each(yi, &ev.boundary_mass, &polys, |w, v| {
+                counts[w].add_assign(v)
+            });
+            continue;
+        }
+        supports.add_swept(
+            yi,
+            &ev.boundary_mass,
+            &mut polys,
+            label,
+            &keys,
+            &CandKey::new(sim, row as u32, cand),
+            &mut counts,
+            &mut terms,
+            &mut shifted,
+        );
+    }
+
+    let total = merge_totals(sources.iter().enumerate().map(|(s, src)| {
+        if s == owner {
+            swept.pinned_total.clone()
+        } else {
+            src.total_mass()
+        }
+    }));
+    counts
+        .into_iter()
+        .map(|counts| Q2Result {
+            counts,
+            total: total.clone(),
+        })
+        .collect()
 }
 
 /// Check that a set of shard streams agree on slot budget and label count;
@@ -1362,6 +1593,91 @@ mod tests {
         r.counts.iter().map(|c| c.to_bits()).collect()
     }
 
+    impl Sharded {
+        /// For every unpinned row: each pin's merged scan with the owner's
+        /// stream captured under that pin (the oracle), and the merged pin
+        /// sweep over the owner's swept stream, both against the other
+        /// shards' base streams.
+        #[allow(clippy::type_complexity)]
+        fn sweeps<S: CountSemiring>(
+            &self,
+            ds: &IncompleteDataset,
+            use_mc: bool,
+        ) -> Vec<(usize, Vec<Q2Result<S>>, Vec<Q2Result<S>>)> {
+            let base = self.streams::<S>(false);
+            let mut out = Vec::new();
+            for (s, sh) in self.shards.iter().enumerate() {
+                let (idx, pins) = (&self.indexes[s], &self.pins[s]);
+                for local in (0..sh.len()).filter(|&i| pins.pinned(i).is_none()) {
+                    let merged_with = |owner: &ShardStream<S>| {
+                        let mut cursors: Vec<StreamCursor<'_, S>> = base
+                            .iter()
+                            .enumerate()
+                            .map(|(u, st)| if u == s { owner.cursor() } else { st.cursor() })
+                            .collect();
+                        merged_scan_sources(
+                            &mut cursors,
+                            self.n_labels,
+                            self.k,
+                            Some(use_mc),
+                            |_| false,
+                        )
+                    };
+                    let per_pin = (0..sh.dataset().set_size(local))
+                        .map(|j| {
+                            let mut pinned = pins.clone();
+                            pinned.pin(local, j);
+                            merged_with(&ShardStream::capture(sh, idx, &pinned, self.k))
+                        })
+                        .collect();
+                    let swept = SweptStream::<S>::capture(sh, idx, pins, self.k, local);
+                    let mut cursors: Vec<StreamCursor<'_, S>> = base
+                        .iter()
+                        .enumerate()
+                        .map(|(u, st)| {
+                            if u == s {
+                                swept.stream.cursor()
+                            } else {
+                                st.cursor()
+                            }
+                        })
+                        .collect();
+                    let merged = merged_sweep_sources(
+                        &mut cursors,
+                        s,
+                        &swept,
+                        ds.label(swept.row),
+                        self.n_labels,
+                        self.k,
+                        Some(use_mc),
+                    );
+                    out.push((swept.row, per_pin, merged));
+                }
+            }
+            out
+        }
+    }
+
+    /// Each pin's counts and total from the merged pin sweep, against the
+    /// per-pin merged scans, compared by `seen` (bits in `f64`, equality in
+    /// the exact semirings).
+    fn check_sweeps<S: CountSemiring, T: PartialEq + std::fmt::Debug>(
+        sh: &Sharded,
+        ds: &IncompleteDataset,
+        seen: impl Fn(&Q2Result<S>) -> T,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        for use_mc in [false, true] {
+            for (row, per_pin, merged) in sh.sweeps::<S>(ds, use_mc) {
+                prop_assert_eq!(per_pin.len(), merged.len());
+                for (j, (want, got)) in per_pin.iter().zip(&merged).enumerate() {
+                    prop_assert_eq!(seen(got), seen(want), "row {} pin {} mc {}", row, j, use_mc);
+                    prop_assert!(got.total == want.total, "row {} pin {} total", row, j);
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
@@ -1400,6 +1716,20 @@ mod tests {
             let oracle = certain(sh.scans(true));
             prop_assert_eq!(certain(sh.scans(false)), oracle);
             prop_assert_eq!(certain_label_from_streams(&sh.streams(false)), oracle);
+        }
+
+        /// The merged pin sweep is every pin's merged scan: `f64` bit for
+        /// bit, the exact semirings by value, over 1, 2, 3 and 7 shards,
+        /// grid-tied similarities and K up to and beyond N.
+        #[test]
+        fn merged_pin_sweep_is_every_per_pin_merged_scan(
+            (ds, t, k, pins, n_shards) in arb_shard_case()
+        ) {
+            let sh = Sharded::new(&ds, &t, k, &pins, n_shards);
+            check_sweeps::<f64, _>(&sh, &ds, bits)?;
+            check_sweeps::<u128, _>(&sh, &ds, |r| r.counts.clone())?;
+            check_sweeps::<BigUint, _>(&sh, &ds, |r| r.counts.clone())?;
+            check_sweeps::<Possibility, _>(&sh, &ds, |r| r.counts.clone())?;
         }
 
         #[test]
