@@ -237,9 +237,10 @@ impl Write for Conn {
 }
 
 /// How many pipelined requests a window (`ShardClient::pipeline`) keeps in
-/// flight per connection: enough to hide the per-request round-trip latency, small
-/// enough that neither side's socket buffers fill with unread frames while
-/// the peer blocks writing (which would deadlock the connection).
+/// flight per connection: enough to hide the per-request round-trip
+/// latency, small enough that neither side's socket buffers fill with
+/// unread frames while the peer blocks writing (which would deadlock the
+/// connection).
 const SCAN_WINDOW: usize = 8;
 
 /// A connection to one shard server.
