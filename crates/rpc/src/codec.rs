@@ -23,6 +23,23 @@
 //! error deep in a payload, or worse, a silently wrong value. That
 //! detection is what lets the failover layer treat *any* corrupted frame
 //! as a recoverable transport fault.
+//!
+//! ## Frame I/O
+//!
+//! [`write_frame_tagged`] assembles the whole frame in one buffer and hands
+//! it to the transport as one `write_all` plus one `flush`: on a socket one
+//! `write` syscall, and under `TCP_NODELAY` one segment when the frame fits
+//! in one. The fault injector ([`crate::fault::FaultyTransport`]) relies on
+//! that flush to make exactly one decision per frame. The readers take a
+//! frame in four small reads (length, id, payload, checksum), so the client
+//! and the server read each connection through a `BufReader` it owns: one
+//! `read` syscall then usually returns a whole frame, or several replies of
+//! a pipelined window. A reconnect starts a new buffer with the new socket,
+//! so bytes left from a poisoned connection are never read as a reply.
+//! The wire bytes are the same however a frame is split into syscalls.
+//!
+//! ## Payloads
+//!
 //! Payloads are self-describing: the first byte is a message tag (see
 //! [`crate::proto`]), and semiring-carrying values lead with a semiring tag
 //! so a decoder instantiated at the wrong type fails with a typed error
@@ -47,22 +64,19 @@ use std::io::{Read, Write};
 /// message in this protocol, far below an allocation that could hurt.
 pub const MAX_FRAME_LEN: u64 = 64 << 20;
 
+/// Capacity of the read buffer each client and server connection reads its
+/// frames through: large enough that one `read` drains a pipelined window's
+/// replies, or a whole stream reply, at once.
+pub const READ_BUFFER_BYTES: usize = 64 << 10;
+
 /// Bytes a frame adds around its payload: the `len` + `req id` header and
 /// the trailing CRC32.
 pub const FRAME_OVERHEAD: u64 = 12;
 
-/// CRC32 over the frame header and payload — the value carried in the
-/// frame trailer.
-fn frame_crc(len_bytes: [u8; 4], id_bytes: [u8; 4], payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(8 + payload.len());
-    covered.extend_from_slice(&len_bytes);
-    covered.extend_from_slice(&id_bytes);
-    covered.extend_from_slice(payload);
-    cp_store::crc32(&covered)
-}
-
 /// Write one length-prefixed, CRC-trailed frame carrying a request id (see
-/// the module docs for the layout).
+/// the module docs for the layout) as **one** `write_all` plus `flush`: the
+/// frame is assembled in one buffer and its CRC taken over that buffer's
+/// header and payload.
 pub fn write_frame_tagged<W: Write>(w: &mut W, req_id: u32, payload: &[u8]) -> RpcResult<()> {
     let len = payload.len() as u64;
     if len > MAX_FRAME_LEN {
@@ -71,13 +85,13 @@ pub fn write_frame_tagged<W: Write>(w: &mut W, req_id: u32, payload: &[u8]) -> R
             max: MAX_FRAME_LEN,
         });
     }
-    let len_bytes = (len as u32).to_be_bytes();
-    let id_bytes = req_id.to_be_bytes();
-    let crc = frame_crc(len_bytes, id_bytes, payload);
-    w.write_all(&len_bytes)?;
-    w.write_all(&id_bytes)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.to_be_bytes())?;
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD as usize + payload.len());
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(&req_id.to_be_bytes());
+    frame.extend_from_slice(payload);
+    let crc = cp_store::crc32(&frame);
+    frame.extend_from_slice(&crc.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -91,6 +105,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> RpcResult<()> {
 /// Read one frame, returning its request id and payload. Truncated input
 /// (including EOF midway through the header) and oversized announcements
 /// are typed errors.
+///
+/// A frame is taken in four small reads of `r` (length, id, payload,
+/// checksum); over a socket, hand it a [`std::io::BufReader`] owned by the
+/// connection, as `ShardClient` and the server's connection readers do, so
+/// one `read` syscall usually brings in a whole frame or several.
 pub fn read_frame_tagged<R: Read>(r: &mut R) -> RpcResult<(u32, Vec<u8>)> {
     read_frame_opt_tagged(r)?.ok_or(RpcError::Truncated {
         context: "frame length prefix",
@@ -137,8 +156,8 @@ pub fn read_frame_opt_tagged<R: Read>(r: &mut R) -> RpcResult<Option<(u32, Vec<u
     let mut crc_bytes = [0u8; 4];
     read_exact_or_truncated(r, &mut crc_bytes, "frame checksum")?;
     let req_id = u32::from_be_bytes(id_bytes);
-    let expected = frame_crc(prefix, id_bytes, &payload);
-    if u32::from_be_bytes(crc_bytes) != expected {
+    let header_crc = cp_store::crc32_extend(cp_store::crc32(&prefix), &id_bytes);
+    if u32::from_be_bytes(crc_bytes) != cp_store::crc32_extend(header_crc, &payload) {
         return Err(RpcError::Malformed(format!(
             "frame checksum mismatch (req id {req_id}, {len} payload bytes)"
         )));

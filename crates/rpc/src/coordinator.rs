@@ -45,7 +45,7 @@
 
 use crate::codec::{
     decode_stream, decode_summary, decode_swept, read_frame_tagged, write_frame_tagged,
-    WireSemiring,
+    WireSemiring, READ_BUFFER_BYTES,
 };
 use crate::error::{RpcError, RpcResult};
 use crate::fault::{FaultPlan, FaultyTransport};
@@ -73,7 +73,7 @@ use cp_shard::{merged_scan_sources, merged_sweep_sources, ShardStream, StreamCur
 use cp_store::Run;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,7 +204,9 @@ impl ClientConfig {
 
 /// The client's transport: a plain socket, or one wrapped in seeded fault
 /// injection ([`ClientConfig::chaos`]). Timeouts are set on the underlying
-/// `TcpStream` before wrapping, so they apply either way.
+/// `TcpStream` before wrapping, so they apply either way. A [`ShardClient`]
+/// reads it through a [`BufReader`] of [`READ_BUFFER_BYTES`] and writes each
+/// frame to it in one `write` (see the codec's frame I/O docs).
 #[derive(Debug)]
 enum Conn {
     Plain(TcpStream),
@@ -246,7 +248,9 @@ const SCAN_WINDOW: usize = 8;
 /// A connection to one shard server.
 #[derive(Debug)]
 pub struct ShardClient {
-    stream: Conn,
+    /// The connection and its read buffer, replaced whole by every
+    /// (re)dial: bytes buffered from a poisoned connection die with it.
+    stream: BufReader<Conn>,
     /// Resolved peer addresses and the policy they were dialed under, kept
     /// so [`ShardClient::reconnect`] can re-dial the same server.
     peers: Vec<SocketAddr>,
@@ -275,8 +279,9 @@ pub struct ShardClient {
 
 impl ShardClient {
     /// Connect to a server with the default (no-timeout, no-retry) policy.
-    /// `TCP_NODELAY` is set: the protocol is strict request/response with
-    /// small frames, where Nagle batching only adds latency.
+    /// `TCP_NODELAY` is set: each frame already leaves in one `write`, and
+    /// Nagle would only hold the next frame of a pipelined window back
+    /// until the peer acknowledges the one before it.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> RpcResult<Self> {
         Self::connect_with(addr, &ClientConfig::default())
     }
@@ -339,7 +344,8 @@ impl ShardClient {
         self.peers.first().map(|p| p.to_string())
     }
 
-    fn establish(peers: &[SocketAddr], cfg: &ClientConfig) -> RpcResult<Conn> {
+    /// Dial a fresh connection with an empty read buffer.
+    fn establish(peers: &[SocketAddr], cfg: &ClientConfig) -> RpcResult<BufReader<Conn>> {
         let dial = || {
             // a chaos plan can refuse the dial outright, before any socket
             // work — the deterministic stand-in for a crashed listener
@@ -354,10 +360,13 @@ impl ShardClient {
                 )));
             }
             match Self::connect_once(peers, cfg) {
-                Ok(stream) => Attempt::Done(Ok(match &cfg.chaos {
-                    Some(plan) => Conn::Chaos(FaultyTransport::new(stream, plan.schedule())),
-                    None => Conn::Plain(stream),
-                })),
+                Ok(stream) => {
+                    let conn = match &cfg.chaos {
+                        Some(plan) => Conn::Chaos(FaultyTransport::new(stream, plan.schedule())),
+                        None => Conn::Plain(stream),
+                    };
+                    Attempt::Done(Ok(BufReader::with_capacity(READ_BUFFER_BYTES, conn)))
+                }
                 // only transport-level failures are worth another attempt
                 Err(e @ RpcError::Io(_)) => Attempt::Retry(e),
                 Err(other) => Attempt::Done(Err(other)),
@@ -451,7 +460,7 @@ impl ShardClient {
             }
             _ => encode_request(req),
         };
-        match write_frame_tagged(&mut self.stream, id, &payload) {
+        match write_frame_tagged(self.stream.get_mut(), id, &payload) {
             Ok(()) => Ok(id),
             Err(e) => {
                 self.poisoned = true;

@@ -10,10 +10,11 @@
 //! from one seed while connections still misbehave independently.
 //!
 //! [`FaultyTransport`] wraps any `Read + Write` transport and applies the
-//! schedule at **frame granularity**: the frame codec writes a frame as a
-//! few `write_all`s followed by one `flush` ([`crate::write_frame_tagged`]),
-//! so the wrapper buffers writes and makes exactly one fault decision per
-//! frame at flush time. Reads pass through untouched — faulting each
+//! schedule at **frame granularity**: the frame codec writes a frame as one
+//! `write_all` followed by one `flush` ([`crate::write_frame_tagged`]), and
+//! the wrapper holds what was written until that flush, so it makes exactly
+//! one fault decision per frame at flush time. Reads pass through untouched
+//! (the client's read buffer sits above the wrapper) — faulting each
 //! peer's *writes* covers both directions when both sides are wrapped, and
 //! exactly one direction when only one side is (e.g. `shard-server
 //! --chaos` serving a clean client).
@@ -287,9 +288,9 @@ impl FaultSchedule {
 }
 
 /// A `Read + Write` wrapper applying a [`FaultSchedule`] to outgoing
-/// frames. Writes are buffered until `flush` — the frame codec's one flush
-/// per frame — so each frame gets exactly one fault decision. Reads pass
-/// through untouched.
+/// frames. Writes are held until `flush` — the frame codec's one flush per
+/// frame, after its one `write_all` — so each frame gets exactly one fault
+/// decision. Reads pass through untouched.
 #[derive(Debug)]
 pub struct FaultyTransport<T> {
     inner: T,

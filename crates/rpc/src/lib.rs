@@ -15,7 +15,8 @@
 //! * [`wire`] / [`codec`] — bounds-checked primitive encodings, the frame
 //!   layer (`u32` big-endian length prefix, bounded by
 //!   [`codec::MAX_FRAME_LEN`], then a `u32` request id the server echoes on
-//!   the response so clients can pipeline), and serializers for
+//!   the response so clients can pipeline, then a CRC32 trailer; one
+//!   `write` per frame, buffered reads), and serializers for
 //!   [`cp_core::ShardFactors`], [`cp_core::Pins`], CP status bit vectors
 //!   and whole batched [`cp_shard::ShardStream`]s. Wire semirings: exact
 //!   `u128`, probability-space `f64`, and the boolean

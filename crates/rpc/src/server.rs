@@ -40,7 +40,7 @@
 
 use crate::codec::{
     encode_stream, encode_summary, encode_swept, read_frame_opt_tagged, write_frame_tagged,
-    WireSemiring, FRAME_OVERHEAD,
+    WireSemiring, FRAME_OVERHEAD, READ_BUFFER_BYTES,
 };
 use crate::error::RpcResult;
 use crate::fault::{FaultPlan, FaultyTransport};
@@ -56,6 +56,7 @@ use cp_numeric::Possibility;
 use cp_shard::{ShardStream, SweptStream};
 use cp_store::WalWriter;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -1004,7 +1005,9 @@ fn serve_queued_connection(
     };
     let (tx, rx) = sync_channel::<(u32, Vec<u8>, Instant)>(queue_depth.max(1));
     let queue_gauge = cp_obs::gauge!("rpc.server.queue_depth");
-    let mut reader_stream = stream;
+    // the connection's own read buffer: one read usually brings in a whole
+    // request frame, or several of a pipelined window
+    let mut reader_stream = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     let reader = std::thread::spawn(move || -> RpcResult<()> {
         let queue_gauge = cp_obs::gauge!("rpc.server.queue_depth");
         loop {
@@ -1111,7 +1114,7 @@ fn reject_busy(mut stream: TcpStream, msg: String) {
     cp_obs::counter!("rpc.server.busy_rejections").inc();
     cp_obs::obs_info!("rpc.server", "rejecting over-cap connection: {msg}");
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    if let Ok(Some((req_id, _frame))) = read_frame_opt_tagged(&mut stream) {
+    if let Ok(Some((req_id, _frame))) = read_frame_opt_tagged(&mut BufReader::new(&stream)) {
         let _ = write_frame_tagged(&mut stream, req_id, &encode_response(&Response::Busy(msg)));
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -1169,7 +1172,8 @@ fn serve_inner(
             std::thread::spawn(move || reject_busy(stream, msg));
             continue;
         }
-        // strict request/response with small frames: Nagle only adds latency
+        // each frame leaves in one write; Nagle would only hold a reply back
+        // until the client acknowledges the one before it
         let _ = stream.set_nodelay(true);
         live.fetch_add(1, Ordering::SeqCst);
         let guard = SlotGuard(live.clone());

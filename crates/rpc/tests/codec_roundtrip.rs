@@ -23,7 +23,8 @@ use cp_numeric::Possibility;
 use cp_rpc::codec::{
     decode_factors, decode_stream, decode_summary, decode_swept, encode_factors, encode_stream,
     encode_stream_raw, encode_summary, encode_swept, get_pins, get_status_bits, put_pins,
-    put_status_bits, read_frame, write_frame,
+    put_status_bits, read_frame, read_frame_opt_tagged, write_frame, write_frame_tagged,
+    FRAME_OVERHEAD, MAX_FRAME_LEN, READ_BUFFER_BYTES,
 };
 use cp_rpc::proto::{decode_request, decode_response, encode_request, OpenShard, Request};
 use cp_rpc::wire::Reader;
@@ -35,7 +36,7 @@ use cp_shard::{
     ShardStreamEvent, SweptStream,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Read, Write};
 
 /// `(n_labels, k, flat scalars)` — enough to assemble factors in any
 /// semiring; label counts cover binary (2) and multiclass (3..=5) spaces.
@@ -342,7 +343,149 @@ fn truncated_frames_error_at_every_cut() {
             matches!(read_frame(&mut r), Err(RpcError::Truncated { .. })),
             "cut at {cut} must be a truncation error"
         );
+        // the same through a connection's read buffer, however the bytes
+        // arrive; only a cut at the frame boundary is an orderly EOF
+        for chunk in [1, usize::MAX] {
+            let mut r = buffered(&transport[..cut], chunk);
+            match read_frame_opt_tagged(&mut r) {
+                Ok(None) => assert_eq!(cut, 0, "chunk {chunk}: EOF mid-frame at {cut}"),
+                Err(RpcError::Truncated { .. }) => assert!(cut > 0, "chunk {chunk}"),
+                other => panic!("cut at {cut}, chunk {chunk}: {other:?}"),
+            }
+        }
     }
+}
+
+/// A `Write` that counts the calls a frame writer makes on it.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+    flushes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+/// A transport that yields at most `chunk` bytes per `read` and counts
+/// its reads.
+struct Chunked<'a> {
+    data: &'a [u8],
+    chunk: usize,
+    reads: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        let n = buf.len().min(self.chunk).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// `data` behind a connection-sized read buffer, delivered `chunk` bytes
+/// per underlying `read`.
+fn buffered(data: &[u8], chunk: usize) -> BufReader<Chunked<'_>> {
+    BufReader::with_capacity(
+        READ_BUFFER_BYTES,
+        Chunked {
+            data,
+            chunk,
+            reads: 0,
+        },
+    )
+}
+
+/// Read frames until the orderly EOF at a frame boundary.
+fn read_all_frames<R: Read>(r: &mut R) -> Vec<(u32, Vec<u8>)> {
+    let mut frames = Vec::new();
+    while let Some(frame) = read_frame_opt_tagged(r).expect("a whole frame") {
+        frames.push(frame);
+    }
+    frames
+}
+
+#[test]
+fn a_frame_is_one_write_and_one_flush() {
+    for len in [0, 1, 12, 1000, 3 * READ_BUFFER_BYTES] {
+        let payload = vec![0x5A; len];
+        let mut w = CountingWriter::default();
+        write_frame_tagged(&mut w, 7, &payload).unwrap();
+        assert_eq!((w.writes, w.flushes), (1, 1), "payload of {len} bytes");
+        assert_eq!(w.bytes.len() as u64, FRAME_OVERHEAD + len as u64);
+        let mut r = Cursor::new(&w.bytes);
+        assert_eq!(read_frame_opt_tagged(&mut r).unwrap(), Some((7, payload)));
+    }
+}
+
+#[test]
+fn frame_bytes_are_pinned() {
+    assert_eq!(FRAME_OVERHEAD, 12);
+    assert_eq!(MAX_FRAME_LEN, 64 << 20);
+    let mut bytes = Vec::new();
+    write_frame_tagged(&mut bytes, 0x0102_0304, b"cp").unwrap();
+    write_frame_tagged(&mut bytes, 0, b"").unwrap();
+    #[rustfmt::skip]
+    let golden: [u8; 26] = [
+        0, 0, 0, 2, 1, 2, 3, 4, b'c', b'p', 0xCE, 0xE0, 0xB7, 0xF0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0x65, 0x22, 0xDF, 0x69,
+    ];
+    assert_eq!(bytes, golden);
+}
+
+#[test]
+fn buffered_reads_give_the_same_frames_however_the_bytes_arrive() {
+    let sizes = [
+        0,
+        1,
+        12,
+        1000,
+        READ_BUFFER_BYTES - 5,
+        2 * READ_BUFFER_BYTES + 3,
+    ];
+    let sent: Vec<(u32, Vec<u8>)> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let payload = (0..len).map(|b| (b * 31 + i) as u8).collect();
+            (i as u32 * 3 + 1, payload)
+        })
+        .collect();
+    let mut transport = Vec::new();
+    for (id, payload) in &sent {
+        write_frame_tagged(&mut transport, *id, payload).unwrap();
+    }
+    for chunk in [1, 7, 4096, usize::MAX] {
+        let mut r = buffered(&transport, chunk);
+        assert_eq!(read_all_frames(&mut r), sent, "chunk {chunk}");
+    }
+}
+
+#[test]
+fn one_read_brings_in_several_frames() {
+    let sent: Vec<(u32, Vec<u8>)> = (0..8)
+        .map(|i| (i, vec![i as u8; 40 * i as usize]))
+        .collect();
+    let mut transport = Vec::new();
+    for (id, payload) in &sent {
+        write_frame_tagged(&mut transport, *id, payload).unwrap();
+    }
+    let mut r = buffered(&transport, usize::MAX);
+    assert_eq!(read_all_frames(&mut r), sent);
+    // one read for all eight frames, one more for the orderly EOF
+    assert_eq!(r.get_ref().reads, 2);
 }
 
 /// A captured-stream case: a dataset on a small 1-d grid (exact similarity

@@ -302,3 +302,91 @@ fn swept_scan_with_a_mask_of_the_wrong_length_is_rejected() {
     assert_swept_scan_rejected(0, Pins::none(5), 3, "pin mask length mismatch");
     assert_swept_scan_rejected(0, Pins::none(7), 3, "pin mask length mismatch");
 }
+
+/// Serve two connections of one `ShardServer`. The first answers its first
+/// request with the bytes `sabotage(req_id, reply_frame)` returns, in one
+/// write, and closes; the second is served cleanly until the client leaves.
+fn serve_sabotaged_then_clean(
+    listener: TcpListener,
+    sabotage: fn(u32, &[u8]) -> Vec<u8>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let server = ShardServer::new();
+        let reply = |req_id: u32, frame: &[u8]| {
+            let req = decode_request(frame).expect("well-formed request");
+            let mut bytes = Vec::new();
+            write_frame_tagged(&mut bytes, req_id, &encode_response(&server.handle(req)))
+                .expect("encode response frame");
+            bytes
+        };
+        let (mut first, _) = listener.accept().expect("accept the first connection");
+        let (req_id, frame) = read_frame_opt_tagged(&mut first)
+            .expect("a whole request")
+            .expect("one request before EOF");
+        first
+            .write_all(&sabotage(req_id, &reply(req_id, &frame)))
+            .expect("write the sabotaged reply");
+        drop(first);
+        let (mut second, _) = listener.accept().expect("accept the reconnect");
+        while let Some((req_id, frame)) = read_frame_opt_tagged(&mut second).ok().flatten() {
+            if second.write_all(&reply(req_id, &frame)).is_err() {
+                break;
+            }
+        }
+    })
+}
+
+/// The client poisons on the first connection's reply, reconnects, and
+/// opens, steps and reads status over the new one: three calls whose ids
+/// must pair with their replies.
+fn assert_poisons_then_recovers_cleanly(sabotage: fn(u32, &[u8]) -> Vec<u8>) {
+    let problem = poison_problem();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = serve_sabotaged_then_clean(listener, sabotage);
+    let cfg = ClientConfig {
+        read_timeout: Some(Duration::from_secs(5)),
+        ..ClientConfig::default()
+    };
+    let mut client = ShardClient::connect_with(addr, &cfg).expect("connect");
+    let err = client
+        .ping()
+        .expect_err("a sabotaged reply must not read as Ok");
+    assert!(
+        matches!(err, RpcError::Truncated { .. } | RpcError::Protocol(_)),
+        "{err:?}"
+    );
+    assert!(client.is_poisoned());
+    client.reconnect().expect("reconnect");
+    let n = client
+        .open(open_whole(&problem))
+        .expect("open after reconnect");
+    assert_eq!(n, problem.dataset.len());
+    client.step(1, 0).expect("step after reconnect");
+    assert_eq!(client.status().expect("status").n_cleaned, 1);
+    drop(client);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn a_reply_cut_mid_frame_poisons_and_the_reconnect_pairs_ids() {
+    assert_poisons_then_recovers_cleanly(|_, reply| reply[..reply.len() / 2].to_vec());
+}
+
+/// A reply with a stray id arrives together with the first half of the
+/// true reply, so the poisoned connection's read buffer still holds that
+/// cut frame when the client reconnects. The reconnect dials with a new
+/// buffer: no byte of the cut frame is read as a reply on the new socket.
+#[test]
+fn bytes_buffered_from_a_poisoned_connection_never_reach_the_next_call() {
+    assert_poisons_then_recovers_cleanly(|req_id, reply| {
+        let payload = read_frame_opt_tagged(&mut &reply[..])
+            .expect("the reply frame")
+            .expect("one frame")
+            .1;
+        let mut bytes = Vec::new();
+        write_frame_tagged(&mut bytes, req_id.wrapping_add(7), &payload).expect("stray reply");
+        bytes.extend_from_slice(&reply[..reply.len() / 2]);
+        bytes
+    });
+}

@@ -29,7 +29,13 @@ const TABLE: [u32; 256] = {
 /// The CRC-32 of `bytes` (initial value `!0`, final xor `!0` — the standard
 /// IEEE parameterization).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of `prefix ++ bytes`, given `crc == crc32(prefix)`: one
+/// checksum over data held in separate buffers, without joining them.
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
@@ -49,6 +55,15 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn extending_a_checksum_equals_the_checksum_of_the_concatenation() {
+        let whole = b"The quick brown fox jumps over the lazy dog";
+        for cut in 0..=whole.len() {
+            let (head, tail) = whole.split_at(cut);
+            assert_eq!(crc32_extend(crc32(head), tail), crc32(whole), "cut {cut}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod run;
 pub mod wal;
 
 pub use bloom::Bloom;
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_extend};
 pub use run::{Run, RunCursor, RunMeta};
 pub use wal::{WalWriter, MAX_WAL_RECORD};
 
