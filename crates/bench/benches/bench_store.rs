@@ -6,19 +6,19 @@
 //!   server pays before acknowledging a `Step` (one 12-byte framed record,
 //!   one `fdatasync`); this row is storage-device-bound by design.
 //! * **WAL replay** — restart-time cost of re-reading a checksummed log.
-//! * **Run spill / footer open** — writing a captured `ShardStream` as a
-//!   sorted on-disk run, and the footer-only `Run::open` that status
-//!   checks use before deciding whether the block is worth decoding.
-//! * **Merged scan, disk vs RAM** — the k-way merged Q2 scan over
-//!   `RunCursor`s freshly decoded from run files vs `StreamCursor`s over
-//!   the same streams in RAM, asserted bit-identical before timing.
+//! * **Run spill** — writing a stream's wire bytes as an on-disk run (one
+//!   write, one `fdatasync`), what the coordinator pays to spill a cached
+//!   base stream.
+//! * **Merged scan, disk vs RAM** — the k-way merged Q2 scan over streams
+//!   read back from their runs and decoded ([`CachedStream::load`]) vs the
+//!   same streams in RAM, asserted bit-identical before timing.
 //!
 //! The summary lands in `BENCH_store.json` at the workspace root (the same
 //! hand-rolled-JSON idiom as `rpc_many_sessions`).
 
 use cp_bench::random_incomplete_dataset;
 use cp_core::{CpConfig, Pins};
-use cp_rpc::{open_run_cursor, spill_stream};
+use cp_rpc::{encode_stream, CachedStream};
 use cp_shard::{
     build_shard_indexes, capture_streams, local_pins, merged_scan_sources, q2_from_streams,
     ShardStream,
@@ -53,8 +53,8 @@ impl Drop for Scratch {
     }
 }
 
-/// Per-shard probability-space streams for one synthetic test point — the
-/// exact payload the RPC spill layer writes as runs.
+/// Per-shard probability-space streams for one synthetic test point, whose
+/// wire encodings are what the RPC spill layer writes as runs.
 fn shard_streams() -> (Vec<ShardStream<f64>>, usize, usize) {
     let (ds, t) = random_incomplete_dataset(400, 4, 0.3, 2, 3, 23);
     let cfg = CpConfig::new(3);
@@ -78,19 +78,20 @@ fn median_us(iters: usize, mut op: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn spill_all(dir: &Scratch, streams: &[ShardStream<f64>]) -> Vec<Run> {
+fn spill_all(dir: &Scratch, streams: &[ShardStream<f64>]) -> Vec<CachedStream<f64>> {
     streams
         .iter()
         .enumerate()
-        .map(|(s, st)| spill_stream(&dir.path(&format!("scan-s{s}.run")), st).expect("spill"))
+        .map(|(s, st)| {
+            let path = dir.path(&format!("scan-s{s}.run"));
+            CachedStream::spill(&path, &encode_stream(st), st).expect("spill")
+        })
         .collect()
 }
 
-fn scan_runs(runs: &[Run], n_labels: usize, k: usize) -> Vec<f64> {
-    let mut cursors: Vec<_> = runs
-        .iter()
-        .map(|r| open_run_cursor::<f64>(r).expect("decode run"))
-        .collect();
+fn scan_runs(runs: &[CachedStream<f64>], n_labels: usize, k: usize) -> Vec<f64> {
+    let loaded: Vec<_> = runs.iter().map(|r| r.load().expect("load run")).collect();
+    let mut cursors: Vec<_> = loaded.iter().map(|st| st.cursor()).collect();
     merged_scan_sources(&mut cursors, n_labels, k, None, |_| false).counts
 }
 
@@ -101,10 +102,8 @@ fn bench_store(c: &mut Criterion) {
 
     // ---- the on-disk fixtures every row below shares ---------------------
     let runs = spill_all(&scratch, &streams);
-    let run_bytes: u64 = runs
-        .iter()
-        .map(|r| std::fs::metadata(r.path()).expect("run file").len())
-        .sum();
+    let payloads: Vec<Vec<u8>> = streams.iter().map(encode_stream).collect();
+    let run_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     let wal_path = scratch.path("bench.wal");
     {
         let mut w = WalWriter::open(&wal_path).expect("open wal");
@@ -140,17 +139,15 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| black_box(wal::replay(&wal_path).expect("replay")))
     });
     let spill_path = scratch.path("respill.run");
+    let spill = || Run::create(&spill_path, &payloads[0], streams[0].events.len() as u64);
     group.bench_function("run_spill", |b| {
-        b.iter(|| black_box(spill_stream(&spill_path, &streams[0]).expect("spill")))
-    });
-    let run_path: &Path = runs[0].path();
-    group.bench_function("run_open_footer", |b| {
-        b.iter(|| black_box(Run::open(run_path).expect("open run")))
+        b.iter(|| black_box(spill().expect("spill")))
     });
     group.bench_function("scan_in_ram", |b| {
         b.iter(|| black_box(q2_from_streams::<f64, _>(&streams).counts))
     });
-    // decode + merge from the run files — what a spilled status check pays
+    // read + CRC + decode + merge from the run files — what a scan over
+    // spilled base streams pays
     group.bench_function("scan_on_disk", |b| {
         b.iter(|| black_box(scan_runs(&runs, n_labels, k)))
     });
@@ -165,10 +162,7 @@ fn bench_store(c: &mut Criterion) {
         black_box(wal::replay(&wal_path).expect("replay"));
     });
     let spill_us = median_us(20, || {
-        black_box(spill_stream(&spill_path, &streams[0]).expect("spill"));
-    });
-    let open_us = median_us(50, || {
-        black_box(Run::open(run_path).expect("open run"));
+        black_box(spill().expect("spill"));
     });
     let ram_us = median_us(20, || {
         black_box(q2_from_streams::<f64, _>(&streams).counts);
@@ -183,7 +177,7 @@ fn bench_store(c: &mut Criterion) {
          \"run_bytes\": {run_bytes}}},\n  \
          \"wal\": {{\"append_fsync_us\": {append_us:.1}, \
          \"replay_1k_records_us\": {replay_us:.1}}},\n  \
-         \"run\": {{\"spill_us\": {spill_us:.1}, \"open_footer_us\": {open_us:.1}}},\n  \
+         \"run\": {{\"spill_us\": {spill_us:.1}}},\n  \
          \"scan\": {{\"in_ram_us\": {ram_us:.1}, \"on_disk_us\": {disk_us:.1}, \
          \"disk_over_ram\": {:.2}}}\n}}\n",
         disk_us / ram_us

@@ -11,7 +11,7 @@
 //! pipelined window with one status request per uncertain validation
 //! point, and a cleaning step puts its `Step` at the head of the owning
 //! server's window, so the requests behind it see the new pin. For binary
-//! labels (streams in RAM) each request is an [`ExtremeSummary`], folded by
+//! labels each request is an [`ExtremeSummary`], folded by
 //! rank with [`cp_shard::certain_label_from_summaries`]; otherwise it is a
 //! `Possibility` stream, merged with
 //! [`cp_shard::certain_label_from_streams`]. `SyncStatus` goes out only
@@ -55,7 +55,7 @@ use crate::proto::{
 };
 use crate::retry::{Admission, Attempt, CircuitBreaker, RetryPolicy};
 use crate::server::U128_OVERFLOW;
-use crate::spill::{certain_label_over_runs, spill_stream, LazyRunCursor, SpillSource};
+use crate::spill::CachedStream;
 use cp_clean::metrics::CleaningRun;
 use cp_clean::{
     pick_min_expected_entropy, select_next_incremental, CleaningEngine, CleaningProblem,
@@ -66,11 +66,10 @@ use cp_knn::Label;
 use cp_numeric::stats::entropy_bits;
 use cp_numeric::Possibility;
 use cp_shard::scan::{
-    certain_label_from_sources, certain_label_from_streams, certain_label_from_summaries,
-    q2_from_streams_with_algorithm,
+    certain_label_from_streams, certain_label_from_summaries, q2_from_streams_with_algorithm,
 };
 use cp_shard::{merged_scan_sources, merged_sweep_sources, ShardStream, StreamCursor, SweptStream};
-use cp_store::Run;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::{BufReader, Read, Write};
@@ -150,15 +149,14 @@ pub struct ClientConfig {
     /// Deterministic fault injection on everything this client writes (see
     /// [`FaultPlan`]); dials can also be refused. `None` = clean transport.
     pub chaos: Option<FaultPlan>,
-    /// Out-of-core knob: a fetched base/status stream with at least this
-    /// many boundary events is spilled to an immutable sorted on-disk run
-    /// (`cp-store`) instead of held in RAM, and scanned back through
-    /// [`crate::LazyRunCursor`] — `0` spills every stream. `None` (the
-    /// default) falls back to the `CP_SPILL_THRESHOLD` environment
-    /// variable, and spilling stays off when that is unset too.
-    /// `Some(usize::MAX)` forces spilling off even when the environment
-    /// variable is set — the pin for callers (exact-ledger tests) that
-    /// need the in-RAM status path regardless of the suite-wide regime.
+    /// Out-of-core knob: a cached base stream with at least this many
+    /// boundary events is written to an on-disk run (`cp-store`) as the
+    /// wire bytes it arrived in, instead of held in RAM, and decoded back
+    /// when a scan needs it ([`CachedStream::load`]) — `0` spills every
+    /// base stream. `None` (the default) falls back to the
+    /// `CP_SPILL_THRESHOLD` environment variable, and spilling stays off
+    /// when that is unset too. `Some(usize::MAX)` forces spilling off even
+    /// when the environment variable is set.
     pub spill_threshold: Option<usize>,
     /// Where spilled runs live. `None` = a fresh process-unique directory
     /// under the OS temp dir, removed when the coordinator drops.
@@ -260,7 +258,8 @@ pub struct ShardClient {
     /// requests in flight and still pair every reply.
     next_id: u32,
     /// Set after a transport-level failure (I/O error, timeout, mid-frame
-    /// truncation, oversized frame) or a response-id mismatch. The stream
+    /// truncation, oversized frame) or a reply id ahead of the expected
+    /// one. The stream
     /// may sit mid-frame or hold replies this client no longer tracks —
     /// reusing it could hand the *next* call a stale answer. A poisoned
     /// client refuses further calls with a typed error;
@@ -417,10 +416,12 @@ impl ShardClient {
     /// One request/response round trip.
     ///
     /// A transport-level failure (I/O error/timeout, truncated or oversized
-    /// frame, response-id mismatch) **poisons** the connection: the
+    /// frame, a reply id from the future) **poisons** the connection: the
     /// request/response pairing can no longer be trusted, so every
     /// subsequent call fails with a typed [`RpcError::Protocol`] instead of
-    /// silently reading a stale response. Payload-level decode failures (a
+    /// silently reading a stale response. A reply to an *earlier* request —
+    /// the echo of a duplicated frame — is discarded and counted in
+    /// `rpc.client.stale_replies`. Payload-level decode failures (a
     /// complete frame that doesn't parse) leave the stream at a frame
     /// boundary and do not poison.
     pub fn call(&mut self, req: &Request) -> RpcResult<Response> {
@@ -469,37 +470,44 @@ impl ShardClient {
         }
     }
 
-    /// Read the next response frame, which must echo `expect_id`: the
-    /// server answers strictly in request order, so a mismatch means the
-    /// pairing is lost and the connection poisons.
+    /// Read the response frame that echoes `expect_id`. The server answers
+    /// strictly in request order and ids run in order (modulo wrap), so a
+    /// reply with an earlier id answers a request whose reply was already
+    /// read — a duplicated request or reply frame — and is skipped. Any
+    /// other id means the pairing is lost, and the connection poisons.
     fn recv(&mut self, expect_id: u32) -> RpcResult<Response> {
         if self.poisoned {
             return Err(RpcError::Protocol(
                 "connection poisoned by an earlier transport failure; reconnect to recover".into(),
             ));
         }
-        match read_frame_tagged(&mut self.stream) {
-            Ok((id, frame)) if id == expect_id => decode_response(&frame),
-            Ok((id, _)) => {
-                self.poisoned = true;
-                Err(RpcError::Protocol(format!(
-                    "response id {id} does not match request id {expect_id}"
-                )))
-            }
-            Err(e) => {
-                // the stream may sit mid-frame or hold a late response
-                self.poisoned = true;
-                if matches!(
-                    &e,
-                    RpcError::Io(io)
-                        if io.kind() == std::io::ErrorKind::TimedOut
-                            || io.kind() == std::io::ErrorKind::WouldBlock
-                ) {
-                    cp_obs::counter!("rpc.client.timeouts").inc();
-                } else {
-                    cp_obs::counter!("rpc.client.transport_errors").inc();
+        loop {
+            match read_frame_tagged(&mut self.stream) {
+                Ok((id, frame)) if id == expect_id => return decode_response(&frame),
+                Ok((id, _)) if (expect_id.wrapping_sub(id) as i32) > 0 => {
+                    cp_obs::counter!("rpc.client.stale_replies").inc();
                 }
-                Err(e)
+                Ok((id, _)) => {
+                    self.poisoned = true;
+                    return Err(RpcError::Protocol(format!(
+                        "response id {id} does not match request id {expect_id}"
+                    )));
+                }
+                Err(e) => {
+                    // the stream may sit mid-frame or hold a late response
+                    self.poisoned = true;
+                    if matches!(
+                        &e,
+                        RpcError::Io(io)
+                            if io.kind() == std::io::ErrorKind::TimedOut
+                                || io.kind() == std::io::ErrorKind::WouldBlock
+                    ) {
+                        cp_obs::counter!("rpc.client.timeouts").inc();
+                    } else {
+                        cp_obs::counter!("rpc.client.transport_errors").inc();
+                    }
+                    return Err(e);
+                }
             }
         }
     }
@@ -584,6 +592,16 @@ impl ShardClient {
         k: usize,
         pins: Option<&Pins>,
     ) -> RpcResult<ShardStream<S>> {
+        decode_stream::<S>(&self.scan_payload::<S>(val, k, pins)?)
+    }
+
+    /// [`ShardClient::scan`]'s reply payload, not yet decoded.
+    fn scan_payload<S: WireSemiring>(
+        &mut self,
+        val: usize,
+        k: usize,
+        pins: Option<&Pins>,
+    ) -> RpcResult<Vec<u8>> {
         let req = Request::Scan {
             session: self.session,
             val: val as u32,
@@ -592,7 +610,7 @@ impl ShardClient {
             pins: pins.cloned(),
         };
         match self.call(&req)? {
-            Response::Stream(bytes) => decode_stream::<S>(&bytes),
+            Response::Stream(bytes) => Ok(bytes),
             other => Err(Self::unexpected("Stream", other)),
         }
     }
@@ -770,8 +788,8 @@ pub struct RpcCoordinator {
     spill: Option<SpillState>,
 }
 
-/// One status reply from a shard: an extreme summary (binary, in RAM) or a
-/// `Possibility` stream (multiclass, or under the spill policy).
+/// One status reply from a shard: an extreme summary (binary) or a
+/// `Possibility` stream (multiclass).
 #[derive(Debug)]
 enum StatusReply {
     Summary(ExtremeSummary),
@@ -779,8 +797,8 @@ enum StatusReply {
 }
 
 /// One cached base-stream set: the per-shard mask epochs at capture time
-/// plus one decoded `f64` stream per shard (in RAM or spilled to disk).
-type BaseStreams = (Vec<u64>, Vec<CachedStream>);
+/// plus one `f64` stream per shard (in RAM or spilled to disk).
+type BaseStreams = (Vec<u64>, Vec<CachedStream<f64>>);
 
 /// The resolved out-of-core policy of one coordinator (see
 /// [`ClientConfig::spill_threshold`]).
@@ -799,7 +817,7 @@ struct SpillState {
 impl SpillState {
     /// The policy a [`ClientConfig`] asks for: the explicit threshold, or
     /// the `CP_SPILL_THRESHOLD` environment variable (the hook CI uses to
-    /// force every suite scan through [`crate::LazyRunCursor`]), or off.
+    /// spill every base stream of the suite), or off.
     fn resolve(cfg: &ClientConfig) -> RpcResult<Option<Self>> {
         let env = || {
             std::env::var("CP_SPILL_THRESHOLD")
@@ -810,9 +828,7 @@ impl SpillState {
             return Ok(None);
         };
         if threshold == usize::MAX {
-            // explicitly disabled: no stream can reach the threshold, and a
-            // spill state that never spills would still reroute status
-            // checks off the summary fast path
+            // explicitly disabled: no stream can reach the threshold
             return Ok(None);
         }
         let (dir, owned) = match &cfg.spill_dir {
@@ -840,36 +856,6 @@ impl SpillState {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         self.dir.join(format!("{tag}-{seq}.run"))
-    }
-}
-
-/// An on-disk run owned by this coordinator; the file is deleted when the
-/// owner (a cache entry, or a status check's scratch set) is dropped.
-#[derive(Debug)]
-struct SpilledRun(Run);
-
-impl Drop for SpilledRun {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(self.0.path());
-    }
-}
-
-/// One cached per-shard base stream: held in RAM, or spilled as a run.
-#[derive(Debug)]
-enum CachedStream {
-    Ram(ShardStream<f64>),
-    Spilled(SpilledRun),
-}
-
-impl CachedStream {
-    /// A merged-scan source over this entry. Disk entries hand back a lazy
-    /// cursor, so a scan that early-exits before reaching the run never
-    /// pays its block I/O.
-    fn source(&self) -> RpcResult<SpillSource<'_, f64>> {
-        match self {
-            CachedStream::Ram(st) => Ok(SpillSource::Ram(st.cursor())),
-            CachedStream::Spilled(run) => Ok(SpillSource::Disk(LazyRunCursor::new(&run.0)?)),
-        }
     }
 }
 
@@ -1289,20 +1275,17 @@ impl RpcCoordinator {
             .collect()
     }
 
-    /// Wrap a freshly fetched base stream for the cache, spilling it to an
-    /// on-disk run when the out-of-core policy says so. A replaced or
-    /// dropped entry deletes its run file ([`SpilledRun`]).
-    fn cache_stream(
-        &self,
-        v: usize,
-        s: usize,
-        stream: ShardStream<f64>,
-    ) -> RpcResult<CachedStream> {
+    /// Fetch shard `s`'s base stream for validation point `v` (through
+    /// the recovery loop) and wrap it for the cache: in RAM, or — when the
+    /// out-of-core policy says so — its reply payload written to a run as
+    /// received. A replaced or dropped entry deletes its run file.
+    fn fetch_base(&self, v: usize, s: usize) -> RpcResult<CachedStream<f64>> {
+        let payload = self.with_recovery(s, |c| c.scan_payload::<f64>(v, self.k, None))?;
+        let stream = self.check_stream_shape(decode_stream::<f64>(&payload)?)?;
         match &self.spill {
             Some(sp) if stream.events.len() >= sp.threshold => {
                 let path = sp.next_path(&format!("base-v{v}-s{s}"));
-                let run = spill_stream(&path, &stream)?;
-                Ok(CachedStream::Spilled(SpilledRun(run)))
+                CachedStream::spill(&path, &payload, &stream)
             }
             _ => Ok(CachedStream::Ram(stream)),
         }
@@ -1314,13 +1297,12 @@ impl RpcCoordinator {
     /// capture are refetched. Selection's base entropies and merged
     /// hypothetical scans both come through here, so a shard untouched by
     /// recent cleaning ships its base stream once across many steps. Under
-    /// the spill policy large cached streams live on disk as runs;
-    /// [`CachedStream::source`] hands `f` a uniform merged-scan source
-    /// either way.
+    /// the spill policy large cached streams live on disk as runs, which
+    /// `f` reads back with [`CachedStream::load`].
     fn with_base_streams<R>(
         &self,
         v: usize,
-        f: impl FnOnce(&[CachedStream]) -> RpcResult<R>,
+        f: impl FnOnce(&[CachedStream<f64>]) -> RpcResult<R>,
     ) -> RpcResult<R> {
         {
             let mut cache = self.base_streams.borrow_mut();
@@ -1329,21 +1311,16 @@ impl RpcCoordinator {
                     for s in 0..self.clients.len() {
                         if epochs[s] != self.mask_epochs[s] {
                             cp_obs::counter!("rpc.coordinator.base_fetches").inc();
-                            let fresh = self.check_stream_shape(
-                                self.with_recovery(s, |c| c.scan::<f64>(v, self.k, None))?,
-                            )?;
-                            streams[s] = self.cache_stream(v, s, fresh)?;
+                            streams[s] = self.fetch_base(v, s)?;
                             epochs[s] = self.mask_epochs[s];
                         }
                     }
                 }
                 entry @ None => {
                     cp_obs::counter!("rpc.coordinator.base_fetches").add(self.clients.len() as u64);
-                    let fetched = self.fetch_streams::<f64>(v)?;
-                    let mut streams = Vec::with_capacity(fetched.len());
-                    for (s, st) in fetched.into_iter().enumerate() {
-                        streams.push(self.cache_stream(v, s, st)?);
-                    }
+                    let streams = (0..self.clients.len())
+                        .map(|s| self.fetch_base(v, s))
+                        .collect::<RpcResult<Vec<_>>>()?;
                     *entry = Some((self.mask_epochs.clone(), streams));
                 }
             }
@@ -1369,11 +1346,10 @@ impl RpcCoordinator {
         Ok(labels[0])
     }
 
-    /// Whether status requests ask for extreme summaries: binary label
-    /// spaces with every stream in RAM. Otherwise they scan the
-    /// `Possibility` semiring, which the spill policy can put on disk.
+    /// Whether status requests ask for extreme summaries (binary label
+    /// spaces) rather than `Possibility` scans.
     fn summary_status(&self) -> bool {
-        self.spill.is_none() && self.problem.dataset.n_labels() == 2
+        self.problem.dataset.n_labels() == 2
     }
 
     /// Send shard `s` one pipelined window ([`ShardClient::pipeline`]): the
@@ -1471,8 +1447,9 @@ impl RpcCoordinator {
                 .map(|(_, local_row, expect)| (local_row, expect));
             per_shard.push(self.status_window(s, shard_step, vals, acked)?.into_iter());
         }
-        vals.iter()
-            .map(|&v| {
+        Ok(vals
+            .iter()
+            .map(|_| {
                 let (mut summaries, mut streams) = (Vec::new(), Vec::new());
                 for replies in &mut per_shard {
                     match replies.next().expect("one reply per point") {
@@ -1480,71 +1457,13 @@ impl RpcCoordinator {
                         StatusReply::Stream(x) => streams.push(x),
                     }
                 }
-                match &self.spill {
-                    _ if streams.is_empty() => Ok(certain_label_from_summaries(&summaries)),
-                    Some(sp) => self.certain_label_spilled(v, sp, &streams),
-                    None => Ok(certain_label_from_streams(&streams)),
+                if streams.is_empty() {
+                    certain_label_from_summaries(&summaries)
+                } else {
+                    certain_label_from_streams(&streams)
                 }
             })
-            .collect()
-    }
-
-    /// The status check over fetched `Possibility` streams under the
-    /// out-of-core policy: streams at or above the spill threshold go to
-    /// disk as runs (scratch files, deleted before returning), and the
-    /// check runs over the runs' filters + lazy cursors —
-    /// [`certain_label_over_runs`] when everything spilled (the binary
-    /// footer pre-check can then answer with zero block reads), a mixed
-    /// RAM/disk merge otherwise. Answers are bit-identical to the in-RAM
-    /// dispatch.
-    fn certain_label_spilled(
-        &self,
-        v: usize,
-        sp: &SpillState,
-        streams: &[ShardStream<Possibility>],
-    ) -> RpcResult<Option<Label>> {
-        // scratch runs are deleted on every exit path, including errors
-        struct Scratch(Vec<PathBuf>);
-        impl Drop for Scratch {
-            fn drop(&mut self) {
-                for path in &self.0 {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-        }
-        let n_labels = self.problem.dataset.n_labels();
-        let mut scratch = Scratch(Vec::new());
-        let mut runs: Vec<Option<Run>> = Vec::with_capacity(streams.len());
-        for (s, st) in streams.iter().enumerate() {
-            runs.push(if st.events.len() >= sp.threshold {
-                let path = sp.next_path(&format!("status-v{v}-s{s}"));
-                scratch.0.push(path.clone());
-                Some(spill_stream(&path, st)?)
-            } else {
-                None
-            });
-        }
-        if runs.iter().all(|r| r.is_some()) {
-            let runs: Vec<Run> = runs.into_iter().map(|r| r.expect("all spilled")).collect();
-            return certain_label_over_runs(&runs, n_labels, self.k);
-        }
-        let mut sources = Vec::with_capacity(streams.len());
-        for (st, run) in streams.iter().zip(&runs) {
-            sources.push(match run {
-                Some(run) => SpillSource::Disk(LazyRunCursor::new(run)?),
-                None => SpillSource::Ram(st.cursor()),
-            });
-        }
-        let label = certain_label_from_sources(&mut sources, n_labels, self.k);
-        let skipped = sources
-            .iter()
-            .filter(|src| match src {
-                SpillSource::Disk(c) => c.run().meta().n_events > 0 && !c.block_decoded(),
-                SpillSource::Ram(_) => false,
-            })
-            .count() as u64;
-        cp_obs::counter!("store.runs.skipped_by_filter").add(skipped);
-        Ok(label)
+            .collect())
     }
 
     /// Exact Q2 counts for validation point `v` under the current pins, in
@@ -1857,10 +1776,11 @@ impl SelectionBackend for RpcBackend<'_> {
         let c = self.coord;
         let n_labels = c.problem.dataset.n_labels();
         c.with_base_streams(v, |base| {
-            let mut sources = base
+            let loaded = base
                 .iter()
-                .map(|st| st.source())
+                .map(CachedStream::load)
                 .collect::<RpcResult<Vec<_>>>()?;
+            let mut sources: Vec<_> = loaded.iter().map(|st| st.cursor()).collect();
             Ok(entropy_bits(
                 &merged_scan_sources(&mut sources, n_labels, c.k, None, |_| false).probabilities(),
             ))
@@ -1880,19 +1800,19 @@ impl SelectionBackend for RpcBackend<'_> {
         })?;
         c.check_swept(&swept, row)?;
         c.with_base_streams(v, |base| {
-            let mut sources = base
+            // the owner's swept stream takes the place of its base stream
+            let loaded = base
                 .iter()
                 .enumerate()
                 .map(|(u, st)| {
                     if u == s {
-                        // the owner's swept stream is always fresh off the
-                        // wire, never spilled
-                        Ok(SpillSource::Ram(swept.stream.cursor()))
+                        Ok(Cow::Borrowed(&swept.stream))
                     } else {
-                        st.source()
+                        st.load()
                     }
                 })
                 .collect::<RpcResult<Vec<_>>>()?;
+            let mut sources: Vec<_> = loaded.iter().map(|st| st.cursor()).collect();
             let ds = &c.problem.dataset;
             Ok(merged_sweep_sources(
                 &mut sources,
@@ -2040,19 +1960,17 @@ mod tests {
             })
             .collect::<RpcResult<Vec<_>>>()?;
         c.with_base_streams(v, |base| {
+            let loaded = base
+                .iter()
+                .map(CachedStream::load)
+                .collect::<RpcResult<Vec<_>>>()?;
             hyps.iter()
                 .map(|hyp| {
-                    let mut sources = base
+                    let mut sources: Vec<_> = loaded
                         .iter()
                         .enumerate()
-                        .map(|(u, st)| {
-                            if u == s {
-                                Ok(SpillSource::Ram(hyp.cursor()))
-                            } else {
-                                st.source()
-                            }
-                        })
-                        .collect::<RpcResult<Vec<_>>>()?;
+                        .map(|(u, st)| if u == s { hyp.cursor() } else { st.cursor() })
+                        .collect();
                     Ok(entropy_bits(
                         &merged_scan_sources(&mut sources, n_labels, c.k, None, |_| false)
                             .probabilities(),

@@ -22,7 +22,8 @@
 //! Every fault is **detectable** by the peer: drops surface as read
 //! timeouts (pair a plan with a read timeout!), corruption trips the frame
 //! CRC, truncation and kills surface as truncated frames or broken pipes,
-//! and duplicates trip the request-id pairing check. That detectability is
+//! and a duplicate's second reply carries an earlier request id, which the
+//! client's id pairing recognizes and skips. That detectability is
 //! the contract the recovery layer builds on — a chaos run must converge
 //! to *bit-identical* results, never silently diverge.
 //!
@@ -51,8 +52,9 @@ pub enum FaultAction {
     Corrupt,
     /// Write a seeded proper prefix of the frame, then fail the connection.
     Truncate,
-    /// Write the frame twice (the peer's request-id pairing catches the
-    /// echo; a duplicated idempotent `Step` is absorbed server-side).
+    /// Write the frame twice (the client's request-id pairing skips the
+    /// echoed reply; a duplicated idempotent `Step` is absorbed
+    /// server-side).
     Duplicate,
     /// Write a seeded prefix, then fail this and every later operation —
     /// the connection is dead.

@@ -58,16 +58,15 @@
 //!   [`cp_clean::CleaningSession`]'s, and Q2 counts to
 //!   [`cp_shard::q2_sharded_with_algorithm`]'s bit for bit —
 //!   property-tested over real loopback sockets.
-//! * [`spill`] — the out-of-core seam over `cp-store`: fetched streams
-//!   past [`coordinator::ClientConfig::spill_threshold`] (env
-//!   `CP_SPILL_THRESHOLD`) are written as immutable sorted on-disk runs
-//!   and scanned back through [`spill::LazyRunCursor`] — another
-//!   [`cp_shard::FactorSource`], so the merge loop is unchanged and the
-//!   answers stay bit-identical. Run footers (min/max keys + bloom
-//!   filters) let binary-Q1 status checks skip blocks that provably
-//!   cannot change the answer. On the server side, `--data-dir` adds
-//!   per-session write-ahead pin logs (fsync-before-ack) with replay on
-//!   restart — a crashed server resumes every in-flight session.
+//! * [`spill`] — the out-of-core seam over `cp-store`: a cached base
+//!   stream past [`coordinator::ClientConfig::spill_threshold`] (env
+//!   `CP_SPILL_THRESHOLD`) is written to an immutable on-disk run as the
+//!   wire bytes it arrived in, and [`spill::CachedStream::load`] reads,
+//!   CRC-checks and decodes it back into an ordinary stream when a scan
+//!   needs it, so the merge loop is unchanged and the answers stay
+//!   bit-identical. On the server side, `--data-dir` adds per-session
+//!   write-ahead pin logs (fsync-before-ack) with replay on restart — a
+//!   crashed server resumes every in-flight session.
 //! * [`fault`] / [`retry`] / [`journal`] — the failure layer.
 //!   [`fault::FaultPlan`] is deterministic, seeded fault injection at the
 //!   frame layer (drop/delay/corrupt/truncate/duplicate frames, refused
@@ -139,6 +138,4 @@ pub use retry::{Admission, CircuitBreaker, RetryPolicy};
 pub use server::{
     serve_with, spawn_server, spawn_server_on, RunningServer, ServerConfig, ShardServer,
 };
-pub use spill::{
-    certain_label_over_runs, open_run_cursor, spill_stream, LazyRunCursor, SpillSource,
-};
+pub use spill::CachedStream;

@@ -4,7 +4,7 @@
 //! The fault layer ([`cp_rpc::FaultPlan`]) misbehaves at frame granularity
 //! on the coordinator's outgoing frames: requests are dropped (the read
 //! timeout finds out), delayed, bit-flipped (the frame CRC finds out),
-//! truncated, duplicated (the request-id pairing finds out), connections
+//! truncated, duplicated (the request-id pairing skips the echo), connections
 //! killed mid-frame, and dials refused. The recovery layer — unified
 //! retry policy, circuit breaker, reconnect, journal-replay failover —
 //! must absorb *all* of it: the greedy pick sequence, every intermediate

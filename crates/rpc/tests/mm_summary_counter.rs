@@ -9,10 +9,6 @@
 //! its status checks take the merged `Possibility` scan, which *does* build
 //! trees, proving the counter (and the dispatch) actually discriminate.
 //!
-//! Spilling is pinned off (`spill_threshold: Some(usize::MAX)`): a spill
-//! policy, such as a suite-wide `CP_SPILL_THRESHOLD=0`, routes status
-//! checks through `Possibility` streams instead of summaries.
-//!
 //! Lives in its own integration-test binary with a single `#[test]`
 //! because the counter is process-wide, which the in-process loopback
 //! servers share with the test.
@@ -20,7 +16,7 @@
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::poly::tree_build_count;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
-use cp_rpc::{spawn_server, ClientConfig, RpcCoordinator, RunningServer, ServerConfig};
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -83,10 +79,6 @@ fn binary_status_sweeps_build_zero_tally_trees() {
         record_every: 1,
     };
 
-    let in_ram = ClientConfig {
-        spill_threshold: Some(usize::MAX),
-        ..ClientConfig::default()
-    };
     let servers: Vec<RunningServer> = (0..4)
         .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
         .collect();
@@ -99,8 +91,7 @@ fn binary_status_sweeps_build_zero_tally_trees() {
 
         let before = tree_build_count();
         let mut session =
-            RpcCoordinator::connect_with(&problem, &addrs[..n_shards], &opts, &in_ram)
-                .expect("connect");
+            RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts).expect("connect");
         assert_eq!(session.status(), single.status(), "fresh status");
         for &row in &order {
             session.clean(row).expect("clean over rpc");
@@ -120,8 +111,7 @@ fn binary_status_sweeps_build_zero_tally_trees() {
     // Possibility scan, which builds one tree per label per shard scan
     let multiclass = synthetic_problem(43, 3, 15, 6);
     let before = tree_build_count();
-    let mut session =
-        RpcCoordinator::connect_with(&multiclass, &addrs[..2], &opts, &in_ram).expect("connect");
+    let mut session = RpcCoordinator::connect(&multiclass, &addrs[..2], &opts).expect("connect");
     if let Some(&row) = multiclass.dirty_rows().first() {
         session.clean(row).expect("clean over rpc");
     }

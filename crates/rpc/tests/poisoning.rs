@@ -16,13 +16,13 @@
 //! the chaos suite; this suite isolates the per-request-type wire
 //! contract.)
 
-use cp_clean::CleaningProblem;
+use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::Pins;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
     read_frame_opt_tagged, spawn_server, write_frame_tagged, ClientConfig, OpenShard, Request,
-    RpcError, ServerConfig, ShardClient, ShardServer,
+    RpcCoordinator, RpcError, ServerConfig, ShardClient, ShardServer,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -359,4 +359,125 @@ fn bytes_buffered_from_a_poisoned_connection_never_reach_the_next_call() {
     assert_eq!(client.status().expect("status").n_cleaned, 1);
     drop(client);
     server.join().expect("server thread");
+}
+
+/// Two label clusters, K = 1, and each validation point on a clean row of
+/// its cluster: every point is certain before any cleaning, so each
+/// cleaning step's window is its `Step` alone.
+fn certain_problem() -> CleaningProblem {
+    let dataset = IncompleteDataset::new(
+        vec![
+            IncompleteExample::complete(vec![0.0], 0),
+            IncompleteExample::incomplete(vec![vec![4.0], vec![7.0]], 0),
+            IncompleteExample::complete(vec![10.0], 1),
+            IncompleteExample::incomplete(vec![vec![3.0], vec![6.0]], 1),
+        ],
+        2,
+    )
+    .unwrap();
+    CleaningProblem::new(
+        dataset,
+        CpConfig::new(1),
+        vec![vec![0.0], vec![10.0]],
+        vec![None, Some(0), None, Some(1)],
+        vec![None, Some(1), None, Some(0)],
+    )
+}
+
+/// Serve one `ShardServer` over sequential connections, writing the reply
+/// to every request matching `echo` twice — what a duplicated request
+/// frame produces. Returns the number of connections accepted once a
+/// `Shutdown` arrives.
+fn serve_echoing(
+    listener: TcpListener,
+    echo: impl Fn(&Request) -> bool + Send + 'static,
+) -> JoinHandle<usize> {
+    std::thread::spawn(move || {
+        let server = ShardServer::new();
+        for (accepted, conn) in listener.incoming().enumerate() {
+            let mut conn = conn.expect("accept");
+            while let Some((req_id, frame)) = read_frame_opt_tagged(&mut conn).ok().flatten() {
+                let req = decode_request(&frame).expect("well-formed request");
+                let twice = echo(&req);
+                let shutdown = matches!(req, Request::Shutdown);
+                let mut bytes = Vec::new();
+                write_frame_tagged(&mut bytes, req_id, &encode_response(&server.handle(req)))
+                    .expect("encode response frame");
+                if twice {
+                    bytes.extend_from_within(..);
+                }
+                if conn.write_all(&bytes).is_err() {
+                    break;
+                }
+                if shutdown {
+                    return accepted + 1;
+                }
+            }
+        }
+        unreachable!("the listener never stops accepting")
+    })
+}
+
+fn one_thread() -> RunOptions {
+    RunOptions {
+        max_cleaned: None,
+        n_threads: 1,
+        record_every: 1,
+    }
+}
+
+/// The final `Step` of a run is answered twice and nothing reads the echo
+/// before teardown. The echo carries an earlier request id than `Close`,
+/// so the client discards it and `shutdown` succeeds.
+#[test]
+fn a_duplicated_final_step_does_not_fail_shutdown() {
+    let problem = certain_problem();
+    let dirty = problem.dirty_rows();
+    let last = dirty.len() as u32 - 1;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = serve_echoing(
+        listener,
+        move |req| matches!(req, Request::Step { expect_cleaned, .. } if *expect_cleaned == last),
+    );
+    let stale = || cp_obs::snapshot().counter("rpc.client.stale_replies");
+    let before = stale();
+    let mut coord = RpcCoordinator::connect(&problem, &[&addr], &one_thread()).expect("connect");
+    assert!(
+        coord.status().iter().all(|&c| c),
+        "every point starts certain"
+    );
+    for &row in &dirty {
+        coord.clean(row).expect("clean");
+    }
+    coord
+        .shutdown()
+        .expect("the echo of the final Step must not fail teardown");
+    assert!(stale() > before, "the echo is counted as a stale reply");
+    assert_eq!(server.join().expect("server thread"), 1, "no reconnect");
+}
+
+/// Every `Step` is answered twice while validation points are uncertain,
+/// so each echo arrives inside a pipelined status window, ahead of the
+/// summaries' replies. The client skips it: the whole run needs no
+/// reconnect, and the status matches the in-process session's.
+#[test]
+fn echoed_step_replies_inside_a_window_need_no_reconnect() {
+    let problem = poison_problem();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = serve_echoing(listener, |req| matches!(req, Request::Step { .. }));
+    let mut coord = RpcCoordinator::connect(&problem, &[&addr], &one_thread()).expect("connect");
+    let mut local = CleaningSession::new(&problem, &one_thread());
+    assert!(
+        coord.status().iter().any(|&c| !c),
+        "a point starts uncertain"
+    );
+    for row in problem.dirty_rows() {
+        coord.clean(row).expect("clean");
+        local.clean(row);
+        assert_eq!(coord.status(), local.status(), "after row {row}");
+    }
+    coord.shutdown().expect("shutdown");
+    assert_eq!(server.join().expect("server thread"), 1, "no reconnect");
 }

@@ -3,32 +3,28 @@
 //!
 //! For random small cleaning problems and shard counts `{1, 2, 3, 7}`:
 //!
-//! * a merged scan over [`cp_store::RunCursor`]s opened from freshly
-//!   re-read run files is **bit-identical** — counts and totals, `f64`
-//!   included — to the in-RAM `StreamCursor` scan, in every wire semiring,
-//!   under empty and random pin masks;
-//! * the same holds for arbitrary *mixes* of RAM cursors and lazy disk
-//!   cursors in one scan;
-//! * the filter-guided status check ([`cp_rpc::certain_label_over_runs`]:
-//!   footer min/max + bloom pre-check, then a lazy early-exit merge) agrees
-//!   with the [`cp_shard::certain_label_from_streams`] oracle on every
-//!   instance — skipping block I/O must never change an answer;
-//! * an [`RpcCoordinator`] with `spill_threshold = Some(0)` (every fetched
-//!   stream goes to disk) cleans over real sockets bit-identically to an
-//!   all-RAM coordinator, and actually spills.
+//! * a merged scan over streams spilled as their wire bytes and read back
+//!   from the run files ([`CachedStream::load`]) is **bit-identical** —
+//!   counts and totals, `f64` included — to the in-RAM scan, in every wire
+//!   semiring, under empty and random pin masks, all-disk and mixed with
+//!   in-RAM entries alike;
+//! * an [`RpcCoordinator`] with `spill_threshold = Some(0)` (every cached
+//!   base stream goes to disk) cleans over real sockets bit-identically to
+//!   an all-RAM coordinator, and actually spills;
+//! * a spilled run damaged on disk between two greedy steps makes the next
+//!   selection a typed error.
 
 use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Result};
 use cp_numeric::Possibility;
 use cp_rpc::{
-    certain_label_over_runs, open_run_cursor, spawn_server, spill_stream, ClientConfig,
-    LazyRunCursor, RpcCoordinator, RunningServer, ServerConfig, SpillSource, WireSemiring,
+    encode_stream, spawn_server, CachedStream, ClientConfig, RpcCoordinator, RpcError,
+    RunningServer, ServerConfig, WireSemiring,
 };
 use cp_shard::{
-    build_shard_indexes, capture_streams, certain_label_from_sources, certain_label_from_streams,
-    local_pins, merged_scan_sources, q2_from_streams, ShardStream,
+    build_shard_indexes, capture_streams, local_pins, merged_scan_sources, q2_from_streams,
+    ShardStream,
 };
-use cp_store::Run;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -117,42 +113,31 @@ fn random_pins(problem: &CleaningProblem, rng: &mut StdRng) -> Pins {
     pins
 }
 
-/// Spill every stream under `dir`, then re-open each run **from its file**
-/// — the reader must survive a genuine write → close → read round trip,
-/// not just reuse the writer's in-memory handle.
-fn spill_all<S: WireSemiring>(dir: &TestDir, tag: &str, streams: &[ShardStream<S>]) -> Vec<Run> {
+/// Spill every stream under `dir` as its wire bytes; `ram` keeps the
+/// odd-numbered shards in RAM instead (a mixed scan).
+fn cache_all<S: WireSemiring>(
+    dir: &TestDir,
+    tag: &str,
+    streams: &[ShardStream<S>],
+    ram: bool,
+) -> Vec<CachedStream<S>> {
     streams
         .iter()
         .enumerate()
         .map(|(s, st)| {
-            let path = dir.0.join(format!("{tag}-s{s}.run"));
-            let run = spill_stream(&path, st).expect("spill");
-            Run::open(run.path()).expect("reopen from disk")
-        })
-        .collect()
-}
-
-/// Alternate RAM and lazy-disk sources over the same logical streams.
-fn mixed_sources<'a, S: WireSemiring>(
-    streams: &'a [ShardStream<S>],
-    runs: &'a [Run],
-) -> Vec<SpillSource<'a, S>> {
-    streams
-        .iter()
-        .zip(runs)
-        .enumerate()
-        .map(|(i, (st, run))| {
-            if i % 2 == 0 {
-                SpillSource::Disk(LazyRunCursor::new(run).expect("lazy open"))
+            if ram && s % 2 == 1 {
+                CachedStream::Ram(st.clone())
             } else {
-                SpillSource::Ram(st.cursor())
+                let path = dir.0.join(format!("{tag}-s{s}.run"));
+                CachedStream::spill(&path, &encode_stream(st), st).expect("spill")
             }
         })
         .collect()
 }
 
-/// One semiring's full check: in-RAM merged scan vs all-disk `RunCursor`
-/// scan vs mixed RAM/disk scan, all bit-identical.
+/// One semiring's full check: the in-RAM merged scan vs the all-disk and
+/// the mixed RAM/disk scans, every spilled stream read back from its file
+/// through [`CachedStream::load`], all bit-identical.
 fn check_semiring<S>(dir: &TestDir, tag: &str, streams: &[ShardStream<S>])
 where
     S: WireSemiring + PartialEq + std::fmt::Debug,
@@ -160,20 +145,18 @@ where
     let expect: Q2Result<S> = q2_from_streams(streams);
     let n_labels = streams[0].n_labels();
     let k = streams[0].k();
-    let runs = spill_all(dir, tag, streams);
-
-    let mut cursors: Vec<_> = runs
-        .iter()
-        .map(|r| open_run_cursor::<S>(r).expect("decode block"))
-        .collect();
-    let on_disk = merged_scan_sources(&mut cursors, n_labels, k, None, |_| false);
-    assert_eq!(on_disk.counts, expect.counts, "{tag}: all-disk counts");
-    assert_eq!(on_disk.total, expect.total, "{tag}: all-disk total");
-
-    let mut mixed = mixed_sources(streams, &runs);
-    let mixed_result = merged_scan_sources(&mut mixed, n_labels, k, None, |_| false);
-    assert_eq!(mixed_result.counts, expect.counts, "{tag}: mixed counts");
-    assert_eq!(mixed_result.total, expect.total, "{tag}: mixed total");
+    for (ram, what) in [(false, "all-disk"), (true, "mixed")] {
+        let cached = cache_all(dir, &format!("{tag}-{what}"), streams, ram);
+        let loaded = cached
+            .iter()
+            .map(CachedStream::load)
+            .collect::<Result<Vec<_>, _>>()
+            .expect("load");
+        let mut cursors: Vec<_> = loaded.iter().map(|st| st.cursor()).collect();
+        let got = merged_scan_sources(&mut cursors, n_labels, k, None, |_| false);
+        assert_eq!(got.counts, expect.counts, "{tag}: {what} counts");
+        assert_eq!(got.total, expect.total, "{tag}: {what} total");
+    }
 }
 
 fn opts(n_threads: usize) -> RunOptions {
@@ -216,48 +199,6 @@ proptest! {
                     let poss: Vec<ShardStream<Possibility>> =
                         capture_streams(&shards, &indexes, &shard_pins, cfg);
                     check_semiring(&dir, &format!("{tag}-poss"), &poss);
-                }
-            }
-        }
-    }
-
-    /// The filter-guided status check over runs (footer pre-check + lazy
-    /// early-exit merge) answers exactly what the in-RAM oracle answers —
-    /// on every instance, shard count, and pin mask, all-disk and mixed.
-    #[test]
-    fn filter_skipped_status_checks_match_the_in_ram_oracle((problem, seed) in arb_instance()) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x77e1);
-        let dir = TestDir::new();
-        let cfg = &problem.config;
-        for n_shards in SHARD_COUNTS {
-            let shards = problem.dataset.partition(n_shards);
-            for round in 0..2 {
-                let pins = if round == 0 {
-                    Pins::none(problem.dataset.len())
-                } else {
-                    random_pins(&problem, &mut rng)
-                };
-                let shard_pins = local_pins(&shards, &pins);
-                for (v, t) in problem.val_x.iter().enumerate() {
-                    let indexes = build_shard_indexes(&shards, cfg.kernel, t);
-                    let streams: Vec<ShardStream<Possibility>> =
-                        capture_streams(&shards, &indexes, &shard_pins, cfg);
-                    let oracle = certain_label_from_streams(&streams);
-                    let n_labels = streams[0].n_labels();
-                    let k = streams[0].k();
-                    let runs = spill_all(&dir, &format!("st-n{n_shards}-r{round}-v{v}"), &streams);
-                    let over_runs = certain_label_over_runs(&runs, n_labels, k)
-                        .expect("status over runs");
-                    prop_assert_eq!(
-                        over_runs, oracle,
-                        "runs vs oracle, val {} n_shards={} round={}", v, n_shards, round
-                    );
-                    let mut mixed = mixed_sources(&streams, &runs);
-                    prop_assert_eq!(
-                        certain_label_from_sources(&mut mixed, n_labels, k),
-                        oracle,
-                        "mixed vs oracle, val {} n_shards={}", v, n_shards
-                    );
                 }
             }
         }
@@ -306,4 +247,129 @@ proptest! {
             "threshold 0 must actually spill"
         );
     }
+}
+
+/// Two 1-D label clusters and dirty rows whose candidates straddle the
+/// boundary, K = 3: many validation points stay uncertain for several
+/// greedy steps.
+fn boundary_problem() -> CleaningProblem {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut examples = Vec::new();
+    for i in 0..12 {
+        let label = i % 2;
+        let center = if label == 0 { 0.0 } else { 10.0 };
+        examples.push(IncompleteExample::complete(
+            vec![center + rng.gen_range(-1.5..1.5)],
+            label,
+        ));
+    }
+    for _ in 0..8 {
+        let candidates = (0..3).map(|_| vec![rng.gen_range(2.0..8.0)]).collect();
+        examples.push(IncompleteExample::incomplete(
+            candidates,
+            rng.gen_range(0..2),
+        ));
+    }
+    let dataset = IncompleteDataset::new(examples, 2).unwrap();
+    let choice: Vec<Option<usize>> = (0..dataset.len())
+        .map(|i| (dataset.set_size(i) > 1).then_some(0))
+        .collect();
+    let val = (0..6).map(|i| vec![3.5 + i as f64 * 0.6]).collect();
+    CleaningProblem::new(dataset, CpConfig::new(3), val, choice.clone(), choice)
+}
+
+/// Every spilled base stream is damaged on disk between two greedy steps;
+/// the next selection reads a non-owner shard's damaged run back and must
+/// fail with a typed error.
+#[test]
+fn a_run_damaged_between_steps_is_a_typed_error() {
+    let problem = boundary_problem();
+    let dir = TestDir::new();
+    let servers: Vec<RunningServer> = (0..2)
+        .map(|_| spawn_server(ServerConfig::default()).expect("bind server"))
+        .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+    let cfg = ClientConfig {
+        spill_threshold: Some(0),
+        spill_dir: Some(dir.0.clone()),
+        ..ClientConfig::default()
+    };
+    let mut coord =
+        RpcCoordinator::connect_with(&problem, &addrs, &opts(1), &cfg).expect("connect");
+    let row = coord
+        .try_select_next(&coord.remaining())
+        .expect("first selection");
+    coord.clean(row).expect("clean");
+    assert!(
+        coord.n_certain() < problem.val_x.len(),
+        "the next step must still select"
+    );
+
+    let mut damaged = 0;
+    for entry in std::fs::read_dir(&dir.0).expect("spill dir") {
+        let path = entry.expect("dir entry").path();
+        let bytes: Vec<u8> = std::fs::read(&path)
+            .expect("read run")
+            .iter()
+            .map(|b| !b)
+            .collect();
+        std::fs::write(&path, bytes).expect("damage run");
+        damaged += 1;
+    }
+    assert!(damaged > 0, "the first selection spilled its base streams");
+
+    let err = coord
+        .try_select_next(&coord.remaining())
+        .expect_err("a damaged run must not load");
+    assert!(
+        matches!(&err, RpcError::Malformed(msg) if msg.contains("on-disk run")),
+        "{err:?}"
+    );
+}
+
+/// A refetched base stream replaces its run file, and dropping the
+/// coordinator deletes every run it wrote: a caller's `spill_dir` holds at
+/// most one run per (validation point, shard), then none.
+#[test]
+fn spilled_runs_are_deleted_when_replaced_and_on_drop() {
+    let problem = boundary_problem();
+    let dir = TestDir::new();
+    let servers: Vec<RunningServer> = (0..2)
+        .map(|_| spawn_server(ServerConfig::default()).expect("bind server"))
+        .collect();
+    let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
+    let cfg = ClientConfig {
+        spill_threshold: Some(0),
+        spill_dir: Some(dir.0.clone()),
+        ..ClientConfig::default()
+    };
+    // run files are named `base-v{v}-s{s}-{seq}.run`
+    let runs_per_entry = || {
+        let mut per_entry = std::collections::BTreeMap::<String, usize>::new();
+        for entry in std::fs::read_dir(&dir.0).expect("spill dir") {
+            let name = entry.expect("dir entry").file_name().into_string().unwrap();
+            let (key, _seq) = name.rsplit_once('-').expect("run file name");
+            *per_entry.entry(key.to_string()).or_default() += 1;
+        }
+        per_entry
+    };
+    let mut coord =
+        RpcCoordinator::connect_with(&problem, &addrs, &opts(1), &cfg).expect("connect");
+    let (mut steps, mut spilled) = (0, 0);
+    while coord.step().is_some() {
+        steps += 1;
+        let per_entry = runs_per_entry();
+        assert!(per_entry.values().all(|&n| n == 1), "{per_entry:?}");
+        spilled = spilled.max(per_entry.len());
+    }
+    assert!(
+        steps > 1 && spilled > 0,
+        "several steps over spilled base streams"
+    );
+    drop(coord);
+    assert!(
+        runs_per_entry().is_empty(),
+        "the dropped coordinator left runs behind"
+    );
+    assert!(dir.0.exists(), "a caller's spill_dir is kept");
 }

@@ -10,8 +10,8 @@
 use cp_clean::{CleaningProblem, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::{
-    encode_stream, raw_stream_size, spawn_server, ClientConfig, OpenShard, Request, RpcCoordinator,
-    RpcError, ServerConfig, ShardClient,
+    encode_stream, raw_stream_size, spawn_server, OpenShard, Request, RpcCoordinator, RpcError,
+    ServerConfig, ShardClient,
 };
 use cp_shard::ShardStream;
 
@@ -80,17 +80,8 @@ fn stats_over_the_wire_match_the_workload_exactly() {
     };
     let dirty = problem.dirty_rows();
     assert_eq!(dirty.len(), 2, "ledger below assumes two dirty rows");
-    // the exact request ledger below assumes the in-RAM summary status
-    // path; pin the spill threshold so a CP_SPILL_THRESHOLD=0 suite run
-    // (CI's spill-everything regime) doesn't reroute status checks through
-    // full Possibility scans and change the Scan count
-    let client_cfg = ClientConfig {
-        spill_threshold: Some(usize::MAX),
-        ..ClientConfig::default()
-    };
     let mut coord =
-        RpcCoordinator::connect_with(&problem, std::slice::from_ref(&addr), &opts, &client_cfg)
-            .expect("connect");
+        RpcCoordinator::connect(&problem, std::slice::from_ref(&addr), &opts).expect("connect");
     for &row in &dirty {
         coord.clean(row).expect("clean over rpc");
     }

@@ -17,8 +17,8 @@ use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
-    read_frame_opt_tagged, spawn_server, write_frame_tagged, ClientConfig, Request, Response,
-    RpcCoordinator, RpcError, ServerConfig, ShardClient, ShardServer,
+    read_frame_opt_tagged, spawn_server, write_frame_tagged, Request, Response, RpcCoordinator,
+    RpcError, ServerConfig, ShardClient, ShardServer,
 };
 use std::net::TcpListener;
 use std::sync::Mutex;
@@ -31,15 +31,6 @@ fn opts() -> RunOptions {
         max_cleaned: None,
         n_threads: 1,
         record_every: 1,
-    }
-}
-
-/// Summaries need the in-RAM status path, whatever `CP_SPILL_THRESHOLD`
-/// the suite runs under.
-fn in_ram() -> ClientConfig {
-    ClientConfig {
-        spill_threshold: Some(usize::MAX),
-        ..ClientConfig::default()
     }
 }
 
@@ -88,8 +79,7 @@ fn one_window_per_clean_and_sync_status_only_on_change() {
     // connect: Open, then the first refresh as one window of summaries and
     // the initial publish
     let (w0, rt0) = (windows(), round_trips());
-    let mut coord =
-        RpcCoordinator::connect_with(&problem, &[&addr], &opts(), &in_ram()).expect("connect");
+    let mut coord = RpcCoordinator::connect(&problem, &[&addr], &opts()).expect("connect");
     assert_eq!(windows() - w0, 1, "connect-time refresh is one window");
     assert_eq!(round_trips() - rt0, 2, "Open and the initial SyncStatus");
     let mut summaries = problem.val_x.len() as u64;
@@ -176,8 +166,7 @@ fn acked_step_then_rejected_summary_keeps_the_coordinator_consistent() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let server = serve_rejecting_summary(listener);
-    let mut coord =
-        RpcCoordinator::connect_with(&problem, &[&addr], &opts(), &in_ram()).expect("connect");
+    let mut coord = RpcCoordinator::connect(&problem, &[&addr], &opts()).expect("connect");
 
     let rows = problem.dirty_rows();
     let err = coord.clean(rows[0]).expect_err("the summary is rejected");

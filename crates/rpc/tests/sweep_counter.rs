@@ -9,14 +9,14 @@
 //! `rpc.coordinator.base_fetches` — at every step. A selection that fell
 //! back to one pinned scan per candidate would add `M - 1` scans per miss.
 //!
-//! Binary labels with spilling pinned off keep every status check on
-//! extreme summaries, which are not scans. This lives in its own
+//! Binary labels keep every status check on extreme summaries, which are
+//! not scans. This lives in its own
 //! integration-test binary with a single `#[test]` because the registry
 //! counters it reads are process-wide.
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
-use cp_rpc::{spawn_server, ClientConfig, RpcCoordinator, RunningServer, ServerConfig};
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -93,11 +93,7 @@ fn a_sharded_greedy_step_makes_one_owner_scan_per_missed_row() {
         .map(|_| spawn_server(ServerConfig::default()).expect("bind loopback server"))
         .collect();
     let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
-    let cfg = ClientConfig {
-        spill_threshold: Some(usize::MAX),
-        ..ClientConfig::default()
-    };
-    let mut coord = RpcCoordinator::connect_with(&problem, &addrs, &opts, &cfg).expect("connect");
+    let mut coord = RpcCoordinator::connect(&problem, &addrs, &opts).expect("connect");
     let mut reference = CleaningSession::new(&problem, &opts);
     assert!(!coord.converged(), "workload must need cleaning");
 

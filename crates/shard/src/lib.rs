@@ -69,13 +69,12 @@
 pub mod scan;
 
 pub use scan::{
-    build_shard_indexes, capture_streams, certain_label_from_sources, certain_label_from_streams,
-    certain_label_from_summaries, certain_label_sharded_merged_scan,
-    certain_label_sharded_with_indexes, extreme_summaries, local_pins, merged_scan_sources,
-    merged_sweep_sources, q2_from_streams, q2_from_streams_with_algorithm,
-    q2_probabilities_from_streams, q2_sharded, q2_sharded_with_algorithm, q2_sharded_with_indexes,
-    BoundaryEvent, FactorSource, ShardScan, ShardStream, ShardStreamEvent, StreamCursor,
-    SweptStream,
+    build_shard_indexes, capture_streams, certain_label_from_streams, certain_label_from_summaries,
+    certain_label_sharded_merged_scan, certain_label_sharded_with_indexes, extreme_summaries,
+    local_pins, merged_scan_sources, merged_sweep_sources, q2_from_streams,
+    q2_from_streams_with_algorithm, q2_probabilities_from_streams, q2_sharded,
+    q2_sharded_with_algorithm, q2_sharded_with_indexes, BoundaryEvent, FactorSource, ShardScan,
+    ShardStream, ShardStreamEvent, StreamCursor, SweptStream,
 };
 
 /// Re-export: the partition type the whole crate operates on.

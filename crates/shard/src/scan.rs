@@ -905,21 +905,8 @@ where
     let (n_labels, k) = check_streams(streams);
     let mut cursors: Vec<StreamCursor<'_, Possibility>> =
         streams.iter().map(|st| st.borrow().cursor()).collect();
-    certain_label_from_sources(&mut cursors, n_labels, k)
-}
-
-/// [`certain_label_from_streams`] over any mix of [`FactorSource`]s — the
-/// entry point for scans whose shard streams live partly on disk (the
-/// `cp-rpc` spill layer's `RunCursor`s) and partly in RAM. The
-/// two-labels-possible early exit means a source whose first key is never
-/// reached contributes nothing but its opening factors, which is what lets
-/// a lazy on-disk source skip its block decode entirely.
-pub fn certain_label_from_sources<F>(sources: &mut [F], n_labels: usize, k: usize) -> Option<Label>
-where
-    F: FactorSource<Possibility>,
-{
     let uncertain = |counts: &[Possibility]| counts.iter().filter(|c| c.0).count() >= 2;
-    merged_scan_sources(sources, n_labels, k, None, uncertain).certain_label()
+    merged_scan_sources(&mut cursors, n_labels, k, None, uncertain).certain_label()
 }
 
 /// Q2 prediction probabilities from batched probability-space shard streams.
@@ -1271,6 +1258,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every label-1 set of shard 0 sits below that shard's `τ_s`, and
+    /// shard 1 holds no label-1 set: label 1 is in neither stream, and
+    /// label 0 is certain.
+    #[test]
+    fn certain_label_holds_when_a_label_sits_wholly_below_tau_s() {
+        // test point 0; shard 0 (rows 0..3) walks farthest-first:
+        //   rank 0: (0,0) at -10   rank 2: (1,1) at 2   rank 4: (2,0) at 0.5
+        //   rank 1: (0,1) at -9    rank 3: (1,0) at 1
+        // f = [0, 2, 4], so K = 2 gives τ_0 = 2: row 0 (label 1) lies wholly
+        // in the skipped prefix, and rows 1 and 2 (label 0) always outrank it
+        let ds = IncompleteDataset::new(
+            vec![
+                IncompleteExample::incomplete(vec![vec![-10.0], vec![-9.0]], 1),
+                IncompleteExample::incomplete(vec![vec![1.0], vec![2.0]], 0),
+                IncompleteExample::complete(vec![0.5], 0),
+                IncompleteExample::incomplete(vec![vec![3.0], vec![-4.0]], 0),
+                IncompleteExample::complete(vec![-0.2], 0),
+                IncompleteExample::complete(vec![5.0], 0),
+            ],
+            2,
+        )
+        .unwrap();
+        let t = [0.0];
+        let cfg = CpConfig::new(2);
+        let shards = ds.partition(2);
+        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
+        let pins = local_pins(&shards, &Pins::none(ds.len()));
+        let streams: Vec<ShardStream<Possibility>> =
+            capture_streams(&shards, &indexes, &pins, &cfg);
+        // shard 0's stream starts at τ_0: row 0's two candidates are gone
+        assert_eq!(streams[0].events.len(), 3);
+        assert!(streams
+            .iter()
+            .flat_map(|st| &st.events)
+            .all(|e| e.event.label == 0));
+        let certain = certain_label_from_streams(&streams);
+        assert_eq!(certain, Some(0));
+        assert_eq!(certain, cp_core::certain_label(&ds, &cfg, &t));
     }
 
     #[test]
@@ -1711,7 +1738,9 @@ mod tests {
             prop_assert_eq!(&sh.replayed::<u128>(false, use_multiclass_accumulator(sh.n_labels, sh.k)).counts, &single.counts);
             // the early-exit certain-label scan, live and replayed
             let certain = |mut scans: Vec<ShardScan<'_, Possibility>>| {
-                certain_label_from_sources(&mut scans, sh.n_labels, sh.k)
+                let uncertain = |c: &[Possibility]| c.iter().filter(|c| c.0).count() >= 2;
+                merged_scan_sources(&mut scans, sh.n_labels, sh.k, None, uncertain)
+                    .certain_label()
             };
             let oracle = certain(sh.scans(true));
             prop_assert_eq!(certain(sh.scans(false)), oracle);

@@ -13,34 +13,25 @@
 //!   ignored, a complete record with a bad CRC is a [`StoreError::Corrupt`]
 //!   — never a panic.
 //!
-//! * **Sorted on-disk runs** ([`run`]): a `ShardStream` is already a
-//!   locally-sorted boundary-event stream, which makes it an LSM-style
-//!   immutable run by construction. [`run::Run::spill`] writes one to disk
-//!   with the stream's wire encoding as the opaque block format (the RPC
-//!   layer supplies the bytes — this crate stays codec-agnostic), plus a
-//!   footer carrying min/max `(sim, row, cand)` keys, a [`bloom::Bloom`]
-//!   filter over the rows and labels appearing in the events, and the
-//!   encoded opening factors. [`run::RunCursor`] replays a decoded run
-//!   through the ordinary `FactorSource` trait, so the k-way merged scan
-//!   works unchanged over any mix of in-RAM and on-disk sources, and the
-//!   footer filters let status checks skip runs that provably cannot
-//!   change the answer.
+//! * **On-disk runs** ([`run`]): the RPC coordinator spills a large
+//!   cached shard stream by writing the stream's wire bytes, exactly as
+//!   they arrived, to a file ([`run::Run::create`]). The in-memory handle
+//!   keeps the block's length, CRC and event count, and
+//!   [`run::Run::read_block`] checks the first two when the bytes are read
+//!   back. What the bytes mean stays with the RPC layer's codec.
 //!
 //! Like the rest of the workspace this crate is dependency-free: the CRC
-//! ([`mod@crc32`]) and the bloom filter ([`bloom`]) are hand-rolled.
+//! ([`mod@crc32`]) is hand-rolled.
 //!
 //! Metrics (see the README catalog): `store.wal.fsync_us`,
-//! `store.wal.replayed_records`, `store.runs.spilled`,
-//! `store.runs.skipped_by_filter`.
+//! `store.wal.replayed_records`, `store.runs.spilled`.
 
-pub mod bloom;
 pub mod crc32;
 pub mod run;
 pub mod wal;
 
-pub use bloom::Bloom;
 pub use crc32::{crc32, crc32_extend};
-pub use run::{Run, RunCursor, RunMeta};
+pub use run::Run;
 pub use wal::{WalWriter, MAX_WAL_RECORD};
 
 /// Failures of the storage layer.

@@ -25,7 +25,7 @@ use cp_core::{
     IncompleteExample, Pins, SimilarityIndex,
 };
 use cp_numeric::BigUint;
-use cp_rpc::{spawn_server, ClientConfig, RpcCoordinator, RunningServer, ServerConfig};
+use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams, ShardStream};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -145,20 +145,15 @@ fn hot_paths_never_sort_the_whole_index() {
 
     // the same problem on the sharded engine over loopback servers, whose
     // binary status checks build extreme summaries: at most one extreme
-    // sort per index, no full sort. The two-shard run pins spilling off,
-    // which would route its status checks through streams instead
+    // sort per index, no full sort
     let servers: Vec<RunningServer> = (0..2)
         .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
         .collect();
     let addrs: Vec<&str> = servers.iter().map(RunningServer::addr).collect();
-    let in_ram = ClientConfig {
-        spill_threshold: Some(usize::MAX),
-        ..ClientConfig::default()
-    };
     let (builds, extreme, full) = (build_count(), extreme_sort_count(), full_sort_count());
-    for (n_shards, cfg) in [(1, ClientConfig::default()), (2, in_ram)] {
-        let mut remote = RpcCoordinator::connect_with(&problem, &addrs[..n_shards], &opts, &cfg)
-            .expect("connect");
+    for n_shards in [1, 2] {
+        let mut remote =
+            RpcCoordinator::connect(&problem, &addrs[..n_shards], &opts).expect("connect");
         while remote.step().is_some() {}
         assert!(remote.converged());
         remote.shutdown().expect("shutdown");
