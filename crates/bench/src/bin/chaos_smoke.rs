@@ -31,7 +31,7 @@ use cp_bench::{random_incomplete_dataset, Reporter};
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
 use cp_rpc::{spawn_server, ClientConfig, FaultPlan, RpcCoordinator, ServerConfig, ShardClient};
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
+use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::time::Duration;
@@ -179,11 +179,8 @@ fn run_profile(
     let shard_pins = local_pins(&shards, &pins);
     let t = &problem.val_x[0];
     let indexes = build_shard_indexes(&shards, problem.config.kernel, t);
-    let truth: Q2Result<u128> = q2_sharded_with_algorithm(
-        &shards,
-        &indexes,
-        &shard_pins,
-        &problem.config,
+    let truth: Q2Result<u128> = q2_from_streams_with_algorithm(
+        &capture_streams(&shards, &indexes, &shard_pins, &problem.config),
         Q2Algorithm::Auto,
     );
     let got: Q2Result<u128> = remote

@@ -24,9 +24,7 @@ use cp_bench::{random_incomplete_dataset, Reporter};
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
 use cp_numeric::Possibility;
-use cp_rpc::{
-    encode_stream, encode_stream_raw, spawn_server, RpcCoordinator, RunningServer, ServerConfig,
-};
+use cp_rpc::{encode_stream, spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use cp_shard::{build_shard_indexes, ShardStream};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -115,22 +113,20 @@ fn main() {
     ));
 
     // scan streams — the dominant message class — travel delta-compressed;
-    // report what this workload's streams cost in each encoding
+    // report what this workload's streams cost on the wire
     {
         let shards_1 = problem.dataset.partition(1);
         let pins = Pins::none(problem.dataset.len());
         let k = problem.config.k_eff(problem.dataset.len());
-        let (mut delta, mut raw) = (0usize, 0usize);
+        let mut delta = 0usize;
         for t in problem.val_x.iter() {
             let indexes = build_shard_indexes(&shards_1, problem.config.kernel, t);
             let stream: ShardStream<f64> =
                 ShardStream::capture(&shards_1[0], &indexes[0], &pins, k);
             delta += encode_stream(&stream).len();
-            raw += encode_stream_raw(&stream).len();
         }
         r.note(&format!(
-            "scan streams on the wire: {delta} B delta vs {raw} B raw — {:.1}x smaller",
-            raw as f64 / delta as f64
+            "scan streams on the wire: {delta} B (delta encoding)"
         ));
     }
 

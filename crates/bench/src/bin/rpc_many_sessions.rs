@@ -16,8 +16,9 @@
 //! status is cross-checked against an **isolated** in-process
 //! [`CleaningSession`] run of the same order — concurrent tenants must be
 //! bit-indistinguishable from isolated runs. The run also reports the
-//! delta-vs-raw on-wire size of the workload's scan streams (the dominant
-//! message class) and asserts the ≥3× compression the codec is sized for.
+//! on-wire size of the workload's scan streams (the dominant message
+//! class); the codec's ≥3× compression floor is the unit test
+//! `codec::tests::delta_encoding_shrinks_the_dominant_message_class`.
 //!
 //! Per-fleet step counts and p50/p99 latencies come from the production
 //! `cp-obs` registry (snapshot diffs over the coordinator's
@@ -48,8 +49,8 @@ use cp_bench::{random_incomplete_dataset, Reporter};
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, Pins};
 use cp_rpc::{
-    encode_stream, encode_stream_raw, spawn_server, ClientConfig, FaultPlan, Request,
-    RpcCoordinator, ServerConfig, ShardClient,
+    encode_stream, spawn_server, ClientConfig, FaultPlan, Request, RpcCoordinator, ServerConfig,
+    ShardClient,
 };
 use cp_shard::{build_shard_indexes, ShardStream};
 use rand::prelude::*;
@@ -221,20 +222,19 @@ fn run_fleet(
     }
 }
 
-/// On-wire size of the workload's scan streams in both encodings — the
-/// delta codec must shrink the dominant message class at least 3×.
-fn wire_sizes(problem: &CleaningProblem) -> (usize, usize) {
+/// On-wire size of the workload's scan streams, one per validation point
+/// over the whole dataset.
+fn wire_bytes(problem: &CleaningProblem) -> usize {
     let shards = problem.dataset.partition(1);
     let pins = Pins::none(problem.dataset.len());
     let k = problem.config.k_eff(problem.dataset.len());
-    let (mut delta, mut raw) = (0usize, 0usize);
+    let mut delta = 0usize;
     for t in problem.val_x.iter() {
         let indexes = build_shard_indexes(&shards, problem.config.kernel, t);
         let stream: ShardStream<f64> = ShardStream::capture(&shards[0], &indexes[0], &pins, k);
         delta += encode_stream(&stream).len();
-        raw += encode_stream_raw(&stream).len();
     }
-    (delta, raw)
+    delta
 }
 
 fn main() {
@@ -273,15 +273,10 @@ fn main() {
         problem.dirty_rows().len()
     ));
 
-    // satellite: delta-compressed scan streams on this exact workload
-    let (delta_bytes, raw_bytes) = wire_sizes(&problem);
-    let ratio = raw_bytes as f64 / delta_bytes as f64;
-    assert!(
-        delta_bytes * 3 <= raw_bytes,
-        "delta encoding must shrink scan streams >= 3x (delta {delta_bytes} B, raw {raw_bytes} B)"
-    );
+    // delta-compressed scan streams on this exact workload
+    let delta_bytes = wire_bytes(&problem);
     r.note(&format!(
-        "scan streams on the wire: {delta_bytes} B delta vs {raw_bytes} B raw — {ratio:.1}x smaller"
+        "scan streams on the wire: {delta_bytes} B (delta encoding)"
     ));
 
     let (addr, server) = match connect {
@@ -444,7 +439,7 @@ fn main() {
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"n_cpus\": {n_cpus},\n"));
     json.push_str(&format!(
-        "  \"scan_stream_bytes\": {{\"delta\": {delta_bytes}, \"raw\": {raw_bytes}, \"ratio\": {ratio:.2}}},\n"
+        "  \"scan_stream_bytes\": {{\"delta\": {delta_bytes}}},\n"
     ));
     json.push_str(&format!(
         "  \"stats_endpoint\": {{\"server_steps\": {served_steps}, \"busy_rejections\": {busy}, \

@@ -1,7 +1,8 @@
 //! The hand-rolled frame codec: length-prefixed frames over any
 //! `Read`/`Write` transport, plus the binary encodings of every value the
-//! shard protocol ships — [`ShardFactors`], [`Pins`], CP status bit
-//! vectors, and whole batched [`ShardStream`]s.
+//! shard protocol ships — [`Pins`], CP status bit vectors, extreme
+//! summaries, and whole batched [`ShardStream`]s and [`SweptStream`]s. Each
+//! message has exactly one layout.
 //!
 //! ## Frame format
 //!
@@ -96,12 +97,6 @@ pub fn write_frame_tagged<W: Write>(w: &mut W, req_id: u32, payload: &[u8]) -> R
     Ok(())
 }
 
-/// [`write_frame_tagged`] with request id 0 — for callers outside the
-/// pipelined request/response pairing (tests, one-shot tools).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> RpcResult<()> {
-    write_frame_tagged(w, 0, payload)
-}
-
 /// Read one frame, returning its request id and payload. Truncated input
 /// (including EOF midway through the header) and oversized announcements
 /// are typed errors.
@@ -114,12 +109,6 @@ pub fn read_frame_tagged<R: Read>(r: &mut R) -> RpcResult<(u32, Vec<u8>)> {
     read_frame_opt_tagged(r)?.ok_or(RpcError::Truncated {
         context: "frame length prefix",
     })
-}
-
-/// [`read_frame_tagged`], discarding the request id — for callers outside
-/// the pipelined pairing.
-pub fn read_frame<R: Read>(r: &mut R) -> RpcResult<Vec<u8>> {
-    Ok(read_frame_tagged(r)?.1)
 }
 
 /// [`read_frame_tagged`], distinguishing an **orderly EOF** — the transport
@@ -163,11 +152,6 @@ pub fn read_frame_opt_tagged<R: Read>(r: &mut R) -> RpcResult<Option<(u32, Vec<u
         )));
     }
     Ok(Some((req_id, payload)))
-}
-
-/// [`read_frame_opt_tagged`], discarding the request id.
-pub fn read_frame_opt<R: Read>(r: &mut R) -> RpcResult<Option<Vec<u8>>> {
-    Ok(read_frame_opt_tagged(r)?.map(|(_, payload)| payload))
 }
 
 fn read_exact_or_truncated<R: Read>(
@@ -337,99 +321,16 @@ pub fn get_status_bits(r: &mut Reader<'_>) -> RpcResult<Vec<bool>> {
 }
 
 // ---------------------------------------------------------------------------
-// Vectors of feature vectors (Open payloads)
-// ---------------------------------------------------------------------------
-
-/// Append a list of feature vectors (count, then per-vector dim + values).
-pub fn put_points(out: &mut Vec<u8>, points: &[Vec<f64>]) {
-    put_u32(out, points.len() as u32);
-    for p in points {
-        put_u32(out, p.len() as u32);
-        for &v in p {
-            put_f64(out, v);
-        }
-    }
-}
-
-/// Read a list of feature vectors.
-pub fn get_points(r: &mut Reader<'_>) -> RpcResult<Vec<Vec<f64>>> {
-    let n = r.count(4, "points")?;
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        let dim = r.count(8, "point dim")?;
-        let mut p = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            p.push(r.f64("feature")?);
-        }
-        points.push(p);
-    }
-    Ok(points)
-}
-
-// ---------------------------------------------------------------------------
-// ShardFactors
-// ---------------------------------------------------------------------------
-
-fn put_factors_body<S: WireSemiring>(out: &mut Vec<u8>, factors: &ShardFactors<S>) {
-    put_u32(out, factors.k() as u32);
-    put_u32(out, factors.n_labels() as u32);
-    for poly in factors.polys() {
-        for c in poly {
-            c.put(out);
-        }
-    }
-}
-
-fn get_factors_body<S: WireSemiring>(r: &mut Reader<'_>) -> RpcResult<ShardFactors<S>> {
-    let k = r.u32("factor slot budget")? as usize;
-    let n_labels = r.u32("factor label count")? as usize;
-    let scalars = n_labels.saturating_mul(k + 1);
-    if scalars.saturating_mul(S::MIN_SCALAR_BYTES) > r.remaining() {
-        return Err(RpcError::Truncated {
-            context: "factor polynomials",
-        });
-    }
-    let mut polys = Vec::with_capacity(n_labels);
-    for _ in 0..n_labels {
-        let mut poly = Vec::with_capacity(k + 1);
-        for _ in 0..=k {
-            poly.push(S::get(r)?);
-        }
-        polys.push(poly);
-    }
-    Ok(ShardFactors::from_polys(polys, k))
-}
-
-/// Encode a [`ShardFactors`] value (self-tagged with its semiring).
-pub fn encode_factors<S: WireSemiring>(factors: &ShardFactors<S>) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u8(&mut out, S::TAG);
-    put_factors_body(&mut out, factors);
-    out
-}
-
-/// Decode a [`ShardFactors`] value, checking the semiring tag.
-pub fn decode_factors<S: WireSemiring>(buf: &[u8]) -> RpcResult<ShardFactors<S>> {
-    let mut r = Reader::new(buf);
-    check_semiring_tag::<S>(&mut r)?;
-    let factors = get_factors_body::<S>(&mut r)?;
-    r.finish("shard factors")?;
-    Ok(factors)
-}
-
-// ---------------------------------------------------------------------------
 // ShardStream — the per-scan batched event stream
 // ---------------------------------------------------------------------------
 
-/// Stream encoding version byte: the fixed-width layout every field at its
-/// natural size.
-const STREAM_V_RAW: u8 = 1;
 /// Stream encoding version byte: the delta+varint+dictionary layout —
 /// zigzag-varint deltas for the (near-sorted) sim/row keys, varints for
 /// candidates and labels, and every semiring scalar replaced by a varint
 /// index into a per-stream dictionary of distinct scalars (boundary events
 /// repeat polynomial coefficients heavily — a row's events share its
 /// excluding polynomial, and tally counts recur across boundaries).
+/// Version 1, a retired fixed-width layout, decodes as a bad tag.
 const STREAM_V_DELTA: u8 = 2;
 /// Stream encoding version byte: a swept stream ([`encode_swept`]) — the
 /// swept row's global id, its candidate similarities and the owner's
@@ -469,10 +370,9 @@ impl ScalarInterner {
 
 /// Encode a whole batched [`ShardStream`] — one scan's worth of
 /// locally-sorted boundary events with factor deltas, the message that
-/// replaces one round-trip per boundary event. This is the delta
-/// encoding (version 2), the wire default; [`encode_stream_raw`]
-/// keeps the fixed-width layout for size comparisons, and
-/// [`decode_stream`] accepts both.
+/// replaces one round-trip per boundary event, in the delta encoding
+/// (version 2). Every byte it produces adds to the
+/// `rpc.codec.stream_bytes_delta` counter.
 pub fn encode_stream<S: WireSemiring>(stream: &ShardStream<S>) -> Vec<u8> {
     let k = stream.initial.k();
     let mut interner = ScalarInterner::new();
@@ -515,130 +415,25 @@ pub fn encode_stream<S: WireSemiring>(stream: &ShardStream<S>) -> Vec<u8> {
     put_varint_u64(&mut out, interner.ids.len() as u64);
     out.extend_from_slice(&interner.dict);
     out.extend_from_slice(&body);
-    // running compression accounting: delta bytes actually produced vs what
-    // the fixed-width raw layout would have cost (arithmetic — every wire
-    // semiring is fixed-width, so no second encode is needed)
-    let delta_total = cp_obs::counter!("rpc.codec.stream_bytes_delta");
-    let raw_total = cp_obs::counter!("rpc.codec.stream_bytes_raw");
-    delta_total.add(out.len() as u64);
-    raw_total.add(raw_stream_size(stream) as u64);
-    let (d, r) = (delta_total.get(), raw_total.get());
-    if d > 0 {
-        cp_obs::gauge!("rpc.codec.stream_compression_ratio").set(r as f64 / d as f64);
-    }
+    cp_obs::counter!("rpc.codec.stream_bytes_delta").add(out.len() as u64);
     out
 }
 
-/// The exact byte size [`encode_stream_raw`] would produce for `stream`,
-/// computed arithmetically: every [`WireSemiring`] is fixed-width
-/// (`MIN_SCALAR_BYTES` is its exact scalar size), so the raw layout's size
-/// is `header + factors + total + count + events × event_size` with no
-/// encoding pass. [`encode_stream`] uses this to keep the live
-/// compression-ratio gauge at zero marginal cost.
-pub fn raw_stream_size<S: WireSemiring>(stream: &ShardStream<S>) -> usize {
-    let k = stream.initial.k();
-    let n_labels = stream.initial.n_labels();
-    let sb = S::MIN_SCALAR_BYTES;
-    // tag + version, factors body (k + n_labels + polys), total, event count
-    2 + (8 + n_labels * (k + 1) * sb)
-        + sb
-        + 4
-        + stream.events.len() * (8 + 8 + 4 + 4 + (2 * (k + 1) + 1) * sb)
-}
-
-/// Encode a batched [`ShardStream`] in the fixed-width raw (version 1)
-/// layout — every key at its natural size, every scalar inline. Kept so
-/// benches can report the delta encoding's on-wire reduction against it;
-/// [`decode_stream`] accepts either version.
-pub fn encode_stream_raw<S: WireSemiring>(stream: &ShardStream<S>) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u8(&mut out, S::TAG);
-    put_u8(&mut out, STREAM_V_RAW);
-    put_factors_body(&mut out, &stream.initial);
-    stream.total.put(&mut out);
-    put_u32(&mut out, stream.events.len() as u32);
-    for ev in &stream.events {
-        put_f64(&mut out, ev.sim);
-        put_usize(&mut out, ev.row);
-        put_u32(&mut out, ev.cand);
-        put_u32(&mut out, ev.event.label as u32);
-        debug_assert_eq!(ev.event.updated_poly.len(), stream.initial.k() + 1);
-        debug_assert_eq!(ev.event.excluding_poly.len(), stream.initial.k() + 1);
-        for c in &ev.event.updated_poly {
-            c.put(&mut out);
-        }
-        for c in &ev.event.excluding_poly {
-            c.put(&mut out);
-        }
-        ev.event.boundary_mass.put(&mut out);
-    }
-    out
-}
-
-/// Decode a batched [`ShardStream`] in either stream-encoding version,
-/// checking the semiring tag, label ranges, dictionary indexes and
-/// polynomial shapes.
+/// Decode a batched [`ShardStream`], checking the semiring tag, the
+/// version byte (any but version 2 is a [`RpcError::BadTag`]), label
+/// ranges, dictionary indexes and polynomial shapes.
 pub fn decode_stream<S: WireSemiring>(buf: &[u8]) -> RpcResult<ShardStream<S>> {
     let mut r = Reader::new(buf);
     check_semiring_tag::<S>(&mut r)?;
     match r.u8("stream version")? {
-        STREAM_V_RAW => decode_stream_raw_body(r),
-        STREAM_V_DELTA => decode_stream_delta_body(r),
-        tag => Err(RpcError::BadTag {
-            what: "stream version",
-            tag,
-        }),
+        STREAM_V_DELTA => {}
+        tag => {
+            return Err(RpcError::BadTag {
+                what: "stream version",
+                tag,
+            })
+        }
     }
-}
-
-fn decode_stream_raw_body<S: WireSemiring>(mut r: Reader<'_>) -> RpcResult<ShardStream<S>> {
-    let initial = get_factors_body::<S>(&mut r)?;
-    let (k, n_labels) = (initial.k(), initial.n_labels());
-    let total = S::get(&mut r)?;
-    // each event carries ≥ 24 bytes of key plus 2(k+1)+1 scalars
-    let min_event = 24 + (2 * (k + 1) + 1) * S::MIN_SCALAR_BYTES;
-    let n_events = r.count(min_event, "stream events")?;
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        let sim = r.f64("event similarity")?;
-        let row = r.usize("event row")?;
-        let cand = r.u32("event candidate")?;
-        let label = r.u32("event label")? as usize;
-        if label >= n_labels {
-            return Err(RpcError::Malformed(format!(
-                "event label {label} out of range for {n_labels} labels"
-            )));
-        }
-        let mut updated_poly = Vec::with_capacity(k + 1);
-        for _ in 0..=k {
-            updated_poly.push(S::get(&mut r)?);
-        }
-        let mut excluding_poly = Vec::with_capacity(k + 1);
-        for _ in 0..=k {
-            excluding_poly.push(S::get(&mut r)?);
-        }
-        let boundary_mass = S::get(&mut r)?;
-        events.push(ShardStreamEvent {
-            sim,
-            row,
-            cand,
-            event: BoundaryEvent {
-                label,
-                updated_poly,
-                excluding_poly,
-                boundary_mass,
-            },
-        });
-    }
-    r.finish("shard stream")?;
-    Ok(ShardStream {
-        initial,
-        total,
-        events,
-    })
-}
-
-fn decode_stream_delta_body<S: WireSemiring>(mut r: Reader<'_>) -> RpcResult<ShardStream<S>> {
     let k = r.u32("stream slot budget")? as usize;
     let n_labels = r.u32("stream label count")? as usize;
     let n_events = usize::try_from(r.varint_u64("stream events")?)
@@ -864,13 +659,13 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let mut transport = Vec::new();
-        write_frame(&mut transport, b"hello").unwrap();
-        write_frame(&mut transport, b"").unwrap();
+        write_frame_tagged(&mut transport, 1, b"hello").unwrap();
+        write_frame_tagged(&mut transport, 2, b"").unwrap();
         let mut r = Cursor::new(transport);
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
+        assert_eq!(read_frame_tagged(&mut r).unwrap(), (1, b"hello".to_vec()));
+        assert_eq!(read_frame_tagged(&mut r).unwrap(), (2, Vec::new()));
         assert!(matches!(
-            read_frame(&mut r),
+            read_frame_tagged(&mut r),
             Err(RpcError::Truncated { .. })
         ));
     }
@@ -879,20 +674,20 @@ mod tests {
     fn orderly_eof_is_distinguished_from_truncation() {
         // zero bytes at a frame boundary: orderly disconnect
         let mut empty = Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame_opt(&mut empty), Ok(None)));
+        assert!(matches!(read_frame_opt_tagged(&mut empty), Ok(None)));
         // a partial length prefix is a real truncation
         let mut partial = Cursor::new(vec![0u8, 0]);
         assert!(matches!(
-            read_frame_opt(&mut partial),
+            read_frame_opt_tagged(&mut partial),
             Err(RpcError::Truncated { .. })
         ));
         // a full prefix with a cut-off payload too
         let mut transport = Vec::new();
-        write_frame(&mut transport, b"abcdef").unwrap();
+        write_frame_tagged(&mut transport, 0, b"abcdef").unwrap();
         transport.truncate(7);
         let mut r = Cursor::new(transport);
         assert!(matches!(
-            read_frame_opt(&mut r),
+            read_frame_opt_tagged(&mut r),
             Err(RpcError::Truncated { .. })
         ));
     }
@@ -920,20 +715,25 @@ mod tests {
         bytes.extend_from_slice(&[0; 16]);
         let mut r = Cursor::new(bytes);
         assert!(matches!(
-            read_frame(&mut r),
+            read_frame_tagged(&mut r),
             Err(RpcError::FrameTooLarge { .. })
         ));
     }
 
     #[test]
     fn factors_reject_wrong_semiring() {
-        let f = ShardFactors::<u128>::identity(2, 1);
-        let bytes = encode_factors(&f);
+        // a stream's opening factors carry its semiring tag
+        let stream = ShardStream {
+            initial: ShardFactors::<u128>::identity(2, 1),
+            total: 1,
+            events: Vec::new(),
+        };
+        let bytes = encode_stream(&stream);
         assert!(matches!(
-            decode_factors::<f64>(&bytes),
+            decode_stream::<f64>(&bytes),
             Err(RpcError::Protocol(_))
         ));
-        assert_eq!(decode_factors::<u128>(&bytes).unwrap(), f);
+        assert_eq!(decode_stream::<u128>(&bytes).unwrap(), stream);
     }
 
     #[test]
@@ -997,14 +797,41 @@ mod tests {
         }
     }
 
+    /// The byte size of the retired fixed-width stream layout: every key at
+    /// its natural size and every scalar inline (every [`WireSemiring`] is
+    /// fixed-width, `MIN_SCALAR_BYTES` its exact scalar size) — the baseline
+    /// the delta encoding's compression floor is measured against.
+    fn raw_stream_size<S: WireSemiring>(stream: &ShardStream<S>) -> usize {
+        let k = stream.initial.k();
+        let n_labels = stream.initial.n_labels();
+        let sb = S::MIN_SCALAR_BYTES;
+        // tag + version, factors (k + n_labels + polys), total, event count
+        2 + (8 + n_labels * (k + 1) * sb)
+            + sb
+            + 4
+            + stream.events.len() * (8 + 8 + 4 + 4 + (2 * (k + 1) + 1) * sb)
+    }
+
+    /// Both stream encodings — a plain stream and a swept stream around
+    /// it — round-trip exactly.
     #[test]
     fn stream_round_trips_in_both_encodings() {
         for n in [0usize, 1, 7, 64] {
             let stream = representative_stream(n);
-            let delta = encode_stream(&stream);
-            assert_eq!(decode_stream::<f64>(&delta).unwrap(), stream, "delta n={n}");
-            let raw = encode_stream_raw(&stream);
-            assert_eq!(decode_stream::<f64>(&raw).unwrap(), stream, "raw n={n}");
+            let bytes = encode_stream(&stream);
+            assert_eq!(
+                decode_stream::<f64>(&bytes).unwrap(),
+                stream,
+                "stream n={n}"
+            );
+            let swept = SweptStream {
+                stream,
+                row: 40,
+                sims: vec![0.5, -1.25, 3.0],
+                pinned_total: 4.0,
+            };
+            let bytes = encode_swept(&swept);
+            assert_eq!(decode_swept::<f64>(&bytes).unwrap(), swept, "swept n={n}");
         }
     }
 
@@ -1012,78 +839,30 @@ mod tests {
     fn delta_encoding_shrinks_the_dominant_message_class() {
         let stream = representative_stream(256);
         let delta = encode_stream(&stream).len();
-        let raw = encode_stream_raw(&stream).len();
+        let raw = raw_stream_size(&stream);
         assert!(
             delta * 3 <= raw,
-            "delta encoding {delta}B should be ≤ 1/3 of raw {raw}B"
-        );
-    }
-
-    #[test]
-    fn raw_stream_size_matches_the_raw_encoder_exactly() {
-        for n in [0usize, 1, 7, 64] {
-            let stream = representative_stream(n);
-            assert_eq!(
-                raw_stream_size(&stream),
-                encode_stream_raw(&stream).len(),
-                "f64 n={n}"
-            );
-        }
-        // the other two wire semirings (different MIN_SCALAR_BYTES)
-        let u_stream: ShardStream<u128> = ShardStream {
-            initial: ShardFactors::from_polys(vec![vec![1, 2, 0], vec![1, 1, 1]], 2),
-            total: 9,
-            events: vec![ShardStreamEvent {
-                sim: 0.5,
-                row: 3,
-                cand: 1,
-                event: BoundaryEvent {
-                    label: 1,
-                    updated_poly: vec![1, 2, 3],
-                    excluding_poly: vec![1, 0, 0],
-                    boundary_mass: 2,
-                },
-            }],
-        };
-        assert_eq!(
-            raw_stream_size(&u_stream),
-            encode_stream_raw(&u_stream).len()
-        );
-        use cp_numeric::Possibility;
-        let p = Possibility(true);
-        let q = Possibility(false);
-        let p_stream: ShardStream<Possibility> = ShardStream {
-            initial: ShardFactors::from_polys(vec![vec![p, q], vec![p, p]], 1),
-            total: p,
-            events: vec![ShardStreamEvent {
-                sim: 0.25,
-                row: 0,
-                cand: 0,
-                event: BoundaryEvent {
-                    label: 0,
-                    updated_poly: vec![p, q],
-                    excluding_poly: vec![p, p],
-                    boundary_mass: q,
-                },
-            }],
-        };
-        assert_eq!(
-            raw_stream_size(&p_stream),
-            encode_stream_raw(&p_stream).len()
+            "delta encoding {delta}B should be ≤ 1/3 of the fixed-width {raw}B"
         );
     }
 
     #[test]
     fn unknown_stream_version_is_a_bad_tag() {
-        let mut bytes = encode_stream(&representative_stream(2));
-        bytes[1] = 9; // byte 0 is the semiring tag, byte 1 the version
-        assert!(matches!(
-            decode_stream::<f64>(&bytes),
-            Err(RpcError::BadTag {
-                what: "stream version",
-                ..
-            })
-        ));
+        // version 1 is the retired fixed-width layout
+        for version in [1, 9] {
+            let mut bytes = encode_stream(&representative_stream(2));
+            bytes[1] = version; // byte 0 is the semiring tag, byte 1 the version
+            assert!(
+                matches!(
+                    decode_stream::<f64>(&bytes),
+                    Err(RpcError::BadTag {
+                        what: "stream version",
+                        tag,
+                    }) if tag == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]

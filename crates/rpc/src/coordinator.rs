@@ -27,8 +27,9 @@
 //! owner's mask, and the row's two leaf states are its label's merged
 //! polynomial as it is and shifted up one degree. The coordinator's status
 //! vectors, greedy choices and cleaned orders are **identical** to
-//! `CleaningSession`'s, and its Q2 counts to the live merged scan's bit
-//! for bit — property-tested over real loopback sockets in
+//! `CleaningSession`'s, and its Q2 counts to the merge of the same shards'
+//! streams captured in process (`cp_shard::q2_from_streams_with_algorithm`)
+//! bit for bit — property-tested over real loopback sockets in
 //! `tests/rpc_equivalence.rs`; every swept entropy is bit for bit the
 //! merged scan with the owner's stream under that one pin (the per-pin
 //! oracle in this module's tests).
@@ -691,19 +692,14 @@ impl ShardClient {
         (out, failure.map_or(Ok(()), Err))
     }
 
-    /// Request one rank-ordered extreme summary — the binary-Q1 status
-    /// exchange: `O(|Y|·K)` entries instead of a whole scan stream.
-    pub fn extreme_summary(
-        &mut self,
-        val: usize,
-        k: usize,
-        pins: Option<&Pins>,
-    ) -> RpcResult<ExtremeSummary> {
+    /// Request one rank-ordered extreme summary under the session's
+    /// current pins — the binary-Q1 status exchange: `O(|Y|·K)` entries
+    /// instead of a whole scan stream.
+    pub fn extreme_summary(&mut self, val: usize, k: usize) -> RpcResult<ExtremeSummary> {
         let req = Request::ExtremeSummary {
             session: self.session,
             val: val as u32,
             k: k as u32,
-            pins: pins.cloned(),
         };
         match self.call(&req)? {
             Response::Summary(bytes) => decode_summary(&bytes),
@@ -1383,12 +1379,7 @@ impl RpcCoordinator {
             let status_reqs = vals.iter().map(|&v| {
                 let val = v as u32;
                 if summaries {
-                    Request::ExtremeSummary {
-                        session,
-                        val,
-                        k,
-                        pins: None,
-                    }
+                    Request::ExtremeSummary { session, val, k }
                 } else {
                     Request::Scan {
                         session,

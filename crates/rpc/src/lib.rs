@@ -3,8 +3,9 @@
 //! `cp-shard` made a single CP query partition-parallel and left the seams
 //! message-shaped: a worker owns one [`cp_core::DatasetShard`] plus a
 //! shard-local [`cp_clean::CleaningSession`] (state that never needs to
-//! leave the worker), and the coordinator's exchange per scan is compact
-//! polynomial factors and boundary keys. This crate turns those seams into
+//! leave the worker), and the coordinator's exchange per scan is one
+//! recorded [`cp_shard::ShardStream`] of boundary keys and compact
+//! polynomial factors. This crate turns those seams into
 //! an actual wire protocol over `std::net::TcpStream` — no external
 //! dependencies, a hand-rolled length-prefixed frame codec — and is the one
 //! sharded cleaning engine: in one process, the shard servers run on
@@ -17,8 +18,9 @@
 //!   [`codec::MAX_FRAME_LEN`], then a `u32` request id the server echoes on
 //!   the response so clients can pipeline, then a CRC32 trailer; one
 //!   `write` per frame, buffered reads), and serializers for
-//!   [`cp_core::ShardFactors`], [`cp_core::Pins`], CP status bit vectors
-//!   and whole batched [`cp_shard::ShardStream`]s. Wire semirings: exact
+//!   [`cp_core::Pins`], CP status bit vectors, extreme summaries and whole
+//!   batched [`cp_shard::ShardStream`]s, one layout per message. Wire
+//!   semirings: exact
 //!   `u128`, probability-space `f64`, and the boolean
 //!   [`cp_numeric::Possibility`] ([`codec::WireSemiring`]).
 //! * [`proto`] — the message schema: `Open`, `Scan`, `SweptScan`,
@@ -56,8 +58,9 @@
 //!   `status()` / `run_to_convergence()` / `run_order()` engine surface.
 //!   Status vectors and cleaning orders are *identical* to
 //!   [`cp_clean::CleaningSession`]'s, and Q2 counts to
-//!   [`cp_shard::q2_sharded_with_algorithm`]'s bit for bit —
-//!   property-tested over real loopback sockets.
+//!   [`cp_shard::q2_from_streams_with_algorithm`]'s over the same shards'
+//!   captured streams, bit for bit — property-tested over real loopback
+//!   sockets.
 //! * [`spill`] — the out-of-core seam over `cp-store`: a cached base
 //!   stream past [`coordinator::ClientConfig::spill_threshold`] (env
 //!   `CP_SPILL_THRESHOLD`) is written to an immutable on-disk run as the
@@ -102,8 +105,8 @@
 //! Every layer records into the process-wide `cp-obs` registry: the server
 //! keeps per-request-type latency histograms, byte counters, per-session
 //! step/scan counts, queue-depth gauges and `Busy`/malformed/first-frame
-//! drop counters; [`codec::encode_stream`] maintains live delta-vs-raw
-//! compression gauges (see [`codec::raw_stream_size`]); the client tracks
+//! drop counters; [`codec::encode_stream`] counts the stream bytes it
+//! produces (`rpc.codec.stream_bytes_delta`); the client tracks
 //! per-peer RTT histograms, reconnect/retry/timeout counters and
 //! pipeline-window occupancy. The `Stats` request (session-optional) ships
 //! an encoded `cp_obs::Snapshot` to any client via
@@ -124,10 +127,8 @@ pub mod spill;
 pub mod wire;
 
 pub use codec::{
-    decode_factors, decode_stream, decode_summary, decode_swept, encode_factors, encode_stream,
-    encode_stream_raw, encode_summary, encode_swept, raw_stream_size, read_frame, read_frame_opt,
-    read_frame_opt_tagged, read_frame_tagged, write_frame, write_frame_tagged, WireSemiring,
-    FRAME_OVERHEAD,
+    decode_stream, decode_summary, decode_swept, encode_stream, encode_summary, encode_swept,
+    read_frame_opt_tagged, read_frame_tagged, write_frame_tagged, WireSemiring, FRAME_OVERHEAD,
 };
 pub use coordinator::{ClientConfig, RpcCoordinator, ShardClient};
 pub use error::{RpcError, RpcResult};

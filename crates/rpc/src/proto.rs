@@ -42,14 +42,8 @@
 //! [`Response::Busy`] — retryable, unlike an error; transport and codec
 //! failures are [`crate::RpcError`]s on either side.
 
-#[cfg(test)]
-use crate::codec::put_points;
-use crate::codec::{
-    get_kernel, get_pins, get_points, get_status_bits, put_kernel, put_pins, put_status_bits,
-};
+use crate::codec::{get_kernel, get_pins, get_status_bits, put_kernel, put_pins, put_status_bits};
 use crate::error::{RpcError, RpcResult};
-#[cfg(test)]
-use crate::wire::put_opt_u32;
 use crate::wire::{put_u32, put_u64, put_u8, put_usize, put_varint_u64, put_zigzag_i64, Reader};
 use cp_core::Pins;
 use cp_knn::{Kernel, Label};
@@ -127,8 +121,9 @@ pub enum Request {
         row: u32,
     },
     /// Compute one rank-ordered extreme summary for validation point `val`
-    /// — the binary-Q1 MM fast path's `O(|Y|·K)` exchange, replacing the
-    /// whole boundary-event stream for status checks.
+    /// under the session's current pins — the binary-Q1 MM fast path's
+    /// `O(|Y|·K)` exchange, replacing the whole boundary-event stream for
+    /// status checks.
     ExtremeSummary {
         /// The session to summarize.
         session: SessionId,
@@ -136,9 +131,6 @@ pub enum Request {
         val: u32,
         /// The **global** effective K (how many top entries to keep).
         k: u32,
-        /// Shard-local pin mask override; `None` summarizes under the
-        /// server session's current pins.
-        pins: Option<Pins>,
     },
     /// Clean one shard-local row (pin it to its ground-truth candidate).
     ///
@@ -275,11 +267,10 @@ const REQ_PING: u8 = 10;
 const REQ_DEADLINE: u8 = 11;
 const REQ_SWEPT_SCAN: u8 = 12;
 
-/// `Open` payload layout versions — the byte after the `REQ_OPEN` tag.
+/// `Open` payload layout version — the byte after the `REQ_OPEN` tag.
 /// `Open` is the largest single message of the protocol (it carries the
-/// whole candidate grid), so like scan streams it travels delta-compressed
-/// by default; the raw layout stays decodable behind its own version byte.
-const OPEN_V_RAW: u8 = 1;
+/// whole candidate grid), so like scan streams it travels delta-compressed.
+/// Version 1, a retired fixed-width layout, decodes as a bad tag.
 const OPEN_V_DELTA: u8 = 2;
 
 const RESP_OK: u8 = 1;
@@ -292,23 +283,6 @@ const RESP_BUSY: u8 = 7;
 const RESP_STATS: u8 = 8;
 const RESP_EXPIRED: u8 = 9;
 const RESP_SWEPT: u8 = 10;
-
-#[cfg(test)]
-fn put_choices(out: &mut Vec<u8>, choices: &[Option<u32>]) {
-    put_u32(out, choices.len() as u32);
-    for &c in choices {
-        put_opt_u32(out, c);
-    }
-}
-
-fn get_choices(r: &mut Reader<'_>) -> RpcResult<Vec<Option<u32>>> {
-    let n = r.count(1, "choices")?;
-    let mut choices = Vec::with_capacity(n);
-    for _ in 0..n {
-        choices.push(r.opt_u32("choice")?);
-    }
-    Ok(choices)
-}
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
@@ -327,8 +301,8 @@ fn get_string(r: &mut Reader<'_>) -> RpcResult<String> {
 /// *in the same feature column* (`prev[j]` runs across the whole payload).
 /// A feature's values cluster tightly across rows — and a dirty cell's
 /// candidates are imputations of the same quantity — so the column-wise
-/// bit-pattern deltas are short varints where the raw layout spends a
-/// fixed 8 bytes per value.
+/// bit-pattern deltas are short varints where a fixed-width layout spends 8
+/// bytes per value.
 fn put_delta_points(out: &mut Vec<u8>, points: &[Vec<f64>], prev: &mut Vec<u64>) {
     put_varint_u64(out, points.len() as u64);
     for p in points {
@@ -426,74 +400,13 @@ pub(crate) fn put_open(out: &mut Vec<u8>, open: &OpenShard, n_threads: usize) {
     put_varint_choices(out, &open.default_choice);
 }
 
-/// The fixed-width v1 layout, kept encodable for the version-compatibility
-/// tests and as the arithmetic ground truth for the byte-accounting
-/// counters.
-#[cfg(test)]
-pub(crate) fn put_open_raw(out: &mut Vec<u8>, open: &OpenShard, n_threads: usize) {
-    put_u8(out, REQ_OPEN);
-    put_u8(out, OPEN_V_RAW);
-    put_usize(out, open.start);
-    put_u32(out, open.n_labels as u32);
-    put_u32(out, open.k as u32);
-    put_kernel(out, open.kernel);
-    put_u32(out, n_threads as u32);
-    put_u32(out, open.examples.len() as u32);
-    for (label, candidates) in &open.examples {
-        put_u32(out, *label as u32);
-        put_points(out, candidates);
-    }
-    put_points(out, &open.val_x);
-    put_choices(out, &open.truth_choice);
-    put_choices(out, &open.default_choice);
-}
-
-/// Size of [`put_open_raw`]'s encoding, computed arithmetically (no
-/// encode) — the "bytes we did not send" side of the compression counters.
-fn raw_open_size(open: &OpenShard) -> usize {
-    let points = |ps: &[Vec<f64>]| 4 + ps.iter().map(|p| 4 + 8 * p.len()).sum::<usize>();
-    let choices = |cs: &[Option<u32>]| {
-        4 + cs
-            .iter()
-            .map(|c| 1 + 4 * c.is_some() as usize)
-            .sum::<usize>()
-    };
-    let kernel = match open.kernel {
-        Kernel::Rbf { .. } => 9,
-        _ => 1,
-    };
-    2 + 8
-        + 4
-        + 4
-        + kernel
-        + 4
-        + 4
-        + open
-            .examples
-            .iter()
-            .map(|(_, c)| 4 + points(c))
-            .sum::<usize>()
-        + points(&open.val_x)
-        + choices(&open.truth_choice)
-        + choices(&open.default_choice)
-}
-
 /// Encode a request into a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
     match req {
         Request::Open(open) => {
             put_open(&mut out, open, open.n_threads);
-            // byte accounting, mirroring the stream codec's counters: what
-            // went on the wire vs what the fixed-width layout would have cost
-            let delta_total = cp_obs::counter!("rpc.codec.open_bytes_delta");
-            let raw_total = cp_obs::counter!("rpc.codec.open_bytes_raw");
-            delta_total.add(out.len() as u64);
-            raw_total.add(raw_open_size(open) as u64);
-            let (d, r) = (delta_total.get(), raw_total.get());
-            if d > 0 {
-                cp_obs::gauge!("rpc.codec.open_compression_ratio").set(r as f64 / d as f64);
-            }
+            cp_obs::counter!("rpc.codec.open_bytes_delta").add(out.len() as u64);
         }
         Request::Scan {
             session,
@@ -531,23 +444,11 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u32(&mut out, *row);
             put_pins(&mut out, pins);
         }
-        Request::ExtremeSummary {
-            session,
-            val,
-            k,
-            pins,
-        } => {
+        Request::ExtremeSummary { session, val, k } => {
             put_u8(&mut out, REQ_EXTREME_SUMMARY);
             put_u64(&mut out, *session);
             put_u32(&mut out, *val);
             put_u32(&mut out, *k);
-            match pins {
-                None => put_u8(&mut out, 0),
-                Some(p) => {
-                    put_u8(&mut out, 1);
-                    put_pins(&mut out, p);
-                }
-            }
         }
         Request::Step {
             session,
@@ -592,34 +493,6 @@ pub fn decode_request(buf: &[u8]) -> RpcResult<Request> {
     let mut r = Reader::new(buf);
     let req = match r.u8("request tag")? {
         REQ_OPEN => match r.u8("open version")? {
-            OPEN_V_RAW => {
-                let start = r.usize("shard start")?;
-                let n_labels = r.u32("n_labels")? as usize;
-                let k = r.u32("config k")? as usize;
-                let kernel = get_kernel(&mut r)?;
-                let n_threads = r.u32("n_threads")? as usize;
-                let n_examples = r.count(5, "examples")?;
-                let mut examples = Vec::with_capacity(n_examples);
-                for _ in 0..n_examples {
-                    let label = r.u32("example label")? as Label;
-                    let candidates = get_points(&mut r)?;
-                    examples.push((label, candidates));
-                }
-                let val_x = get_points(&mut r)?;
-                let truth_choice = get_choices(&mut r)?;
-                let default_choice = get_choices(&mut r)?;
-                Request::Open(Box::new(OpenShard {
-                    start,
-                    n_labels,
-                    k,
-                    kernel,
-                    n_threads,
-                    examples,
-                    val_x,
-                    truth_choice,
-                    default_choice,
-                }))
-            }
             OPEN_V_DELTA => {
                 let start = r.varint_u64("shard start")? as usize;
                 let n_labels = r.varint_u64("n_labels")? as usize;
@@ -695,27 +568,11 @@ pub fn decode_request(buf: &[u8]) -> RpcResult<Request> {
                 row,
             }
         }
-        REQ_EXTREME_SUMMARY => {
-            let session = r.u64("summary session")?;
-            let val = r.u32("summary val")?;
-            let k = r.u32("summary k")?;
-            let pins = match r.u8("summary pins flag")? {
-                0 => None,
-                1 => Some(get_pins(&mut r)?),
-                tag => {
-                    return Err(RpcError::BadTag {
-                        what: "summary pins flag",
-                        tag,
-                    })
-                }
-            };
-            Request::ExtremeSummary {
-                session,
-                val,
-                k,
-                pins,
-            }
-        }
+        REQ_EXTREME_SUMMARY => Request::ExtremeSummary {
+            session: r.u64("summary session")?,
+            val: r.u32("summary val")?,
+            k: r.u32("summary k")?,
+        },
         REQ_STEP => Request::Step {
             session: r.u64("step session")?,
             local_row: r.u32("step row")?,
@@ -900,13 +757,6 @@ mod tests {
                 session: 2,
                 val: 2,
                 k: 3,
-                pins: Some(Pins::from_pairs(3, &[(0, 1)])),
-            },
-            Request::ExtremeSummary {
-                session: 1,
-                val: 0,
-                k: 1,
-                pins: None,
             },
             Request::Step {
                 session: 3,
@@ -1018,35 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn open_raw_layout_still_decodes_and_matches_delta() {
-        let open = OpenShard {
-            start: 3,
-            n_labels: 2,
-            k: 1,
-            kernel: Kernel::default(),
-            n_threads: 2,
-            examples: vec![(1, vec![vec![1.5, 2.5], vec![1.5, 2.75]])],
-            val_x: vec![vec![0.25, 0.5]],
-            truth_choice: vec![Some(0)],
-            default_choice: vec![Some(1)],
-        };
-        let mut raw = Vec::new();
-        put_open_raw(&mut raw, &open, open.n_threads);
-        let mut delta = Vec::new();
-        put_open(&mut delta, &open, open.n_threads);
-        let expected = Request::Open(Box::new(open));
-        assert_eq!(decode_request(&raw).unwrap(), expected);
-        assert_eq!(decode_request(&delta).unwrap(), expected);
-        assert!(matches!(
-            decode_request(&[REQ_OPEN, 77]),
-            Err(RpcError::BadTag {
-                what: "open version",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn delta_open_compresses_candidate_grids() {
         // a realistic dirty column: candidates are near-identical imputations
         let examples = (0..64)
@@ -1071,14 +892,42 @@ mod tests {
         let raw = raw_open_size(&open);
         assert!(
             delta.len() * 2 < raw,
-            "delta {} bytes vs raw {} bytes — expected at least 2x",
+            "delta {} bytes vs fixed-width {} bytes — expected at least 2x",
             delta.len(),
             raw
         );
-        // and the raw-size arithmetic matches an actual raw encoding
-        let mut raw_bytes = Vec::new();
-        put_open_raw(&mut raw_bytes, &open, open.n_threads);
-        assert_eq!(raw_bytes.len(), raw);
+    }
+
+    /// The byte size of the retired fixed-width `Open` layout: every count
+    /// and index a `u32`, `start` a `u64`, every feature an 8-byte `f64`,
+    /// every choice a presence byte plus a `u32`.
+    fn raw_open_size(open: &OpenShard) -> usize {
+        let points = |ps: &[Vec<f64>]| 4 + ps.iter().map(|p| 4 + 8 * p.len()).sum::<usize>();
+        let choices = |cs: &[Option<u32>]| {
+            4 + cs
+                .iter()
+                .map(|c| 1 + 4 * c.is_some() as usize)
+                .sum::<usize>()
+        };
+        let kernel = match open.kernel {
+            Kernel::Rbf { .. } => 9,
+            _ => 1,
+        };
+        // tag + version, start, n_labels, k, kernel, n_threads, n_examples
+        2 + 8
+            + 4
+            + 4
+            + kernel
+            + 4
+            + 4
+            + open
+                .examples
+                .iter()
+                .map(|(_, c)| 4 + points(c))
+                .sum::<usize>()
+            + points(&open.val_x)
+            + choices(&open.truth_choice)
+            + choices(&open.default_choice)
     }
 
     #[test]
@@ -1094,24 +943,35 @@ mod tests {
             truth_choice: vec![Some(1), None],
             default_choice: vec![Some(0), None],
         };
-        for encode in [
-            put_open as fn(&mut Vec<u8>, &OpenShard, usize),
-            put_open_raw,
-        ] {
-            let mut good = Vec::new();
-            encode(&mut good, &open, 1);
-            assert!(decode_request(&good).is_ok());
-            // every prefix fails cleanly
-            for cut in 0..good.len() {
-                assert!(decode_request(&good[..cut]).is_err(), "cut at {cut}");
-            }
-            // every single-byte corruption decodes, errors, or round-trips —
-            // but never panics
-            for i in 0..good.len() {
-                let mut bytes = good.clone();
-                bytes[i] ^= 0xFF;
-                let _ = decode_request(&bytes);
-            }
+        let mut good = Vec::new();
+        put_open(&mut good, &open, 1);
+        assert!(decode_request(&good).is_ok());
+        // every prefix fails cleanly
+        for cut in 0..good.len() {
+            assert!(decode_request(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // every single-byte corruption decodes, errors, or round-trips —
+        // but never panics
+        for i in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[i] ^= 0xFF;
+            let _ = decode_request(&bytes);
+        }
+        // any version but the delta layout is a bad tag — version 1 is the
+        // retired fixed-width layout
+        for version in [0, 1, 3, 77] {
+            let mut bytes = good.clone();
+            bytes[1] = version;
+            assert!(
+                matches!(
+                    decode_request(&bytes),
+                    Err(RpcError::BadTag {
+                        what: "open version",
+                        tag,
+                    }) if tag == version
+                ),
+                "version {version}"
+            );
         }
         // hostile counts are rejected before allocation
         let mut hostile = vec![REQ_OPEN, OPEN_V_DELTA];

@@ -18,12 +18,13 @@
 //!   — or even behind their *own* session's reads.
 //!
 //! Each [`Request::Scan`] ships one batched [`cp_shard::ShardStream`]
-//! (delta-compressed by [`crate::codec::encode_stream`]) computed by
-//! exactly the [`cp_shard::ShardScan`] code the in-process merged scans run;
-//! [`Request::SweptScan`] ships the owner's half of a merged pin sweep
-//! ([`cp_shard::SweptStream`]), one stream for every pin of a row, counted
-//! as one scan; [`Request::ExtremeSummary`] answers binary status checks
-//! with one rank-ordered [`ExtremeSummary`] instead.
+//! (captured by [`cp_shard::ShardStream::capture`], delta-compressed by
+//! [`crate::codec::encode_stream`]) — the recorded stream the coordinator
+//! merges; [`Request::SweptScan`] ships the owner's half of a merged pin
+//! sweep ([`cp_shard::SweptStream`]), one stream for every pin of a row,
+//! counted as one scan; [`Request::ExtremeSummary`] answers binary status
+//! checks under the session's current pins with one rank-ordered
+//! [`ExtremeSummary`] instead.
 //!
 //! The request handler ([`ShardServer::handle`]) is a pure state machine
 //! over decoded messages (`&self` — the server is shared across connection
@@ -32,7 +33,9 @@
 //! control: a connection cap (excess connections get one [`Response::Busy`]
 //! and are dropped), a session cap (excess [`Request::Open`]s get
 //! [`Response::Busy`]), and a bounded per-connection request queue that
-//! exerts TCP backpressure instead of buffering unboundedly. Malformed or
+//! exerts TCP backpressure instead of buffering unboundedly. A duplicated
+//! `Open` frame (same request id, same bytes) is answered with the first
+//! frame's reply, so it mints no second session. Malformed or
 //! out-of-order requests produce [`Response::Error`]; a connection that
 //! fails mid-handshake is logged and dropped without disturbing the accept
 //! loop — a shard server must never be panicked or halted by its network
@@ -331,13 +334,8 @@ impl ShardServer {
                 Ok(sess) => Self::handle_swept_scan(&sess, val, k, semiring, pins, row),
                 Err(resp) => resp,
             },
-            Request::ExtremeSummary {
-                session,
-                val,
-                k,
-                pins,
-            } => match self.session(session) {
-                Ok(sess) => Self::handle_extreme_summary(&sess, val, k, pins),
+            Request::ExtremeSummary { session, val, k } => match self.session(session) {
+                Ok(sess) => Self::handle_extreme_summary(&sess, val, k),
                 Err(resp) => resp,
             },
             Request::Step {
@@ -839,10 +837,10 @@ impl ShardServer {
         Response::Swept(bytes)
     }
 
-    fn handle_extreme_summary(sess: &Session, val: u32, k: u32, pins: Option<Pins>) -> Response {
+    fn handle_extreme_summary(sess: &Session, val: u32, k: u32) -> Response {
         let state = sess.read_state();
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, pins.as_ref()) {
+        if let Some(reject) = Self::validate_query(sess, &state, val, k, None) {
             return reject;
         }
         // the extreme-world equivalence is only proven for binary label
@@ -853,9 +851,7 @@ impl ShardServer {
                     .into(),
             );
         }
-        let pins = pins
-            .as_ref()
-            .unwrap_or_else(|| state.session.state().pins());
+        let pins = state.session.state().pins();
         let idx = &state.session.cache()[val];
         let summary = ExtremeSummary::build(&sess.shared.shard, idx, pins, k as usize);
         Response::Summary(encode_summary(&summary))
@@ -986,6 +982,11 @@ fn shed_expired(req: Request, waited_us: u64) -> Result<Request, Response> {
 /// decoded-frame slots (filling the queue stops the reads — TCP
 /// backpressure, not unbounded buffering) while this thread decodes,
 /// handles and replies. Returns `true` on [`Request::Shutdown`].
+///
+/// The connection remembers its last [`Request::Open`]: a frame repeating
+/// both its request id and its bytes — a duplicated frame, since a client
+/// numbers its requests afresh — gets the same reply again without reaching
+/// [`ShardServer::handle`], so it cannot mint a second session.
 fn serve_queued_connection(
     server: &ShardServer,
     stream: TcpStream,
@@ -1033,27 +1034,41 @@ fn serve_queued_connection(
     });
     let mut result: RpcResult<bool> = Ok(false);
     let mut handled = 0usize;
+    // the last `Open` frame's request id, bytes and encoded reply
+    let mut last_open: Option<(u32, Vec<u8>, Vec<u8>)> = None;
     for (req_id, frame, arrived) in rx.iter() {
         queue_gauge.add(-1.0);
         handled += 1;
-        let (resp, shutdown) = match decode_request(&frame) {
-            Ok(req) => {
-                let waited_us = u64::try_from(arrived.elapsed().as_micros()).unwrap_or(u64::MAX);
-                match shed_expired(req, waited_us) {
+        let (payload, shutdown) = match &last_open {
+            Some((id, bytes, reply)) if *id == req_id && *bytes == frame => (reply.clone(), false),
+            _ => {
+                let mut opened = false;
+                let (resp, shutdown) = match decode_request(&frame) {
                     Ok(req) => {
-                        let shutdown = matches!(req, Request::Shutdown);
-                        (handle_caught(server, req), shutdown)
+                        let waited_us =
+                            u64::try_from(arrived.elapsed().as_micros()).unwrap_or(u64::MAX);
+                        match shed_expired(req, waited_us) {
+                            Ok(req) => {
+                                let shutdown = matches!(req, Request::Shutdown);
+                                opened = matches!(req, Request::Open(_));
+                                (handle_caught(server, req), shutdown)
+                            }
+                            Err(resp) => (resp, false),
+                        }
                     }
-                    Err(resp) => (resp, false),
+                    Err(e) => {
+                        cp_obs::counter!("rpc.server.malformed_requests").inc();
+                        cp_obs::obs_debug!("rpc.server", "bad request from {peer}: {e}");
+                        (Response::Error(format!("bad request: {e}")), false)
+                    }
+                };
+                let payload = encode_response(&resp);
+                if opened {
+                    last_open = Some((req_id, frame, payload.clone()));
                 }
-            }
-            Err(e) => {
-                cp_obs::counter!("rpc.server.malformed_requests").inc();
-                cp_obs::obs_debug!("rpc.server", "bad request from {peer}: {e}");
-                (Response::Error(format!("bad request: {e}")), false)
+                (payload, shutdown)
             }
         };
-        let payload = encode_response(&resp);
         cp_obs::counter!("rpc.server.bytes_out").add(FRAME_OVERHEAD + payload.len() as u64);
         if let Err(e) = write_frame_tagged(&mut writer, req_id, &payload) {
             result = Err(e);
@@ -1327,18 +1342,22 @@ mod tests {
         assert_eq!(stream.n_labels(), 2);
         assert!(!stream.events.is_empty());
 
-        let resp = server.handle(Request::ExtremeSummary {
-            session,
-            val: 0,
-            k: 1,
-            pins: None,
-        });
-        let Response::Summary(bytes) = resp else {
-            panic!("expected summary, got {resp:?}");
+        let summary = || {
+            let resp = server.handle(Request::ExtremeSummary {
+                session,
+                val: 0,
+                k: 1,
+            });
+            let Response::Summary(bytes) = resp else {
+                panic!("expected summary, got {resp:?}");
+            };
+            crate::codec::decode_summary(&bytes).unwrap()
         };
-        let summary = crate::codec::decode_summary(&bytes).unwrap();
-        assert_eq!(summary.n_labels(), 2);
-        assert_eq!(summary.k(), 1);
+        assert_eq!(summary().n_labels(), 2);
+        assert_eq!(summary().k(), 1);
+        // row 1 decides the point at 5.0: its 4.8 votes label 0, its 7.0
+        // lets row 2's label 1 win
+        assert_eq!(summary().certain_label(), None);
 
         let step = Request::Step {
             session,
@@ -1346,6 +1365,8 @@ mod tests {
             expect_cleaned: 0,
         };
         assert_eq!(server.handle(step.clone()), Response::Ok);
+        // a summary reads the session's current pins
+        assert_eq!(summary().certain_label(), Some(0));
         // a retransmission of the same step (its reply was lost) is
         // acknowledged without re-pinning
         assert_eq!(server.handle(step), Response::Ok);
@@ -1613,25 +1634,16 @@ mod tests {
                 session,
                 val: 99,
                 k: 1,
-                pins: None,
             },
             Request::ExtremeSummary {
                 session,
                 val: 0,
                 k: 0,
-                pins: None,
             },
             Request::ExtremeSummary {
                 session,
                 val: 0,
                 k: u32::MAX,
-                pins: None,
-            },
-            Request::ExtremeSummary {
-                session,
-                val: 0,
-                k: 1,
-                pins: Some(Pins::single(3, 1, 9)),
             },
             Request::Step {
                 session,
@@ -1672,7 +1684,6 @@ mod tests {
                 session: 1,
                 val: 0,
                 k: 1,
-                pins: None
             }),
             Response::Error(_)
         ));
@@ -1686,7 +1697,6 @@ mod tests {
             session,
             val: 0,
             k: 1,
-            pins: None,
         });
         let Response::Error(msg) = resp else {
             panic!("expected rejection, got {resp:?}");

@@ -25,7 +25,7 @@ use cp_rpc::{
     read_frame_opt_tagged, spawn_server, spawn_server_on, write_frame_tagged, ClientConfig,
     FaultPlan, Request, RpcCoordinator, RunningServer, ServerConfig, ShardServer,
 };
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
+use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm};
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::mpsc::channel;
@@ -156,11 +156,8 @@ proptest! {
         let shard_pins = local_pins(&shards, &pins);
         for (v, t) in problem.val_x.iter().enumerate() {
             let indexes = build_shard_indexes(&shards, problem.config.kernel, t);
-            let truth: Q2Result<u128> = q2_sharded_with_algorithm(
-                &shards,
-                &indexes,
-                &shard_pins,
-                &problem.config,
+            let truth: Q2Result<u128> = q2_from_streams_with_algorithm(
+                &capture_streams(&shards, &indexes, &shard_pins, &problem.config),
                 Q2Algorithm::Auto,
             );
             let got: Q2Result<u128> = remote

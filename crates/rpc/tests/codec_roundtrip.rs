@@ -1,8 +1,8 @@
 //! Codec round-trip and robustness properties.
 //!
-//! * `decode(encode(x)) == x` for [`ShardFactors`] in every wire semiring
-//!   (binary and multiclass label spaces), [`Pins`], CP status vectors,
-//!   whole batched [`ShardStream`]s and swept streams;
+//! * `decode(encode(x)) == x` for a stream's opening [`ShardFactors`] in
+//!   every wire semiring (binary and multiclass label spaces), [`Pins`], CP
+//!   status vectors, whole batched [`ShardStream`]s and swept streams;
 //! * a decoded swept stream gives every pin of its row the single-process
 //!   counts under that pin;
 //! * shard streams captured from real scans (each starting at its shard's
@@ -21,10 +21,9 @@ use cp_core::{
 use cp_knn::Kernel;
 use cp_numeric::Possibility;
 use cp_rpc::codec::{
-    decode_factors, decode_stream, decode_summary, decode_swept, encode_factors, encode_stream,
-    encode_stream_raw, encode_summary, encode_swept, get_pins, get_status_bits, put_pins,
-    put_status_bits, read_frame, read_frame_opt_tagged, write_frame, write_frame_tagged,
-    FRAME_OVERHEAD, MAX_FRAME_LEN, READ_BUFFER_BYTES,
+    decode_stream, decode_summary, decode_swept, encode_stream, encode_summary, encode_swept,
+    get_pins, get_status_bits, put_pins, put_status_bits, read_frame_opt_tagged, read_frame_tagged,
+    write_frame_tagged, FRAME_OVERHEAD, MAX_FRAME_LEN, READ_BUFFER_BYTES,
 };
 use cp_rpc::proto::{decode_request, decode_response, encode_request, OpenShard, Request};
 use cp_rpc::wire::Reader;
@@ -32,8 +31,8 @@ use cp_rpc::RpcError;
 use cp_rpc::WireSemiring;
 use cp_shard::{
     build_shard_indexes, capture_streams, certain_label_from_streams, local_pins,
-    merged_sweep_sources, q2_from_streams, q2_sharded_with_indexes, BoundaryEvent, ShardStream,
-    ShardStreamEvent, SweptStream,
+    merged_sweep_sources, q2_from_streams, BoundaryEvent, ShardStream, ShardStreamEvent,
+    SweptStream,
 };
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Read, Write};
@@ -60,6 +59,21 @@ where
         .map(|l| (0..=k).map(|c| lift(scalars[l * (k + 1) + c])).collect())
         .collect();
     ShardFactors::from_polys(polys, k)
+}
+
+/// The encoding of an event-free stream opening at `initial` — how a
+/// shard's factors travel.
+fn encode_factors<S: WireSemiring>(initial: &ShardFactors<S>) -> Vec<u8> {
+    encode_stream(&ShardStream {
+        initial: initial.clone(),
+        total: S::one(),
+        events: Vec::new(),
+    })
+}
+
+/// The opening factors of a decoded stream.
+fn decode_factors<S: WireSemiring>(bytes: &[u8]) -> Result<ShardFactors<S>, RpcError> {
+    decode_stream::<S>(bytes).map(|stream| stream.initial)
 }
 
 proptest! {
@@ -140,9 +154,8 @@ proptest! {
             })
             .collect();
         let stream = ShardStream { initial, total: 0.5, events };
-        // both the delta (default) and raw encodings round-trip bit-exactly
-        prop_assert_eq!(decode_stream::<f64>(&encode_stream(&stream)).unwrap(), stream.clone());
-        prop_assert_eq!(decode_stream::<f64>(&encode_stream_raw(&stream)).unwrap(), stream);
+        // the delta encoding round-trips bit-exactly
+        prop_assert_eq!(decode_stream::<f64>(&encode_stream(&stream)).unwrap(), stream);
     }
 
     /// Extreme summaries round-trip exactly, and every strict prefix of a
@@ -243,9 +256,6 @@ proptest! {
     fn garbage_is_handled_gracefully(bytes in proptest::collection::vec(0u8..=255, 0..=96)) {
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
-        let _ = decode_factors::<u128>(&bytes);
-        let _ = decode_factors::<f64>(&bytes);
-        let _ = decode_factors::<Possibility>(&bytes);
         let _ = decode_stream::<u128>(&bytes);
         let _ = decode_stream::<f64>(&bytes);
         let _ = decode_stream::<Possibility>(&bytes);
@@ -258,7 +268,7 @@ proptest! {
         let mut r = Reader::new(&bytes);
         let _ = get_status_bits(&mut r);
         let mut cursor = Cursor::new(bytes);
-        let _ = read_frame(&mut cursor);
+        let _ = read_frame_tagged(&mut cursor);
     }
 
     /// Every strict prefix of a valid encoding is a typed error, not a
@@ -297,13 +307,6 @@ proptest! {
             decode_stream::<u128>(&stream_bytes[..cut]).is_err(),
             "strict stream prefix must not decode (cut {})", cut
         );
-        // the raw (fixed-width) stream encoding's prefixes fail cleanly too
-        let raw_bytes = encode_stream_raw(&stream);
-        let cut = cut_seed % raw_bytes.len();
-        prop_assert!(
-            decode_stream::<u128>(&raw_bytes[..cut]).is_err(),
-            "strict raw-stream prefix must not decode (cut {})", cut
-        );
         let req = encode_request(&Request::SyncStatus {
             session: 3,
             bits: vec![true, false, true],
@@ -317,16 +320,16 @@ proptest! {
 fn frames_round_trip_over_a_byte_transport() {
     let payloads: Vec<Vec<u8>> = vec![vec![], vec![1], vec![0xAB; 1000]];
     let mut transport = Vec::new();
-    for p in &payloads {
-        write_frame(&mut transport, p).unwrap();
+    for (id, p) in payloads.iter().enumerate() {
+        write_frame_tagged(&mut transport, id as u32, p).unwrap();
     }
     let mut r = Cursor::new(&transport);
-    for p in &payloads {
-        assert_eq!(&read_frame(&mut r).unwrap(), p);
+    for (id, p) in payloads.iter().enumerate() {
+        assert_eq!(read_frame_tagged(&mut r).unwrap(), (id as u32, p.clone()));
     }
     // EOF at a frame boundary is the orderly-disconnect signal
     assert!(matches!(
-        read_frame(&mut r),
+        read_frame_tagged(&mut r),
         Err(RpcError::Truncated {
             context: "frame length prefix"
         })
@@ -336,11 +339,11 @@ fn frames_round_trip_over_a_byte_transport() {
 #[test]
 fn truncated_frames_error_at_every_cut() {
     let mut transport = Vec::new();
-    write_frame(&mut transport, b"twelve bytes").unwrap();
+    write_frame_tagged(&mut transport, 0, b"twelve bytes").unwrap();
     for cut in 0..transport.len() {
         let mut r = Cursor::new(&transport[..cut]);
         assert!(
-            matches!(read_frame(&mut r), Err(RpcError::Truncated { .. })),
+            matches!(read_frame_tagged(&mut r), Err(RpcError::Truncated { .. })),
             "cut at {cut} must be a truncation error"
         );
         // the same through a connection's read buffer, however the bytes
@@ -543,9 +546,9 @@ proptest! {
 
     /// Streams that start at each shard's `τ_s`, captured → encoded →
     /// decoded → merged, equal the plain SortScan (which walks every
-    /// candidate) exactly, and the live merged scan bit for bit in `f64`.
-    /// `cp-shard`'s proptests hold the same streams to its full-walk
-    /// `ShardScan` in every semiring.
+    /// candidate) exactly, and the merge of the same streams without the
+    /// codec bit for bit in `f64`. `cp-shard`'s proptests hold the same
+    /// streams to its full-walk scan in every semiring.
     #[test]
     fn decoded_tau_s_streams_merge_to_the_full_walk(
         (ds, t, k, pins, n_shards) in arb_captured_case()
@@ -571,8 +574,8 @@ proptest! {
 
         let bits = |r: Q2Result<f64>| r.counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         let wire = q2_from_streams::<f64, _>(&wire_streams(&shards, &indexes, &local, &cfg));
-        let live = q2_sharded_with_indexes::<f64, _, _>(&shards, &indexes, &local, &cfg);
-        prop_assert_eq!(bits(wire), bits(live));
+        let captured = q2_from_streams::<f64, _>(&capture_streams(&shards, &indexes, &local, &cfg));
+        prop_assert_eq!(bits(wire), bits(captured));
     }
 
     /// A swept stream survives the codec (and only its own decoder takes

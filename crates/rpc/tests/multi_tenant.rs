@@ -11,16 +11,20 @@
 //! * Admission control: at the session cap, `Open` is refused with the
 //!   retryable `Busy`; the slot frees on `Close` and the retried `Open`
 //!   succeeds. Same for the connection cap.
+//! * A duplicated `Open` frame mints one session, not two; the same
+//!   payload under a new request id mints a new one.
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
+use cp_rpc::proto::{decode_response, encode_request};
 use cp_rpc::{
-    spawn_server, OpenShard, Request, RpcCoordinator, RpcError, ServerConfig, ShardClient,
+    read_frame_tagged, spawn_server, write_frame_tagged, OpenShard, Request, Response,
+    RpcCoordinator, RpcError, ServerConfig, ShardClient,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
@@ -230,6 +234,54 @@ fn garbage_client_then_healthy_client() {
     }
     assert!(remote.converged());
     remote.shutdown().expect("shutdown");
+    server.stop();
+}
+
+/// A duplicated `Open` frame — the same request id and the same bytes, as
+/// a faulty network delivers a frame twice — mints one session: both copies
+/// are answered with session 1, and no session 2 exists to hold an
+/// admission slot. The same payload under a new request id is a new
+/// request and mints session 2.
+#[test]
+fn a_duplicated_open_frame_mints_one_session() {
+    let server = spawn_server(ServerConfig::default()).expect("spawn server");
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    let mut replies = BufReader::new(s.try_clone().expect("clone socket"));
+    let mut call = |s: &mut TcpStream, frame: &[u8]| {
+        s.write_all(frame).expect("write frame");
+        let (id, payload) = read_frame_tagged(&mut replies).expect("reply frame");
+        (id, decode_response(&payload).expect("reply decodes"))
+    };
+    let open = encode_request(&Request::Open(Box::new(open_whole(&tiny_problem()))));
+    let mut frame = Vec::new();
+    write_frame_tagged(&mut frame, 0, &open).expect("encode frame");
+    for copy in 0..2 {
+        match call(&mut s, &frame) {
+            (0, Response::Opened { session: 1, .. }) => {}
+            other => panic!("copy {copy} of the Open frame: {other:?}"),
+        }
+    }
+    let mut close = Vec::new();
+    write_frame_tagged(
+        &mut close,
+        1,
+        &encode_request(&Request::Close { session: 2 }),
+    )
+    .expect("encode frame");
+    match call(&mut s, &close) {
+        (1, Response::Error(msg)) => assert!(msg.contains("unknown session"), "{msg}"),
+        other => panic!("closing session 2: {other:?}"),
+    }
+    let mut reopen = Vec::new();
+    write_frame_tagged(&mut reopen, 2, &open).expect("encode frame");
+    match call(&mut s, &reopen) {
+        (2, Response::Opened { session: 2, .. }) => {}
+        other => panic!("the Open payload under a new request id: {other:?}"),
+    }
+    let mut shutdown = Vec::new();
+    write_frame_tagged(&mut shutdown, 3, &encode_request(&Request::Shutdown))
+        .expect("encode frame");
+    assert!(matches!(call(&mut s, &shutdown), (3, Response::Ok)));
     server.stop();
 }
 

@@ -144,7 +144,7 @@ fn serve_sabotaged(
 fn issue(client: &mut ShardClient, target_idx: usize) -> cp_rpc::RpcResult<()> {
     match target_idx {
         0 => client.scan::<f64>(0, 3, None).map(|_| ()),
-        1 => client.extreme_summary(0, 3, None).map(|_| ()),
+        1 => client.extreme_summary(0, 3).map(|_| ()),
         2 => client.sync_status(vec![false, false, false]),
         3 => client.status().map(|_| ()),
         4 => client.stats(0).map(|_| ()),

@@ -13,10 +13,11 @@
 //!   point);
 //! * identical `run_order` results under random budgets;
 //! * **exactly** equal Q2 counts in every wire semiring under random global
-//!   pin masks, for every `Q2Algorithm` selector, against the live merged
-//!   scan [`q2_sharded_with_algorithm`] — bit-for-bit, `f64` included (the
-//!   stream payloads are produced by the same `ShardScan` code and merged
-//!   by the same loop in the same order).
+//!   pin masks, for every `Q2Algorithm` selector, against the same shards'
+//!   streams captured in process and merged by
+//!   [`q2_from_streams_with_algorithm`] — bit-for-bit, `f64` included (the
+//!   servers capture with the same code, and the coordinator merges with
+//!   the same loop in the same order).
 //!
 //! 7 shards exceed the row count of every generated instance, so the
 //! partition clamp is exercised throughout; a unit case pins it down when
@@ -26,7 +27,7 @@ use cp_clean::{val_cp_status, CleaningProblem, CleaningSession, RunOptions};
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Algorithm, Q2Result};
 use cp_numeric::Possibility;
 use cp_rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
+use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -301,30 +302,32 @@ proptest! {
                 let shard_pins = local_pins(&shards, &pins);
                 for (v, t) in problem.val_x.iter().enumerate() {
                     let indexes = build_shard_indexes(&shards, cfg.kernel, t);
+                    let captured = capture_streams::<u128, _, _>(&shards, &indexes, &shard_pins, cfg);
                     for algo in ALL_ALGORITHMS {
-                        let live: Q2Result<u128> =
-                            q2_sharded_with_algorithm(&shards, &indexes, &shard_pins, cfg, algo);
+                        let want = q2_from_streams_with_algorithm(&captured, algo);
                         let over_tcp: Q2Result<u128> =
                             remote.q2_with_pins(v, &pins, algo).expect("q2 over rpc");
                         prop_assert_eq!(
-                            &over_tcp.counts, &live.counts,
+                            &over_tcp.counts, &want.counts,
                             "u128 val {} algo {:?} n_shards={}", v, algo, n_shards
                         );
-                        prop_assert_eq!(over_tcp.total, live.total);
+                        prop_assert_eq!(over_tcp.total, want.total);
                     }
-                    let live_f: Q2Result<f64> = q2_sharded_with_algorithm(
-                        &shards, &indexes, &shard_pins, cfg, Q2Algorithm::Auto,
+                    let want_f: Q2Result<f64> = q2_from_streams_with_algorithm(
+                        &capture_streams(&shards, &indexes, &shard_pins, cfg),
+                        Q2Algorithm::Auto,
                     );
                     let tcp_f: Q2Result<f64> =
                         remote.q2_with_pins(v, &pins, Q2Algorithm::Auto).expect("q2 f64");
-                    prop_assert_eq!(&tcp_f.counts, &live_f.counts, "f64 exact, val {}", v);
-                    prop_assert_eq!(tcp_f.total, live_f.total);
-                    let live_p: Q2Result<Possibility> = q2_sharded_with_algorithm(
-                        &shards, &indexes, &shard_pins, cfg, Q2Algorithm::Auto,
+                    prop_assert_eq!(&tcp_f.counts, &want_f.counts, "f64 exact, val {}", v);
+                    prop_assert_eq!(tcp_f.total, want_f.total);
+                    let want_p: Q2Result<Possibility> = q2_from_streams_with_algorithm(
+                        &capture_streams(&shards, &indexes, &shard_pins, cfg),
+                        Q2Algorithm::Auto,
                     );
                     let tcp_p: Q2Result<Possibility> =
                         remote.q2_with_pins(v, &pins, Q2Algorithm::Auto).expect("q2 possibility");
-                    prop_assert_eq!(&tcp_p.counts, &live_p.counts, "possibility, val {}", v);
+                    prop_assert_eq!(&tcp_p.counts, &want_p.counts, "possibility, val {}", v);
                 }
             }
             remote.shutdown().expect("shutdown");

@@ -5,8 +5,10 @@
 //! shard scans **only its own candidate sets**, and a coordinator
 //! reassembles exact global answers from compact per-shard summaries. The
 //! engine that drives it is `cp-rpc`'s `RpcCoordinator`: each shard server
-//! owns a shard's [`ShardScan`] state, and only the merge messages (boundary
-//! streams, factor summaries, extreme summaries) cross the boundary.
+//! scans its own shard and records the scan as one [`ShardStream`]
+//! ([`ShardStream::capture`]); only the recorded streams and the extreme
+//! summaries cross the boundary, and the coordinator merges recorded
+//! streams only ([`merged_scan_sources`] over [`StreamCursor`]s).
 //!
 //! ## The factor-merge algebra
 //!
@@ -21,7 +23,7 @@
 //!
 //! Each shard maintains its partial `poly_l` incrementally in per-label
 //! tally trees (exactly the single-process SS-DC machinery, over fewer
-//! leaves) and exports it as a [`cp_core::ShardFactors`] value: `|Y|·(K+1)`
+//! leaves) and records it as a [`cp_core::ShardFactors`] value: `|Y|·(K+1)`
 //! semiring coefficients, independent of shard size. `ShardFactors::merge`
 //! is associative with an identity, so the coordinator may combine shard
 //! summaries pairwise, tree-wise, or in streaming order; world-mass totals
@@ -30,13 +32,14 @@
 //! degree ≤ K never consumes factor coefficients of degree > K.
 //!
 //! The only global sequencing the scan needs is the boundary order: the
-//! coordinator merges the shards' (locally sorted) candidate streams by the
+//! coordinator merges the shards' (locally sorted) recorded streams by the
 //! same `(similarity, row, candidate)` total order the single-process scan
-//! sorts by, advances the owning shard, and accumulates supports from the
-//! merged factors. Counts are therefore **exactly** — bit-for-bit in exact
-//! semirings — the single-process counts, for every shard count; the
-//! property tests in `tests/shard_equivalence.rs` assert this for every
-//! `Q2Algorithm` selector.
+//! sorts by, takes the owning shard's recorded factors at each event, and
+//! accumulates supports from the merged factors. Counts are therefore
+//! **exactly** — bit-for-bit in exact semirings — the single-process counts,
+//! for every shard count; the property tests in `tests/shard_equivalence.rs`
+//! assert this for every `Q2Algorithm` selector
+//! ([`q2_from_streams_with_algorithm`]).
 //!
 //! ## The rank-merge algebra (binary Q1)
 //!
@@ -50,31 +53,29 @@
 //! [`scan::certain_label_from_summaries`] folds them and runs the cheap
 //! two-extreme-worlds check — so sharded status checks on binary label
 //! spaces skip the boundary-event stream and the tally trees entirely,
-//! recovering the single-process MM fast path
-//! ([`scan::certain_label_sharded_with_indexes`] dispatches automatically).
+//! recovering the single-process MM fast path (the coordinator dispatches
+//! binary status checks to it; other label spaces merge `Possibility`
+//! streams with [`certain_label_from_streams`]).
 //!
 //! What still does *not* decompose: brute force (worlds couple across
-//! shards) and the non-tree SortScan selectors. Those entry points fall
-//! back gracefully to the merged Possibility-semiring/tree scans — same
-//! exact answers, different constant factors (see
-//! [`scan::q2_sharded_with_algorithm`]).
+//! shards) and the non-tree SortScan selectors. Those selectors fall back
+//! gracefully to the merged tree scan — same exact answers, different
+//! constant factors (see [`q2_from_streams_with_algorithm`]).
 //!
 //! ## Layers
 //!
-//! * [`scan`] — [`ShardScan`] (per-shard scan state), the batched
-//!   [`ShardStream`]s a shard server ships, and the merged-scan query
-//!   functions (`q2_sharded*`, `certain_label_sharded_with_indexes`,
-//!   `*_from_streams`).
+//! * [`scan`] — the batched [`ShardStream`]s and [`SweptStream`]s a shard
+//!   server captures, the merge loops over their [`StreamCursor`]s, and the
+//!   query functions over recorded streams (`*_from_streams`) and extreme
+//!   summaries.
 
 pub mod scan;
 
 pub use scan::{
     build_shard_indexes, capture_streams, certain_label_from_streams, certain_label_from_summaries,
-    certain_label_sharded_merged_scan, certain_label_sharded_with_indexes, extreme_summaries,
-    local_pins, merged_scan_sources, merged_sweep_sources, q2_from_streams,
-    q2_from_streams_with_algorithm, q2_probabilities_from_streams, q2_sharded,
-    q2_sharded_with_algorithm, q2_sharded_with_indexes, BoundaryEvent, FactorSource, ShardScan,
-    ShardStream, ShardStreamEvent, StreamCursor, SweptStream,
+    extreme_summaries, local_pins, merged_scan_sources, merged_sweep_sources, q2_from_streams,
+    q2_from_streams_with_algorithm, BoundaryEvent, ShardStream, ShardStreamEvent, StreamCursor,
+    SweptStream,
 };
 
 /// Re-export: the partition type the whole crate operates on.

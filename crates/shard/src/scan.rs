@@ -1,20 +1,23 @@
-//! The partition-parallel SortScan: per-shard scan state plus the
-//! coordinator's merged scan.
+//! The partition-parallel SortScan: per-shard scan capture plus the
+//! coordinator's merge of the captured streams.
 //!
-//! One [`ShardScan`] owns everything local to a shard: the shard's
+//! One `ShardScan` owns everything local to a shard: the shard's
 //! similarity index for the test point, its pin mask, its [`UniformMass`]
-//! tallies and its per-label [`TallyTree`]s. The coordinator
-//! ([`q2_sharded_with_indexes`]) never sees candidates or similarities in
-//! bulk — it merges the shard streams one boundary event at a time and
-//! combines the shards' compact [`ShardFactors`] summaries:
+//! tallies and its per-label [`TallyTree`]s. A shard runs it to exhaustion
+//! and records every event in one [`ShardStream`]
+//! ([`ShardStream::capture`]); the coordinator ([`merged_scan_sources`])
+//! never sees candidates or similarities in bulk — it merges the recorded
+//! streams one boundary event at a time and combines the shards' compact
+//! [`ShardFactors`] summaries:
 //!
-//! 1. each shard exposes its next not-yet-scanned candidate (similarity +
+//! 1. each stream exposes its next not-yet-merged event (similarity +
 //!    global row id); the coordinator picks the global minimum under the
 //!    same `(similarity, set, candidate)` total order the single-process
 //!    scan sorts by, so the merged stream *is* the global scan order;
-//! 2. the owning shard advances: one mass tally bump, one tree-leaf update
-//!    (`O(K² log N_s)`), exactly as in the single-process SS-DC scan;
-//! 3. the owning shard presents its factors with the boundary set excluded
+//! 2. at capture, the owning shard advanced past that event: one mass tally
+//!    bump, one tree-leaf update (`O(K² log N_s)`), exactly as in the
+//!    single-process SS-DC scan;
+//! 3. the event carries the owner's factors with the boundary set excluded
 //!    from its own label; the coordinator merges all shards' factors
 //!    (associative per-label polynomial products, `O(S · |Y| · K²)`) and
 //!    feeds the merged polynomials to the ordinary support accumulator.
@@ -36,7 +39,7 @@
 //! `τ_s` alike, since the same K sets are still unseen at `τ_s`. From
 //! `τ_s` on the shard's factors are exact. So a shard advances its masses
 //! over its allowed candidates below `τ_s`, builds its trees there once,
-//! and presents only the events at or after `τ_s` — sorted on their own,
+//! and records only the events at or after `τ_s` — sorted on their own,
 //! never the shard's whole index; its opening factors are its state at
 //! `τ_s`.
 //! The merged counts stay bit-identical to a walk from the first candidate
@@ -44,7 +47,7 @@
 //!
 //! In the exact semirings the opener folds a shard's frozen sets into one
 //! scalar per label ([`TreeScan::frozen`]) instead of loading them as tree
-//! leaves; the scan multiplies that scalar into every polynomial it emits,
+//! leaves; the scan multiplies that scalar into every polynomial it records,
 //! so its factors and events are exactly those of the unfolded trees.
 
 use cp_core::mass::{merge_totals, MassModel, UniformMass};
@@ -68,7 +71,7 @@ use std::cmp::Ordering;
 /// `core.ss.events_scanned` (opening adds its zero prefix to
 /// `core.ss.events_skipped`), once per scan.
 #[derive(Debug)]
-pub struct ShardScan<'a, S> {
+pub(crate) struct ShardScan<'a, S> {
     shard: &'a DatasetShard,
     mass: UniformMass,
     trees: Vec<TallyTree<S>>,
@@ -98,12 +101,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against the shard dataset.
-    pub fn new(
-        shard: &'a DatasetShard,
-        idx: &'a SimilarityIndex,
-        pins: &'a Pins,
-        k: usize,
-    ) -> Self {
+    fn new(shard: &'a DatasetShard, idx: &'a SimilarityIndex, pins: &'a Pins, k: usize) -> Self {
         let ds = shard.dataset();
         // the mass model indexes the mask by set before `open` validates it
         assert_eq!(pins.len(), ds.len(), "pin mask length mismatch");
@@ -125,7 +123,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     /// # Panics
     /// Panics if the pin mask does not validate against the shard dataset,
     /// or if `local_row` is out of range or pinned.
-    pub fn swept(
+    fn swept(
         shard: &'a DatasetShard,
         idx: &'a SimilarityIndex,
         pins: &'a Pins,
@@ -204,7 +202,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
 
     /// The next boundary event, if any: `(similarity, global row, candidate)`
     /// — the key the coordinator merges shard streams by.
-    pub fn peek(&self) -> Option<(f64, usize, u32)> {
+    fn peek(&self) -> Option<(f64, usize, u32)> {
         self.tail.get(self.cursor).map(|key| {
             (
                 key.sim(),
@@ -219,7 +217,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     ///
     /// # Panics
     /// Panics if the shard stream is exhausted.
-    pub fn advance(&mut self) -> (usize, u32) {
+    fn advance(&mut self) -> (usize, u32) {
         let key = self.tail[self.cursor];
         let (i, j) = (key.set(), key.cand());
         if self.held != Some(i) {
@@ -229,11 +227,6 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
         }
         self.cursor += 1;
         (i, j as u32)
-    }
-
-    /// Label of a local candidate set.
-    pub fn label(&self, local_set: usize) -> Label {
-        self.shard.dataset().label(local_set)
     }
 
     /// `poly`, a polynomial of `label`'s tree, times the label's folded
@@ -248,7 +241,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
 
     /// This shard's current per-label partial factors (tree roots) — the
     /// compact summary it exchanges with the coordinator.
-    pub fn factors(&self) -> ShardFactors<S> {
+    fn factors(&self) -> ShardFactors<S> {
         ShardFactors::from_polys(
             (0..self.trees.len()).map(|l| self.label_poly(l)).collect(),
             self.trees[0].k(),
@@ -256,21 +249,20 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     }
 
     /// The current partial polynomial of one label.
-    pub fn label_poly(&self, label: usize) -> Vec<S> {
+    fn label_poly(&self, label: usize) -> Vec<S> {
         self.unfold(label, self.trees[label].root().to_vec())
     }
 
     /// The boundary label's partial polynomial with `local_set` excluded —
     /// how the boundary set is removed from its own label's support.
-    pub fn excluding_poly(&self, local_set: usize) -> Vec<S> {
-        let label = self.label(local_set);
+    fn excluding_poly(&self, label: Label, local_set: usize) -> Vec<S> {
         self.unfold(label, self.trees[label].excluding(self.leaf_pos[local_set]))
     }
 
     /// Mass of the boundary set choosing exactly candidate `cand`.
     /// (Uniform mass ignores the candidate, but threading the real one
     /// keeps this correct for any future non-uniform [`MassModel`].)
-    pub fn boundary_mass(&self, local_set: usize, cand: u32) -> S {
+    fn boundary_mass(&self, local_set: usize, cand: u32) -> S {
         if self.held == Some(local_set) {
             return S::one();
         }
@@ -278,7 +270,7 @@ impl<'a, S: CountSemiring> ShardScan<'a, S> {
     }
 
     /// This shard's total world mass (`∏ M_i` over its own sets).
-    pub fn total(&self) -> S {
+    fn total(&self) -> S {
         self.mass.total()
     }
 }
@@ -295,8 +287,7 @@ impl<S> Drop for ShardScan<'_, S> {
 /// with the boundary set excluded, and the boundary candidate's own mass.
 ///
 /// This is everything that crosses the shard boundary per event — `O(K)`
-/// semiring values — whether the shard is a live [`ShardScan`] in the same
-/// process or a remote worker whose whole event stream arrived in one
+/// semiring values; a shard's whole event stream travels as one
 /// [`ShardStream`] message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BoundaryEvent<S> {
@@ -308,59 +299,6 @@ pub struct BoundaryEvent<S> {
     pub excluding_poly: Vec<S>,
     /// Mass of the boundary set choosing exactly the boundary candidate.
     pub boundary_mass: S,
-}
-
-/// A shard-local source of locally-sorted boundary events with factor
-/// payloads — the abstraction the merged scan drives.
-///
-/// Two implementations exist: a live [`ShardScan`] (in-process
-/// partition-parallelism, factors computed on demand) and a
-/// [`StreamCursor`] over a [`ShardStream`] (a remote shard's pre-computed
-/// stream, decoded from one RPC message). The merge loop cannot tell them
-/// apart, which is what makes the wire protocol's answers *identical* to
-/// the in-process engine's.
-pub trait FactorSource<S: CountSemiring> {
-    /// The next boundary event's global merge key
-    /// `(similarity, global row, candidate)`, if any.
-    fn peek_key(&self) -> Option<(f64, usize, u32)>;
-
-    /// Consume the next boundary event and return its factor payload.
-    ///
-    /// # Panics
-    /// Panics if the source is exhausted.
-    fn next_event(&mut self) -> BoundaryEvent<S>;
-
-    /// The shard's per-label factors before its first event — its state at
-    /// its zero-prefix bound `τ_s`.
-    fn opening_factors(&self) -> ShardFactors<S>;
-
-    /// The shard's total world mass.
-    fn total_mass(&self) -> S;
-}
-
-impl<S: CountSemiring> FactorSource<S> for ShardScan<'_, S> {
-    fn peek_key(&self) -> Option<(f64, usize, u32)> {
-        self.peek()
-    }
-
-    fn next_event(&mut self) -> BoundaryEvent<S> {
-        let (local_set, cand) = self.advance();
-        let label = self.label(local_set);
-        BoundaryEvent {
-            label,
-            updated_poly: self.label_poly(label),
-            excluding_poly: self.excluding_poly(local_set),
-            boundary_mass: self.boundary_mass(local_set, cand),
-        }
-    }
-
-    fn opening_factors(&self) -> ShardFactors<S> {
-        self.factors()
-    }
-
-    fn total_mass(&self) -> S {
-        self.total()
-    }
 }
 
 /// One entry of a batched shard stream: the global merge key plus the factor
@@ -382,12 +320,11 @@ pub struct ShardStreamEvent<S> {
 /// scan request yields one `ShardStream` message instead of one round-trip
 /// per boundary event.
 ///
-/// Captured by running the ordinary [`ShardScan`] to exhaustion
-/// ([`ShardStream::capture`]), so every payload is produced by exactly the
-/// code the in-process engine runs; replayed through [`StreamCursor`]s,
-/// which implement [`FactorSource`] over the recorded events. A stream can
-/// be replayed any number of times (the coordinator reuses every non-owner
-/// shard's stream across all of a selection step's candidate pins).
+/// Captured by running the shard's scan to exhaustion
+/// ([`ShardStream::capture`]); replayed through [`StreamCursor`]s, which
+/// [`merged_scan_sources`] merges. A stream can be replayed any number of
+/// times (the coordinator reuses every non-owner shard's stream across all
+/// of a selection step's candidate pins).
 ///
 /// The events start at the shard's zero-prefix bound `τ_s` (see the module
 /// docs), so `initial` is the shard's state at `τ_s`, not at the first
@@ -405,10 +342,15 @@ pub struct ShardStream<S> {
 }
 
 impl<S: CountSemiring> ShardStream<S> {
-    /// Drain a fresh [`ShardScan`] into its batched stream (the shard-server
-    /// side of a scan request). Arguments are exactly [`ShardScan::new`]'s.
-    /// The recorded events are those at or after the shard's zero-prefix
-    /// bound `τ_s`; every earlier event would contribute an exact zero.
+    /// Open a scan of `shard` at its zero-prefix bound `τ_s` and drain it into
+    /// its batched stream (the shard-server side of a scan request). The
+    /// recorded events are those at or after `τ_s`; every earlier event
+    /// would contribute an exact zero.
+    ///
+    /// `idx` must be the similarity index of the *shard's* dataset for the
+    /// test point, and `pins` the shard-local restriction of the global pin
+    /// mask (see [`DatasetShard::local_pins`]); `k` is the **global**
+    /// effective K.
     ///
     /// # Panics
     /// Panics if the pin mask does not validate against the shard dataset.
@@ -422,12 +364,18 @@ impl<S: CountSemiring> ShardStream<S> {
         let total = scan.total();
         let mut events = Vec::new();
         while let Some((sim, row, cand)) = scan.peek() {
-            let event = FactorSource::next_event(&mut scan);
+            let (local_set, _) = scan.advance();
+            let label = scan.shard.dataset().label(local_set);
             events.push(ShardStreamEvent {
                 sim,
                 row,
                 cand,
-                event,
+                event: BoundaryEvent {
+                    label,
+                    updated_poly: scan.label_poly(label),
+                    excluding_poly: scan.excluding_poly(label, local_set),
+                    boundary_mass: scan.boundary_mass(local_set, cand),
+                },
             });
         }
         ShardStream {
@@ -456,8 +404,8 @@ impl<S: CountSemiring> ShardStream<S> {
     }
 }
 
-/// The owner shard's answer for one row of a merged pin sweep: its
-/// [`ShardScan::swept`] stream plus what the coordinator needs to give
+/// The owner shard's answer for one row of a merged pin sweep: its swept
+/// stream plus what the coordinator needs to give
 /// every pin of the row its counts — the row's candidate similarities and
 /// the shard's world total under the row's pin.
 #[derive(Clone, Debug, PartialEq)]
@@ -476,12 +424,15 @@ pub struct SweptStream<S> {
 }
 
 impl<S: CountSemiring> SweptStream<S> {
-    /// Drain a [`ShardScan::swept`] over `local_row` (the shard-server side
-    /// of a swept scan request); the other arguments are
-    /// [`ShardScan::new`]'s.
+    /// Drain the shard's swept scan over the unpinned `local_row` (the
+    /// shard-server side of a swept scan request): [`ShardStream::capture`]'s
+    /// opening at the base `τ_s`, unfolded, with the row's leaf held at the
+    /// identity for the whole scan (`cp_core::ss_tree::TreeScan::open_swept`).
+    /// The other arguments are [`ShardStream::capture`]'s.
     ///
     /// # Panics
-    /// Panics as [`ShardScan::swept`] does.
+    /// Panics if the pin mask does not validate against the shard dataset,
+    /// or if `local_row` is out of range or pinned.
     pub fn capture(
         shard: &DatasetShard,
         idx: &SimilarityIndex,
@@ -517,40 +468,34 @@ impl<S: CountSemiring> SweptStream<S> {
     }
 }
 
-/// A replay position inside a [`ShardStream`] — the decoded-frames
-/// implementation of [`FactorSource`].
+/// A replay position inside a [`ShardStream`] — what the merge loops
+/// ([`merged_scan_sources`], [`merged_sweep_sources`]) advance.
 #[derive(Clone, Debug)]
 pub struct StreamCursor<'a, S> {
     stream: &'a ShardStream<S>,
     pos: usize,
 }
 
-impl<S: CountSemiring> FactorSource<S> for StreamCursor<'_, S> {
-    fn peek_key(&self) -> Option<(f64, usize, u32)> {
-        self.stream
-            .events
-            .get(self.pos)
-            .map(|e| (e.sim, e.row, e.cand))
+impl<'a, S> StreamCursor<'a, S> {
+    /// The next recorded event, if any.
+    fn peek(&self) -> Option<&'a ShardStreamEvent<S>> {
+        self.stream.events.get(self.pos)
     }
 
-    fn next_event(&mut self) -> BoundaryEvent<S> {
-        let e = &self.stream.events[self.pos];
+    /// Consume the next recorded event.
+    ///
+    /// # Panics
+    /// Panics if the stream is exhausted.
+    fn advance(&mut self) -> &'a ShardStreamEvent<S> {
+        let stream: &'a ShardStream<S> = self.stream;
         self.pos += 1;
-        e.event.clone()
-    }
-
-    fn opening_factors(&self) -> ShardFactors<S> {
-        self.stream.initial.clone()
-    }
-
-    fn total_mass(&self) -> S {
-        self.stream.total.clone()
+        &stream.events[self.pos - 1]
     }
 }
 
 /// Check that `shards` is a contiguous partition starting at row zero and
-/// that the per-shard slices line up; returns `(total rows, n_labels)`.
-fn check_shards<I, P>(shards: &[DatasetShard], indexes: &[I], pins: &[P]) -> (usize, usize) {
+/// that the per-shard slices line up; returns the total row count.
+fn check_shards<I, P>(shards: &[DatasetShard], indexes: &[I], pins: &[P]) -> usize {
     assert!(!shards.is_empty(), "need at least one shard");
     assert_eq!(shards.len(), indexes.len(), "one index per shard");
     assert_eq!(shards.len(), pins.len(), "one pin mask per shard");
@@ -559,7 +504,7 @@ fn check_shards<I, P>(shards: &[DatasetShard], indexes: &[I], pins: &[P]) -> (us
         assert_eq!(sh.start(), next, "shards must be a contiguous partition");
         next = sh.end();
     }
-    (next, shards[0].dataset().n_labels())
+    next
 }
 
 /// Build one similarity index per shard for a test point — the per-shard
@@ -580,54 +525,23 @@ pub fn local_pins(shards: &[DatasetShard], global: &Pins) -> Vec<Pins> {
     shards.iter().map(|sh| sh.local_pins(global)).collect()
 }
 
-/// The merged partition-parallel scan (see the module docs for the
-/// protocol). `force_mc` overrides the tally-enumeration/multi-class
-/// accumulator auto-dispatch; `stop` is polled after each boundary event
-/// and may cut the scan short once the caller's question is already
-/// answered (the counts are then partial, the total is still exact).
-fn merged_scan_until<S, I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-    force_mc: Option<bool>,
-    stop: impl Fn(&[S]) -> bool,
-) -> Q2Result<S>
-where
-    S: CountSemiring,
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
-{
-    let (n_total, n_labels) = check_shards(shards, indexes, pins);
-    let k = cfg.k_eff(n_total);
-    let mut scans: Vec<ShardScan<'_, S>> = shards
-        .iter()
-        .zip(indexes)
-        .zip(pins)
-        .map(|((sh, idx), p)| ShardScan::new(sh, idx.borrow(), p.borrow(), k))
-        .collect();
-    merged_scan_sources(&mut scans, n_labels, k, force_mc, stop)
-}
-
-/// The merge loop over abstract factor sources — the engine shared by the
-/// in-process scan (live [`ShardScan`]s) and the RPC coordinator (decoded
-/// [`StreamCursor`]s): pick the globally next boundary event under the
+/// The merge loop over shard stream cursors — the coordinator's side of a
+/// scan: pick the globally next boundary event under the
 /// `(similarity, row, candidate)` total order, refresh the owner's cached
 /// factor summary, merge all shards' factors with the boundary set excluded
-/// from its own label, and accumulate supports. Identical inputs produce
-/// identical outputs bit-for-bit regardless of the source kind.
-pub fn merged_scan_sources<S, F>(
-    sources: &mut [F],
+/// from its own label, and accumulate supports. `force_mc` overrides the
+/// tally-enumeration/multi-class accumulator auto-dispatch; `stop` is polled
+/// after each boundary event and may cut the scan short once the caller's
+/// question is already answered (the counts are then partial, the total is
+/// still exact).
+pub fn merged_scan_sources<S: CountSemiring>(
+    sources: &mut [StreamCursor<'_, S>],
     n_labels: usize,
     k: usize,
     force_mc: Option<bool>,
     stop: impl Fn(&[S]) -> bool,
-) -> Q2Result<S>
-where
-    S: CountSemiring,
-    F: FactorSource<S>,
-{
-    assert!(!sources.is_empty(), "need at least one factor source");
+) -> Q2Result<S> {
+    assert!(!sources.is_empty(), "need at least one shard stream");
     let use_mc = force_mc.unwrap_or_else(|| use_multiclass_accumulator(n_labels, k));
     let comps = if use_mc {
         Vec::new()
@@ -637,24 +551,17 @@ where
 
     // cached per-shard factor summaries; only the owner's entry changes per
     // boundary event
-    let mut factors: Vec<ShardFactors<S>> = sources.iter().map(|s| s.opening_factors()).collect();
+    let mut factors = opening_factors(sources);
     let mut counts = vec![S::zero(); n_labels];
 
-    while let Some((s, _)) = next_source(sources) {
-        let ev = sources[s].next_event();
-        let yi = ev.label;
-        let merged = merge_event(
-            &mut factors,
-            s,
-            ev.label,
-            ev.updated_poly,
-            ev.excluding_poly,
-        );
+    while let Some(s) = next_source(sources) {
+        let ev = &sources[s].advance().event;
+        let merged = merge_event(&mut factors, s, ev);
         let polys = merged.poly_refs();
         if use_mc {
-            accumulate_supports_mc(k, yi, &ev.boundary_mass, &polys, &mut counts);
+            accumulate_supports_mc(k, ev.label, &ev.boundary_mass, &polys, &mut counts);
         } else {
-            accumulate_supports(&comps, yi, &ev.boundary_mass, &polys, &mut counts);
+            accumulate_supports(&comps, ev.label, &ev.boundary_mass, &polys, &mut counts);
         }
         if stop(&counts) {
             break;
@@ -663,25 +570,28 @@ where
 
     Q2Result {
         counts,
-        total: merge_totals(sources.iter().map(|s| s.total_mass())),
+        total: merge_totals(sources.iter().map(|c| c.stream.total.clone())),
     }
 }
 
-/// The source owning the globally next boundary candidate, with its key,
-/// under the exact `(similarity, row, candidate)` order the single scan
-/// sorts by; `None` once every source is exhausted.
+/// Every source's factors before its first event.
+fn opening_factors<S: CountSemiring>(sources: &[StreamCursor<'_, S>]) -> Vec<ShardFactors<S>> {
+    sources.iter().map(|c| c.stream.initial.clone()).collect()
+}
+
+/// The source owning the globally next boundary candidate under the exact
+/// `(similarity, row, candidate)` order the single scan sorts by; `None`
+/// once every source is exhausted.
 #[inline]
-fn next_source<S: CountSemiring, F: FactorSource<S>>(
-    sources: &[F],
-) -> Option<(usize, (f64, usize, u32))> {
-    let mut owner: Option<(usize, (f64, usize, u32))> = None;
+fn next_source<S>(sources: &[StreamCursor<'_, S>]) -> Option<usize> {
+    let mut owner: Option<(usize, &ShardStreamEvent<S>)> = None;
     for (s, src) in sources.iter().enumerate() {
-        if let Some(ev) = src.peek_key() {
-            let better = match &owner {
+        if let Some(ev) = src.peek() {
+            let better = match owner {
                 None => true,
-                Some((_, best)) => match ev.0.total_cmp(&best.0) {
+                Some((_, best)) => match ev.sim.total_cmp(&best.sim) {
                     Ordering::Less => true,
-                    Ordering::Equal => (ev.1, ev.2) < (best.1, best.2),
+                    Ordering::Equal => (ev.row, ev.cand) < (best.row, best.cand),
                     Ordering::Greater => false,
                 },
             };
@@ -690,23 +600,21 @@ fn next_source<S: CountSemiring, F: FactorSource<S>>(
             }
         }
     }
-    owner
+    owner.map(|(s, _)| s)
 }
 
-/// Record source `s`'s refreshed `label` polynomial in the cached
-/// `factors`, and return the merged factors one boundary event of `s`
-/// reads: `s`'s factors with the boundary set excluded from its own label
-/// (`excluding`), times every other source's, in source order.
+/// Record source `s`'s refreshed polynomial for the event's label in the
+/// cached `factors`, and return the merged factors one boundary event of
+/// `s` reads: `s`'s factors with the boundary set excluded from its own
+/// label, times every other source's, in source order.
 #[inline]
 fn merge_event<S: CountSemiring>(
     factors: &mut [ShardFactors<S>],
     s: usize,
-    label: Label,
-    updated: Vec<S>,
-    excluding: Vec<S>,
+    ev: &BoundaryEvent<S>,
 ) -> ShardFactors<S> {
-    factors[s].set_poly(label, updated);
-    let mut merged = factors[s].with_poly(label, excluding);
+    factors[s].set_poly(ev.label, ev.updated_poly.clone());
+    let mut merged = factors[s].with_poly(ev.label, ev.excluding_poly.clone());
     for (u, f) in factors.iter().enumerate() {
         if u != s {
             merged.merge_assign(f);
@@ -752,53 +660,43 @@ fn merge_event<S: CountSemiring>(
 /// # Panics
 /// Panics if `owner` is out of range, on factor shape mismatches, or if
 /// an event of the swept row names a candidate it does not have.
-pub fn merged_sweep_sources<S, F>(
-    sources: &mut [F],
+pub fn merged_sweep_sources<S: CountSemiring>(
+    sources: &mut [StreamCursor<'_, S>],
     owner: usize,
     swept: &SweptStream<S>,
     label: Label,
     n_labels: usize,
     k: usize,
     force_mc: Option<bool>,
-) -> Vec<Q2Result<S>>
-where
-    S: CountSemiring,
-    F: FactorSource<S>,
-{
+) -> Vec<Q2Result<S>> {
     assert!(owner < sources.len(), "owner {owner} out of range");
     let use_mc = force_mc.unwrap_or_else(|| use_multiclass_accumulator(n_labels, k));
     let supports = Supports::new(n_labels, k, use_mc);
     let keys = swept.keys();
-    let mut factors: Vec<ShardFactors<S>> = sources.iter().map(|s| s.opening_factors()).collect();
+    let mut factors = opening_factors(sources);
     let mut counts = vec![vec![S::zero(); n_labels]; keys.len()];
     let (mut terms, mut shifted) = (Vec::new(), Vec::new());
 
-    while let Some((s, (sim, row, cand))) = next_source(sources) {
-        let ev = sources[s].next_event();
-        let yi = ev.label;
-        let merged = merge_event(
-            &mut factors,
-            s,
-            ev.label,
-            ev.updated_poly,
-            ev.excluding_poly,
-        );
+    while let Some(s) = next_source(sources) {
+        let e = sources[s].advance();
+        let ev = &e.event;
+        let merged = merge_event(&mut factors, s, ev);
         let mut polys = merged.poly_refs();
-        if s == owner && row == swept.row {
+        if s == owner && e.row == swept.row {
             // the row's own candidate is the boundary of its own pin alone
-            let counts = &mut counts[cand as usize];
-            supports.each(yi, &ev.boundary_mass, &polys, |w, v| {
+            let counts = &mut counts[e.cand as usize];
+            supports.each(ev.label, &ev.boundary_mass, &polys, |w, v| {
                 counts[w].add_assign(v)
             });
             continue;
         }
         supports.add_swept(
-            yi,
+            ev.label,
             &ev.boundary_mass,
             &mut polys,
             label,
             &keys,
-            &CandKey::new(sim, row as u32, cand),
+            &CandKey::new(e.sim, e.row as u32, e.cand),
             &mut counts,
             &mut terms,
             &mut shifted,
@@ -809,7 +707,7 @@ where
         if s == owner {
             swept.pinned_total.clone()
         } else {
-            src.total_mass()
+            src.stream.total.clone()
         }
     }));
     counts
@@ -833,6 +731,7 @@ fn check_streams<S: CountSemiring, T: Borrow<ShardStream<S>>>(streams: &[T]) -> 
     (n_labels, k)
 }
 
+/// [`merged_scan_sources`] over a cursor on each of `streams`.
 fn merged_streams_until<S, T>(
     streams: &[T],
     force_mc: Option<bool>,
@@ -848,8 +747,7 @@ where
     merged_scan_sources(&mut cursors, n_labels, k, force_mc, stop)
 }
 
-/// Capture every shard's batched event stream for one test point — the
-/// stream twin of driving [`q2_sharded_with_indexes`] directly, and what a
+/// Capture every shard's batched event stream for one test point — what a
 /// fleet of shard servers computes (one stream each) in response to a scan
 /// request.
 pub fn capture_streams<S, I, P>(
@@ -863,7 +761,7 @@ where
     I: Borrow<SimilarityIndex>,
     P: Borrow<Pins>,
 {
-    let (n_total, _) = check_shards(shards, indexes, pins);
+    let n_total = check_shards(shards, indexes, pins);
     let k = cfg.k_eff(n_total);
     shards
         .iter()
@@ -875,8 +773,8 @@ where
 
 /// **Q2 from batched shard streams** — the coordinator's side of the RPC
 /// exchange: merge pre-captured (or decoded) per-shard event streams into
-/// the exact global counts. Equal to [`q2_sharded_with_indexes`] on streams
-/// captured from the same shards/pins, bit-for-bit in exact semirings.
+/// the exact global counts, equal to the single-process scan's
+/// bit-for-bit in exact semirings.
 pub fn q2_from_streams<S, T>(streams: &[T]) -> Q2Result<S>
 where
     S: CountSemiring,
@@ -885,61 +783,7 @@ where
     merged_streams_until(streams, None, |_| false)
 }
 
-/// [`q2_from_streams`] with an explicit algorithm choice (same graceful
-/// fallbacks as [`q2_sharded_with_algorithm`]).
-pub fn q2_from_streams_with_algorithm<S, T>(streams: &[T], algo: Q2Algorithm) -> Q2Result<S>
-where
-    S: CountSemiring,
-    T: Borrow<ShardStream<S>>,
-{
-    merged_streams_until(streams, algorithm_force_mc(algo), |_| false)
-}
-
-/// The certainly-predicted label (if any) from batched `Possibility`-semiring
-/// shard streams, with the same two-labels-possible early exit as
-/// [`certain_label_sharded_with_indexes`].
-pub fn certain_label_from_streams<T>(streams: &[T]) -> Option<Label>
-where
-    T: Borrow<ShardStream<Possibility>>,
-{
-    let (n_labels, k) = check_streams(streams);
-    let mut cursors: Vec<StreamCursor<'_, Possibility>> =
-        streams.iter().map(|st| st.borrow().cursor()).collect();
-    let uncertain = |counts: &[Possibility]| counts.iter().filter(|c| c.0).count() >= 2;
-    merged_scan_sources(&mut cursors, n_labels, k, None, uncertain).certain_label()
-}
-
-/// Q2 prediction probabilities from batched probability-space shard streams.
-pub fn q2_probabilities_from_streams<T>(streams: &[T]) -> Vec<f64>
-where
-    T: Borrow<ShardStream<f64>>,
-{
-    q2_from_streams::<f64, T>(streams).probabilities()
-}
-
-/// **Q2 over a sharded dataset**, against prebuilt per-shard indexes and
-/// shard-local pin masks — the sharded twin of
-/// `cp_core::ss_tree::q2_sortscan_tree_with_index`.
-///
-/// `indexes` and `pins` accept owned values or references (anything
-/// [`Borrow`]-ing the shard index / pin mask), so callers can pass the
-/// `Vec<SimilarityIndex>` from [`build_shard_indexes`] or borrowed
-/// per-shard state without building reference vectors.
-pub fn q2_sharded_with_indexes<S, I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-) -> Q2Result<S>
-where
-    S: CountSemiring,
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
-{
-    merged_scan_until(shards, indexes, pins, cfg, None, |_| false)
-}
-
-/// [`q2_sharded_with_indexes`] with an explicit algorithm choice.
+/// [`q2_from_streams`] with an explicit algorithm choice.
 ///
 /// Only the SortScan family decomposes over partitions; the selectors
 /// without a sharded counterpart **fall back gracefully** to the merged
@@ -951,98 +795,32 @@ where
 /// * `SortScan` / `BruteForce` — no partition-parallel decomposition exists
 ///   (brute force enumerates cross-shard worlds; the naive DP rebuilds
 ///   global state per boundary), so both fall back to the merged tree scan.
-pub fn q2_sharded_with_algorithm<S, I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-    algo: Q2Algorithm,
-) -> Q2Result<S>
+pub fn q2_from_streams_with_algorithm<S, T>(streams: &[T], algo: Q2Algorithm) -> Q2Result<S>
 where
     S: CountSemiring,
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
+    T: Borrow<ShardStream<S>>,
 {
-    merged_scan_until(shards, indexes, pins, cfg, algorithm_force_mc(algo), |_| {
-        false
-    })
-}
-
-/// Map an algorithm selector onto the merged scan's accumulator override
-/// (the only selector degree of freedom that decomposes over shards).
-fn algorithm_force_mc(algo: Q2Algorithm) -> Option<bool> {
-    match algo {
+    let force_mc = match algo {
         Q2Algorithm::SortScanMultiClass => Some(true),
         Q2Algorithm::Auto
         | Q2Algorithm::SortScanTree
         | Q2Algorithm::SortScan
         | Q2Algorithm::BruteForce => None,
-    }
+    };
+    merged_streams_until(streams, force_mc, |_| false)
 }
 
-/// **Q2 for one test point** over a sharded dataset: builds the per-shard
-/// indexes, restricts the global pin mask, runs the merged scan.
-pub fn q2_sharded<S: CountSemiring>(
-    shards: &[DatasetShard],
-    cfg: &CpConfig,
-    t: &[f64],
-    global_pins: &Pins,
-) -> Q2Result<S> {
-    let indexes = build_shard_indexes(shards, cfg.kernel, t);
-    let pins = local_pins(shards, global_pins);
-    q2_sharded_with_indexes(shards, &indexes, &pins, cfg)
-}
-
-/// The certainly-predicted label (if any) over a sharded dataset, with the
-/// same dispatch as the single-process [`cp_core::certain_label_with_index`]:
-///
-/// * binary label spaces take the **MM extreme-summary fast path** — each
-///   shard summarizes its extreme-world top-K ([`extreme_summaries`]), the
-///   summaries merge by rank, and the two-extreme-worlds check decides; no
-///   boundary-event stream, no tally trees;
-/// * `|Y| ≠ 2` runs the merged [`Possibility`]-semiring scan
-///   ([`certain_label_sharded_merged_scan`]) — exact and overflow-free.
-///
-/// Both routes are property-tested equal to each other and to the
-/// single-process answers for every shard count.
-pub fn certain_label_sharded_with_indexes<I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-) -> Option<Label>
+/// The certainly-predicted label (if any) from batched `Possibility`-semiring
+/// shard streams — exact and overflow-free for any `|Y|`. The merge stops
+/// early: once two labels are possible the point is uncertain and
+/// possibility bits can only turn on, so the rest of the scan cannot change
+/// the answer.
+pub fn certain_label_from_streams<T>(streams: &[T]) -> Option<Label>
 where
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
+    T: Borrow<ShardStream<Possibility>>,
 {
-    let (_, n_labels) = check_shards(shards, indexes, pins);
-    if n_labels == 2 {
-        let summaries = extreme_summaries(shards, indexes, pins, cfg);
-        certain_label_from_summaries(&summaries)
-    } else {
-        certain_label_sharded_merged_scan(shards, indexes, pins, cfg)
-    }
-}
-
-/// The certainly-predicted label via the merged scan in the exact boolean
-/// [`Possibility`] semiring — the any-`|Y|` route, and the oracle the
-/// binary summary path is property-tested against.
-pub fn certain_label_sharded_merged_scan<I, P>(
-    shards: &[DatasetShard],
-    indexes: &[I],
-    pins: &[P],
-    cfg: &CpConfig,
-) -> Option<Label>
-where
-    I: Borrow<SimilarityIndex>,
-    P: Borrow<Pins>,
-{
-    // early exit: once two labels are possible the point is uncertain and
-    // possibility bits can only turn on, so the rest of the scan cannot
-    // change the answer
     let uncertain = |counts: &[Possibility]| counts.iter().filter(|c| c.0).count() >= 2;
-    let r: Q2Result<Possibility> = merged_scan_until(shards, indexes, pins, cfg, None, uncertain);
-    r.certain_label()
+    merged_streams_until(streams, None, uncertain).certain_label()
 }
 
 /// Build one [`ExtremeSummary`] per shard for one test point — the MM twin
@@ -1058,7 +836,7 @@ where
     I: Borrow<SimilarityIndex>,
     P: Borrow<Pins>,
 {
-    let (n_total, _) = check_shards(shards, indexes, pins);
+    let n_total = check_shards(shards, indexes, pins);
     let k = cfg.k_eff(n_total);
     shards
         .iter()
@@ -1110,6 +888,18 @@ mod tests {
         (ds, vec![10.0])
     }
 
+    /// Every shard's captured stream for test point `t` under the global
+    /// pin mask `pins`.
+    fn streams_for<S: CountSemiring>(
+        shards: &[DatasetShard],
+        cfg: &CpConfig,
+        t: &[f64],
+        pins: &Pins,
+    ) -> Vec<ShardStream<S>> {
+        let indexes = build_shard_indexes(shards, cfg.kernel, t);
+        capture_streams(shards, &indexes, &local_pins(shards, pins), cfg)
+    }
+
     #[test]
     fn sharded_counts_match_single_process_for_every_shard_count() {
         let (ds, t) = figure6();
@@ -1118,9 +908,14 @@ mod tests {
             let single = cp_core::q2::<u128>(&ds, &cfg, &t);
             for n_shards in 1..=3 {
                 let shards = ds.partition(n_shards);
-                let sharded = q2_sharded::<u128>(&shards, &cfg, &t, &Pins::none(ds.len()));
+                let streams = streams_for(&shards, &cfg, &t, &Pins::none(ds.len()));
+                let sharded: Q2Result<u128> = q2_from_streams(&streams);
                 assert_eq!(sharded.counts, single.counts, "k={k} n_shards={n_shards}");
                 assert_eq!(sharded.total, single.total);
+                // replays are repeatable: a second pass over the same
+                // streams gives the same counts (the coordinator reuses
+                // non-owner streams across candidate pins)
+                assert_eq!(q2_from_streams(&streams).counts, single.counts);
             }
         }
     }
@@ -1134,7 +929,8 @@ mod tests {
             let single = cp_core::ss_tree::q2_sortscan_tree::<u128>(&ds, &cfg, &t, &pins);
             for n_shards in [2, 3] {
                 let shards = ds.partition(n_shards);
-                let sharded = q2_sharded::<u128>(&shards, &cfg, &t, &pins);
+                let sharded: Q2Result<u128> =
+                    q2_from_streams(&streams_for(&shards, &cfg, &t, &pins));
                 assert_eq!(
                     sharded.counts, single.counts,
                     "pin ({set},{cand}) n_shards={n_shards}"
@@ -1148,8 +944,7 @@ mod tests {
         let (ds, t) = figure6();
         let cfg = CpConfig::new(2);
         let shards = ds.partition(2);
-        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
-        let pins = local_pins(&shards, &Pins::none(ds.len()));
+        let streams: Vec<ShardStream<u128>> = streams_for(&shards, &cfg, &t, &Pins::none(ds.len()));
         let reference = q2_with_algorithm::<u128>(&ds, &cfg, &t, Q2Algorithm::BruteForce);
         for algo in [
             Q2Algorithm::Auto,
@@ -1158,7 +953,7 @@ mod tests {
             Q2Algorithm::SortScanTree,
             Q2Algorithm::SortScanMultiClass,
         ] {
-            let r = q2_sharded_with_algorithm::<u128, _, _>(&shards, &indexes, &pins, &cfg, algo);
+            let r = q2_from_streams_with_algorithm(&streams, algo);
             assert_eq!(r.counts, reference.counts, "algo={algo:?}");
             assert_eq!(r.total, reference.total);
         }
@@ -1170,15 +965,14 @@ mod tests {
         for k in [1, 3] {
             let cfg = CpConfig::new(k);
             let shards = ds.partition(3);
-            let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
-            let pins = local_pins(&shards, &Pins::none(ds.len()));
+            let none = Pins::none(ds.len());
             assert_eq!(
-                certain_label_sharded_with_indexes(&shards, &indexes, &pins, &cfg),
+                certain_label_from_streams(&streams_for(&shards, &cfg, &t, &none)),
                 cp_core::certain_label(&ds, &cfg, &t),
                 "k={k}"
             );
-            let sharded = q2_sharded_with_indexes::<f64, _, _>(&shards, &indexes, &pins, &cfg)
-                .probabilities();
+            let sharded =
+                q2_from_streams::<f64, _>(&streams_for(&shards, &cfg, &t, &none)).probabilities();
             let single = cp_core::q2_probabilities(&ds, &cfg, &t);
             for (a, b) in sharded.iter().zip(&single) {
                 assert!((a - b).abs() < 1e-12, "k={k}: {sharded:?} vs {single:?}");
@@ -1202,59 +996,12 @@ mod tests {
                     let shards = ds.partition(n_shards);
                     let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
                     let local = local_pins(&shards, &pins);
-                    let dispatched =
-                        certain_label_sharded_with_indexes(&shards, &indexes, &local, &cfg);
-                    let scanned =
-                        certain_label_sharded_merged_scan(&shards, &indexes, &local, &cfg);
                     let summaries = extreme_summaries(&shards, &indexes, &local, &cfg);
-                    assert_eq!(dispatched, single, "k={k} n_shards={n_shards}");
-                    assert_eq!(dispatched, scanned, "k={k} n_shards={n_shards}");
-                    assert_eq!(certain_label_from_summaries(&summaries), single);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streams_replay_to_the_exact_live_counts() {
-        let (ds, t) = figure6();
-        for k in 1..=3 {
-            let cfg = CpConfig::new(k);
-            for n_shards in 1..=3 {
-                let shards = ds.partition(n_shards);
-                let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
-                for pins in [Pins::none(ds.len()), Pins::single(ds.len(), 1, 0)] {
-                    let local = local_pins(&shards, &pins);
-                    let live: Q2Result<u128> =
-                        q2_sharded_with_indexes(&shards, &indexes, &local, &cfg);
-                    let streams: Vec<ShardStream<u128>> =
-                        capture_streams(&shards, &indexes, &local, &cfg);
-                    let replayed = q2_from_streams(&streams);
-                    assert_eq!(replayed.counts, live.counts, "k={k} n_shards={n_shards}");
-                    assert_eq!(replayed.total, live.total);
-                    // replays are repeatable: a second pass over the same
-                    // streams gives the same counts (the coordinator reuses
-                    // non-owner streams across candidate pins)
-                    assert_eq!(q2_from_streams(&streams).counts, live.counts);
-
-                    // probability space is bit-identical too: the stream
-                    // payloads are produced by the same f64 operations
-                    let live_p: Q2Result<f64> =
-                        q2_sharded_with_indexes(&shards, &indexes, &local, &cfg);
-                    let streams_p: Vec<ShardStream<f64>> =
-                        capture_streams(&shards, &indexes, &local, &cfg);
-                    assert_eq!(
-                        q2_probabilities_from_streams(&streams_p),
-                        live_p.probabilities()
-                    );
-
-                    // certain-label answers agree as well
-                    let streams_q: Vec<ShardStream<Possibility>> =
-                        capture_streams(&shards, &indexes, &local, &cfg);
-                    assert_eq!(
-                        certain_label_from_streams(&streams_q),
-                        certain_label_sharded_with_indexes(&shards, &indexes, &local, &cfg)
-                    );
+                    let summarized = certain_label_from_summaries(&summaries);
+                    let streams = capture_streams(&shards, &indexes, &local, &cfg);
+                    let scanned = certain_label_from_streams(&streams);
+                    assert_eq!(summarized, single, "k={k} n_shards={n_shards}");
+                    assert_eq!(summarized, scanned, "k={k} n_shards={n_shards}");
                 }
             }
         }
@@ -1300,27 +1047,21 @@ mod tests {
         assert_eq!(certain, cp_core::certain_label(&ds, &cfg, &t));
     }
 
+    /// A merge cut short by its stop predicate leaves partial counts but
+    /// the exact world total.
     #[test]
-    fn stream_algorithm_selectors_match_live_selectors() {
+    fn a_stopped_merge_keeps_the_exact_total() {
         let (ds, t) = figure6();
-        let cfg = CpConfig::new(2);
-        let shards = ds.partition(2);
-        let indexes = build_shard_indexes(&shards, cfg.kernel, &t);
-        let pins = local_pins(&shards, &Pins::none(ds.len()));
-        let streams: Vec<ShardStream<u128>> = capture_streams(&shards, &indexes, &pins, &cfg);
-        for algo in [
-            Q2Algorithm::Auto,
-            Q2Algorithm::BruteForce,
-            Q2Algorithm::SortScan,
-            Q2Algorithm::SortScanTree,
-            Q2Algorithm::SortScanMultiClass,
-        ] {
-            let live =
-                q2_sharded_with_algorithm::<u128, _, _>(&shards, &indexes, &pins, &cfg, algo);
-            let replayed = q2_from_streams_with_algorithm(&streams, algo);
-            assert_eq!(replayed.counts, live.counts, "algo={algo:?}");
-            assert_eq!(replayed.total, live.total);
-        }
+        let cfg = CpConfig::new(1);
+        let shards = ds.partition(3);
+        let streams: Vec<ShardStream<u128>> = streams_for(&shards, &cfg, &t, &Pins::none(ds.len()));
+        let full = q2_from_streams(&streams);
+        let stopped = merged_streams_until(&streams, None, |counts: &[u128]| {
+            counts.iter().any(|&c| c > 0)
+        });
+        assert_eq!(stopped.total, full.total);
+        assert_eq!(stopped.total, 8);
+        assert!(stopped.counts.iter().sum::<u128>() < full.counts.iter().sum::<u128>());
     }
 
     #[test]
@@ -1342,7 +1083,7 @@ mod tests {
         let cfg = CpConfig::new(1);
         let shards = ds.partition(2);
         let reversed: Vec<DatasetShard> = shards.into_iter().rev().collect();
-        q2_sharded::<u128>(&reversed, &cfg, &t, &Pins::none(ds.len()));
+        streams_for::<u128>(&reversed, &cfg, &t, &Pins::none(ds.len()));
     }
 
     /// A `τ_s` bit-identity case: a dataset on a small 1-d grid (exact
@@ -1420,12 +1161,6 @@ mod tests {
                     }
                 })
                 .collect()
-        }
-
-        /// The live merged scan.
-        fn live<S: CountSemiring>(&self, full: bool, use_mc: bool) -> Q2Result<S> {
-            let mut scans = self.scans::<S>(full);
-            merged_scan_sources(&mut scans, self.n_labels, self.k, Some(use_mc), |_| false)
         }
 
         /// Every shard's captured stream.
@@ -1513,11 +1248,8 @@ mod tests {
                             &pins,
                         )
                     };
-                    let live = sh.live::<BigUint>(false, use_mc);
                     let replayed = sh.replayed::<BigUint>(false, use_mc);
-                    assert_eq!(live.counts, single.counts, "seed {seed} mc {use_mc}");
                     assert_eq!(replayed.counts, single.counts, "seed {seed} mc {use_mc}");
-                    assert_eq!(live.total, single.total);
                     assert_eq!(replayed.total, single.total);
                 }
             }
@@ -1570,32 +1302,25 @@ mod tests {
                 for use_mc in [false, true] {
                     let what =
                         format!("n_far {n_far} pinned {pinned} shards {n_shards} mc {use_mc}");
-                    for run in [Sharded::live::<BigUint>, Sharded::replayed::<BigUint>] {
+                    let run = Sharded::replayed::<BigUint>;
+                    let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                    assert_eq!(fast.counts, full.counts, "{what}");
+                    assert_eq!(fast.total, full.total, "{what}");
+                    if n_far == 48 {
+                        let run = Sharded::replayed::<u128>;
                         let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
                         assert_eq!(fast.counts, full.counts, "{what}");
                         assert_eq!(fast.total, full.total, "{what}");
                     }
-                    if n_far == 48 {
-                        for run in [Sharded::live::<u128>, Sharded::replayed::<u128>] {
-                            let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
-                            assert_eq!(fast.counts, full.counts, "{what}");
-                            assert_eq!(fast.total, full.total, "{what}");
-                        }
-                    }
-                    for run in [
-                        Sharded::live::<Possibility>,
-                        Sharded::replayed::<Possibility>,
-                    ] {
-                        let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
-                        assert_eq!(fast.counts, full.counts, "{what}");
-                    }
-                    for run in [Sharded::live::<ScaledF64>, Sharded::replayed::<ScaledF64>] {
-                        let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
-                        assert!(
-                            fast.counts == full.counts && fast.total == full.total,
-                            "{what}"
-                        );
-                    }
+                    let run = Sharded::replayed::<Possibility>;
+                    let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                    assert_eq!(fast.counts, full.counts, "{what}");
+                    let run = Sharded::replayed::<ScaledF64>;
+                    let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                    assert!(
+                        fast.counts == full.counts && fast.total == full.total,
+                        "{what}"
+                    );
                     // and the merged counts are the in-process scan's
                     let single = if use_mc {
                         cp_core::ss_tree::q2_sortscan_multiclass_with_index::<BigUint>(
@@ -1607,7 +1332,7 @@ mod tests {
                         )
                     };
                     assert_eq!(
-                        sh.live::<BigUint>(false, use_mc).counts,
+                        sh.replayed::<BigUint>(false, use_mc).counts,
                         single.counts,
                         "{what}"
                     );
@@ -1713,20 +1438,16 @@ mod tests {
         ) {
             let sh = Sharded::new(&ds, &t, k, &pins, n_shards);
             for use_mc in [false, true] {
-                for run in [Sharded::live::<u128>, Sharded::replayed::<u128>] {
-                    let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
-                    prop_assert_eq!(&fast.counts, &full.counts);
-                    prop_assert_eq!(fast.total, full.total);
-                }
-                for run in [Sharded::live::<BigUint>, Sharded::replayed::<BigUint>] {
-                    prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
-                }
-                for run in [Sharded::live::<Possibility>, Sharded::replayed::<Possibility>] {
-                    prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
-                }
-                for run in [Sharded::live::<f64>, Sharded::replayed::<f64>] {
-                    prop_assert_eq!(bits(&run(&sh, false, use_mc)), bits(&run(&sh, true, use_mc)));
-                }
+                let run = Sharded::replayed::<u128>;
+                let (fast, full) = (run(&sh, false, use_mc), run(&sh, true, use_mc));
+                prop_assert_eq!(&fast.counts, &full.counts);
+                prop_assert_eq!(fast.total, full.total);
+                let run = Sharded::replayed::<BigUint>;
+                prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
+                let run = Sharded::replayed::<Possibility>;
+                prop_assert_eq!(&run(&sh, false, use_mc).counts, &run(&sh, true, use_mc).counts);
+                let run = Sharded::replayed::<f64>;
+                prop_assert_eq!(bits(&run(&sh, false, use_mc)), bits(&run(&sh, true, use_mc)));
             }
             // the merged scans agree with the single-process scan too
             let single = cp_core::ss_tree::q2_sortscan_tree_with_index::<u128>(
@@ -1736,15 +1457,11 @@ mod tests {
                 &pins,
             );
             prop_assert_eq!(&sh.replayed::<u128>(false, use_multiclass_accumulator(sh.n_labels, sh.k)).counts, &single.counts);
-            // the early-exit certain-label scan, live and replayed
-            let certain = |mut scans: Vec<ShardScan<'_, Possibility>>| {
-                let uncertain = |c: &[Possibility]| c.iter().filter(|c| c.0).count() >= 2;
-                merged_scan_sources(&mut scans, sh.n_labels, sh.k, None, uncertain)
-                    .certain_label()
-            };
-            let oracle = certain(sh.scans(true));
-            prop_assert_eq!(certain(sh.scans(false)), oracle);
-            prop_assert_eq!(certain_label_from_streams(&sh.streams(false)), oracle);
+            // the early-exit certain-label merge
+            prop_assert_eq!(
+                certain_label_from_streams(&sh.streams(false)),
+                certain_label_from_streams(&sh.streams(true))
+            );
         }
 
         /// The merged pin sweep is every pin's merged scan: `f64` bit for

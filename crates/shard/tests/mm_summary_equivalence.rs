@@ -4,10 +4,10 @@
 //! random pin masks and random cleaning orders, three answers must be
 //! identical at every point:
 //!
-//! * the rank-merged summary path ([`certain_label_sharded_with_indexes`]
-//!   dispatch and the explicit [`certain_label_from_summaries`] fold);
-//! * the merged `Possibility`-semiring scan
-//!   ([`certain_label_sharded_merged_scan`], the pre-fast-path route);
+//! * the rank-merged summary path ([`certain_label_from_summaries`] over
+//!   [`extreme_summaries`]);
+//! * the merged `Possibility`-semiring streams
+//!   ([`certain_label_from_streams`], the route of non-binary label spaces);
 //! * single-process MM ([`cp_core::mm::certain_label_minmax`]).
 //!
 //! A third property pins the summaries themselves: each shard's summary,
@@ -27,9 +27,10 @@ use cp_core::{
     CpConfig, DatasetShard, ExtremeEntry, ExtremeSummary, IncompleteDataset, IncompleteExample,
     Pins, SimilarityIndex,
 };
+use cp_numeric::Possibility;
 use cp_shard::{
-    build_shard_indexes, certain_label_from_summaries, certain_label_sharded_merged_scan,
-    certain_label_sharded_with_indexes, extreme_summaries, local_pins,
+    build_shard_indexes, capture_streams, certain_label_from_streams, certain_label_from_summaries,
+    extreme_summaries, local_pins, ShardStream,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -131,9 +132,9 @@ fn per_set_walk(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Query-level equivalence: summary dispatch == explicit summary fold
-    /// == merged Possibility scan == single-process MM, for every shard
-    /// count, under random pin masks, at every validation point.
+    /// Query-level equivalence: summary fold == merged Possibility streams
+    /// == single-process MM, for every shard count, under random pin masks,
+    /// at every validation point.
     #[test]
     fn summary_path_equals_merged_scan_and_minmax((problem, seed) in arb_binary_instance()) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1f);
@@ -152,18 +153,11 @@ proptest! {
                     let shards = ds.partition(n_shards);
                     let indexes = build_shard_indexes(&shards, cfg.kernel, t);
                     let shard_pins = local_pins(&shards, &pins);
-                    let dispatched = certain_label_sharded_with_indexes(
-                        &shards, &indexes, &shard_pins, cfg,
-                    );
-                    let scanned = certain_label_sharded_merged_scan(
-                        &shards, &indexes, &shard_pins, cfg,
-                    );
+                    let streams: Vec<ShardStream<Possibility>> =
+                        capture_streams(&shards, &indexes, &shard_pins, cfg);
+                    let scanned = certain_label_from_streams(&streams);
                     let summaries = extreme_summaries(&shards, &indexes, &shard_pins, cfg);
                     let folded = certain_label_from_summaries(&summaries);
-                    prop_assert_eq!(
-                        dispatched, mm,
-                        "summary dispatch vs MM, n_shards={}", n_shards
-                    );
                     prop_assert_eq!(
                         folded, mm,
                         "summary fold vs MM, n_shards={}", n_shards

@@ -1,7 +1,7 @@
 //! Shard-count invariance of the factor-merge algebra.
 //!
 //! Partitioning is an implementation detail: for **every** shard count, the
-//! merged factor scan returns exactly the single-process Q2 counts for
+//! merge of the shards' captured streams returns exactly the single-process Q2 counts for
 //! every `Q2Algorithm` (graceful fallbacks included) under arbitrary pin
 //! masks — bit-for-bit in the exact `u128` semiring, and within float
 //! tolerance in probability space.
@@ -18,7 +18,9 @@ use cp_core::{
     q2_batch_with_algorithm, CpConfig, IncompleteDataset, IncompleteExample, Pins, Q2Algorithm,
     Q2Result,
 };
-use cp_shard::{build_shard_indexes, local_pins, q2_sharded_with_algorithm};
+use cp_shard::{
+    build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm, ShardStream,
+};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -95,7 +97,7 @@ fn random_pins(problem: &CleaningProblem, rng: &mut StdRng) -> Pins {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The merged factor scan equals every single-process Q2 algorithm under
+    /// The merged shard streams equal every single-process Q2 algorithm under
     /// arbitrary pin masks — exactly in `u128`, within tolerance in `f64`.
     #[test]
     fn sharded_q2_matches_every_algorithm((problem, seed) in arb_instance()) {
@@ -111,12 +113,12 @@ proptest! {
                 for (v, t) in problem.val_x.iter().enumerate() {
                     let indexes = build_shard_indexes(&shards, cfg.kernel, t);
                     let index_refs: Vec<&cp_core::SimilarityIndex> = indexes.iter().collect();
+                    let streams: Vec<ShardStream<u128>> =
+                        capture_streams(&shards, &index_refs, &pin_refs, cfg);
                     for algo in ALL_ALGORITHMS {
                         let single: Vec<Q2Result<u128>> =
                             q2_batch_with_algorithm(ds, cfg, std::slice::from_ref(t), &pins, algo);
-                        let sharded: Q2Result<u128> = q2_sharded_with_algorithm(
-                            &shards, &index_refs, &pin_refs, cfg, algo,
-                        );
+                        let sharded = q2_from_streams_with_algorithm(&streams, algo);
                         prop_assert_eq!(
                             &sharded.counts, &single[0].counts,
                             "val {} algo {:?} n_shards={}", v, algo, n_shards
@@ -127,8 +129,9 @@ proptest! {
                     let single_p: Vec<Q2Result<f64>> = q2_batch_with_algorithm(
                         ds, cfg, std::slice::from_ref(t), &pins, Q2Algorithm::SortScanTree,
                     );
-                    let sharded_p: Q2Result<f64> = q2_sharded_with_algorithm(
-                        &shards, &index_refs, &pin_refs, cfg, Q2Algorithm::SortScanTree,
+                    let sharded_p: Q2Result<f64> = q2_from_streams_with_algorithm(
+                        &capture_streams::<f64, _, _>(&shards, &index_refs, &pin_refs, cfg),
+                        Q2Algorithm::SortScanTree,
                     );
                     for (a, b) in sharded_p.probabilities().iter().zip(single_p[0].probabilities()) {
                         prop_assert!((a - b).abs() < 1e-9, "val {} n_shards={}", v, n_shards);

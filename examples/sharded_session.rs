@@ -14,7 +14,7 @@
 use cpclean::clean::{CleaningProblem, CleaningSession, RunOptions};
 use cpclean::core::{CpConfig, IncompleteDataset, IncompleteExample, Pins};
 use cpclean::rpc::{spawn_server, RpcCoordinator, RunningServer, ServerConfig};
-use cpclean::shard::q2_sharded;
+use cpclean::shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams};
 
 /// A small two-cluster problem with dirty rows straddling the boundary.
 fn example_problem() -> CleaningProblem {
@@ -61,14 +61,18 @@ fn main() {
         problem.dataset.world_count_log10(),
     );
 
-    // a single Q2 query, partition-parallel: per-shard factor summaries
-    // merged at the coordinator — exact counts, any shard count
+    // a single Q2 query, partition-parallel: each shard captures its scan
+    // as one stream of boundary events and factor summaries, and the
+    // coordinator merges the streams — exact counts, any shard count
     let t = vec![5.0];
     let single = cpclean::core::q2::<u128>(&problem.dataset, &problem.config, &t);
     println!("Q2 at t = {t:?} (worlds per label):");
     for n_shards in [1usize, 2, 4] {
         let shards = problem.dataset.partition(n_shards);
-        let sharded = q2_sharded::<u128>(&shards, &problem.config, &t, &Pins::none(n));
+        let indexes = build_shard_indexes(&shards, problem.config.kernel, &t);
+        let pins = local_pins(&shards, &Pins::none(n));
+        let streams = capture_streams(&shards, &indexes, &pins, &problem.config);
+        let sharded = q2_from_streams::<u128, _>(&streams);
         println!(
             "  {n_shards} shard(s): {:?} / {}  (single-process: {:?})",
             sharded.counts, sharded.total, single.counts
