@@ -27,45 +27,12 @@
 //! spill-everything (`CP_SPILL_THRESHOLD=0`) regimes — recovery must not
 //! care where the coordinator keeps its status streams.
 
-use cp_bench::{random_incomplete_dataset, Reporter};
+use cp_bench::{synthetic_problem, Reporter};
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
-use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
+use cp_core::{Pins, Q2Algorithm, Q2Result};
 use cp_rpc::{spawn_server, ClientConfig, FaultPlan, RpcCoordinator, ServerConfig, ShardClient};
 use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::time::Duration;
-
-/// The same synthetic-problem assembly the other rpc benches use.
-fn synthetic_problem(n: usize, m: usize, n_val: usize, seed: u64) -> CleaningProblem {
-    let (dataset, _) = random_incomplete_dataset(n, m, 0.3, 2, 3, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbead);
-    let choices = |rng: &mut StdRng| -> Vec<Option<usize>> {
-        (0..dataset.len())
-            .map(|i| {
-                let m = dataset.set_size(i);
-                (m > 1).then(|| rng.gen_range(0..m))
-            })
-            .collect()
-    };
-    let truth_choice = choices(&mut rng);
-    let default_choice = choices(&mut rng);
-    let gauss = |rng: &mut StdRng| {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    let val_x: Vec<Vec<f64>> = (0..n_val)
-        .map(|_| (0..dataset.dim()).map(|_| gauss(&mut rng)).collect())
-        .collect();
-    CleaningProblem::new(
-        dataset,
-        CpConfig::new(3),
-        val_x,
-        truth_choice,
-        default_choice,
-    )
-}
 
 fn opts() -> RunOptions {
     RunOptions {

@@ -20,47 +20,14 @@
 //! session's exactly, for the same problem. `--smoke` keeps CI runs at
 //! seconds scale.
 
-use cp_bench::{random_incomplete_dataset, Reporter};
-use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
-use cp_core::{CpConfig, Pins, Q2Algorithm, Q2Result};
+use cp_bench::{synthetic_problem, Reporter};
+use cp_clean::{CleaningSession, RunOptions};
+use cp_core::{Pins, Q2Algorithm, Q2Result};
 use cp_numeric::Possibility;
 use cp_rpc::{encode_stream, spawn_server, RpcCoordinator, RunningServer, ServerConfig};
 use cp_shard::{build_shard_indexes, ShardStream};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// A synthetic cleaning problem over the shared random-instance generator.
-fn synthetic_problem(n: usize, m: usize, n_val: usize, seed: u64) -> CleaningProblem {
-    let (dataset, _) = random_incomplete_dataset(n, m, 0.3, 2, 3, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbead);
-    let choices = |rng: &mut StdRng| -> Vec<Option<usize>> {
-        (0..dataset.len())
-            .map(|i| {
-                let m = dataset.set_size(i);
-                (m > 1).then(|| rng.gen_range(0..m))
-            })
-            .collect()
-    };
-    let truth_choice = choices(&mut rng);
-    let default_choice = choices(&mut rng);
-    let gauss = |rng: &mut StdRng| {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    let val_x: Vec<Vec<f64>> = (0..n_val)
-        .map(|_| (0..dataset.dim()).map(|_| gauss(&mut rng)).collect())
-        .collect();
-    CleaningProblem::new(
-        dataset,
-        CpConfig::new(3),
-        val_x,
-        truth_choice,
-        default_choice,
-    )
-}
 
 fn main() {
     let r = Reporter;

@@ -45,9 +45,9 @@
 //! aggregate throughput cannot exceed the serial baseline — the run prints
 //! that caveat instead of a hollow speedup number.
 
-use cp_bench::{random_incomplete_dataset, Reporter};
+use cp_bench::{synthetic_problem, Reporter};
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
-use cp_core::{CpConfig, Pins};
+use cp_core::Pins;
 use cp_rpc::{
     encode_stream, spawn_server, ClientConfig, FaultPlan, Request, RpcCoordinator, ServerConfig,
     ShardClient,
@@ -59,37 +59,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const FLEETS: [usize; 4] = [1, 2, 4, 8];
-
-/// A synthetic cleaning problem over the shared random-instance generator.
-fn synthetic_problem(n: usize, m: usize, n_val: usize, seed: u64) -> CleaningProblem {
-    let (dataset, _) = random_incomplete_dataset(n, m, 0.3, 2, 3, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xbead);
-    let choices = |rng: &mut StdRng| -> Vec<Option<usize>> {
-        (0..dataset.len())
-            .map(|i| {
-                let m = dataset.set_size(i);
-                (m > 1).then(|| rng.gen_range(0..m))
-            })
-            .collect()
-    };
-    let truth_choice = choices(&mut rng);
-    let default_choice = choices(&mut rng);
-    let gauss = |rng: &mut StdRng| {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    let val_x: Vec<Vec<f64>> = (0..n_val)
-        .map(|_| (0..dataset.dim()).map(|_| gauss(&mut rng)).collect())
-        .collect();
-    CleaningProblem::new(
-        dataset,
-        CpConfig::new(3),
-        val_x,
-        truth_choice,
-        default_choice,
-    )
-}
 
 struct FleetResult {
     coordinators: usize,
@@ -123,6 +92,19 @@ fn chaos_client_cfg(seed: u64) -> ClientConfig {
     }
 }
 
+/// The barriers a coordinator thread has yet to pass, in order. A thread
+/// that fails passes the rest as it unwinds, so the main thread never
+/// waits on a dead worker and reports the failure after `join` instead.
+struct Rendezvous(Vec<Arc<Barrier>>);
+
+impl Drop for Rendezvous {
+    fn drop(&mut self) {
+        for barrier in self.0.drain(..) {
+            barrier.wait();
+        }
+    }
+}
+
 /// Run `fleet` concurrent coordinators against `addr`, each cleaning its
 /// own shuffled order; returns the aggregate result after cross-checking
 /// every tenant's final status against an isolated in-process run.
@@ -153,9 +135,7 @@ fn run_fleet(
     for c in 0..fleet {
         let problem = problem.clone();
         let addr = addr.to_string();
-        let gate = barrier.clone();
-        let done = done.clone();
-        let calm = calm.clone();
+        let mut meet = Rendezvous(vec![barrier.clone(), done.clone(), calm.clone()]);
         let opts = opts.clone();
         let cfg = cfg.clone();
         workers.push(std::thread::spawn(move || -> (Vec<bool>, Vec<usize>) {
@@ -163,13 +143,13 @@ fn run_fleet(
             order.shuffle(&mut StdRng::seed_from_u64(0xc0fe ^ c as u64));
             let mut remote = RpcCoordinator::connect_with(&problem, &[addr], &opts, &cfg)
                 .expect("connect coordinator");
-            gate.wait(); // all sessions open before any steps
+            meet.0.remove(0).wait(); // all sessions open before any steps
             for &row in &order {
                 remote.clean(row).expect("clean over rpc");
             }
             let status = remote.status().to_vec();
-            done.wait();
-            calm.wait();
+            meet.0.remove(0).wait(); // done
+            meet.0.remove(0).wait(); // calm
             remote.shutdown().expect("shutdown");
             (status, order)
         }));
@@ -182,10 +162,8 @@ fn run_fleet(
         plan.pause();
     }
     calm.wait();
-    let finished: Vec<_> = workers
-        .into_iter()
-        .map(|w| w.join().expect("coordinator thread"))
-        .collect();
+    let finished: Vec<_> = workers.into_iter().filter_map(|w| w.join().ok()).collect();
+    assert_eq!(finished.len(), fleet, "coordinator threads failed");
     let diff = cp_obs::snapshot().diff(&before);
     let clean_hist = diff.histogram("rpc.coordinator.clean_us");
 

@@ -2,7 +2,8 @@
 //! studies (Figure 4): parameterized directly by the complexity knobs
 //! `N`, `M`, `|Y|` and feature dimension.
 
-use cp_core::{IncompleteDataset, IncompleteExample};
+use cp_clean::CleaningProblem;
+use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -37,6 +38,40 @@ pub fn random_incomplete_dataset(
     let ds = IncompleteDataset::new(examples, n_labels).expect("generator invariants");
     let t: Vec<f64> = (0..dim).map(|_| gauss(&mut rng)).collect();
     (ds, t)
+}
+
+/// A binary cleaning problem over [`random_incomplete_dataset`] (30%
+/// dirty, 3 features, K = 3): seeded truth and default choices and `n_val`
+/// standard-normal validation points — the instance the RPC smoke binaries
+/// share.
+pub fn synthetic_problem(n: usize, m: usize, n_val: usize, seed: u64) -> CleaningProblem {
+    let (dataset, _) = random_incomplete_dataset(n, m, 0.3, 2, 3, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xbead);
+    let choices = |rng: &mut StdRng| -> Vec<Option<usize>> {
+        (0..dataset.len())
+            .map(|i| {
+                let m = dataset.set_size(i);
+                (m > 1).then(|| rng.gen_range(0..m))
+            })
+            .collect()
+    };
+    let truth_choice = choices(&mut rng);
+    let default_choice = choices(&mut rng);
+    let gauss = |rng: &mut StdRng| {
+        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = rng.gen::<f64>();
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    };
+    let val_x: Vec<Vec<f64>> = (0..n_val)
+        .map(|_| (0..dataset.dim()).map(|_| gauss(&mut rng)).collect())
+        .collect();
+    CleaningProblem::new(
+        dataset,
+        CpConfig::new(3),
+        val_x,
+        truth_choice,
+        default_choice,
+    )
 }
 
 #[cfg(test)]

@@ -25,5 +25,5 @@ pub use experiments::{
     problem_from_prepared, run_end_to_end, run_end_to_end_averaged, seed_style_status_updates,
     EndToEndResult, ExperimentScale,
 };
-pub use gen::random_incomplete_dataset;
+pub use gen::{random_incomplete_dataset, synthetic_problem};
 pub use report::Reporter;

@@ -45,5 +45,5 @@ pub use metrics::{gap_closed, CleaningRun, CurvePoint};
 pub use problem::CleaningProblem;
 pub use random_clean::{average_random_runs, run_random_clean, run_random_clean_arc};
 pub use selection::{select_next_incremental, SelectionBackend, SelectionCache};
-pub use session::{pick_min_expected_entropy, CleaningEngine, CleaningSession};
+pub use session::{index_cache, pick_min_expected_entropy, CleaningEngine, CleaningSession};
 pub use state::CleaningState;

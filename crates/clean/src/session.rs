@@ -30,9 +30,10 @@
 //! thin wrappers over this engine, so existing callers are source
 //! compatible.
 //!
-//! A session is also the designed unit of *sharding* (ROADMAP): a shard
-//! will own one session over its partition of the candidate sets and merge
-//! per-label polynomial factors upward.
+//! The sharded engine (`cp-rpc`'s `RpcCoordinator`) keeps no session per
+//! shard: only the coordinator, which merges every shard's factors, can
+//! decide certainty, so a shard server holds just each session's
+//! [`CleaningState`] and one [`index_cache`] per shard.
 
 use crate::cpclean::RunOptions;
 use crate::eval::state_accuracy;
@@ -53,10 +54,7 @@ use std::sync::{Arc, Mutex};
 /// indexes + incrementally maintained CP status.
 ///
 /// The session *shares* its problem behind an [`Arc`] rather than borrowing
-/// it, so sessions are freely movable across threads and owners — the shape
-/// the sharded engine needs, where a shard server owns one
-/// `CleaningSession` per open session alongside the shard problems
-/// themselves.
+/// it, so sessions are freely movable across threads and owners.
 #[derive(Debug)]
 pub struct CleaningSession {
     problem: Arc<CleaningProblem>,
@@ -65,8 +63,8 @@ pub struct CleaningSession {
     cache: ValIndexCache,
     cp: Vec<bool>,
     /// Incremental selection state ([`crate::selection`]); behind a mutex —
-    /// not a `RefCell` — because selection takes `&self` and a shard
-    /// server shares a session across its connection threads.
+    /// not a `RefCell` — because selection takes `&self` and a session is
+    /// shared across threads by `&`.
     sel: Mutex<SelectionCache>,
 }
 
@@ -91,124 +89,27 @@ impl CleaningSession {
     }
 
     /// Open a session: validate the problem, build every validation point's
-    /// similarity index **once** (on the worker pool, at most
+    /// similarity index **once** ([`index_cache`], at most
     /// [`RunOptions::n_threads`] threads), and evaluate the initial CP status.
     pub fn from_arc(problem: Arc<CleaningProblem>, opts: &RunOptions) -> Self {
-        let mut session = Self::from_arc_deferred(problem, opts);
-        session.refresh_status();
-        session
-    }
-
-    /// [`CleaningSession::from_arc`] without the initial CP-status
-    /// evaluation — for coordinators that derive certainty globally (a
-    /// sharded run merges factors across shards) and use this session
-    /// only for pin ownership and its cached indexes.
-    /// [`CleaningSession::status`] reports every point as not-yet-certain
-    /// until a [`CleaningSession::clean`] refreshes it.
-    pub fn from_arc_deferred(problem: Arc<CleaningProblem>, opts: &RunOptions) -> Self {
-        let indexes = problem
-            .val_x
-            .par_iter()
-            .with_max_threads(opts.n_threads)
-            .map(|t| {
-                Arc::new(SimilarityIndex::build(
-                    &problem.dataset,
-                    problem.config.kernel,
-                    t,
-                ))
-            })
-            .collect();
-        let cache =
-            ValIndexCache::from_indexes(problem.config.kernel, problem.val_x.clone(), indexes);
-        Self::from_cache_deferred(problem, cache, opts)
-    }
-
-    /// [`CleaningSession::from_arc_deferred`] over a **pre-built** index
-    /// cache instead of building one: the session shares the cache's
-    /// `Arc`-held similarity indexes rather than paying the
-    /// `O(|val| · NM)` build again. This is the multi-tenant seam —
-    /// a shard server opening many sessions over one shard builds the
-    /// indexes once and hands every session the same cache.
-    ///
-    /// # Panics
-    /// Panics if the problem does not validate or the cache does not cover
-    /// exactly the problem's validation points.
-    pub fn from_cache_deferred(
-        problem: Arc<CleaningProblem>,
-        cache: ValIndexCache,
-        opts: &RunOptions,
-    ) -> Self {
         problem.validate();
-        assert_eq!(
-            cache.len(),
-            problem.val_x.len(),
-            "index cache does not cover the problem's validation points"
-        );
-        assert_eq!(
-            cache.kernel(),
-            problem.config.kernel,
-            "index cache built under a different kernel"
-        );
+        let cache = index_cache(&problem, opts.n_threads);
         let state = CleaningState::new(&problem);
         let cp = vec![false; problem.val_x.len()];
         let sel = Mutex::new(SelectionCache::new(
             problem.dataset.len(),
             problem.val_x.len(),
         ));
-        CleaningSession {
+        let mut session = CleaningSession {
             problem,
             opts: opts.clone(),
             state,
             cache,
             cp,
             sel,
-        }
-    }
-
-    /// [`CleaningSession::from_cache_deferred`] plus a recorded pin order —
-    /// the WAL-replay constructor: a shard server restarting over its data
-    /// directory rebuilds each session by re-applying the logged cleaning
-    /// order through the exact [`CleaningSession::clean_pin_only`] path the
-    /// live session took, so the recovered [`CleaningState`] (pins, cleaned
-    /// flags, order) is bit-identical to the pre-crash state.
-    ///
-    /// Unlike the live stepping path this *validates instead of panicking*:
-    /// log records are external input, so an out-of-range row, a clean row,
-    /// or a duplicate entry returns `Err` describing the bad record and the
-    /// session is left unusable rather than the process dying mid-recovery.
-    pub fn from_cache_replayed(
-        problem: Arc<CleaningProblem>,
-        cache: ValIndexCache,
-        opts: &RunOptions,
-        order: &[usize],
-    ) -> Result<Self, String> {
-        let mut session = Self::from_cache_deferred(problem, cache, opts);
-        session.replay_pins(order)?;
-        Ok(session)
-    }
-
-    /// Re-apply a recorded cleaning order (see
-    /// [`CleaningSession::from_cache_replayed`]), validating every row
-    /// before mutating — hostile or corrupt logs get an `Err`, not a panic.
-    /// Does not refresh this session's CP status (the recovered server
-    /// answers status queries the same deferred way a live one does).
-    pub fn replay_pins(&mut self, order: &[usize]) -> Result<(), String> {
-        for &row in order {
-            if row >= self.problem.dataset.len() {
-                return Err(format!(
-                    "replayed row {row} out of range (shard has {} rows)",
-                    self.problem.dataset.len()
-                ));
-            }
-            if self.problem.truth_choice[row].is_none() {
-                return Err(format!("replayed row {row} is not dirty"));
-            }
-            if self.state.is_cleaned(row) {
-                return Err(format!("replayed row {row} appears twice in the log"));
-            }
-            self.state.clean_row(&self.problem, row);
-        }
-        Ok(())
+        };
+        session.refresh_status();
+        session
     }
 
     /// The selection cache, recovering from a poisoned lock (the cache holds
@@ -295,21 +196,6 @@ impl CleaningSession {
     pub fn clean(&mut self, row: usize) {
         self.state.clean_row(&self.problem, row);
         self.refresh_status();
-    }
-
-    /// Apply a cleaning pin **without** re-evaluating this session's own CP
-    /// status — for coordinators that derive certainty globally (a sharded
-    /// run answers status questions by merging factors across shards)
-    /// and use this session only for pin ownership and its index cache.
-    ///
-    /// The local status vector keeps its last refreshed value, which stays
-    /// *sound* (certainty is monotone under cleaning, so stale entries can
-    /// only under-report) but may lag until the next [`CleaningSession::clean`].
-    ///
-    /// # Panics
-    /// Panics if the row is clean or already cleaned.
-    pub fn clean_pin_only(&mut self, row: usize) {
-        self.state.clean_row(&self.problem, row);
     }
 
     /// The greedy CPClean selection (Algorithm 3, lines 5–9) over the given
@@ -615,6 +501,26 @@ where
     pick_min_expected_entropy(problem, remaining, &per_val)
 }
 
+/// Every validation point's similarity index, built once on the worker
+/// pool with at most `n_threads` threads: the cache a [`CleaningSession`]
+/// scans through, and the one a shard server shares among the sessions
+/// over its shard.
+pub fn index_cache(problem: &CleaningProblem, n_threads: usize) -> ValIndexCache {
+    let indexes = problem
+        .val_x
+        .par_iter()
+        .with_max_threads(n_threads)
+        .map(|t| {
+            Arc::new(SimilarityIndex::build(
+                &problem.dataset,
+                problem.config.kernel,
+                t,
+            ))
+        })
+        .collect();
+    ValIndexCache::from_indexes(problem.config.kernel, problem.val_x.clone(), indexes)
+}
+
 /// Most points whose opened scan a [`SessionBackend`] keeps for the rest
 /// of the call: the first this many points asked. Each kept scan holds its
 /// tally trees, ~0.8 MB at paper scale (N ≈ 6200); every other point opens
@@ -866,78 +772,6 @@ mod tests {
         let run_far_first =
             CleaningSession::new(&p, &opts(1)).run_order(&[3, 1], &[vec![5.0]], &[0]);
         assert_eq!(run_far_first.order, vec![3, 1]);
-    }
-
-    #[test]
-    fn from_cache_deferred_shares_indexes_and_answers_identically() {
-        let p = Arc::new(targeted_problem());
-        let donor = CleaningSession::from_arc_deferred(Arc::clone(&p), &opts(1));
-        let mut shared =
-            CleaningSession::from_cache_deferred(Arc::clone(&p), donor.cache().clone(), &opts(1));
-        // the same Arc-held indexes, not rebuilds
-        for v in 0..p.val_x.len() {
-            assert!(Arc::ptr_eq(&donor.cache()[v], &shared.cache()[v]));
-        }
-        // and a run over the shared cache behaves exactly like a fresh one
-        let mut fresh = CleaningSession::new(&p, &opts(1));
-        shared.refresh_status();
-        assert_eq!(shared.status(), fresh.status());
-        let (a, b) = (shared.step(), fresh.step());
-        assert_eq!(a, b);
-        assert_eq!(shared.status(), fresh.status());
-    }
-
-    #[test]
-    fn clean_pin_only_defers_the_status_refresh() {
-        let p = targeted_problem();
-        let mut session = CleaningSession::new(&p, &opts(1));
-        let stale = session.status().to_vec();
-        session.clean_pin_only(1);
-        assert_eq!(session.state().pins().pinned(1), Some(0), "pin applied");
-        assert_eq!(session.status(), stale.as_slice(), "status not refreshed");
-        // the next full clean catches the status up
-        session.clean(3);
-        assert_eq!(
-            session.status(),
-            val_cp_status(&p, session.state().pins(), 1).as_slice()
-        );
-        assert!(session.converged());
-    }
-
-    #[test]
-    fn replayed_session_matches_a_live_one_and_rejects_bad_logs() {
-        let p = Arc::new(targeted_problem());
-        // a live session cleans in a recorded order
-        let mut live = CleaningSession::from_arc_deferred(Arc::clone(&p), &opts(1));
-        live.clean_pin_only(3);
-        live.clean_pin_only(1);
-        // replaying the same order reproduces the exact state
-        let replayed = CleaningSession::from_cache_replayed(
-            Arc::clone(&p),
-            live.cache().clone(),
-            &opts(1),
-            &[3, 1],
-        )
-        .expect("valid order replays");
-        assert_eq!(replayed.state().order(), live.state().order());
-        assert_eq!(replayed.state().pins(), live.state().pins());
-        assert_eq!(replayed.n_cleaned(), 2);
-        // hostile logs are errors, not panics
-        let cache = live.cache().clone();
-        for (order, what) in [
-            (vec![99usize], "out of range"),
-            (vec![0], "not dirty"),
-            (vec![1, 1], "twice"),
-        ] {
-            let err = CleaningSession::from_cache_replayed(
-                Arc::clone(&p),
-                cache.clone(),
-                &opts(1),
-                &order,
-            )
-            .expect_err("bad order rejected");
-            assert!(err.contains(what), "{err:?} should mention {what:?}");
-        }
     }
 
     // index-reuse accounting (via cp_core::similarity::build_count) lives in

@@ -1,8 +1,8 @@
 //! The hand-rolled frame codec: length-prefixed frames over any
 //! `Read`/`Write` transport, plus the binary encodings of every value the
-//! shard protocol ships — [`Pins`], CP status bit vectors, extreme
-//! summaries, and whole batched [`ShardStream`]s and [`SweptStream`]s. Each
-//! message has exactly one layout.
+//! shard protocol ships — [`Pins`], extreme summaries, and whole batched
+//! [`ShardStream`]s and [`SweptStream`]s. Each message has exactly one
+//! layout.
 //!
 //! ## Frame format
 //!
@@ -279,7 +279,7 @@ pub fn get_kernel(r: &mut Reader<'_>) -> RpcResult<Kernel> {
 }
 
 // ---------------------------------------------------------------------------
-// Pins and status bits
+// Pins
 // ---------------------------------------------------------------------------
 
 /// Append a [`Pins`] mask (length + one `Option<u32>` per set).
@@ -300,24 +300,6 @@ pub fn get_pins(r: &mut Reader<'_>) -> RpcResult<Pins> {
         }
     }
     Ok(pins)
-}
-
-/// Append a CP status bit vector.
-pub fn put_status_bits(out: &mut Vec<u8>, bits: &[bool]) {
-    put_u32(out, bits.len() as u32);
-    for &b in bits {
-        put_bool(out, b);
-    }
-}
-
-/// Read a CP status bit vector (strict boolean bytes).
-pub fn get_status_bits(r: &mut Reader<'_>) -> RpcResult<Vec<bool>> {
-    let n = r.count(1, "status bits")?;
-    let mut bits = Vec::with_capacity(n);
-    for _ in 0..n {
-        bits.push(r.bool("status bit")?);
-    }
-    Ok(bits)
 }
 
 // ---------------------------------------------------------------------------

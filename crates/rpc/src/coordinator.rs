@@ -7,15 +7,16 @@
 //!
 //! An [`RpcCoordinator`] owns the global problem, the cleaning state and the
 //! CP status vector; shard servers own everything partition-local (rows,
-//! similarity indexes, pin masks). A status refresh sends every server one
+//! similarity indexes, pin masks), and every scan, swept scan and summary
+//! runs under the server session's own pins. A status refresh sends every server one
 //! pipelined window with one status request per uncertain validation
 //! point, and a cleaning step puts its `Step` at the head of the owning
 //! server's window, so the requests behind it see the new pin. For binary
 //! labels each request is an [`ExtremeSummary`], folded by
 //! rank with [`cp_shard::certain_label_from_summaries`]; otherwise it is a
 //! `Possibility` stream, merged with
-//! [`cp_shard::certain_label_from_streams`]. `SyncStatus` goes out only
-//! when a server's published bits differ from the refreshed status.
+//! [`cp_shard::certain_label_from_streams`]. Certainty stays on this side:
+//! a server holds only each session's pins and cleaned rows.
 //!
 //! Per greedy selection the coordinator fetches each shard's base
 //! probability stream once and, for every (validation point, row) the
@@ -67,7 +68,8 @@ use cp_knn::Label;
 use cp_numeric::stats::entropy_bits;
 use cp_numeric::Possibility;
 use cp_shard::scan::{
-    certain_label_from_streams, certain_label_from_summaries, q2_from_streams_with_algorithm,
+    certain_label_from_streams, certain_label_from_summaries, local_pins,
+    q2_from_streams_with_algorithm,
 };
 use cp_shard::{merged_scan_sources, merged_sweep_sources, ShardStream, StreamCursor, SweptStream};
 use std::borrow::Cow;
@@ -91,8 +93,7 @@ use std::time::Duration;
 /// *Retries* share one [`RetryPolicy`] (see [`ClientConfig::retry_policy`]):
 /// `connect_retries` extra attempts under capped exponential backoff
 /// (`retry_backoff` base, `backoff_cap` ceiling) with deterministic seeded
-/// jitter (`retry_jitter_seed`) and an optional total-time bound
-/// (`retry_deadline`). The same policy drives connection establishment,
+/// jitter (`retry_jitter_seed`). The same policy drives connection establishment,
 /// `Busy`/`Expired` retries, and the coordinator's request-level recovery
 /// loop. The client itself never blindly retries an in-flight request:
 /// mid-session failures surface to the caller, and
@@ -106,7 +107,7 @@ use std::time::Duration;
 /// re-`Open`s and replays its journal. *Deadlines*: `request_deadline`
 /// stamps every request with a wire-carried budget the server sheds
 /// expired work against ([`RpcError::Expired`]). *Breakers*:
-/// `breaker_threshold` consecutive failures against one shard fail fast
+/// [`BREAKER_THRESHOLD`] consecutive failures against one shard fail fast
 /// for `breaker_cooldown`, then half-open-probe with the lightweight
 /// `Ping`. *Chaos*: a seeded [`FaultPlan`] injects deterministic transport
 /// faults on everything this client sends.
@@ -130,9 +131,6 @@ pub struct ClientConfig {
     /// Seed for the deterministic backoff jitter: clients seeded apart
     /// decorrelate their redial storms; equal seeds reproduce exactly.
     pub retry_jitter_seed: u64,
-    /// Bound on the *total* time one retry loop may spend across all its
-    /// attempts. `None` = attempts-bounded only.
-    pub retry_deadline: Option<Duration>,
     /// Replacement servers for failover, tried in rotation after re-dialing
     /// the failed shard's own address. Empty = failover only ever re-dials
     /// the original address.
@@ -141,9 +139,6 @@ pub struct ClientConfig {
     /// budget; the server sheds requests whose budget expired in its queue
     /// (retryable [`RpcError::Expired`]) instead of doing dead work.
     pub request_deadline: Option<Duration>,
-    /// Consecutive transport failures against one shard before its circuit
-    /// breaker opens (fail fast, no socket work). `0` disables breakers.
-    pub breaker_threshold: u32,
     /// How long an open breaker fails fast before admitting a half-open
     /// `Ping` probe.
     pub breaker_cooldown: Duration,
@@ -174,10 +169,8 @@ impl Default for ClientConfig {
             retry_backoff: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(1),
             retry_jitter_seed: 0,
-            retry_deadline: None,
             fallback_addrs: Vec::new(),
             request_deadline: None,
-            breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(100),
             chaos: None,
             spill_threshold: None,
@@ -189,14 +182,13 @@ impl Default for ClientConfig {
 impl ClientConfig {
     /// The one [`RetryPolicy`] every retry loop under this config runs:
     /// `connect_retries + 1` total attempts, capped exponential backoff
-    /// with seeded jitter, optional total-time deadline.
+    /// with seeded jitter.
     pub fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
             attempts: self.connect_retries.saturating_add(1),
             base: self.retry_backoff,
             cap: self.backoff_cap,
             seed: self.retry_jitter_seed,
-            deadline: self.retry_deadline,
         }
     }
 }
@@ -236,6 +228,10 @@ impl Write for Conn {
         }
     }
 }
+
+/// Consecutive transport failures against one shard before its circuit
+/// breaker opens (fail fast, no socket work).
+pub const BREAKER_THRESHOLD: u32 = 8;
 
 /// How many pipelined requests a window (`ShardClient::pipeline`) keeps in
 /// flight per connection: enough to hide the per-request round-trip
@@ -579,13 +575,6 @@ impl ShardClient {
         })
     }
 
-    /// Publish the coordinator's global CP status bits to this client's
-    /// session.
-    pub fn sync_status(&mut self, bits: Vec<bool>) -> RpcResult<()> {
-        let session = self.session;
-        self.expect_ok(&Request::SyncStatus { session, bits })
-    }
-
     /// Request one batched scan stream in semiring `S`.
     pub fn scan<S: WireSemiring>(
         &mut self,
@@ -618,13 +607,12 @@ impl ShardClient {
 
     /// Request the owner's half of a merged pin sweep in semiring `S`: one
     /// stream that answers every pin of shard-local row `row` for
-    /// validation point `val` under the shard-local mask `pins`, in which
-    /// the row must be unpinned.
+    /// validation point `val` under the session's pins, in which the row
+    /// must be unpinned.
     pub fn swept_scan<S: WireSemiring>(
         &mut self,
         val: usize,
         k: usize,
-        pins: &Pins,
         row: usize,
     ) -> RpcResult<SweptStream<S>> {
         let req = Request::SweptScan {
@@ -632,7 +620,6 @@ impl ShardClient {
             val: val as u32,
             k: k as u32,
             semiring: S::TAG,
-            pins: pins.clone(),
             row: row as u32,
         };
         match self.call(&req)? {
@@ -760,17 +747,12 @@ pub struct RpcCoordinator {
     failovers: Cell<u64>,
     /// Pins replayed by failovers (twin of `rpc.client.pins_replayed`).
     pins_replayed: Cell<u64>,
-    /// Coordinator-side mirror of each server's local pin mask.
-    masks: Vec<Pins>,
     /// Per-shard pin counter, bumped once per [`RpcCoordinator::clean`] on
     /// the owning shard. It is both the cleaned-count an idempotent `Step`
     /// carries and the staleness key of `base_streams`.
     mask_epochs: Vec<u64>,
     state: CleaningState,
     cp: Vec<bool>,
-    /// Per shard, the status bits last published to its server (`None`
-    /// before the first `SyncStatus`).
-    published: RefCell<Vec<Option<Vec<bool>>>>,
     /// Global effective K, computed once from the full dataset.
     k: usize,
     /// Incremental-selection state shared with the in-process engine
@@ -938,8 +920,6 @@ impl RpcCoordinator {
             clients.push(RefCell::new(client));
             journals.push(RefCell::new(ShardJournal::new(open)));
         }
-        let n_shards = shards.len();
-        let masks: Vec<Pins> = shards.iter().map(|sh| Pins::none(sh.len())).collect();
         let mask_epochs = vec![0u64; shards.len()];
         let state = CleaningState::new(&problem);
         let cp = vec![false; problem.val_x.len()];
@@ -952,7 +932,7 @@ impl RpcCoordinator {
         let breakers = (0..shards.len())
             .map(|_| {
                 RefCell::new(CircuitBreaker::new(
-                    client_cfg.breaker_threshold,
+                    BREAKER_THRESHOLD,
                     client_cfg.breaker_cooldown,
                 ))
             })
@@ -969,11 +949,9 @@ impl RpcCoordinator {
             fallback_cursor: Cell::new(0),
             failovers: Cell::new(0),
             pins_replayed: Cell::new(0),
-            masks,
             mask_epochs,
             state,
             cp,
-            published: RefCell::new(vec![None; n_shards]),
             k,
             sel,
             base_streams,
@@ -1156,8 +1134,8 @@ impl RpcCoordinator {
     /// fresh-data-dir case — the listener may be back under a new process),
     /// then each [`ClientConfig::fallback_addrs`] entry in rotation.
     /// A successful re-dial best-effort-`Close`s the stale session id (a
-    /// server that *did* keep it would otherwise leak a session slot),
-    /// replays `Open` + pins, and re-publishes the global status.
+    /// server that *did* keep it would otherwise leak a session slot) and
+    /// replays `Open` + pins.
     fn failover(&self, s: usize) -> RpcResult<()> {
         cp_obs::counter!("rpc.client.failovers").inc();
         self.failovers.set(self.failovers.get() + 1);
@@ -1194,8 +1172,6 @@ impl RpcCoordinator {
             match replayed {
                 Ok(n) => {
                     self.pins_replayed.set(self.pins_replayed.get() + n as u64);
-                    self.clients[s].borrow_mut().sync_status(self.cp.clone())?;
-                    self.published.borrow_mut()[s] = Some(self.cp.clone());
                     return Ok(());
                 }
                 Err(e) => {
@@ -1507,14 +1483,13 @@ impl RpcCoordinator {
     }
 
     /// Clean one externally chosen global row: route the pin to the owning
-    /// server first, then mirror it in the coordinator's state and mask and
-    /// refresh the global CP status.
+    /// server first, then record it in the coordinator's state and refresh
+    /// the global CP status.
     ///
     /// The `Step` and the owner's status requests for every uncertain point
     /// travel in one pipelined window (`ShardClient::pipeline`); every
-    /// other shard gets one window of status requests, and `SyncStatus`
-    /// goes only to shards whose published bits differ from the refreshed
-    /// status.
+    /// other shard gets one window of status requests, and nothing else
+    /// goes out.
     ///
     /// Failure semantics: a transport failure in the window is ambiguous —
     /// the server may have applied the pin and lost the ack — so the
@@ -1547,9 +1522,8 @@ impl RpcCoordinator {
 
     /// Clean `row` (if any) and re-evaluate the not-yet-certain validation
     /// points (certainty is monotone under cleaning, exactly as in the
-    /// in-process sessions) in one window per shard, commit an
-    /// acknowledged pin locally, then publish the status to the shards
-    /// whose published bits differ.
+    /// in-process sessions) in one window per shard, and commit an
+    /// acknowledged pin locally.
     fn refresh(&mut self, row: Option<usize>) -> RpcResult<()> {
         let uncertain: Vec<usize> = (0..self.cp.len()).filter(|&v| !self.cp[v]).collect();
         let step = row.map(|row| {
@@ -1566,29 +1540,12 @@ impl RpcCoordinator {
             &uncertain,
             &acked,
         );
-        if let Some((row, s, local)) = step.filter(|_| acked.get()) {
-            let truth = self.problem.truth_choice[row].expect("checked dirty");
+        if let Some((row, s, _)) = step.filter(|_| acked.get()) {
             self.state.clean_row(&self.problem, row);
-            self.masks[s].pin(local, truth);
             self.mask_epochs[s] += 1;
         }
         for (&v, label) in uncertain.iter().zip(labels?) {
             self.cp[v] = label.is_some();
-        }
-        self.publish_status()
-    }
-
-    /// Send `SyncStatus` to every shard whose last published bits differ
-    /// from the current status; certainty only flips a few times per run,
-    /// so most steps send none.
-    fn publish_status(&self) -> RpcResult<()> {
-        for s in 0..self.clients.len() {
-            if self.published.borrow()[s].as_ref() == Some(&self.cp) {
-                continue;
-            }
-            let bits = self.cp.clone();
-            self.with_recovery(s, |c| c.sync_status(bits.clone()))?;
-            self.published.borrow_mut()[s] = Some(bits);
         }
         Ok(())
     }
@@ -1631,6 +1588,7 @@ impl RpcCoordinator {
             return Ok(remaining[0]);
         }
         let n_labels = self.problem.dataset.n_labels();
+        let shard_pins = local_pins(&self.shards, self.state.pins());
         let mut per_val: Vec<Vec<Vec<f64>>> = Vec::with_capacity(uncertain.len());
         for &v in &uncertain {
             let base: Vec<ShardStream<f64>> = self.fetch_streams(v)?;
@@ -1640,7 +1598,7 @@ impl RpcCoordinator {
                 let local = self.shards[s].local_row(row).expect("owner map is exact");
                 let mut cands = Vec::with_capacity(self.problem.dataset.set_size(row));
                 for j in 0..self.problem.dataset.set_size(row) {
-                    let mut pinned = self.masks[s].clone();
+                    let mut pinned = shard_pins[s].clone();
                     pinned.pin(local, j);
                     let hyp: ShardStream<f64> = self.check_stream_shape(
                         self.with_recovery(s, |c| c.scan(v, self.k, Some(&pinned)))?,
@@ -1786,9 +1744,7 @@ impl SelectionBackend for RpcBackend<'_> {
         let c = self.coord;
         let s = c.owner[row];
         let local = c.shards[s].local_row(row).expect("owner map is exact");
-        let swept = c.with_recovery(s, |client| {
-            client.swept_scan::<f64>(v, c.k, &c.masks[s], local)
-        })?;
+        let swept = c.with_recovery(s, |client| client.swept_scan::<f64>(v, c.k, local))?;
         c.check_swept(&swept, row)?;
         c.with_base_streams(v, |base| {
             // the owner's swept stream takes the place of its base stream
@@ -1942,9 +1898,10 @@ mod tests {
         let n_labels = c.problem.dataset.n_labels();
         let s = c.owner[row];
         let local = c.shards[s].local_row(row).expect("owner map is exact");
+        let mask = c.shards[s].local_pins(c.state.pins());
         let hyps = (0..c.problem.dataset.set_size(row))
             .map(|j| {
-                let mut pinned = c.masks[s].clone();
+                let mut pinned = mask.clone();
                 pinned.pin(local, j);
                 let hyp = c.with_recovery(s, |client| client.scan::<f64>(v, c.k, Some(&pinned)))?;
                 c.check_stream_shape(hyp)

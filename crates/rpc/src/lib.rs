@@ -1,11 +1,13 @@
 //! # cp-rpc — the multi-process serving layer
 //!
 //! `cp-shard` made a single CP query partition-parallel and left the seams
-//! message-shaped: a worker owns one [`cp_core::DatasetShard`] plus a
-//! shard-local [`cp_clean::CleaningSession`] (state that never needs to
-//! leave the worker), and the coordinator's exchange per scan is one
-//! recorded [`cp_shard::ShardStream`] of boundary keys and compact
-//! polynomial factors. This crate turns those seams into
+//! message-shaped: a worker owns one [`cp_core::DatasetShard`] plus, per
+//! session, the [`cp_clean::CleaningState`] of its partition (the pins and
+//! cleaned rows — state that never needs to leave the worker), and the
+//! coordinator's exchange per scan is one recorded
+//! [`cp_shard::ShardStream`] of boundary keys and compact polynomial
+//! factors. Certainty is decided only by the coordinator, the one party
+//! that merges every shard. This crate turns those seams into
 //! an actual wire protocol over `std::net::TcpStream` — no external
 //! dependencies, a hand-rolled length-prefixed frame codec — and is the one
 //! sharded cleaning engine: in one process, the shard servers run on
@@ -18,13 +20,13 @@
 //!   [`codec::MAX_FRAME_LEN`], then a `u32` request id the server echoes on
 //!   the response so clients can pipeline, then a CRC32 trailer; one
 //!   `write` per frame, buffered reads), and serializers for
-//!   [`cp_core::Pins`], CP status bit vectors, extreme summaries and whole
-//!   batched [`cp_shard::ShardStream`]s, one layout per message. Wire
+//!   [`cp_core::Pins`], extreme summaries and whole batched
+//!   [`cp_shard::ShardStream`]s, one layout per message. Wire
 //!   semirings: exact
 //!   `u128`, probability-space `f64`, and the boolean
 //!   [`cp_numeric::Possibility`] ([`codec::WireSemiring`]).
 //! * [`proto`] — the message schema: `Open`, `Scan`, `SweptScan`,
-//!   `ExtremeSummary`, `Step`, `SyncStatus`, `Status`, `Stats`, `Close`,
+//!   `ExtremeSummary`, `Step`, `Status`, `Stats`, `Close`, `Ping`,
 //!   `Shutdown` and their responses. `Open` mints a [`proto::SessionId`] that every
 //!   session-scoped request carries, so independent cleaning sessions
 //!   multiplex over one server process. Binary-label status checks ship
@@ -39,7 +41,8 @@
 //! * [`server`] — [`server::ShardServer`]: a **multi-tenant** session
 //!   registry over shared shard data. Index caches are built once per
 //!   distinct `Open` payload and shared by every session over that shard;
-//!   per-session state sits behind a readers-writer lock so one session's
+//!   per-session state — the session's pins and cleaned rows, nothing
+//!   more — sits behind a readers-writer lock so one session's
 //!   `Step` never blocks another's reads. [`server::serve_with`] runs the
 //!   threaded accept loop with admission control ([`server::ServerConfig`]:
 //!   connection cap, session cap, bounded per-connection request queues;
@@ -75,9 +78,9 @@
 //!   frame layer (drop/delay/corrupt/truncate/duplicate frames, refused
 //!   dials, scripted kills), selectable in tests and behind `shard-server
 //!   --chaos <seed>`. [`retry::RetryPolicy`] unifies connect, `Busy` and
-//!   request retries under capped exponential backoff with seeded jitter
-//!   and a total-time deadline; [`retry::CircuitBreaker`] fails fast per
-//!   shard after consecutive failures, half-open-probing with the
+//!   request retries under capped exponential backoff with seeded jitter;
+//!   [`retry::CircuitBreaker`] fails fast per shard after
+//!   [`coordinator::BREAKER_THRESHOLD`] consecutive failures, half-open-probing with the
 //!   lightweight `Ping`. [`journal::ShardJournal`] records each shard's
 //!   canonical `Open` plus the ordered applied-pin log, so the coordinator
 //!   can **fail over** to a replacement server (same address or

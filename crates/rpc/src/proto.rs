@@ -15,7 +15,6 @@
 //! | [`Request::SweptScan`] | [`Response::Swept`] — one stream for every pin of a row |
 //! | [`Request::ExtremeSummary`] | [`Response::Summary`] — rank-merged MM top-K |
 //! | [`Request::Step`]      | [`Response::Ok`] — pin applied (idempotent) |
-//! | [`Request::SyncStatus`]| [`Response::Ok`] — global CP bits stored   |
 //! | [`Request::Status`]    | [`Response::Status`] — session's local view |
 //! | [`Request::Stats`]     | [`Response::Stats`] — encoded metrics snapshot |
 //! | [`Request::Close`]     | [`Response::Ok`] — session freed, connection lives |
@@ -42,7 +41,7 @@
 //! [`Response::Busy`] — retryable, unlike an error; transport and codec
 //! failures are [`crate::RpcError`]s on either side.
 
-use crate::codec::{get_kernel, get_pins, get_status_bits, put_kernel, put_pins, put_status_bits};
+use crate::codec::{get_kernel, get_pins, put_kernel, put_pins};
 use crate::error::{RpcError, RpcResult};
 use crate::wire::{put_u32, put_u64, put_u8, put_usize, put_varint_u64, put_zigzag_i64, Reader};
 use cp_core::Pins;
@@ -101,10 +100,11 @@ pub enum Request {
         pins: Option<Pins>,
     },
     /// Compute the owner's half of a merged pin sweep over shard-local row
-    /// `row` for validation point `val`: one stream, opened at the base
-    /// `τ_s` with the row's leaf held at the identity, that answers every
-    /// pin of the row (`cp_shard::SweptStream`). What a greedy selection
-    /// step asks the owner per (point, row) cache miss.
+    /// `row` for validation point `val` under the session's current pins:
+    /// one stream, opened at the base `τ_s` with the row's leaf held at the
+    /// identity, that answers every pin of the row
+    /// (`cp_shard::SweptStream`). What a greedy selection step asks the
+    /// owner per (point, row) cache miss.
     SweptScan {
         /// The session to scan.
         session: SessionId,
@@ -114,10 +114,8 @@ pub enum Request {
         k: u32,
         /// Requested [`crate::codec::WireSemiring`] tag.
         semiring: u8,
-        /// The shard-local pin mask to scan under; the row must be
-        /// unpinned in it.
-        pins: Pins,
-        /// Shard-local index of the swept row.
+        /// Shard-local index of the swept row; the session must not have
+        /// pinned it.
         row: u32,
     },
     /// Compute one rank-ordered extreme summary for validation point `val`
@@ -148,13 +146,6 @@ pub enum Request {
         /// The shard's cleaned-row count the coordinator expects before the
         /// pin is applied (its epoch for this step).
         expect_cleaned: u32,
-    },
-    /// Publish the coordinator's global CP status bits to one session.
-    SyncStatus {
-        /// The session to publish to.
-        session: SessionId,
-        /// The global CP status bits.
-        bits: Vec<bool>,
     },
     /// Ask for one session's local view.
     Status {
@@ -208,9 +199,6 @@ pub struct ShardStatus {
     pub n_cleaned: usize,
     /// The shard-local pin mask.
     pub pins: Pins,
-    /// The last global CP status published via [`Request::SyncStatus`]
-    /// (empty until the first sync).
-    pub global_cp: Vec<bool>,
 }
 
 /// A server→coordinator message.
@@ -257,7 +245,8 @@ pub enum Response {
 const REQ_OPEN: u8 = 1;
 const REQ_SCAN: u8 = 2;
 const REQ_STEP: u8 = 3;
-const REQ_SYNC_STATUS: u8 = 4;
+// 4 was a retired request (the coordinator's status push); it decodes as a
+// bad tag
 const REQ_STATUS: u8 = 5;
 const REQ_SHUTDOWN: u8 = 6;
 const REQ_EXTREME_SUMMARY: u8 = 7;
@@ -433,7 +422,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             val,
             k,
             semiring,
-            pins,
             row,
         } => {
             put_u8(&mut out, REQ_SWEPT_SCAN);
@@ -442,7 +430,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u32(&mut out, *k);
             put_u8(&mut out, *semiring);
             put_u32(&mut out, *row);
-            put_pins(&mut out, pins);
         }
         Request::ExtremeSummary { session, val, k } => {
             put_u8(&mut out, REQ_EXTREME_SUMMARY);
@@ -459,11 +446,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut out, *session);
             put_u32(&mut out, *local_row);
             put_u32(&mut out, *expect_cleaned);
-        }
-        Request::SyncStatus { session, bits } => {
-            put_u8(&mut out, REQ_SYNC_STATUS);
-            put_u64(&mut out, *session);
-            put_status_bits(&mut out, bits);
         }
         Request::Status { session } => {
             put_u8(&mut out, REQ_STATUS);
@@ -552,22 +534,13 @@ pub fn decode_request(buf: &[u8]) -> RpcResult<Request> {
                 pins,
             }
         }
-        REQ_SWEPT_SCAN => {
-            let session = r.u64("swept scan session")?;
-            let val = r.u32("swept scan val")?;
-            let k = r.u32("swept scan k")?;
-            let semiring = r.u8("swept scan semiring")?;
-            let row = r.u32("swept scan row")?;
-            let pins = get_pins(&mut r)?;
-            Request::SweptScan {
-                session,
-                val,
-                k,
-                semiring,
-                pins,
-                row,
-            }
-        }
+        REQ_SWEPT_SCAN => Request::SweptScan {
+            session: r.u64("swept scan session")?,
+            val: r.u32("swept scan val")?,
+            k: r.u32("swept scan k")?,
+            semiring: r.u8("swept scan semiring")?,
+            row: r.u32("swept scan row")?,
+        },
         REQ_EXTREME_SUMMARY => Request::ExtremeSummary {
             session: r.u64("summary session")?,
             val: r.u32("summary val")?,
@@ -577,10 +550,6 @@ pub fn decode_request(buf: &[u8]) -> RpcResult<Request> {
             session: r.u64("step session")?,
             local_row: r.u32("step row")?,
             expect_cleaned: r.u32("step expected cleaned count")?,
-        },
-        REQ_SYNC_STATUS => Request::SyncStatus {
-            session: r.u64("sync session")?,
-            bits: get_status_bits(&mut r)?,
         },
         REQ_STATUS => Request::Status {
             session: r.u64("status session")?,
@@ -647,7 +616,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_usize(&mut out, status.n_rows);
             put_usize(&mut out, status.n_cleaned);
             put_pins(&mut out, &status.pins);
-            put_status_bits(&mut out, &status.global_cp);
         }
         Response::Stats(bytes) => {
             put_u8(&mut out, RESP_STATS);
@@ -696,7 +664,6 @@ pub fn decode_response(buf: &[u8]) -> RpcResult<Response> {
             n_rows: r.usize("status rows")?,
             n_cleaned: r.usize("status cleaned")?,
             pins: get_pins(&mut r)?,
-            global_cp: get_status_bits(&mut r)?,
         }),
         RESP_STATS => {
             let n = r.count(1, "stats bytes")?;
@@ -742,7 +709,6 @@ mod tests {
                 val: 3,
                 k: 2,
                 semiring: 2,
-                pins: Pins::from_pairs(4, &[(1, 2), (3, 0)]),
                 row: 2,
             },
             Request::SweptScan {
@@ -750,7 +716,6 @@ mod tests {
                 val: 0,
                 k: 1,
                 semiring: 3,
-                pins: Pins::none(0),
                 row: u32::MAX,
             },
             Request::ExtremeSummary {
@@ -762,10 +727,6 @@ mod tests {
                 session: 3,
                 local_row: 9,
                 expect_cleaned: 4,
-            },
-            Request::SyncStatus {
-                session: 5,
-                bits: vec![true, false, true],
             },
             Request::Status { session: 11 },
             Request::Stats { session: 0 },
@@ -855,7 +816,6 @@ mod tests {
                 n_rows: 3,
                 n_cleaned: 1,
                 pins: Pins::single(3, 1, 0),
-                global_cp: vec![false, true],
             }),
             Response::Stats(vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
             Response::Error("nope".into()),
@@ -994,6 +954,18 @@ mod tests {
             Err(RpcError::BadTag {
                 what: "request",
                 ..
+            })
+        ));
+        // tag 4, retired: a session id, then a length-prefixed bit vector
+        let mut retired = vec![4];
+        put_u64(&mut retired, 3);
+        put_u32(&mut retired, 2);
+        retired.extend_from_slice(&[1, 0]);
+        assert!(matches!(
+            decode_request(&retired),
+            Err(RpcError::BadTag {
+                what: "request",
+                tag: 4,
             })
         ));
         assert!(matches!(

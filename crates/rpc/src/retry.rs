@@ -1,6 +1,5 @@
 //! The unified retry policy: capped exponential backoff with deterministic
-//! seeded jitter, an optional total-time deadline, and the per-shard
-//! circuit breaker.
+//! seeded jitter, and the per-shard circuit breaker.
 //!
 //! `RetryPolicy::run` is the one retry loop: connection establishment,
 //! the `Open`-on-`Busy` loop and the coordinator's request-level recovery
@@ -28,9 +27,8 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Capped exponential backoff with deterministic seeded jitter and an
-/// optional total-time deadline. Shared by connect, `Busy`/`Expired`
-/// retries, and failover.
+/// Capped exponential backoff with deterministic seeded jitter. Shared by
+/// connect, `Busy`/`Expired` retries, and failover.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total tries (first attempt included); `attempts = 1` means no retry.
@@ -43,9 +41,6 @@ pub struct RetryPolicy {
     /// backoff schedules (same seed ⇒ identical schedule — determinism for
     /// tests and chaos runs).
     pub seed: u64,
-    /// Optional bound on the *total* time spent across all attempts,
-    /// measured from the first attempt. `None` = attempts-bounded only.
-    pub deadline: Option<Duration>,
 }
 
 impl RetryPolicy {
@@ -63,14 +58,8 @@ impl RetryPolicy {
         nominal.mul_f64(0.5 + 0.5 * unit)
     }
 
-    /// Whether the policy's total-time deadline has passed since `started`.
-    pub fn expired(&self, started: Instant) -> bool {
-        self.deadline.is_some_and(|d| started.elapsed() >= d)
-    }
-
-    /// Run `attempt` until it finishes, the attempt budget (`attempts`, but
-    /// at least `min_attempts`) is spent, or the deadline has passed after
-    /// a backoff pause; the last failure is returned. `on_retry` sees each
+    /// Run `attempt` until it finishes or the attempt budget (`attempts`,
+    /// but at least `min_attempts`) is spent; the last failure is returned. `on_retry` sees each
     /// failure that is about to be retried, before its pause.
     pub(crate) fn run<T, E>(
         &self,
@@ -79,7 +68,6 @@ impl RetryPolicy {
         mut on_retry: impl FnMut(&E),
     ) -> Result<T, E> {
         let attempts = self.attempts.max(min_attempts);
-        let started = Instant::now();
         let mut retry = 0;
         loop {
             let failure = match attempt() {
@@ -94,9 +82,6 @@ impl RetryPolicy {
             let pause = self.backoff(retry);
             if !pause.is_zero() {
                 std::thread::sleep(pause);
-            }
-            if self.expired(started) {
-                return Err(failure);
             }
         }
     }
@@ -135,8 +120,7 @@ pub enum Admission {
 }
 
 /// Per-shard circuit breaker: `threshold` *consecutive* transport failures
-/// open it; after `cooldown` it half-opens for a probe. `threshold == 0`
-/// disables it (always [`Admission::Allow`]).
+/// open it; after `cooldown` it half-opens for a probe.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     threshold: u32,
@@ -160,9 +144,6 @@ impl CircuitBreaker {
 
     /// Ask to perform one operation against the guarded shard.
     pub fn admit(&mut self) -> Admission {
-        if self.threshold == 0 {
-            return Admission::Allow;
-        }
         match self.state {
             BreakerState::Closed => Admission::Allow,
             BreakerState::HalfOpen => Admission::Probe,
@@ -193,9 +174,6 @@ impl CircuitBreaker {
     /// Record a failed transport operation; trips the breaker at the
     /// threshold (and re-trips a failed half-open probe immediately).
     pub fn on_failure(&mut self) {
-        if self.threshold == 0 {
-            return;
-        }
         self.consecutive = self.consecutive.saturating_add(1);
         let trip = self.consecutive >= self.threshold || self.state == BreakerState::HalfOpen;
         if trip && self.state != BreakerState::Open {
@@ -227,7 +205,6 @@ mod tests {
             base: Duration::from_millis(10),
             cap: Duration::from_millis(200),
             seed,
-            deadline: None,
         }
     }
 
@@ -266,22 +243,6 @@ mod tests {
         };
         // a cap below base falls back to base, not zero
         assert!(zero_cap.backoff(3) >= zero_cap.base / 2);
-    }
-
-    #[test]
-    fn deadline_expires_and_none_never_does() {
-        let started = Instant::now() - Duration::from_millis(50);
-        let bounded = RetryPolicy {
-            deadline: Some(Duration::from_millis(10)),
-            ..policy(0)
-        };
-        assert!(bounded.expired(started));
-        let fresh = RetryPolicy {
-            deadline: Some(Duration::from_secs(3600)),
-            ..policy(0)
-        };
-        assert!(!fresh.expired(started));
-        assert!(!policy(0).expired(started));
     }
 
     #[test]
@@ -335,22 +296,6 @@ mod tests {
         assert_eq!((done, calls), (Ok(7), 2));
         let fatal: Result<(), u32> = p.run(1, || Attempt::Done(Err(9)), |_| panic!("no retry"));
         assert_eq!(fatal, Err(9));
-
-        // an expired deadline ends the loop after the retry's pause
-        let hurried = RetryPolicy {
-            deadline: Some(Duration::ZERO),
-            ..p
-        };
-        (calls, retried) = (0, 0);
-        let expired: Result<(), u32> = hurried.run(
-            1,
-            || {
-                calls += 1;
-                Attempt::Retry(calls)
-            },
-            |_| retried += 1,
-        );
-        assert_eq!((expired, calls, retried), (Err(1), 1, 1));
     }
 
     #[test]
@@ -385,15 +330,5 @@ mod tests {
         assert_eq!(b.admit(), Admission::Probe);
         b.on_failure();
         assert!(b.is_open());
-    }
-
-    #[test]
-    fn zero_threshold_disables_the_breaker() {
-        let mut b = CircuitBreaker::new(0, Duration::ZERO);
-        for _ in 0..100 {
-            b.on_failure();
-        }
-        assert_eq!(b.admit(), Admission::Allow);
-        assert!(!b.is_open());
     }
 }

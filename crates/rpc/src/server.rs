@@ -11,20 +11,22 @@
 //!   key with the thread-count knob zeroed) and handed to every session by
 //!   `Arc` — session 2..N of the same shard skip the `O(|val| · NM)` index
 //!   build entirely.
-//! * **Per-session, mutable** — a [`Request::Open`]-minted session: its pin
-//!   mask, cleaned-row count and last-synced global CP bits, behind a
-//!   readers-writer lock so concurrent read-only queries (`Scan`,
-//!   `ExtremeSummary`, `Status`) never wait behind another session's `Step`
-//!   — or even behind their *own* session's reads.
+//! * **Per-session, mutable** — a [`Request::Open`]-minted session's
+//!   [`CleaningState`] (pins, cleaned rows, cleaning order) and nothing
+//!   else: certainty is a property of the whole dataset, so only the
+//!   coordinator, which merges every shard's factors, decides it. The state
+//!   sits behind a readers-writer lock so concurrent read-only queries
+//!   (`Scan`, `SweptScan`, `ExtremeSummary`, `Status`) never wait behind
+//!   another session's `Step` — or even behind their *own* session's reads.
 //!
 //! Each [`Request::Scan`] ships one batched [`cp_shard::ShardStream`]
 //! (captured by [`cp_shard::ShardStream::capture`], delta-compressed by
 //! [`crate::codec::encode_stream`]) — the recorded stream the coordinator
 //! merges; [`Request::SweptScan`] ships the owner's half of a merged pin
-//! sweep ([`cp_shard::SweptStream`]), one stream for every pin of a row,
-//! counted as one scan; [`Request::ExtremeSummary`] answers binary status
-//! checks under the session's current pins with one rank-ordered
-//! [`ExtremeSummary`] instead.
+//! sweep ([`cp_shard::SweptStream`]) under the session's pins, one stream
+//! for every pin of a row, counted as one scan; [`Request::ExtremeSummary`]
+//! answers binary status checks under the session's current pins with one
+//! rank-ordered [`ExtremeSummary`] instead.
 //!
 //! The request handler ([`ShardServer::handle`]) is a pure state machine
 //! over decoded messages (`&self` — the server is shared across connection
@@ -50,7 +52,7 @@ use crate::fault::{FaultPlan, FaultyTransport};
 use crate::proto::{
     decode_request, encode_response, put_open, OpenShard, Request, Response, SessionId, ShardStatus,
 };
-use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
+use cp_clean::{index_cache, CleaningProblem, CleaningState};
 use cp_core::{
     CpConfig, DatasetShard, ExtremeSummary, IncompleteDataset, IncompleteExample, Pins,
     ValIndexCache,
@@ -166,25 +168,20 @@ struct Session {
     wal: Option<Mutex<WalWriter>>,
     /// The log's path, kept so `Close` can delete it.
     wal_path: Option<PathBuf>,
-    state: RwLock<SessionState>,
-}
-
-#[derive(Debug)]
-struct SessionState {
-    session: CleaningSession,
-    global_cp: Vec<bool>,
+    /// The session's pins and cleaned rows — the only copy on either side
+    /// of the wire.
+    state: RwLock<CleaningState>,
 }
 
 impl Session {
     /// Read this session's state, recovering from a poisoned lock (handlers
-    /// hold no cross-field invariants a panic could break mid-write: a pin
-    /// is applied atomically by `clean_pin_only`, and `global_cp` is a
-    /// whole-value replacement).
-    fn read_state(&self) -> RwLockReadGuard<'_, SessionState> {
+    /// hold no invariant a panic could break mid-write: `clean_row` checks
+    /// before it mutates).
+    fn read_state(&self) -> RwLockReadGuard<'_, CleaningState> {
         self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_state(&self) -> RwLockWriteGuard<'_, SessionState> {
+    fn write_state(&self) -> RwLockWriteGuard<'_, CleaningState> {
         self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -301,7 +298,6 @@ impl ShardServer {
                 cp_obs::span!("rpc.server.latency.extreme_summary_us")
             }
             Request::Step { .. } => cp_obs::span!("rpc.server.latency.step_us"),
-            Request::SyncStatus { .. } => cp_obs::span!("rpc.server.latency.sync_status_us"),
             Request::Status { .. } => cp_obs::span!("rpc.server.latency.status_us"),
             Request::Stats { .. } => cp_obs::span!("rpc.server.latency.stats_us"),
             Request::Close { .. } => cp_obs::span!("rpc.server.latency.close_us"),
@@ -328,10 +324,9 @@ impl ShardServer {
                 val,
                 k,
                 semiring,
-                pins,
                 row,
             } => match self.session(session) {
-                Ok(sess) => Self::handle_swept_scan(&sess, val, k, semiring, pins, row),
+                Ok(sess) => Self::handle_swept_scan(&sess, val, k, semiring, row),
                 Err(resp) => resp,
             },
             Request::ExtremeSummary { session, val, k } => match self.session(session) {
@@ -344,10 +339,6 @@ impl ShardServer {
                 expect_cleaned,
             } => match self.session(session) {
                 Ok(sess) => Self::handle_step(&sess, local_row, expect_cleaned),
-                Err(resp) => resp,
-            },
-            Request::SyncStatus { session, bits } => match self.session(session) {
-                Ok(sess) => Self::handle_sync_status(&sess, bits),
                 Err(resp) => resp,
             },
             Request::Status { session } => match self.session(session) {
@@ -400,12 +391,7 @@ impl ShardServer {
     /// Find or build the shared shard for an `Open` payload: a
     /// byte-identical payload was already validated and indexed when its
     /// shard was first built — reuse it and skip both.
-    fn shared_for(
-        &self,
-        open: OpenShard,
-        key: Vec<u8>,
-        opts: &RunOptions,
-    ) -> Result<Arc<SharedShard>, Response> {
+    fn shared_for(&self, open: OpenShard, key: Vec<u8>) -> Result<Arc<SharedShard>, Response> {
         let existing = {
             let shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
             shards.iter().find(|s| s.key == key).cloned()
@@ -413,7 +399,7 @@ impl ShardServer {
         match existing {
             Some(shared) => Ok(shared),
             None => {
-                let shared = Self::build_shared(open, key, opts)?;
+                let shared = Self::build_shared(open, key)?;
                 let mut shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
                 // another connection may have built the same shard while
                 // we did; keep the first so every session shares one copy
@@ -440,29 +426,18 @@ impl ShardServer {
             return Response::Busy(format!("{} sessions at capacity", self.max_sessions));
         }
         let key = Self::canonical_key(&open);
-        let opts = RunOptions {
-            max_cleaned: None,
-            n_threads: open.n_threads.max(1),
-            record_every: 1,
-        };
         // the open's full wire encoding becomes the log's first record, so
         // a restart can rebuild the session from the log alone
         let mut open_record = Vec::new();
         if self.data_dir.is_some() {
             put_open(&mut open_record, &open, open.n_threads);
         }
-        let shared = match self.shared_for(open, key, &opts) {
+        let shared = match self.shared_for(open, key) {
             Ok(shared) => shared,
             Err(resp) => return resp,
         };
         let n_rows = shared.shard.len();
-        // deferred: global certainty is the coordinator's job — this session
-        // exists for its pin ownership and the shared indexes
-        let session = CleaningSession::from_cache_deferred(
-            shared.problem.clone(),
-            shared.cache.clone(),
-            &opts,
-        );
+        let state = CleaningState::new(&shared.problem);
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         // make the session durable *before* it is admitted: once `Opened`
         // is on the wire the coordinator may step immediately after a crash
@@ -496,10 +471,7 @@ impl ShardServer {
             metrics: SessionMetrics::new(self.instance, id),
             wal,
             wal_path,
-            state: RwLock::new(SessionState {
-                session,
-                global_cp: Vec::new(),
-            }),
+            state: RwLock::new(state),
         });
         sessions.insert(id, entry);
         Response::Opened {
@@ -549,7 +521,10 @@ impl ShardServer {
     }
 
     /// Rebuild one session from its log: record 0 is the `Open` request,
-    /// every later record one pin. Returns the number of replayed pins.
+    /// every later record one pin, re-applied in logged order. Log records
+    /// are external input, so a pin of a row out of range, of a clean row,
+    /// or of a row already pinned is an `Err`, never a panic. Returns the
+    /// number of replayed pins.
     fn recover_one(&self, path: &Path, id: SessionId) -> Result<usize, String> {
         let records = cp_store::wal::replay(path).map_err(|e| e.to_string())?;
         let Some((open_record, steps)) = records.split_first() else {
@@ -558,31 +533,33 @@ impl ShardServer {
         let Ok(Request::Open(open)) = decode_request(open_record) else {
             return Err("first record does not decode to an Open request".into());
         };
-        let open = *open;
         let key = Self::canonical_key(&open);
-        let opts = RunOptions {
-            max_cleaned: None,
-            n_threads: open.n_threads.max(1),
-            record_every: 1,
-        };
         let shared = self
-            .shared_for(open, key, &opts)
+            .shared_for(*open, key)
             .map_err(|resp| format!("invalid logged open: {resp:?}"))?;
-        let mut order = Vec::with_capacity(steps.len());
+        let problem = &shared.problem;
+        let mut state = CleaningState::new(problem);
         for rec in steps {
             let bytes: [u8; 4] = rec
                 .as_slice()
                 .try_into()
                 .map_err(|_| format!("pin record of {} bytes (expected 4)", rec.len()))?;
-            order.push(u32::from_le_bytes(bytes) as usize);
+            let row = u32::from_le_bytes(bytes) as usize;
+            if row >= problem.dataset.len() {
+                return Err(format!(
+                    "replayed row {row} out of range (shard has {} rows)",
+                    problem.dataset.len()
+                ));
+            }
+            if problem.truth_choice[row].is_none() {
+                return Err(format!("replayed row {row} is not dirty"));
+            }
+            if state.is_cleaned(row) {
+                return Err(format!("replayed row {row} appears twice in the log"));
+            }
+            state.clean_row(problem, row);
         }
-        let n_pins = order.len();
-        let session = CleaningSession::from_cache_replayed(
-            shared.problem.clone(),
-            shared.cache.clone(),
-            &opts,
-            &order,
-        )?;
+        let n_pins = steps.len();
         let metrics = SessionMetrics::new(self.instance, id);
         // replayed pins are steps this session has served; the counter must
         // agree with what a never-restarted server would report
@@ -593,24 +570,16 @@ impl ShardServer {
             metrics,
             wal: Some(Mutex::new(wal)),
             wal_path: Some(path.to_path_buf()),
-            state: RwLock::new(SessionState {
-                session,
-                // the coordinator re-publishes global status after it
-                // reconnects; until then the recovered view is empty
-                global_cp: Vec::new(),
-            }),
+            state: RwLock::new(state),
         });
         self.write_sessions().insert(id, entry);
         Ok(n_pins)
     }
 
     /// Validate an `Open` payload and build its shared shard (the heavy
-    /// path: dataset construction, problem validation, index builds).
-    fn build_shared(
-        open: OpenShard,
-        key: Vec<u8>,
-        opts: &RunOptions,
-    ) -> Result<SharedShard, Response> {
+    /// path: dataset construction, problem validation, index builds under
+    /// the open's thread cap).
+    fn build_shared(open: OpenShard, key: Vec<u8>) -> Result<SharedShard, Response> {
         let examples: Vec<IncompleteExample> = open
             .examples
             .into_iter()
@@ -683,10 +652,7 @@ impl ShardServer {
             to_usize(&open.truth_choice),
             to_usize(&open.default_choice),
         ));
-        // one throwaway session builds the indexes (in parallel under the
-        // open's thread cap); its cache is the shard's shared copy
-        let builder = CleaningSession::from_arc_deferred(problem.clone(), opts);
-        let cache = builder.cache().clone();
+        let cache = index_cache(&problem, open.n_threads.max(1));
         Ok(SharedShard {
             key,
             shard: DatasetShard::from_parts(dataset, open.start),
@@ -700,14 +666,8 @@ impl ShardServer {
     /// and within the opened classifier's configured K (an unbounded k
     /// would size allocations from network input), and a pin-mask override
     /// must fit the shard's rows.
-    fn validate_query(
-        sess: &Session,
-        state: &SessionState,
-        val: usize,
-        k: u32,
-        pins: Option<&Pins>,
-    ) -> Option<Response> {
-        if val >= state.session.cache().len() {
+    fn validate_query(sess: &Session, val: usize, k: u32, pins: Option<&Pins>) -> Option<Response> {
+        if val >= sess.shared.cache.len() {
             return Some(Response::Error(format!(
                 "validation point {val} out of range"
             )));
@@ -715,7 +675,7 @@ impl ShardServer {
         if k == 0 {
             return Some(Response::Error("k must be positive".into()));
         }
-        let configured_k = state.session.problem().config.k;
+        let configured_k = sess.shared.problem.config.k;
         if k as usize > configured_k {
             return Some(Response::Error(format!(
                 "requested k {k} exceeds the opened classifier's k {configured_k}"
@@ -738,15 +698,13 @@ impl ShardServer {
     }
 
     fn handle_scan(sess: &Session, val: u32, k: u32, semiring: u8, pins: Option<Pins>) -> Response {
-        let state = sess.read_state();
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, pins.as_ref()) {
+        if let Some(reject) = Self::validate_query(sess, val, k, pins.as_ref()) {
             return reject;
         }
-        let pins = pins
-            .as_ref()
-            .unwrap_or_else(|| state.session.state().pins());
-        let idx = &state.session.cache()[val];
+        let state = sess.read_state();
+        let pins = pins.as_ref().unwrap_or_else(|| state.pins());
+        let idx = &sess.shared.cache[val];
         let shard = &sess.shared.shard;
         if semiring == <u128 as WireSemiring>::TAG
             && pins.world_count_u128(shard.dataset()).is_none()
@@ -779,23 +737,17 @@ impl ShardServer {
     }
 
     /// Answer [`Request::SweptScan`]: the owner's half of a merged pin
-    /// sweep over local row `row` ([`SweptStream::capture`]), counted as
-    /// one scan. Beyond [`Self::validate_query`], the row must exist and be
-    /// unpinned in the scanned mask, and `u128` counts must fit under the
-    /// row's pin.
-    fn handle_swept_scan(
-        sess: &Session,
-        val: u32,
-        k: u32,
-        semiring: u8,
-        pins: Pins,
-        row: u32,
-    ) -> Response {
-        let state = sess.read_state();
+    /// sweep over local row `row` under the session's pins
+    /// ([`SweptStream::capture`]), counted as one scan. Beyond
+    /// [`Self::validate_query`], the row must exist and be unpinned, and
+    /// `u128` counts must fit under the row's pin.
+    fn handle_swept_scan(sess: &Session, val: u32, k: u32, semiring: u8, row: u32) -> Response {
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, Some(&pins)) {
+        if let Some(reject) = Self::validate_query(sess, val, k, None) {
             return reject;
         }
+        let state = sess.read_state();
+        let pins = state.pins();
         let shard = &sess.shared.shard;
         let row = row as usize;
         if row >= shard.len() {
@@ -813,17 +765,17 @@ impl ShardServer {
                 return Response::Error(U128_OVERFLOW.into());
             }
         }
-        let idx = &state.session.cache()[val];
+        let idx = &sess.shared.cache[val];
         let k = k as usize;
         let bytes = match semiring {
             <u128 as WireSemiring>::TAG => {
-                encode_swept(&SweptStream::<u128>::capture(shard, idx, &pins, k, row))
+                encode_swept(&SweptStream::<u128>::capture(shard, idx, pins, k, row))
             }
             <f64 as WireSemiring>::TAG => {
-                encode_swept(&SweptStream::<f64>::capture(shard, idx, &pins, k, row))
+                encode_swept(&SweptStream::<f64>::capture(shard, idx, pins, k, row))
             }
             <Possibility as WireSemiring>::TAG => encode_swept(
-                &SweptStream::<Possibility>::capture(shard, idx, &pins, k, row),
+                &SweptStream::<Possibility>::capture(shard, idx, pins, k, row),
             ),
             tag => return Response::Error(format!("unknown semiring tag {tag}")),
         };
@@ -838,9 +790,8 @@ impl ShardServer {
     }
 
     fn handle_extreme_summary(sess: &Session, val: u32, k: u32) -> Response {
-        let state = sess.read_state();
         let val = val as usize;
-        if let Some(reject) = Self::validate_query(sess, &state, val, k, None) {
+        if let Some(reject) = Self::validate_query(sess, val, k, None) {
             return reject;
         }
         // the extreme-world equivalence is only proven for binary label
@@ -851,9 +802,9 @@ impl ShardServer {
                     .into(),
             );
         }
-        let pins = state.session.state().pins();
-        let idx = &state.session.cache()[val];
-        let summary = ExtremeSummary::build(&sess.shared.shard, idx, pins, k as usize);
+        let state = sess.read_state();
+        let idx = &sess.shared.cache[val];
+        let summary = ExtremeSummary::build(&sess.shared.shard, idx, state.pins(), k as usize);
         Response::Summary(encode_summary(&summary))
     }
 
@@ -867,12 +818,12 @@ impl ShardServer {
         if !ds.example(row).is_dirty() {
             return Response::Error(format!("row {row} is not dirty"));
         }
-        let n_cleaned = state.session.n_cleaned();
+        let n_cleaned = state.n_cleaned();
         let expect = expect_cleaned as usize;
         // a retransmission of a step this session already applied (the first
         // reply was lost in flight) must acknowledge without re-pinning —
         // this is what makes a coordinator retry after reconnect safe
-        if n_cleaned == expect + 1 && state.session.state().is_cleaned(row) {
+        if n_cleaned == expect + 1 && state.is_cleaned(row) {
             return Response::Ok;
         }
         if n_cleaned != expect {
@@ -880,7 +831,7 @@ impl ShardServer {
                 "step expected {expect} cleaned rows, shard has {n_cleaned}"
             ));
         }
-        if state.session.state().is_cleaned(row) {
+        if state.is_cleaned(row) {
             return Response::Error(format!("row {row} already cleaned"));
         }
         // durable before acknowledged: the pin record is on stable storage
@@ -893,20 +844,11 @@ impl ShardServer {
                 return Response::Error(format!("cannot log pin: {e}"));
             }
         }
-        state.session.clean_pin_only(row);
+        state.clean_row(&sess.shared.problem, row);
         // counted after the pin applies: a retransmission acknowledged above
         // re-reports a step the counter already holds, so per-session step
         // counts stay exact under retries
         sess.metrics.steps.inc();
-        Response::Ok
-    }
-
-    fn handle_sync_status(sess: &Session, bits: Vec<bool>) -> Response {
-        let mut state = sess.write_state();
-        if bits.len() != state.session.cache().len() {
-            return Response::Error("status length mismatch".into());
-        }
-        state.global_cp = bits;
         Response::Ok
     }
 
@@ -915,9 +857,8 @@ impl ShardServer {
         Response::Status(ShardStatus {
             start: sess.shared.shard.start(),
             n_rows: sess.shared.shard.len(),
-            n_cleaned: state.session.n_cleaned(),
-            pins: state.session.state().pins().clone(),
-            global_cp: state.global_cp.clone(),
+            n_cleaned: state.n_cleaned(),
+            pins: state.pins().clone(),
         })
     }
 
@@ -1388,19 +1329,11 @@ mod tests {
             }),
             Response::Error(_)
         ));
-        assert_eq!(
-            server.handle(Request::SyncStatus {
-                session,
-                bits: vec![true, false],
-            }),
-            Response::Ok
-        );
         let Response::Status(status) = server.handle(Request::Status { session }) else {
             panic!("expected status");
         };
         assert_eq!(status.n_cleaned, 1);
         assert_eq!(status.pins.pinned(1), Some(0));
-        assert_eq!(status.global_cp, vec![true, false]);
 
         // closing frees the session; its id stops resolving
         assert_eq!(server.handle(Request::Close { session }), Response::Ok);
@@ -1516,13 +1449,8 @@ mod tests {
         let (sa, sb) = (&sessions[&a], &sessions[&b]);
         assert!(
             Arc::ptr_eq(&sa.shared, &sb.shared),
-            "sessions over one shard share its data"
+            "sessions over one shard share its data and indexes"
         );
-        let (ca, cb) = (
-            sa.read_state().session.cache().indexes()[0].clone(),
-            sb.read_state().session.cache().indexes()[0].clone(),
-        );
-        assert!(Arc::ptr_eq(&ca, &cb), "similarity indexes are shared");
         drop(sessions);
         // a genuinely different shard builds its own
         let mut other = tiny_open();
@@ -1661,10 +1589,6 @@ mod tests {
                 session,
                 local_row: 1,
                 expect_cleaned: 3,
-            },
-            Request::SyncStatus {
-                session,
-                bits: vec![true],
             },
             Request::Close { session: 0 },
         ] {
@@ -1810,8 +1734,6 @@ mod tests {
         let after = status(&server, session);
         assert_eq!(after.n_cleaned, before.n_cleaned);
         assert_eq!(after.pins, before.pins);
-        // the global view is the coordinator's to re-publish
-        assert!(after.global_cp.is_empty());
         // replayed pins count as served steps — stats look like no restart
         let Response::Stats(bytes) = server.handle(Request::Stats { session }) else {
             panic!("expected stats");
@@ -1882,6 +1804,43 @@ mod tests {
         // minted onto a leftover file
         let fresh = open_session(&server, tiny_open());
         assert!(fresh > 502, "id {fresh} could collide with a skipped log");
+    }
+
+    /// A log whose pins no live session could have applied — a row out of
+    /// range, a clean row, a row pinned twice — is skipped, never replayed
+    /// in part, and its id is still retired.
+    #[test]
+    fn wal_logs_with_impossible_pins_are_skipped_and_retire_their_ids() {
+        let dir = TestDir::new("bad-pins");
+        let open = crate::proto::encode_request(&Request::Open(Box::new(two_dirty_open())));
+        for (id, rows) in [(7u64, vec![99u32]), (8, vec![0]), (9, vec![1, 1])] {
+            let mut w = WalWriter::open(&dir.path().join(format!("session-{id}.wal"))).unwrap();
+            w.append(&open).unwrap();
+            for row in rows {
+                w.append(&row.to_le_bytes()).unwrap();
+            }
+        }
+        // the same open with a valid order replays
+        let mut w = WalWriter::open(&dir.path().join("session-6.wal")).unwrap();
+        w.append(&open).unwrap();
+        for row in [2u32, 1] {
+            w.append(&row.to_le_bytes()).unwrap();
+        }
+        drop(w);
+
+        let server = ShardServer::with_config(8, Some(dir.path().to_path_buf()));
+        assert_eq!(server.n_sessions(), 1, "only the valid order recovers");
+        let st = status(&server, 6);
+        assert_eq!(st.n_cleaned, 2);
+        assert_eq!(st.pins, Pins::from_pairs(3, &[(1, 0), (2, 0)]));
+        for id in [7, 8, 9] {
+            assert!(matches!(
+                server.handle(Request::Status { session: id }),
+                Response::Error(_)
+            ));
+        }
+        let fresh = open_session(&server, tiny_open());
+        assert!(fresh > 9, "id {fresh} could collide with a skipped log");
     }
 
     #[test]

@@ -22,8 +22,8 @@ use cp_knn::Kernel;
 use cp_numeric::Possibility;
 use cp_rpc::codec::{
     decode_stream, decode_summary, decode_swept, encode_stream, encode_summary, encode_swept,
-    get_pins, get_status_bits, put_pins, put_status_bits, read_frame_opt_tagged, read_frame_tagged,
-    write_frame_tagged, FRAME_OVERHEAD, MAX_FRAME_LEN, READ_BUFFER_BYTES,
+    get_pins, put_pins, read_frame_opt_tagged, read_frame_tagged, write_frame_tagged,
+    FRAME_OVERHEAD, MAX_FRAME_LEN, READ_BUFFER_BYTES,
 };
 use cp_rpc::proto::{decode_request, decode_response, encode_request, OpenShard, Request};
 use cp_rpc::wire::Reader;
@@ -118,16 +118,6 @@ proptest! {
         let mut r = Reader::new(&buf);
         prop_assert_eq!(get_pins(&mut r).unwrap(), pins);
         r.finish("pins").unwrap();
-    }
-
-    #[test]
-    fn status_bits_round_trip(raw in proptest::collection::vec(0u8..2, 0..=32)) {
-        let bits: Vec<bool> = raw.into_iter().map(|b| b == 1).collect();
-        let mut buf = Vec::new();
-        put_status_bits(&mut buf, &bits);
-        let mut r = Reader::new(&buf);
-        prop_assert_eq!(get_status_bits(&mut r).unwrap(), bits);
-        r.finish("bits").unwrap();
     }
 
     #[test]
@@ -265,8 +255,6 @@ proptest! {
         let _ = decode_summary(&bytes);
         let mut r = Reader::new(&bytes);
         let _ = get_pins(&mut r);
-        let mut r = Reader::new(&bytes);
-        let _ = get_status_bits(&mut r);
         let mut cursor = Cursor::new(bytes);
         let _ = read_frame_tagged(&mut cursor);
     }
@@ -307,9 +295,10 @@ proptest! {
             decode_stream::<u128>(&stream_bytes[..cut]).is_err(),
             "strict stream prefix must not decode (cut {})", cut
         );
-        let req = encode_request(&Request::SyncStatus {
+        let req = encode_request(&Request::Step {
             session: 3,
-            bits: vec![true, false, true],
+            local_row: 1,
+            expect_cleaned: 2,
         });
         let cut = cut_seed % req.len();
         prop_assert!(decode_request(&req[..cut]).is_err());

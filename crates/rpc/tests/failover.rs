@@ -63,10 +63,12 @@ fn mid_run_replacement_onto_a_fresh_data_dir_is_bit_identical() {
     }
     let reference_converged = reference.converged();
 
-    // home server A: WAL-backed, dies on its 10th outgoing frame (mid-run:
-    // after `Open` + the first cleans' responses, before the run finishes),
-    // and stops accepting after its first — only — connection, so the
-    // re-dial is refused and the coordinator must fail over
+    // home server A: WAL-backed, dies on its 10th outgoing frame — after
+    // `Opened`, the 3 connect-time summaries and `Step` + 1 summary for each
+    // of the first two cleans, the third clean's `Step` is acknowledged and
+    // its summary is the frame the kill swallows — and stops accepting after
+    // its first (only) connection, so the re-dial is refused and the
+    // coordinator must fail over
     let dir_a = std::env::temp_dir().join(format!("cp-failover-a-{}", std::process::id()));
     let dir_b = std::env::temp_dir().join(format!("cp-failover-b-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir_a);
@@ -118,9 +120,9 @@ fn mid_run_replacement_onto_a_fresh_data_dir_is_bit_identical() {
     let failovers = remote.failover_count();
     let replayed = remote.pins_replayed_count();
     assert_eq!(failovers, 1, "exactly one failover cures the dead server");
-    assert!(
-        (replayed as usize) < rows.len(),
-        "the kill lands mid-run: only the pre-kill journal replays"
+    assert_eq!(
+        replayed, 3,
+        "the kill lands mid-run: the three acknowledged pins replay"
     );
     let diff = cp_obs::snapshot().diff(&baseline);
     assert_eq!(
@@ -141,8 +143,7 @@ fn mid_run_replacement_onto_a_fresh_data_dir_is_bit_identical() {
 
     // the replacement server counts replayed + live steps exactly as if it
     // had served the whole run (retransmitted duplicates dedup silently);
-    // the dead home server counts only what it acknowledged plus at most
-    // the one step whose acknowledgement the kill swallowed
+    // the dead home server counts exactly what it acknowledged
     let mut session_steps: Vec<u64> = diff
         .counters
         .iter()
@@ -156,11 +157,9 @@ fn mid_run_replacement_onto_a_fresh_data_dir_is_bit_identical() {
         rows.len() as u64,
         "replacement = replayed + live = the whole run"
     );
-    assert!(
-        session_steps[0] == replayed || session_steps[0] == replayed + 1,
-        "home server applied the journaled pins, at most one ack lost \
-         (applied {}, journaled {replayed})",
-        session_steps[0]
+    assert_eq!(
+        session_steps[0], replayed,
+        "home server applied exactly the journaled pins"
     );
 
     remote.shutdown().expect("shutdown coordinator");

@@ -1,6 +1,6 @@
 //! Response-poisoning coverage for **every** request type, beyond the
 //! `Step` lost-ack suite: a server whose response to `Scan`, `SweptScan`,
-//! `ExtremeSummary`, `SyncStatus`, `Status`, `Stats` or `Close` arrives
+//! `ExtremeSummary`, `Status`, `Stats` or `Close` arrives
 //! bit-flipped or cut off mid-frame must leave the client *poisoned* with
 //! a typed error — never a silently wrong payload — and a plain
 //! `reconnect` must fully recover: the session survives on the server, the
@@ -17,7 +17,6 @@
 //! contract.)
 
 use cp_clean::{CleaningProblem, CleaningSession, RunOptions};
-use cp_core::Pins;
 use cp_core::{CpConfig, IncompleteDataset, IncompleteExample};
 use cp_rpc::proto::{decode_request, encode_response};
 use cp_rpc::{
@@ -145,10 +144,9 @@ fn issue(client: &mut ShardClient, target_idx: usize) -> cp_rpc::RpcResult<()> {
     match target_idx {
         0 => client.scan::<f64>(0, 3, None).map(|_| ()),
         1 => client.extreme_summary(0, 3).map(|_| ()),
-        2 => client.sync_status(vec![false, false, false]),
-        3 => client.status().map(|_| ()),
-        4 => client.stats(0).map(|_| ()),
-        5 => client.swept_scan::<f64>(0, 3, &stepped(), 3).map(|_| ()),
+        2 => client.status().map(|_| ()),
+        3 => client.stats(0).map(|_| ()),
+        4 => client.swept_scan::<f64>(0, 3, 3).map(|_| ()),
         _ => client.close(),
     }
 }
@@ -157,10 +155,9 @@ fn matcher(target_idx: usize) -> fn(&Request) -> bool {
     match target_idx {
         0 => |r: &Request| matches!(r, Request::Scan { .. }),
         1 => |r: &Request| matches!(r, Request::ExtremeSummary { .. }),
-        2 => |r: &Request| matches!(r, Request::SyncStatus { .. }),
-        3 => |r: &Request| matches!(r, Request::Status { .. }),
-        4 => |r: &Request| matches!(r, Request::Stats { .. }),
-        5 => |r: &Request| matches!(r, Request::SweptScan { .. }),
+        2 => |r: &Request| matches!(r, Request::Status { .. }),
+        3 => |r: &Request| matches!(r, Request::Stats { .. }),
+        4 => |r: &Request| matches!(r, Request::SweptScan { .. }),
         _ => |r: &Request| matches!(r, Request::Close { .. }),
     }
 }
@@ -174,7 +171,7 @@ proptest! {
     /// state (the one applied step stays exactly one step).
     #[test]
     fn any_sabotaged_response_poisons_then_recovers_by_reconnect(
-        target_idx in 0usize..7,
+        target_idx in 0usize..6,
         pos in 0u32..u32::MAX,
         truncate in 0u8..2,
     ) {
@@ -222,7 +219,7 @@ proptest! {
         prop_assert!(matches!(refused, RpcError::Protocol(_)));
 
         client.reconnect().expect("reconnect to the same server");
-        if target_idx == 6 {
+        if target_idx == 5 {
             // Close: the sabotaged ack may or may not have covered an
             // applied close — re-closing is Ok, or the idempotent-shaped
             // "unknown session" rejection; never anything else
@@ -242,15 +239,11 @@ proptest! {
     }
 }
 
-/// The session's pin mask once `step(1, 0)` pinned row 1 to its truth.
-fn stepped() -> Pins {
-    Pins::from_pairs(6, &[(1, 0)])
-}
-
-/// A swept scan the server must refuse: the typed `Remote` rejection
-/// comes back, no handler panicked, and the connection stays usable (a
-/// valid swept scan of the same session succeeds right after).
-fn assert_swept_scan_rejected(val: usize, pins: Pins, row: usize, expect: &str) {
+/// A swept scan the server must refuse once `step(1, 0)` pinned row 1:
+/// the typed `Remote` rejection comes back, no handler panicked, and the
+/// connection stays usable (a valid swept scan of the same session
+/// succeeds right after).
+fn assert_swept_scan_rejected(val: usize, row: usize, expect: &str) {
     let problem = poison_problem();
     let server = spawn_server(ServerConfig::default()).expect("bind loopback server");
     let panics = || cp_obs::counter!("rpc.server.handler_panics").get();
@@ -259,7 +252,7 @@ fn assert_swept_scan_rejected(val: usize, pins: Pins, row: usize, expect: &str) 
     client.open(open_whole(&problem)).expect("open session");
     client.step(1, 0).expect("pin row 1");
     let err = client
-        .swept_scan::<f64>(val, 3, &pins, row)
+        .swept_scan::<f64>(val, 3, row)
         .expect_err("a bad swept scan must be rejected");
     match &err {
         RpcError::Remote(msg) => assert!(msg.contains(expect), "got {msg:?}, want {expect:?}"),
@@ -271,7 +264,7 @@ fn assert_swept_scan_rejected(val: usize, pins: Pins, row: usize, expect: &str) 
         "a rejection leaves the connection usable"
     );
     let ok = client
-        .swept_scan::<f64>(0, 3, &stepped(), 3)
+        .swept_scan::<f64>(0, 3, 3)
         .expect("a valid swept scan after the rejection");
     assert_eq!(ok.row, 3);
     assert_eq!(ok.sims.len(), 2);
@@ -280,27 +273,19 @@ fn assert_swept_scan_rejected(val: usize, pins: Pins, row: usize, expect: &str) 
 
 #[test]
 fn swept_scan_of_a_row_out_of_range_is_rejected() {
-    assert_swept_scan_rejected(0, stepped(), 6, "out of range");
-    assert_swept_scan_rejected(0, stepped(), u32::MAX as usize, "out of range");
+    assert_swept_scan_rejected(0, 6, "out of range");
+    assert_swept_scan_rejected(0, u32::MAX as usize, "out of range");
 }
 
 #[test]
-fn swept_scan_of_a_row_pinned_in_the_shipped_mask_is_rejected() {
-    // row 1 is pinned by the session's step, row 4 only in the shipped mask
-    assert_swept_scan_rejected(0, stepped(), 1, "already pinned");
-    let shipped = Pins::from_pairs(6, &[(1, 0), (4, 1)]);
-    assert_swept_scan_rejected(0, shipped, 4, "already pinned");
+fn swept_scan_of_a_row_pinned_in_the_session_is_rejected() {
+    // the session's step pinned row 1 before the swept scan asks for it
+    assert_swept_scan_rejected(0, 1, "already pinned");
 }
 
 #[test]
 fn swept_scan_of_a_validation_point_out_of_range_is_rejected() {
-    assert_swept_scan_rejected(3, stepped(), 3, "validation point 3 out of range");
-}
-
-#[test]
-fn swept_scan_with_a_mask_of_the_wrong_length_is_rejected() {
-    assert_swept_scan_rejected(0, Pins::none(5), 3, "pin mask length mismatch");
-    assert_swept_scan_rejected(0, Pins::none(7), 3, "pin mask length mismatch");
+    assert_swept_scan_rejected(3, 3, "validation point 3 out of range");
 }
 
 /// A reply with a stray id arrives in one write together with the first

@@ -155,7 +155,25 @@ fn stats_over_the_wire_match_the_workload_exactly() {
             .count()
             >= 2
     );
-    assert!(diff.histogram("rpc.server.latency.sync_status_us").count() >= 1);
+    // and no other request type reached the server
+    let served: Vec<&str> = diff
+        .histograms
+        .iter()
+        .filter(|(name, h)| name.starts_with("rpc.server.latency.") && h.count() > 0)
+        .map(|(name, _)| name.trim_start_matches("rpc.server.latency."))
+        .collect();
+    assert_eq!(
+        served,
+        [
+            "close_us",
+            "extreme_summary_us",
+            "open_us",
+            "scan_us",
+            "shutdown_us",
+            "stats_us",
+            "step_us"
+        ]
+    );
 
     // per-session step counters count only the *live* session's two pins:
     // the coordinator's Close unregistered its session's counters (closed

@@ -1,9 +1,10 @@
-//! One pipelined window per cleaning step.
+//! One pipelined window per cleaning step, and nothing else on the wire.
 //!
 //! `RpcCoordinator::clean` sends the owning shard `[Step, one status
-//! request per uncertain point]` as one window, and `SyncStatus` only when
-//! the refreshed status differs from what the server last got. The first
-//! test checks that ledger on a 1-shard coordinator, client side through
+//! request per uncertain point]` as one window and every other shard one
+//! window of status requests; a connect is one `Open` round trip per shard
+//! plus the first status windows. The first test checks that ledger on a
+//! 2-shard coordinator (both shards on one server), client side through
 //! `rpc.client.windows` and `rpc.client.rtt_us` and server side through
 //! the `Stats` endpoint. The second checks the failure semantics: a server
 //! that acknowledges the `Step` and then rejects a summary leaves the
@@ -68,7 +69,7 @@ fn round_trips() -> u64 {
 }
 
 #[test]
-fn one_window_per_clean_and_sync_status_only_on_change() {
+fn one_window_per_shard_per_clean_and_no_other_round_trip() {
     let _ledger = LEDGER.lock().unwrap_or_else(|e| e.into_inner());
     let problem = boundary_problem();
     let server = spawn_server(ServerConfig::default()).expect("spawn server");
@@ -76,12 +77,18 @@ fn one_window_per_clean_and_sync_status_only_on_change() {
     let mut probe = ShardClient::connect(&addr).expect("probe connect");
     let baseline = probe.stats(0).expect("baseline stats");
 
-    // connect: Open, then the first refresh as one window of summaries and
-    // the initial publish
+    // connect: one Open round trip per shard, then the first refresh as one
+    // window of summaries per shard
     let (w0, rt0) = (windows(), round_trips());
-    let mut coord = RpcCoordinator::connect(&problem, &[&addr], &opts()).expect("connect");
-    assert_eq!(windows() - w0, 1, "connect-time refresh is one window");
-    assert_eq!(round_trips() - rt0, 2, "Open and the initial SyncStatus");
+    let mut coord = RpcCoordinator::connect(&problem, &[&addr, &addr], &opts()).expect("connect");
+    let n_shards = coord.n_shards() as u64;
+    assert_eq!(n_shards, 2);
+    assert_eq!(windows() - w0, n_shards, "connect-time refresh");
+    assert_eq!(
+        round_trips() - rt0,
+        n_shards,
+        "one Open per shard, nothing else"
+    );
     let mut summaries = problem.val_x.len() as u64;
 
     let mut changes = 0;
@@ -91,13 +98,12 @@ fn one_window_per_clean_and_sync_status_only_on_change() {
         summaries += before.iter().filter(|&&c| !c).count() as u64;
         let (w, rt) = (windows(), round_trips());
         coord.clean(row).expect("clean");
-        let changed = coord.status() != before.as_slice();
-        changes += u64::from(changed);
-        assert_eq!(windows() - w, 1, "row {row}: one window to the owner");
+        changes += u64::from(coord.status() != before.as_slice());
+        assert_eq!(windows() - w, n_shards, "row {row}: one window per shard");
         assert_eq!(
             round_trips() - rt,
-            u64::from(changed),
-            "row {row}: a plain round trip only for a changed status"
+            0,
+            "row {row}: no round trip outside the windows"
         );
     }
     assert!(
@@ -110,14 +116,28 @@ fn one_window_per_clean_and_sync_status_only_on_change() {
     );
     let fin = probe.stats(0).expect("final stats");
     let diff = fin.diff(&baseline);
-    for (hist, expect) in [
+    // every request the server served, by type: the Opens, the Steps, one
+    // summary per shard and uncertain point, and the baseline Stats probe
+    // (recorded after its own reply)
+    let expect = [
+        ("rpc.server.latency.open_us", n_shards),
         ("rpc.server.latency.step_us", rows.len() as u64),
-        ("rpc.server.latency.extreme_summary_us", summaries),
-        ("rpc.server.latency.sync_status_us", changes + 1),
-        ("rpc.server.latency.scan_us", 0),
-    ] {
-        assert_eq!(diff.histogram(hist).count(), expect, "{hist}");
+        (
+            "rpc.server.latency.extreme_summary_us",
+            n_shards * summaries,
+        ),
+        ("rpc.server.latency.stats_us", 1),
+    ];
+    for (hist, count) in expect {
+        assert_eq!(diff.histogram(hist).count(), count, "{hist}");
     }
+    let served: u64 = diff
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("rpc.server.latency."))
+        .map(|(_, h)| h.count())
+        .sum();
+    assert_eq!(served, expect.iter().map(|(_, count)| count).sum::<u64>());
 
     // same answers as the in-process engine
     let mut local = CleaningSession::new(&problem, &opts());
