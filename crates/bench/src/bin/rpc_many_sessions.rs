@@ -1,16 +1,10 @@
 //! Multi-tenant serving experiment: {1, 2, 4, 8} concurrent coordinators —
 //! each an independent cleaning session — multiplexed over **one** pool
 //! shard-server, reporting aggregate steps/sec and per-step p50/p99
-//! latency against the single-session serial baseline.
-//!
-//! Two modes:
-//!
-//! * self-contained (default): spawns its own pool server on an ephemeral
-//!   loopback port;
-//! * `--connect ADDR`: drives an externally launched `shard-server`
-//!   process (the CI pool smoke starts one real process with `--conns 15`
-//!   — the total connection count of the four fleets — and points this
-//!   binary at it).
+//! latency against the single-session serial baseline, on a pool server it
+//! spawns on an ephemeral loopback port. (The same pool shape in a real
+//! `shard-server` process is the `cp-rpc` integration test
+//! `shard_server_process`.)
 //!
 //! Every coordinator cleans a distinct random order, and its final CP
 //! status is cross-checked against an **isolated** in-process
@@ -24,11 +18,9 @@
 //! `cp-obs` registry (snapshot diffs over the coordinator's
 //! `rpc.coordinator.clean_us` histogram), not a bench-private stopwatch —
 //! the numbers reported here are the numbers operators will see. After the
-//! fleets finish, a probe connection (the final admitted connection; CI
-//! sizes the server's `--conns` for it) fetches the server's registry over
-//! the wire-level `Stats` request and fails the run if the per-session step
-//! counters don't sum to exactly `(1+2+4+8) × |dirty rows|`, then sends
-//! `Shutdown` so an externally launched `--conns` server exits cleanly.
+//! fleets finish, a probe connection fetches the server's registry over
+//! the wire-level `Stats` request and fails the run if the served-step
+//! ledger does not sum to exactly `(1+2+4+8) × |dirty rows|`.
 //!
 //! `--chaos SEED` appends a second fleet sweep against a dedicated server
 //! with seeded client-side fault injection armed ([`cp_rpc::FaultPlan::light`]:
@@ -218,15 +210,11 @@ fn wire_bytes(problem: &CleaningProblem) -> usize {
 fn main() {
     let r = Reporter;
     let mut smoke = false;
-    let mut connect: Option<String> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--connect" => {
-                connect = Some(args.next().expect("--connect requires ADDR"));
-            }
             "--chaos" => {
                 let seed = args.next().expect("--chaos requires a u64 seed");
                 chaos_seed = Some(seed.parse().expect("--chaos requires a u64 seed"));
@@ -257,27 +245,17 @@ fn main() {
         "scan streams on the wire: {delta_bytes} B (delta encoding)"
     ));
 
-    let (addr, server) = match connect {
-        Some(addr) => {
-            r.note(&format!("connecting to external server: {addr}"));
-            (addr, None)
-        }
-        None => {
-            let server = spawn_server(ServerConfig::default()).expect("spawn pool server");
-            r.note(&format!("self-spawned pool server on {}", server.addr()));
-            (server.addr().to_string(), Some(server))
-        }
-    };
+    let server = spawn_server(ServerConfig::default()).expect("spawn pool server");
+    let addr = server.addr().to_string();
+    r.note(&format!("self-spawned pool server on {addr}"));
 
     let results: Vec<FleetResult> = FLEETS
         .iter()
         .map(|&fleet| run_fleet(&problem, &addr, fleet, &opts, &ClientConfig::default()))
         .collect();
 
-    // wire-level Stats probe: the final admitted connection pulls the
-    // server's registry and checks the per-session step counters against
-    // the exact work the fleets did, then asks the server to exit (an
-    // external `--conns` server counts this connection in its budget)
+    // wire-level Stats probe: pull the server's registry and check the
+    // served steps against the exact work the fleets did
     let total_steps: usize = FLEETS.iter().sum::<usize>() * problem.dirty_rows().len();
     let mut probe = ShardClient::connect(&addr).expect("probe connect");
     let server_stats = probe.stats(0).expect("wire-level Stats");
@@ -300,8 +278,8 @@ fn main() {
     ));
     probe
         .expect_ok(&Request::Shutdown)
-        .expect("shutdown server");
-    drop(server);
+        .expect("shutdown probe connection");
+    server.stop();
 
     // chaos sweep: the same fleets against a dedicated server, with ~1% of
     // every coordinator's outgoing frames sabotaged on a seeded schedule —

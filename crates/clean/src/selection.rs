@@ -1,10 +1,10 @@
-//! Incremental greedy selection: score caching and entropy-bound pruning.
+//! Incremental greedy selection: score caching across steps.
 //!
 //! The naive greedy step (Equation 4) re-scores every (uncertain validation
 //! point × candidate row × candidate) from scratch on every iteration —
 //! `O(|val| · |remaining| · M)` full Q2 scans per step. Almost all of that
 //! work is provably redundant, and this module is where the redundancy is
-//! eliminated. Three observations carry the design:
+//! eliminated. Two observations carry the design:
 //!
 //! 1. **Top-K relevance.** For a validation point `t`, call a row `r`
 //!    *relevant* iff fewer than K other rows are *certain* to be more
@@ -26,20 +26,12 @@
 //!    a logged pin since its epoch hits its relevant set. Staleness is
 //!    impossible by construction: a state is consulted only after its epoch
 //!    has been advanced to the head of the log.
-//! 3. **Branch-and-bound.** Per-row expected entropies are sums of
-//!    non-negative per-validation-point terms, so any partial sum of known
-//!    terms (cached or base-substituted) lower-bounds the row's true score.
-//!    Rows whose bound already fails the incumbent's `1e-12` improvement
-//!    margin are skipped without evaluating their unknown terms — and
-//!    because floating-point addition of non-negative terms is monotone,
-//!    a skipped row provably could not have replaced the incumbent.
 //!
-//! **Bit-compatibility with the naive scorer.** Evaluated rows replicate
-//! [`crate::session::pick_min_expected_entropy`]'s arithmetic exactly: the
-//! same Q2 evaluations, the same per-row `Σ_j H / M` term, accumulated over
-//! validation points in the same order, compared on the same strict
-//! `1e-12` ladder in the same `remaining` order (pruning only ever *skips*
-//! rows the ladder would not have accepted — it never reorders). The one
+//! **Bit-compatibility with the naive scorer.** Every row's score
+//! replicates [`crate::session::pick_min_expected_entropy`]'s arithmetic
+//! exactly: the same Q2 evaluations, the same per-row `Σ_j H / M` term,
+//! accumulated once over validation points in the same order, compared on
+//! the same strict `1e-12` ladder in the same `remaining` order. The one
 //! caveat: a base-entropy substitution for an irrelevant row is equal to
 //! the naive pinned-scan value *mathematically*, not bit-for-bit — the two
 //! f64 scans round differently at the last ulp. A selection can therefore
@@ -49,28 +41,29 @@
 //!
 //! **Per-step cost.** Let `U` be the uncertain validation points, `B ⊆ U`
 //! those whose state a pin invalidated, and `R` the (point, row) cache
-//! misses the branch-and-bound loop evaluates. Each rebuilt state costs its
-//! relevance set — every row's extreme allowed keys, then `τ`, the K-th
-//! largest `minkey` (a row is relevant iff its `maxkey` is at least `τ`):
-//! `O(N log K)` on the in-process engine, which reads the keys off the
-//! point's cached index, and `O(NM + N log K)` on the sharded engine,
-//! which evaluates the kernel — plus its base entropy. On the
-//! in-process engine all entropies of one point come from one
-//! [`cp_core::PinnedProbabilities`], opened at the point's first request
-//! of the step: one SS-DC opening,
+//! misses the step evaluates. Each rebuilt state costs its relevance set —
+//! every row's extreme allowed keys, then `τ`, the K-th largest `minkey` (a
+//! row is relevant iff its `maxkey` is at least `τ`): `O(N log K)` on the
+//! in-process engine, which reads the keys off the point's cached index,
+//! and `O(NM + N log K)` on the sharded engine, which evaluates the kernel
+//! — plus its base entropy. On the in-process engine all entropies of one
+//! point come from one [`cp_core::PinnedProbabilities`], opened at the
+//! point's first request of the step: one SS-DC opening,
 //! `O(NM + T log T + L·K² log N)` (see [`cp_core::ss_tree`]), then one pass
 //! over the scan's `T`-event tail for the base distribution and one per
 //! missed row, which answers all `M` pins of the row at once in
-//! `O(T·(K² log N + |Γ|·|Y|))`. A step therefore opens at most `|U|` scans
-//! — exactly `|B|` while no pruned row has left a kept state unscored —
-//! where the naive scorer opens `|U| · M · |remaining|`. Only the first 64
-//! points asked keep their opened scan for the step; past them every
-//! request opens its own, so a step opens at most `|B| + |R|` scans, still
-//! one per missed row rather than `M`. With `K = 1` each pin takes the
-//! `O(NM)` K = 1 fast path instead, as the naive scorer does. The sharded
-//! engine (`cp-rpc`'s `RpcCoordinator`) answers a miss the same way: one
-//! swept scan of the row's owner shard, merged once with the other shards'
-//! cached base streams, gives all `M` pins of the row.
+//! `O(T·(K² log N + |Γ|·|Y|))`. Every step scores every remaining row, so a
+//! state kept from an earlier step already holds its relevant rows'
+//! entropies and only rebuilt states miss: a step opens one scan per
+//! rebuilt point, `|B|`, where the naive scorer opens
+//! `|U| · M · |remaining|`. Only the first 64 points asked keep their
+//! opened scan for the step; past them every request opens its own, so a
+//! step opens at most `|B| + |R|` scans, still one per missed row rather
+//! than `M`. With `K = 1` each pin takes
+//! the `O(NM)` K = 1 fast path instead, as the naive scorer does. The
+//! sharded engine (`cp-rpc`'s `RpcCoordinator`) answers a miss the same
+//! way: one swept scan of the row's owner shard, merged once with the other
+//! shards' cached base streams, gives all `M` pins of the row.
 
 use crate::problem::CleaningProblem;
 use cp_core::similarity::largest_keys;
@@ -92,7 +85,7 @@ struct ValState {
     /// exact hypothetical entropy of every irrelevant row's every candidate.
     base_entropy: f64,
     /// Cached per-candidate hypothetical entropies for *relevant* rows,
-    /// filled lazily as the branch-and-bound loop evaluates them.
+    /// filled lazily as the selection loop evaluates them.
     ent: HashMap<usize, Vec<f64>>,
 }
 
@@ -237,7 +230,7 @@ fn relevant_rows(
 
 /// The incremental greedy selection (Equation 4) over `remaining`, reusing
 /// `cache` across steps and pulling fresh entropies from `backend` only for
-/// entries a pin invalidated and rows the entropy bounds cannot exclude.
+/// relevant entries a pin invalidated.
 /// Selects the **identical** row the engine's from-scratch scorer would
 /// (see the module docs for the bit-compatibility argument).
 pub fn select_next_incremental<B: SelectionBackend>(
@@ -276,62 +269,36 @@ pub fn select_next_incremental<B: SelectionBackend>(
         }
     }
 
-    // the same running-best ladder as `pick_min_expected_entropy`, with two
-    // shortcuts that cannot change its outcome: irrelevant (row, val) terms
-    // substitute the base entropy, and rows whose known-term lower bound
-    // already fails the incumbent's margin are skipped unevaluated
+    // the same running-best ladder as `pick_min_expected_entropy`, with one
+    // shortcut that cannot change its outcome: irrelevant (row, val) terms
+    // substitute the base entropy
     let mut best_row = remaining[0];
     let mut best_score = f64::INFINITY;
     for &row in remaining {
         let m_count = problem.dataset.set_size(row);
         let m = m_count as f64;
-        let mut lower_bound = 0.0;
-        let mut unknown: Vec<usize> = Vec::new();
+        let mut score = 0.0;
         for &v in &uncertain {
-            let st = cache.states[v].as_ref().expect("state built above");
-            if let Some(ents) = st.ent.get(&row) {
-                cp_obs::counter!("clean.selection.cache_hits").inc();
-                lower_bound += ents.iter().sum::<f64>() / m;
-            } else if !st.relevant[row] {
+            let st = cache.states[v].as_mut().expect("state built above");
+            score += if !st.relevant[row] {
                 // naive would scan M times and sum M (mathematically equal)
                 // entropies — replicate the summation shape exactly
-                lower_bound += (0..m_count).map(|_| st.base_entropy).sum::<f64>() / m;
+                (0..m_count).map(|_| st.base_entropy).sum::<f64>() / m
+            } else if let Some(ents) = st.ent.get(&row) {
+                cp_obs::counter!("clean.selection.cache_hits").inc();
+                ents.iter().sum::<f64>() / m
             } else {
-                unknown.push(v);
-            }
-        }
-        let score = if unknown.is_empty() {
-            lower_bound // every term known: this *is* the exact naive score
-        } else if lower_bound >= best_score - 1e-12 {
-            cp_obs::counter!("clean.selection.pruned").inc();
-            continue; // true score ≥ bound: the ladder would reject it
-        } else {
-            for &v in &unknown {
                 cp_obs::counter!("clean.selection.cache_misses").inc();
                 let ents = backend.hypothetical_entropies(v, row)?;
                 debug_assert!(
                     ents.iter().all(|h| !h.is_nan()),
                     "NaN hypothetical entropy for val {v}, row {row}"
                 );
-                cache.states[v]
-                    .as_mut()
-                    .expect("state built above")
-                    .ent
-                    .insert(row, ents);
-            }
-            // re-accumulate over *all* uncertain points in ascending order —
-            // the bound above skipped the unknowns, so its partial order of
-            // additions differs from the naive scorer's
-            let mut score = 0.0;
-            for &v in &uncertain {
-                let st = cache.states[v].as_ref().expect("state built above");
-                score += match st.ent.get(&row) {
-                    Some(ents) => ents.iter().sum::<f64>() / m,
-                    None => (0..m_count).map(|_| st.base_entropy).sum::<f64>() / m,
-                };
-            }
-            score
-        };
+                let term = ents.iter().sum::<f64>() / m;
+                st.ent.insert(row, ents);
+                term
+            };
+        }
         let score = nan_guard(score);
         if score < best_score - 1e-12 {
             best_score = score;

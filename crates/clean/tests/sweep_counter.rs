@@ -64,7 +64,6 @@ struct Work {
     evals: u64,
     misses: u64,
     sweeps: u64,
-    pruned: u64,
 }
 
 fn measure(f: impl FnOnce()) -> Work {
@@ -73,7 +72,6 @@ fn measure(f: impl FnOnce()) -> Work {
         evals: q2_probability_count(),
         misses: cp_obs::counter!("clean.selection.cache_misses").get(),
         sweeps: cp_obs::counter!("core.ss.pin_sweeps").get(),
-        pruned: cp_obs::counter!("clean.selection.pruned").get(),
     };
     let before = read();
     f();
@@ -83,7 +81,6 @@ fn measure(f: impl FnOnce()) -> Work {
         evals: after.evals - before.evals,
         misses: after.misses - before.misses,
         sweeps: after.sweeps - before.sweeps,
-        pruned: after.pruned - before.pruned,
     }
 }
 
@@ -100,7 +97,6 @@ fn a_greedy_step_opens_one_tree_scan_per_scanned_validation_point() {
     assert!(!session.converged(), "workload must need cleaning");
 
     let mut steps = 0;
-    let mut pruned_so_far = 0;
     while !session.converged() {
         let remaining = session.remaining();
         let uncertain = session.status().iter().filter(|&&c| !c).count() as u64;
@@ -121,30 +117,20 @@ fn a_greedy_step_opens_one_tree_scan_per_scanned_validation_point() {
         // evaluation is a rebuilt state's base distribution
         assert_eq!(work.sweeps, work.misses, "step {steps}");
         let rebuilt = work.evals - M as u64 * work.misses;
-        // one opened scan per validation point scanned: each rebuilt state
-        // opens one, a miss in a state kept from an earlier step may open
-        // one more, and no point opens twice
-        assert!(
-            work.tree_builds >= n_labels * rebuilt
-                && work.tree_builds <= n_labels * uncertain.min(rebuilt + work.misses),
+        // every step scores every remaining row, so a state kept from an
+        // earlier step never misses: the step opens exactly one scan per
+        // rebuilt state
+        assert_eq!(
+            work.tree_builds,
+            n_labels * rebuilt,
             "step {steps}: {work:?}, {uncertain} uncertain"
         );
-        // until pruning first leaves a row unscored, no kept state can
-        // miss: the step opens exactly one scan per rebuilt state
-        if pruned_so_far == 0 {
-            assert_eq!(
-                work.tree_builds,
-                n_labels * rebuilt,
-                "step {steps}: {work:?}"
-            );
-        }
         if steps == 0 {
             // cold: every uncertain point is rebuilt and scanned once
             assert_eq!(rebuilt, uncertain);
             assert!(work.misses > 0, "a cold step must sweep rows");
             assert!(work.tree_builds < naive.tree_builds);
         }
-        pruned_so_far += work.pruned;
         session.clean(pick);
         steps += 1;
     }

@@ -1,18 +1,18 @@
 //! The shard-server binary: bind a TCP listener and serve shard sessions.
 //!
 //! ```text
-//! shard-server --listen 127.0.0.1:7701 [--once | --conns N] [--max-sessions M]
-//!              [--data-dir PATH] [--stats-interval SECS] [--chaos SEED]
+//! shard-server --listen 127.0.0.1:7701 [--max-sessions M] [--data-dir PATH]
+//!              [--stats-interval SECS] [--chaos SEED]
 //! ```
 //!
 //! One process serves any number of independent cleaning sessions
 //! concurrently ([`cp_rpc::ShardServer`] is multi-tenant): each coordinator
 //! connects, opens its session (`Open` mints a session handle), drives scans
 //! and cleaning steps, and ends with `Close` + `Shutdown`. Identical `Open`
-//! payloads share one similarity-index build. With `--once` the process
-//! exits after its first connection closes — the mode CI's loopback smoke
-//! test uses; `--conns N` generalizes it to N admitted connections — the
-//! mode CI's multi-tenant pool smoke uses.
+//! payloads share one similarity-index build. The process serves until it
+//! is killed; once bound, it prints `shard-server listening on ADDR` (the
+//! resolved address, so `--listen 127.0.0.1:0` reports its ephemeral
+//! port). A bad argument exits non-zero before anything is bound.
 //!
 //! `--data-dir PATH` makes sessions durable: every `Open` payload and
 //! applied pin is appended (fsync'd, CRC-framed) to a per-session
@@ -50,14 +50,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--once" => cfg.max_accepts = Some(1),
-            "--conns" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.max_accepts = Some(n),
-                _ => {
-                    eprintln!("shard-server: --conns requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--max-sessions" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => cfg.max_sessions = n,
                 _ => {
@@ -88,12 +80,13 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: shard-server [--listen ADDR] [--once | --conns N] [--max-sessions M] \
-                     [--data-dir PATH] [--stats-interval SECS] [--chaos SEED]"
+                    "usage: shard-server [--listen ADDR] [--max-sessions M] [--data-dir PATH] \
+                     [--stats-interval SECS] [--chaos SEED]"
                 );
-                println!("  --listen ADDR         bind address (default 127.0.0.1:7701)");
-                println!("  --once                exit after the first connection closes");
-                println!("  --conns N             exit after N admitted connections close");
+                println!(
+                    "  --listen ADDR         bind address (default 127.0.0.1:7701; port 0 \
+                     picks a free one)"
+                );
                 println!(
                     "  --max-sessions M      cap on concurrent sessions (default {})",
                     ServerConfig::default().max_sessions

@@ -84,8 +84,7 @@ pub struct ServerConfig {
     /// stops pulling from the socket (TCP backpressure).
     pub queue_depth: usize,
     /// Stop accepting after this many admitted connections (joining them
-    /// before returning); `None` serves forever. `Some(1)` is the
-    /// single-coordinator mode CI's loopback smoke test uses.
+    /// before returning); `None` serves forever.
     pub max_accepts: Option<usize>,
     /// Durability root. When set, every session appends its `Open` payload
     /// and each applied pin to a write-ahead log under this directory

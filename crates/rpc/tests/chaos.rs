@@ -11,6 +11,9 @@
 //! status vector and the convergence flag equal the single-process
 //! session's exactly, the Q2 counts equal the live merged scan's, and the
 //! coordinator's own failover / replayed-pin ledger stays consistent.
+//! Every request travels in a `Deadline` envelope, and every profile's
+//! schedule must actually fire: a schedule that injects nothing proves
+//! nothing.
 //!
 //! The scripted (non-proptest) test kills a WAL-less server mid-run and
 //! restarts it fresh on the same port: the retransmitted `Step` answers
@@ -27,6 +30,7 @@ use cp_rpc::{
 };
 use cp_shard::{build_shard_indexes, capture_streams, local_pins, q2_from_streams_with_algorithm};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::net::TcpListener;
 use std::sync::mpsc::channel;
 use std::time::Duration;
@@ -65,8 +69,10 @@ fn opts() -> RunOptions {
 }
 
 /// A retry/timeout config sized for chaos: short read timeouts turn
-/// dropped frames into quick typed failures, and a deep jittered retry
-/// budget outlasts any burst the fault budget can inject.
+/// dropped frames into quick typed failures, a deep jittered retry budget
+/// outlasts any burst the fault budget can inject, and every request
+/// travels in a generous `Deadline` envelope, so the envelope path runs
+/// end to end under faults.
 fn chaos_client_cfg(plan: FaultPlan) -> ClientConfig {
     ClientConfig {
         connect_timeout: Some(Duration::from_millis(500)),
@@ -79,110 +85,171 @@ fn chaos_client_cfg(plan: FaultPlan) -> ClientConfig {
         // a short cooldown keeps the half-open probe inside the retry
         // budget even if a fault burst opens a breaker
         breaker_cooldown: Duration::from_millis(25),
+        request_deadline: Some(Duration::from_secs(2)),
         chaos: Some(plan),
         ..ClientConfig::default()
     }
 }
 
-fn profile(idx: u8, seed: u64) -> FaultPlan {
-    match idx % 4 {
-        0 => FaultPlan::mixed(seed),
-        1 => FaultPlan::drop_heavy(seed),
-        2 => FaultPlan::delay_heavy(seed),
-        _ => FaultPlan::corrupt_heavy(seed),
+type Profile = (&'static str, fn(u64) -> FaultPlan);
+
+const PROFILES: [Profile; 4] = [
+    ("mixed", FaultPlan::mixed),
+    ("drop_heavy", FaultPlan::drop_heavy),
+    ("delay_heavy", FaultPlan::delay_heavy),
+    ("corrupt_heavy", FaultPlan::corrupt_heavy),
+];
+
+/// Every fault injected in this process so far. Only the property below
+/// arms fault plans in this binary, so a difference of two readings is
+/// exactly what its schedule injected in between.
+fn faults_injected() -> u64 {
+    cp_obs::snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("rpc.fault."))
+        .map(|(_, &v)| v)
+        .sum()
+}
+
+/// The fault-free oracle: the single-process session's greedy picks, the
+/// status vector before and after every pick, and then a sweep of every
+/// dirty row the greedy run left (more traffic, more chances to
+/// misbehave) with the status after each.
+struct Oracle {
+    picks: Vec<usize>,
+    statuses: Vec<Vec<bool>>,
+    converged: bool,
+    sweep: Vec<(usize, Vec<bool>)>,
+}
+
+/// A two-shard greedy cleaning run under `plan` (bounded by a fault
+/// budget, so the tail is clean and the run converges): the identical
+/// rows, the identical status vector after every pick and sweep step,
+/// identical convergence and identical Q2 counts, while the coordinator's failover
+/// and replayed-pin tallies stay mutually consistent. Returns the faults
+/// the schedule injected.
+fn chaotic_run(
+    problem: &CleaningProblem,
+    oracle: &Oracle,
+    plan: FaultPlan,
+) -> Result<u64, TestCaseError> {
+    let n_shards = 2;
+    let plan = plan.with_budget(10).with_delay(Duration::from_millis(1));
+    plan.pause(); // connect clean: the journal must exist before faults do
+    let servers: Vec<_> = (0..n_shards)
+        .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let cfg = chaos_client_cfg(plan.clone());
+    let mut remote = RpcCoordinator::connect_with(problem, &addrs, &opts(), &cfg).expect("connect");
+    prop_assert_eq!(remote.status(), &oracle.statuses[0][..], "fresh status");
+
+    let before = faults_injected();
+    plan.resume();
+    let mut picks = Vec::new();
+    while let Some(row) = remote.step() {
+        picks.push(row);
+        prop_assert_eq!(
+            remote.status(),
+            &oracle.statuses[picks.len()][..],
+            "status diverged after pick {}",
+            picks.len()
+        );
     }
+    prop_assert_eq!(&picks, &oracle.picks, "greedy pick sequence diverged");
+    prop_assert_eq!(remote.converged(), oracle.converged);
+    for (row, status) in &oracle.sweep {
+        remote.clean(*row).expect("sweep clean under chaos");
+        prop_assert_eq!(
+            remote.status(),
+            &status[..],
+            "status diverged at row {}",
+            row
+        );
+    }
+
+    // Q2 counts stay exact through whatever budget remains armed
+    let shards = problem.dataset.partition(n_shards);
+    let pins = Pins::none(problem.dataset.len());
+    let shard_pins = local_pins(&shards, &pins);
+    for (v, t) in problem.val_x.iter().enumerate() {
+        let indexes = build_shard_indexes(&shards, problem.config.kernel, t);
+        let truth: Q2Result<u128> = q2_from_streams_with_algorithm(
+            &capture_streams(&shards, &indexes, &shard_pins, &problem.config),
+            Q2Algorithm::Auto,
+        );
+        let got: Q2Result<u128> = remote
+            .q2_with_pins(v, &pins, Q2Algorithm::Auto)
+            .expect("q2 under chaos");
+        prop_assert_eq!(
+            &got.counts,
+            &truth.counts,
+            "q2 counts diverged at val {}",
+            v
+        );
+        prop_assert_eq!(got.total, truth.total);
+    }
+    plan.pause(); // teardown clean
+    let injected = faults_injected() - before;
+
+    // the recovery ledger is self-consistent: pins replay only through
+    // failovers, at most one journal's worth per failover
+    let failovers = remote.failover_count();
+    let replayed = remote.pins_replayed_count();
+    if failovers == 0 {
+        prop_assert_eq!(replayed, 0, "pins cannot replay without a failover");
+    }
+    prop_assert!(
+        replayed <= failovers * (oracle.picks.len() + oracle.sweep.len()) as u64,
+        "{replayed} pins replayed across {failovers} failovers"
+    );
+
+    remote.shutdown().expect("shutdown");
+    for s in servers {
+        s.stop();
+    }
+    Ok(injected)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// For every fault profile and seed: a two-shard greedy cleaning run
-    /// under an armed fault schedule picks the identical rows, reports the
-    /// identical status vector after every pick, converges identically,
-    /// and answers identical Q2 counts — while the coordinator's failover
-    /// and replayed-pin tallies stay mutually consistent.
+    /// For every fault profile and seed, a chaotic greedy run is
+    /// bit-identical to the fault-free one ([`chaotic_run`]). The
+    /// coordinator is frame-frugal, so a per-mille schedule can roll
+    /// through a whole run without firing: each profile walks derived
+    /// sub-seeds, deterministically, until its schedule injures the run —
+    /// at most 8 — and every attempt is held bit-identical either way.
     #[test]
-    fn chaotic_greedy_runs_are_bit_identical_to_fault_free(
-        profile_idx in 0u8..4,
-        seed in 0u64..u64::MAX,
-    ) {
+    fn chaotic_greedy_runs_are_bit_identical_to_fault_free(seed in 0u64..u64::MAX) {
         let problem = chaos_problem();
-        let n_shards = 2;
-
-        // fault-free oracle: the single-process session
         let mut local = CleaningSession::new(&problem, &opts());
-        let mut expected_picks = Vec::new();
-        let mut expected_statuses = vec![local.status().to_vec()];
+        let mut oracle = Oracle {
+            picks: Vec::new(),
+            statuses: vec![local.status().to_vec()],
+            converged: false,
+            sweep: Vec::new(),
+        };
         while let Some(row) = local.step() {
-            expected_picks.push(row);
-            expected_statuses.push(local.status().to_vec());
+            oracle.picks.push(row);
+            oracle.statuses.push(local.status().to_vec());
         }
-        let expected_converged = local.converged();
-
-        // a bounded fault budget guarantees a clean tail, so the run
-        // always converges; the schedule up to that point is unrestricted
-        let plan = profile(profile_idx, seed)
-            .with_budget(10)
-            .with_delay(Duration::from_millis(1));
-        plan.pause(); // connect clean: the journal must exist before faults do
-        let servers: Vec<_> = (0..n_shards)
-            .map(|_| spawn_server(ServerConfig::default()).expect("spawn server"))
-            .collect();
-        let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-        let cfg = chaos_client_cfg(plan.clone());
-        let mut remote =
-            RpcCoordinator::connect_with(&problem, &addrs, &opts(), &cfg).expect("connect");
-        prop_assert_eq!(remote.status(), &expected_statuses[0][..], "fresh status");
-
-        plan.resume();
-        let mut picks = Vec::new();
-        while let Some(row) = remote.step() {
-            picks.push(row);
-            prop_assert_eq!(
-                remote.status(),
-                &expected_statuses[picks.len()][..],
-                "status diverged after pick {} under profile {} seed {}",
-                picks.len(),
-                profile_idx,
-                seed
-            );
-        }
-        prop_assert_eq!(&picks, &expected_picks, "greedy pick sequence diverged");
-        prop_assert_eq!(remote.converged(), expected_converged);
-
-        // Q2 counts stay exact through whatever budget remains armed
-        let shards = problem.dataset.partition(n_shards);
-        let pins = Pins::none(problem.dataset.len());
-        let shard_pins = local_pins(&shards, &pins);
-        for (v, t) in problem.val_x.iter().enumerate() {
-            let indexes = build_shard_indexes(&shards, problem.config.kernel, t);
-            let truth: Q2Result<u128> = q2_from_streams_with_algorithm(
-                &capture_streams(&shards, &indexes, &shard_pins, &problem.config),
-                Q2Algorithm::Auto,
-            );
-            let got: Q2Result<u128> = remote
-                .q2_with_pins(v, &pins, Q2Algorithm::Auto)
-                .expect("q2 under chaos");
-            prop_assert_eq!(&got.counts, &truth.counts, "q2 counts diverged at val {}", v);
-            prop_assert_eq!(got.total, truth.total);
+        oracle.converged = local.converged();
+        for row in local.remaining() {
+            local.clean(row);
+            oracle.sweep.push((row, local.status().to_vec()));
         }
 
-        // the recovery ledger is self-consistent: pins replay only through
-        // failovers, at most one journal's worth per failover
-        let failovers = remote.failover_count();
-        let replayed = remote.pins_replayed_count();
-        if failovers == 0 {
-            prop_assert_eq!(replayed, 0, "pins cannot replay without a failover");
-        }
-        prop_assert!(
-            replayed <= failovers * expected_picks.len() as u64,
-            "{replayed} pins replayed across {failovers} failovers"
-        );
-
-        plan.pause(); // teardown clean
-        remote.shutdown().expect("shutdown");
-        for s in servers {
-            s.stop();
+        for (name, make) in PROFILES {
+            let mut attempt = 0u64;
+            while chaotic_run(&problem, &oracle, make(seed ^ (attempt << 16)))? == 0 {
+                attempt += 1;
+                prop_assert!(
+                    attempt < 8,
+                    "no {name} schedule derived from seed {seed} fired in 8 runs"
+                );
+            }
         }
     }
 }
